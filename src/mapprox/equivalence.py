@@ -34,7 +34,6 @@ class _GlobalValues:
         self.ops = 0
         self._intern: dict[tuple, int] = {}
         self._memo: dict[tuple, int] = {}
-        self._marks: dict[int, list[frozenset[str]]] = {}
 
     def _spend(self, amount: int = 1) -> None:
         self.ops += amount
@@ -49,12 +48,7 @@ class _GlobalValues:
         return found
 
     def value(self, F: FiniteMapping, tup: tuple[int, ...], k: int) -> int:
-        fid = id(F)
-        marks = self._marks.get(fid)
-        if marks is None:
-            marks = [F.marks_of(v) for v in F.elements()]
-            self._marks[fid] = marks
-        return self._value(F, marks, tup, k)
+        return self._value(F, F.mark_sets, tup, k)
 
     def _value(self, F, marks, tup, k) -> int:
         key = (id(F), tup, k)

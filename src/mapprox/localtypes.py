@@ -20,11 +20,11 @@ everything per structure; it is shared process-wide by default.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     MeasureError,
@@ -51,11 +51,22 @@ def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
     return (marks[x], fx == x, eq, img, pre)
 
 
+class _PerElement(dict):
+    """element -> value, each value built by `build` on first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, v: int):
+        value = self[v] = self._build(v)
+        return value
+
+
 class TypeTable:
     """Insert-if-absent registry of game values and canonical type ids."""
 
     def __init__(self):
-        self._lock = threading.RLock()
         self._intern: dict[tuple, int] = {}
         self._meta: list[tuple] = []
         self._lower: dict[int, int] = {}
@@ -69,26 +80,18 @@ class TypeTable:
 
     def _intern_value(self, key: tuple) -> int:
         found = self._intern.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            found = self._intern.get(key)
-            if found is None:
-                found = len(self._meta)
-                self._meta.append(key)
-                self._intern[key] = found
-            return found
+        if found is None:
+            found = len(self._meta)
+            self._meta.append(key)
+            self._intern[key] = found
+        return found
 
     def canonical_id(self, nv: int) -> int:
         found = self._canonical.get(nv)
-        if found is not None:
-            return found
-        with self._lock:
-            found = self._canonical.get(nv)
-            if found is None:
-                found = len(self._canonical)
-                self._canonical[nv] = found
-            return found
+        if found is None:
+            found = len(self._canonical)
+            self._canonical[nv] = found
+        return found
 
     def rank_of(self, nv: int) -> int:
         return self._meta[nv][0]
@@ -98,12 +101,14 @@ class TypeTable:
     def _structure_cache(self, F: FiniteMapping) -> dict:
         cache = self._caches.get(F)
         if cache is None:
-            marks = [F.marks_of(v) for v in F.elements()]
-            pre = [frozenset(s) for s in _preimage_table(F)]
-            nbr = [
-                (pre[v] | {F.f[v]}) - {v} for v in F.elements()
-            ]
-            cache = {"marks": marks, "pre": pre, "nbr": nbr, "nv": {}}
+            # Preimage and neighbor sets are built per element on first use:
+            # the pipeline queries a few thousand elements of structures
+            # with hundreds of thousands.
+            pre_lists = _preimage_table(F)
+            f = F.f
+            pre = _PerElement(lambda v: frozenset(pre_lists[v]))
+            nbr = _PerElement(lambda v: (pre[v] | {f[v]}) - {v})
+            cache = {"marks": F.mark_sets, "pre": pre, "nbr": nbr, "nv": {}}
             self._caches[F] = cache
         return cache
 
@@ -361,7 +366,18 @@ class TypeMeasure:
     def types(self) -> tuple[LocalType, ...]:
         return tuple(t for t, _ in self.entries)
 
+    @cached_property
+    def _mass_by_key(self) -> dict[tuple[int, int], Fraction]:
+        return {t.key: mass for t, mass in self.entries}
+
+    def _shares_table(self, t: LocalType) -> bool:
+        return self.entries[0][0].table is t.table
+
     def mass(self, t: LocalType) -> Fraction:
+        if self._shares_table(t):
+            if t.rank != self.rank:
+                raise RankMismatch(f"rank {self.rank} vs {t.rank}")
+            return self._mass_by_key.get(t.key, Fraction(0))
         for entry_type, mass in self.entries:
             if types_equal(entry_type, t):
                 return mass
@@ -383,15 +399,28 @@ def type_distribution(
     F: FiniteMapping, r: int, table: Optional[TypeTable] = None
 ) -> TypeMeasure:
     """Group elements of F by rank-r type; mass of a type = count / n."""
-    table = table or _GLOBAL_TABLE
+    weighted = ((v, 1) for v in F.elements())
+    return _weighted_distribution(F, r, table or _GLOBAL_TABLE, weighted)
+
+
+def _weighted_distribution(
+    F: FiniteMapping, r: int, table: TypeTable, weighted: Iterable[tuple[int, int]]
+) -> TypeMeasure:
+    """type_distribution from (element, weight) pairs whose weights sum to
+    F.n, each pair standing for `weight` elements of the element's type.
+    Canonical ids are assigned in order of first appearance."""
     groups: dict[int, list[int]] = {}
-    for v in F.elements():
+    for v, weight in weighted:
         nv = table.nv_value(F, (v,), r)
-        groups.setdefault(nv, []).append(v)
+        group = groups.get(nv)
+        if group is None:
+            groups[nv] = [v, weight]
+        else:
+            group[1] += weight
     pairs = []
-    for nv, members in groups.items():
-        t = LocalType(r, F, members[0], nv, table.canonical_id(nv), table)
-        pairs.append((t, Fraction(len(members), F.n)))
+    for nv, (v, count) in groups.items():
+        t = LocalType(r, F, v, nv, table.canonical_id(nv), table)
+        pairs.append((t, Fraction(count, F.n)))
     return TypeMeasure.from_pairs(r, pairs)
 
 
@@ -399,6 +428,13 @@ def measure_tv(a: TypeMeasure, b: TypeMeasure) -> Fraction:
     """Total variation distance (half L1) between two same-rank measures."""
     if a.rank != b.rank:
         raise RankMismatch(f"rank {a.rank} vs {b.rank}")
+    if b._shares_table(a.entries[0][0]):
+        masses_a, masses_b = a._mass_by_key, b._mass_by_key
+        keys = masses_a.keys() | masses_b.keys()
+        gap = sum(
+            (abs(masses_a.get(k, 0) - masses_b.get(k, 0)) for k in keys), Fraction(0)
+        )
+        return gap / 2
     diff = Fraction(0)
     matched_b: set[int] = set()
     for t, mass in a.entries:

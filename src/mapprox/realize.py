@@ -46,7 +46,9 @@ from .localtypes import (
     LocalType,
     TypeMeasure,
     TypeTable,
+    _weighted_distribution,
     adm_minus,
+    adm_minus_table,
     adm_plus,
     local_type,
     measure_tv,
@@ -62,7 +64,6 @@ from .structure import (
     cycle_lengths,
     distance,
     neighbors,
-    preimage,
     residualize,
 )
 
@@ -347,49 +348,20 @@ def verify_upsilon(
         if not ok:
             return False
 
-    # Rank-r types the label forces preimages of, with a representative each.
-    witness_pre_cache: dict[tuple, dict] = {}
-
-    def forced_types(tau: LocalType) -> dict:
-        cached = witness_pre_cache.get(tau.key)
-        if cached is None:
-            witness_structure, w = tau.witness
-            cached = {}
-            for u in preimage(witness_structure, w):
-                t = local_type(witness_structure, u, r, table=tau.table)
-                cached.setdefault(t.key, t)
-            witness_pre_cache[tau.key] = cached
-        return cached
-
-    minus_cache: dict[tuple, int] = {}
-
-    def forced_count(tau: LocalType, t: LocalType) -> int:
-        key = (tau.key, t.key)
-        value = minus_cache.get(key)
-        if value is None:
-            value = adm_minus(tau, t)
-            minus_cache[key] = value
-        return value
-
+    # adm_minus(tau, t) = min(r + 1, count in adm_minus_table(tau, r)), and
+    # min(r, min(r + 1, x)) = min(r, x), so the table gives condition (4).
     pre = _preimage_table(F)
-    low_cache: dict[tuple, LocalType] = {}
+    low_cache: dict[tuple, tuple] = {}
     for v in F.elements():
-        tau = upsilon[v]
         actual: dict[tuple, int] = {}
-        reps: dict[tuple, LocalType] = {}
         for u in pre[v]:
             low = low_cache.get(upsilon[u].key)
             if low is None:
-                low = project(upsilon[u], r)
-                low_cache[upsilon[u].key] = low
-            actual[low.key] = actual.get(low.key, 0) + 1
-            reps.setdefault(low.key, low)
-        universe = dict(forced_types(tau))
-        universe.update(reps)
-        for t_key, t in universe.items():
-            forced = forced_count(tau, t)
-            seen = actual.get(t_key, 0)
-            if min(r, forced) != min(r, seen):
+                low = low_cache[upsilon[u].key] = project(upsilon[u], r).key
+            actual[low] = actual.get(low, 0) + 1
+        forced = adm_minus_table(upsilon[v], r)
+        for t_key in forced.keys() | actual.keys():
+            if min(r, forced.get(t_key, 0)) != min(r, actual.get(t_key, 0)):
                 return False
     return True
 
@@ -704,11 +676,27 @@ def _apply_recovery(F: FiniteMapping, pairs: list[tuple[str, str]]) -> FiniteMap
     )
 
 
-def _proximity(F: FiniteMapping, radius: int) -> Fraction:
-    """Probability that two independent uniform elements are within radius."""
+def _sweep(n: int, copy_size: int, copies: int):
+    """(element, weight) pairs standing for all n elements of a structure
+    that ends in `copies` consecutive blocks of `copy_size` elements, any
+    two of which an automorphism swaps: the elements before the blocks with
+    weight 1, then the first block with weight `copies`.  Exact for every
+    statistic that automorphisms preserve, such as types and ball sizes."""
+    host = n - copies * copy_size
+    for v in range(host):
+        yield v, 1
+    for v in range(host, host + copy_size):
+        yield v, copies
+
+
+def _proximity(
+    F: FiniteMapping, radius: int, copy_size: int = 0, copies: int = 1
+) -> Fraction:
+    """Probability that two independent uniform elements are within radius,
+    swept as _sweep describes."""
     pre = _preimage_table(F)
     total = 0
-    for v in F.elements():
+    for v, weight in _sweep(F.n, copy_size, copies):
         seen = {v}
         frontier = [v]
         for _ in range(radius):
@@ -721,12 +709,11 @@ def _proximity(F: FiniteMapping, radius: int) -> Fraction:
             if not nxt:
                 break
             frontier = nxt
-        total += len(seen)
+        total += weight * len(seen)
     return Fraction(total, F.n * F.n)
 
 
-def _histogram(F: FiniteMapping, rank: int, table: TypeTable) -> dict[str, str]:
-    dist = type_distribution(F, rank, table)
+def _histogram(dist: TypeMeasure) -> dict[str, str]:
     return {str(t.canonical_id): str(mass) for t, mass in dist}
 
 
@@ -753,7 +740,9 @@ def pipeline(
     and the measure extracted from the cut product never has terminals.
     The report carries per-stage sizes and rank-r type histograms, the
     certificate digest, and the measured distance of the output to the
-    input, which is checked against eps rather than assumed.
+    input, which is checked against eps rather than assumed.  Statistics of
+    the merged and output structures sweep the host plus one copy, the copy
+    weighted by the number of copies; the values equal a full sweep's.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -787,16 +776,18 @@ def pipeline(
     table = TypeTable()
     stages: list[dict] = []
 
-    def record(name: str, structure: FiniteMapping) -> None:
-        stages.append(
-            {
-                "name": name,
-                "size": structure.n,
-                "histogram": _histogram(structure, r, table),
-            }
+    def record(
+        name: str, structure: FiniteMapping, copy_size: int = 0, copies: int = 1
+    ) -> TypeMeasure:
+        dist = _weighted_distribution(
+            structure, r, table, _sweep(structure.n, copy_size, copies)
         )
+        stages.append(
+            {"name": name, "size": structure.n, "histogram": _histogram(dist)}
+        )
+        return dist
 
-    record("input", F)
+    input_dist = record("input", F)
     residual, _recovery = residualize(F, eps_res)
     pairs = _recovery_pairs(F.signature, residual.signature)
     record("residual", residual)
@@ -852,22 +843,25 @@ def pipeline(
             f"of {config.max_output_size}",
             schedule=schedule_info,
         )
+    # Swapping two copies is an automorphism of the merged structure and,
+    # since every A-marked copy element is redirected to the same host B
+    # element, of the output too: the host plus one copy stands for all.
+    copies = n_close * n_away
     merged = merge(residual, stripped, {}, n_close, n_away)
-    record("merged", merged)
+    record("merged", merged, stripped.n, copies)
 
     output = _apply_recovery(merged, pairs)
-    record("output", output)
+    del merged  # lets the type table drop the merged structure's cache
+    output_dist = record("output", output, stripped.n, copies)
 
-    from .equivalence import ldist
-
-    final = ldist(output, F, 1, r, table=table)
+    final = measure_tv(output_dist, input_dist)
     entry = {
         "final": str(final),
         "target": str(eps_total),
         "ok": final <= eps_total,
     }
     if p >= 2:
-        prox_out = _proximity(output, 2 * r)
+        prox_out = _proximity(output, 2 * r, stripped.n, copies)
         prox_in = _proximity(F, 2 * r)
         bound = 2 * p * final + math.comb(p, 2) * (prox_out + prox_in)
         entry.update(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -102,10 +103,27 @@ class FiniteMapping:
         if not 0 <= v < len(self.f):
             raise ElementOutOfRange(v, len(self.f))
 
+    @cached_property
+    def mark_sets(self) -> tuple[frozenset[str], ...]:
+        """The set of predicate names holding at each element, indexed by
+        element.  Built once by one pass over each predicate's extension;
+        elements with equal marks share one frozenset."""
+        names: list[tuple[str, ...]] = [()] * len(self.f)
+        for name in self.signature.predicates:
+            for v in self.marks[name]:
+                names[v] += (name,)
+        shared: dict[tuple[str, ...], frozenset[str]] = {}
+        sets = []
+        for key in names:
+            found = shared.get(key)
+            if found is None:
+                found = shared[key] = frozenset(key)
+            sets.append(found)
+        return tuple(sets)
+
     def marks_of(self, v: int) -> frozenset[str]:
-        return frozenset(
-            name for name in self.signature.predicates if v in self.marks[name]
-        )
+        self.check_element(v)
+        return self.mark_sets[v]
 
     def mark_vector(self, v: int) -> tuple[bool, ...]:
         return tuple(v in self.marks[name] for name in self.signature.predicates)

@@ -15,6 +15,7 @@ __all__ = [
     "local_game",
     "global_game",
     "brute_ldist",
+    "proximity",
     "tuple_histograms",
     "tv",
     "random_clean_formula",
@@ -118,6 +119,28 @@ def tuple_histograms(A, B, p, r):
 def brute_ldist(A, B, p, r) -> Fraction:
     ha, hb = tuple_histograms(A, B, p, r)
     return tv(ha, hb)
+
+
+def proximity(F: FiniteMapping, radius: int) -> Fraction:
+    """Share of ordered element pairs at Gaifman distance at most radius,
+    by breadth-first search from every element."""
+    adjacent: list[set] = [set() for _ in range(F.n)]
+    for v in range(F.n):
+        if F.f[v] != v:
+            adjacent[v].add(F.f[v])
+            adjacent[F.f[v]].add(v)
+    total = 0
+    for v in range(F.n):
+        depth = {v: 0}
+        queue = [v]
+        for x in queue:
+            if depth[x] < radius:
+                for y in adjacent[x]:
+                    if y not in depth:
+                        depth[y] = depth[x] + 1
+                        queue.append(y)
+        total += len(depth)
+    return Fraction(total, F.n * F.n)
 
 
 def random_clean_formula(rng, predicates, free_vars, depth):

@@ -202,6 +202,22 @@ class TestTypeDistribution:
             type_distribution(F, 3, TABLE).project(1), type_distribution(F, 1, TABLE)
         ) == 0
 
+    def test_shared_and_cross_table_lookups_agree(self):
+        other = TypeTable()
+        for seed in range(4):
+            A, B = seeded(14, seed), seeded(11, seed + 10)
+            a = type_distribution(A, 1, TABLE)
+            b_same = type_distribution(B, 1, TABLE)
+            b_other = type_distribution(B, 1, other)
+            assert measure_tv(a, b_same) == measure_tv(a, b_other) > 0
+            assert measure_tv(b_same, a) == measure_tv(b_other, a)
+            for t, _ in a.entries + b_same.entries:
+                t_other = local_type(t.structure, t.element, 1, other)
+                assert a.mass(t) == a.mass(t_other)
+                assert b_same.mass(t) == b_other.mass(t) == b_other.mass(t_other)
+        with pytest.raises(RankMismatch):
+            a.mass(t_of(A, 0, 2))
+
 
 class TestAdmissibility:
     def test_adm_plus_star(self):

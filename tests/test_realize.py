@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import cycle, fixed_point, path, seeded, star
+from mapprox.equivalence import ldist
 from mapprox.errors import (
     HubsTooClose,
     InsufficientHubs,
@@ -36,6 +37,7 @@ from mapprox.realize import (
     verify_upsilon,
 )
 from mapprox.structure import FiniteMapping, cycle_cut_product, cycle_lengths
+from oracles import proximity as oracle_proximity
 
 TABLE = TypeTable()
 
@@ -268,6 +270,28 @@ class TestPipeline:
         final = Fraction(entry["final"])
         bound = Fraction(entry["p_bound"])
         assert bound >= 4 * final
+
+    def test_copy_sweep_matches_full_sweeps(self):
+        # The report sweeps merged and output over the host plus one copy;
+        # r = 2 is covered byte for byte by test_pipeline_golden.
+        cases = [
+            (seeded(20, 6), Fraction(1, 6)),
+            (seeded(30, 3), Fraction(1, 10)),
+            (seeded(24, 9, Fraction(1, 2)), Fraction(1, 5)),
+        ]
+        for F, eps in cases:
+            out, report = pipeline(F, 2, 1, eps)
+            entry = report["ldist"]
+            assert report["parameters"]["n_close"] * report["parameters"]["n_away"] > 1
+            table = TypeTable()
+            assert Fraction(entry["final"]) == ldist(out, F, 1, 1, table=table)
+            assert Fraction(entry["proximity_output"]) == oracle_proximity(out, 2)
+            assert Fraction(entry["proximity_input"]) == oracle_proximity(F, 2)
+            histogram = report["stages"][-1]["histogram"]
+            full = type_distribution(out, 1, table)
+            assert sorted(map(Fraction, histogram.values())) == sorted(
+                mass for _, mass in full
+            )
 
     def test_factorial_schedule_infeasible(self):
         with pytest.raises(ScheduleInfeasible) as caught:

@@ -61,6 +61,31 @@ class TestConstruction:
             Signature(("P", "P"))
 
 
+    def test_marks_of_matches_per_predicate_definition(self):
+        structures = [seeded(30, seed) for seed in range(4)]
+        structures.append(
+            validate(
+                {
+                    "f": [1, 2, 0, 3],
+                    "predicates": ["V", "U", "W"],
+                    "marks": {"U": [0, 3], "V": [0], "W": [2, 3]},
+                }
+            )
+        )
+        structures.append(cycle_cut_product(seeded(12, 5), 6, 3))
+        for F in structures:
+            for v in F.elements():
+                want = frozenset(
+                    name for name in F.signature.predicates if v in F.marks[name]
+                )
+                assert F.marks_of(v) == want, (F, v)
+
+    def test_marks_of_rejects_out_of_range(self):
+        F = seeded(5, 0)
+        for v in (-1, -5, 5):
+            with pytest.raises(ElementOutOfRange):
+                F.marks_of(v)
+
 class TestPreimage:
     def test_identity(self):
         assert preimage(FiniteMapping(f=(0,)), 0) == (0,)
