@@ -19,11 +19,13 @@ from .structure import (
     connected_components,
     cycle_cut_product,
     cycle_lengths,
+    cycle_orbits,
     cyclic_part,
     disjoint_union,
     distance,
     mark_element,
     preimage,
+    recover,
     residualize,
     restrict,
     validate,
@@ -68,8 +70,6 @@ from .fmtp import (
 from .realize import (
     PipelineConfig,
     certificate_digest,
-    find_hubs,
-    find_terminals,
     merge,
     pipeline,
     realize,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from .structure import FiniteMapping, _preimage_table, cyclic_part, restrict
+from .structure import FiniteMapping, cycle_orbits, cyclic_part, restrict
 
 __all__ = ["standard_r_approximation"]
 
@@ -47,10 +47,10 @@ def _sibling_classes(
 
 def _component_form(
     F: FiniteMapping,
-    pre,
     heights: dict[int, int],
+    anchor_of: dict[int, int],
     kept: set[int],
-    cycle: list[int],
+    cycle: tuple[int, ...],
 ) -> tuple:
     """Canonical value of one component restricted to the kept elements.
 
@@ -59,10 +59,11 @@ def _component_form(
     forms, read along the function.  Equal forms mean isomorphic kept
     components.
     """
+    pre = F.pre
     members = [
         x
         for x in kept
-        if heights[x] > 0 and _cycle_of(F, heights, x) == cycle[0]
+        if heights[x] > 0 and _cycle_of(F, anchor_of, x) == cycle[0]
     ]
     form: dict[int, tuple] = {}
     for x in sorted(members, key=lambda v: -heights[v]):
@@ -81,17 +82,12 @@ def _component_form(
     return min(tuple(doubled[i : i + size]) for i in range(size))
 
 
-def _cycle_of(F: FiniteMapping, heights: dict[int, int], x: int) -> int:
-    """The least element of the cycle below x."""
-    while heights[x] > 0:
+def _cycle_of(F: FiniteMapping, anchor_of: dict[int, int], x: int) -> int:
+    """The least element of the cycle below x; anchor_of maps every cyclic
+    element to the least element of its cycle."""
+    while x not in anchor_of:
         x = F.f[x]
-    least = x
-    y = F.f[x]
-    while y != x:
-        if y < least:
-            least = y
-        y = F.f[y]
-    return least
+    return anchor_of[x]
 
 
 def standard_r_approximation(F: FiniteMapping, r: int) -> FiniteMapping:
@@ -115,17 +111,12 @@ def standard_r_approximation(F: FiniteMapping, r: int) -> FiniteMapping:
 
 
 def _prune_once(F: FiniteMapping, r: int) -> FiniteMapping:
-    Z, heights = cyclic_part(F)
-    pre = _preimage_table(F)
+    orbits = cycle_orbits(F)
     if r == 0:
         # A zero-round game distinguishes nothing; the least cycle stands in.
-        anchor = _cycle_of(F, heights, min(Z))
-        cycle = [anchor]
-        y = F.f[anchor]
-        while y != anchor:
-            cycle.append(y)
-            y = F.f[y]
-        return restrict(F, cycle)
+        return restrict(F, orbits[0])
+    Z, heights = cyclic_part(F)
+    pre = F.pre
 
     depth = max(heights.values())
     layers: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -149,29 +140,15 @@ def _prune_once(F: FiniteMapping, r: int) -> FiniteMapping:
                 members.sort()
                 kept.update(members[:r])
 
-    cycles: dict[int, list[int]] = {}
-    for z in sorted(Z):
-        anchor = _cycle_of(F, heights, z)
-        if anchor not in cycles:
-            cycle = [anchor]
-            y = F.f[anchor]
-            while y != anchor:
-                cycle.append(y)
-                y = F.f[y]
-            cycles[anchor] = cycle
-
+    anchor_of = {z: orbit[0] for orbit in orbits for z in orbit}
     by_form: dict[tuple, list[int]] = {}
-    for anchor, cycle in sorted(cycles.items()):
-        shape = _component_form(F, pre, heights, kept, cycle)
-        by_form.setdefault(shape, []).append(anchor)
+    for orbit in orbits:
+        shape = _component_form(F, heights, anchor_of, kept, orbit)
+        by_form.setdefault(shape, []).append(orbit[0])
 
     surviving: set[int] = set()
     for anchors in by_form.values():
         surviving.update(anchors[:r])
 
-    final = [
-        x
-        for x in kept
-        if _cycle_of(F, heights, x) in surviving
-    ]
+    final = [x for x in kept if _cycle_of(F, anchor_of, x) in surviving]
     return restrict(F, final)

@@ -172,18 +172,6 @@ class Stuck(MapproxError):
         super().__init__(f"no eligible image for element {element}: {diagnostics}")
 
 
-class NoHubAvailable(MapproxError):
-    """No candidate type can absorb the terminal's overflow preimages."""
-
-
-class HubsTooClose(MapproxError):
-    """Hub elements must be pairwise far apart in the host structure."""
-
-
-class InsufficientHubs(MapproxError):
-    """Fewer distinct hub elements than attachment indices."""
-
-
 class ScheduleInfeasible(MapproxError):
     """The requested parameter schedule exceeds the configured budgets."""
 

@@ -38,7 +38,7 @@ from .localtypes import (
     project,
     transport,
 )
-from .structure import FiniteMapping, cyclic_part
+from .structure import FiniteMapping, cycle_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +495,14 @@ def check_realizability_preconditions(
     )
 
     cycle_fail = None
-    cyclic_cache: dict[int, tuple[frozenset[int], dict[int, int]]] = {}
+    cycle_len_cache: dict[int, dict[int, int]] = {}
     for tau, _ in mu.entries:
         F, v = tau.witness
-        cached = cyclic_cache.get(id(F))
-        if cached is None:
-            Z, _ = cyclic_part(F)
-            lengths: dict[int, int] = {}
-            for z in Z:
-                if z in lengths:
-                    continue
-                orbit = [z]
-                x = F.f[z]
-                while x != z:
-                    orbit.append(x)
-                    x = F.f[x]
-                for member in orbit:
-                    lengths[member] = len(orbit)
-            cached = (Z, lengths)
-            cyclic_cache[id(F)] = cached
-        Z, lengths = cached
-        if v in Z and 1 < lengths[v] <= cut_length:
+        lengths = cycle_len_cache.get(id(F))
+        if lengths is None:
+            lengths = {z: len(orbit) for orbit in cycle_orbits(F) for z in orbit}
+            cycle_len_cache[id(F)] = lengths
+        if 1 < lengths.get(v, 0) <= cut_length:
             cycle_fail = (
                 f"witness of {tau!r} lies on a cycle of length {lengths[v]}"
             )

@@ -33,7 +33,7 @@ from .errors import (
     RankTooLow,
     RankZero,
 )
-from .structure import FiniteMapping, _preimage_table
+from .structure import FiniteMapping
 
 
 def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
@@ -101,14 +101,13 @@ class TypeTable:
     def _structure_cache(self, F: FiniteMapping) -> dict:
         cache = self._caches.get(F)
         if cache is None:
-            # Preimage and neighbor sets are built per element on first use:
-            # the pipeline queries a few thousand elements of structures
-            # with hundreds of thousands.
-            pre_lists = _preimage_table(F)
-            f = F.f
-            pre = _PerElement(lambda v: frozenset(pre_lists[v]))
-            nbr = _PerElement(lambda v: (pre[v] | {f[v]}) - {v})
-            cache = {"marks": F.mark_sets, "pre": pre, "nbr": nbr, "nv": {}}
+            # Neighbor sets are built per element on first use: the pipeline
+            # queries a few thousand elements of structures with hundreds of
+            # thousands.  The builder must not capture F, or the cache would
+            # keep its own weak key alive.
+            f, pre = F.f, F.pre
+            nbr = _PerElement(lambda v: (frozenset(pre[v]) | {f[v]}) - {v})
+            cache = {"marks": F.mark_sets, "nbr": nbr, "nv": {}}
             self._caches[F] = cache
         return cache
 
@@ -310,7 +309,7 @@ def adm_minus_table(tau: LocalType, r: int) -> dict[tuple[int, int], int]:
     if counts is None:
         F, w = tau.structure, tau.element
         counts = {}
-        for u in tau.table._structure_cache(F)["pre"][w]:
+        for u in F.pre[w]:
             k = local_type(F, u, r, tau.table).key
             counts[k] = counts.get(k, 0) + 1
         cache[cache_key] = counts

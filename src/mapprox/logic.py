@@ -662,7 +662,8 @@ def recovery_interpretation(
     original_predicates: tuple[str, ...], pairs: list[tuple[str, str]]
 ) -> Interpretation:
     """Interpretation undoing residual cuts: elements marked A_k regain the
-    B_k element as image, everything else keeps f; cut predicates dropped."""
+    B_k element as image, everything else keeps f; cut predicates dropped.
+    structure.recover computes the same map in linear time."""
     x1, x2 = Term("x1"), Term("x2")
     keep: Formula = Eq(Term("x1", 1), x2)
     if not pairs:

@@ -12,8 +12,8 @@ runs out of targets.
 
 The other operations here are the steps that surround realization in the
 approximation pipeline: rewiring layer-marked products back into short
-cycles, locating terminal and hub types, merging a host structure with many
-copies of an approximation, and the end-to-end pipeline itself.
+cycles, merging a host structure with copies of an approximation, and the
+end-to-end pipeline itself.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
-    EtaNotFunctional,
-    HubsTooClose,
-    InsufficientHubs,
     MissingCutPredicates,
-    NoHubAvailable,
     PreconditionFailed,
     RankTooLow,
     ScheduleInfeasible,
@@ -50,7 +46,6 @@ from .localtypes import (
     adm_minus,
     adm_minus_table,
     adm_plus,
-    local_type,
     measure_tv,
     project,
     transport,
@@ -59,11 +54,10 @@ from .localtypes import (
 from .structure import (
     FiniteMapping,
     Signature,
-    _preimage_table,
+    ball,
     cycle_cut_product,
     cycle_lengths,
-    distance,
-    neighbors,
+    recover,
     residualize,
 )
 
@@ -71,8 +65,6 @@ __all__ = [
     "realize",
     "verify_upsilon",
     "rewire",
-    "find_terminals",
-    "find_hubs",
     "merge",
     "PipelineConfig",
     "pipeline",
@@ -130,6 +122,8 @@ def realize(
 
     The capped preimage-count equation is re-verified on the finished
     mapping rather than trusted; a failure raises PreconditionFailed.
+    Measures with terminal types, whose images the paper's construction
+    attaches to hub elements of a host, fail the cleanness precondition.
     """
     if multiplier < 1:
         raise ValueError("multiplier must be at least 1")
@@ -350,7 +344,7 @@ def verify_upsilon(
 
     # adm_minus(tau, t) = min(r + 1, count in adm_minus_table(tau, r)), and
     # min(r, min(r + 1, x)) = min(r, x), so the table gives condition (4).
-    pre = _preimage_table(F)
+    pre = F.pre
     low_cache: dict[tuple, tuple] = {}
     for v in F.elements():
         actual: dict[tuple, int] = {}
@@ -449,134 +443,23 @@ def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
 
 
 # ---------------------------------------------------------------------------
-# terminals, hubs, merging
+# merging
 
 
-def find_terminals(mu: TypeMeasure, r: int) -> set:
-    """Positive-mass types whose forced image type has no mass at rank r.
-
-    Measures extracted from a finite mapping have no terminals: every
-    realized element's image is realized too.  Terminals appear only in
-    hand-assembled measures, and signal that realization would need an
-    external supply of image elements.
-    """
-    if mu.rank < r + 1:
-        raise RankTooLow(f"terminal search needs measure rank >= {r + 1}")
-    projected = mu.project(r)
-    positive = {t.key for t, mass in projected if mass > 0}
-    terminals = set()
-    for tau, mass in mu:
-        if mass == 0:
-            continue
-        image_t = project(transport(tau), r)
-        if image_t.key not in positive:
-            terminals.add(tau)
-    return terminals
-
-
-def find_hubs(mu: TypeMeasure, terminals: set, r: int) -> dict:
-    """For each terminal, a type able to absorb its overflow preimages.
-
-    Candidates are the rank-(2r+1) types of every element of every witness
-    structure appearing in the measure; a hub for terminal tau must force
-    more than r preimages of tau's rank-r projection.  The candidate with
-    the lowest canonical id wins, making the choice deterministic.
-    """
-    if not terminals:
-        return {}
-    support_keys = {tau.key for tau, mass in mu if mass > 0}
-    for tau in terminals:
-        if tau.key not in support_keys:
-            raise ValueError("terminals must be positive-mass types of the measure")
-    table = mu.entries[0][0].table
-    structures = []
-    seen: set[int] = set()
-    for tau, _ in mu.entries:
-        if id(tau.structure) not in seen:
-            seen.add(id(tau.structure))
-            structures.append(tau.structure)
-    candidates = [
-        local_type(S, v, 2 * r + 1, table=table)
-        for S in structures
-        for v in S.elements()
-    ]
-    assignment = {}
-    for tau in sorted(terminals, key=lambda t: t.canonical_id):
-        target = project(tau, r)
-        hub = None
-        for candidate in candidates:
-            if adm_minus(candidate, target) > r:
-                if hub is None or candidate.canonical_id < hub.canonical_id:
-                    hub = candidate
-        if hub is None:
-            raise NoHubAvailable(
-                f"no candidate type forces more than {r} preimages of the "
-                f"projection of type id {tau.canonical_id}"
-            )
-        assignment[tau] = hub
-    return assignment
-
-
-def merge(
-    E: FiniteMapping,
-    F2: FiniteMapping,
-    hub_assignment: dict,
-    n_close: int,
-    n_away: int,
-    *,
-    r: Optional[int] = None,
-) -> FiniteMapping:
-    """E plus n_close * n_away copies of F2, terminals attached to hubs.
-
-    hub_assignment maps a terminal element of F2 to a sequence of hub
-    elements of E, one per close index (a single element is accepted when
-    n_close is 1).  Copy (i, j) keeps F2's function internally except that
-    each terminal points at its i-th hub.  When r is given, the hub
-    elements must be pairwise at distance greater than 2r in E, so that
-    attaching copies cannot alter any rank-r type inside E or a copy.
-    """
+def merge(E: FiniteMapping, F2: FiniteMapping, copies: int) -> FiniteMapping:
+    """E followed by `copies` copies of F2, each a separate block of F2.n
+    elements that keeps F2's function and marks."""
     if not E.same_signature(F2):
         raise SignatureMismatch("merge needs a shared signature")
-    if n_close < 1 or n_away < 1:
-        raise ValueError("n_close and n_away must be at least 1")
-    normalized: dict[int, tuple[int, ...]] = {}
-    for terminal, hubs in hub_assignment.items():
-        F2.check_element(terminal)
-        sequence = (hubs,) if isinstance(hubs, int) else tuple(hubs)
-        distinct: list[int] = []
-        for h in sequence:
-            E.check_element(h)
-            if h not in distinct:
-                distinct.append(h)
-        if len(distinct) < n_close:
-            raise InsufficientHubs(
-                f"terminal {terminal}: {len(distinct)} distinct hub elements "
-                f"for {n_close} close indices"
-            )
-        normalized[terminal] = tuple(distinct[:n_close])
-    if r is not None:
-        used = [h for hubs in normalized.values() for h in hubs]
-        for a in range(len(used)):
-            for b in range(a + 1, len(used)):
-                d = distance(E, used[a], used[b])
-                if d <= 2 * r:
-                    raise HubsTooClose(
-                        f"hub elements {used[a]} and {used[b]} are at "
-                        f"distance {d} <= {2 * r}"
-                    )
-
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
     f = list(E.f)
     marks = {name: set(E.marks[name]) for name in E.signature.predicates}
-    for i in range(n_close):
-        for j in range(n_away):
-            base = E.n + (i * n_away + j) * F2.n
-            for v in F2.elements():
-                if v in normalized:
-                    f.append(normalized[v][i])
-                else:
-                    f.append(base + F2.f[v])
-            for name in F2.signature.predicates:
-                marks[name].update(base + v for v in F2.marks[name])
+    for index in range(copies):
+        base = E.n + index * F2.n
+        f.extend(base + w for w in F2.f)
+        for name in F2.signature.predicates:
+            marks[name].update(base + v for v in F2.marks[name])
     return FiniteMapping(
         f=tuple(f),
         marks={name: frozenset(v) for name, v in marks.items()},
@@ -635,47 +518,6 @@ def _schedule(r: int, config: PipelineConfig) -> tuple[int, int, int, int, int]:
     return schedule
 
 
-def _recovery_pairs(original: Signature, residual: Signature) -> list[tuple[str, str]]:
-    added = [name for name in residual.predicates if name not in original.predicates]
-    indices = sorted({int(name[1:]) for name in added})
-    return [(f"A{k}", f"B{k}") for k in indices]
-
-
-def _apply_recovery(F: FiniteMapping, pairs: list[tuple[str, str]]) -> FiniteMapping:
-    """Apply the residual recovery rewiring directly.
-
-    Equivalent to interpreting F under the recovery interpretation, but in
-    linear time: every element marked A_k points at the unique B_k element,
-    everything else keeps its image, and the cut predicates are dropped.
-    """
-    target_of: dict[int, int] = {}
-    redirect: dict[int, int] = {}
-    for index, (a_name, b_name) in enumerate(pairs):
-        sources = sorted(F.marks[a_name])
-        if not sources:
-            continue
-        targets = sorted(F.marks[b_name])
-        if len(targets) != 1:
-            raise EtaNotFunctional(sources[0], tuple(targets))
-        for v in sources:
-            if v in redirect:
-                raise EtaNotFunctional(
-                    v, tuple(sorted({target_of[redirect[v]], targets[0]}))
-                )
-            redirect[v] = index
-        target_of[index] = targets[0]
-    f = tuple(
-        target_of[redirect[v]] if v in redirect else F.f[v] for v in F.elements()
-    )
-    dropped = {name for pair in pairs for name in pair}
-    kept = tuple(name for name in F.signature.predicates if name not in dropped)
-    return FiniteMapping(
-        f=f,
-        marks={name: F.marks[name] for name in kept},
-        signature=Signature(kept),
-    )
-
-
 def _sweep(n: int, copy_size: int, copies: int):
     """(element, weight) pairs standing for all n elements of a structure
     that ends in `copies` consecutive blocks of `copy_size` elements, any
@@ -694,22 +536,10 @@ def _proximity(
 ) -> Fraction:
     """Probability that two independent uniform elements are within radius,
     swept as _sweep describes."""
-    pre = _preimage_table(F)
-    total = 0
-    for v, weight in _sweep(F.n, copy_size, copies):
-        seen = {v}
-        frontier = [v]
-        for _ in range(radius):
-            nxt = []
-            for x in frontier:
-                for y in neighbors(F, x, pre):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            if not nxt:
-                break
-            frontier = nxt
-        total += weight * len(seen)
+    total = sum(
+        weight * len(ball(F, v, radius))
+        for v, weight in _sweep(F.n, copy_size, copies)
+    )
     return Fraction(total, F.n * F.n)
 
 
@@ -788,8 +618,7 @@ def pipeline(
         return dist
 
     input_dist = record("input", F)
-    residual, _recovery = residualize(F, eps_res)
-    pairs = _recovery_pairs(F.signature, residual.signature)
+    residual, pairs = residualize(F, eps_res)
     record("residual", residual)
 
     product = cycle_cut_product(residual, cut, clean, table=table)
@@ -813,14 +642,6 @@ def pipeline(
 
     rewired = rewire(realized, cut, clean)
     record("rewired", rewired)
-
-    terminals = find_terminals(mu_hat, rr)
-    if terminals:
-        raise PreconditionFailed(
-            "terminals",
-            "a measure extracted from a finite mapping cannot have terminal "
-            "types; the input measure was tampered with",
-        )
 
     # Copies must not duplicate the recovery targets, so the residual host
     # keeps its B marks and the copies lose theirs.
@@ -847,10 +668,10 @@ def pipeline(
     # since every A-marked copy element is redirected to the same host B
     # element, of the output too: the host plus one copy stands for all.
     copies = n_close * n_away
-    merged = merge(residual, stripped, {}, n_close, n_away)
+    merged = merge(residual, stripped, copies)
     record("merged", merged, stripped.n, copies)
 
-    output = _apply_recovery(merged, pairs)
+    output = recover(merged, pairs)
     del merged  # lets the type table drop the merged structure's cache
     output_dist = record("output", output, stripped.n, copies)
 

@@ -3,11 +3,16 @@
 Elements are 0..n-1.  The function is stored as a tuple ``f`` with
 ``f[v] = image of v``; predicates ("marks") are frozensets of elements.  All
 derived notions (Gaifman distance, balls, components, the cyclic part) treat
-the structure as the undirected functional graph with edges v -- f(v).
+the structure as the undirected functional graph with edges v -- f(v), and
+read the preimage table each structure builds once (``FiniteMapping.pre``).
+Cycles are listed by one helper, `cycle_orbits`.
 
 Structures are immutable; every operation returns a new mapping.  Equality is
 identity (structures are compared through their derived invariants, not field
 by field), which also lets type tables cache per-structure computations.
+
+Residualization cuts oversized components and records every cut with a pair
+of fresh predicates; `recover` undoes the cuts from those predicates alone.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import (
     DuplicatePredicate,
     ElementOutOfRange,
     EmptyDomain,
+    EtaNotFunctional,
     NotResidual,
     OutOfRangeImage,
     SignatureMismatch,
@@ -37,11 +43,13 @@ __all__ = [
     "ball",
     "connected_components",
     "cyclic_part",
+    "cycle_orbits",
     "cycle_lengths",
     "disjoint_union",
     "restrict",
     "mark_element",
     "residualize",
+    "recover",
     "cycle_cut_product",
 ]
 
@@ -121,6 +129,15 @@ class FiniteMapping:
             sets.append(found)
         return tuple(sets)
 
+    @cached_property
+    def pre(self) -> tuple[tuple[int, ...], ...]:
+        """The preimages of each element, ascending, indexed by element.
+        Built once per structure by one pass over f."""
+        table: list[list[int]] = [[] for _ in self.f]
+        for u, w in enumerate(self.f):
+            table[w].append(u)
+        return tuple(map(tuple, table))
+
     def marks_of(self, v: int) -> frozenset[str]:
         self.check_element(v)
         return self.mark_sets[v]
@@ -163,19 +180,12 @@ def validate(raw: Mapping) -> FiniteMapping:
 
 def preimage(F: FiniteMapping, v: int) -> tuple[int, ...]:
     F.check_element(v)
-    return tuple(u for u in F.elements() if F.f[u] == v)
+    return F.pre[v]
 
 
-def _preimage_table(F: FiniteMapping) -> list[list[int]]:
-    table: list[list[int]] = [[] for _ in F.elements()]
-    for u, w in enumerate(F.f):
-        table[w].append(u)
-    return table
-
-
-def neighbors(F: FiniteMapping, v: int, pre: Sequence[Sequence[int]] | None = None) -> list[int]:
+def neighbors(F: FiniteMapping, v: int) -> list[int]:
     """Gaifman neighbors of v: its image and its preimages, excluding v itself."""
-    out = set(pre[v] if pre is not None else preimage(F, v))
+    out = set(F.pre[v])
     out.add(F.f[v])
     out.discard(v)
     return sorted(out)
@@ -191,12 +201,12 @@ def distance(F: FiniteMapping, u: int, v: int) -> int | float:
     F.check_element(v)
     if u == v:
         return 0
-    pre = _preimage_table(F)
+    f, pre = F.f, F.pre
     seen = {u: 0}
     queue = deque([u])
     while queue:
         x = queue.popleft()
-        for y in neighbors(F, x, pre):
+        for y in (f[x], *pre[x]):
             if y not in seen:
                 seen[y] = seen[x] + 1
                 if y == v:
@@ -210,13 +220,13 @@ def ball(F: FiniteMapping, v: int, r: int) -> frozenset[int]:
     F.check_element(v)
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    pre = _preimage_table(F)
+    f, pre = F.f, F.pre
     seen = {v}
     frontier = [v]
     for _ in range(r):
         nxt = []
         for x in frontier:
-            for y in neighbors(F, x, pre):
+            for y in (f[x], *pre[x]):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -228,7 +238,7 @@ def ball(F: FiniteMapping, v: int, r: int) -> frozenset[int]:
 
 def connected_components(F: FiniteMapping) -> list[frozenset[int]]:
     """Components of the Gaifman graph, each reported sorted by least element."""
-    pre = _preimage_table(F)
+    f, pre = F.f, F.pre
     seen = [False] * F.n
     components = []
     for start in F.elements():
@@ -240,7 +250,7 @@ def connected_components(F: FiniteMapping) -> list[frozenset[int]]:
         while queue:
             x = queue.popleft()
             comp.append(x)
-            for y in neighbors(F, x, pre):
+            for y in (f[x], *pre[x]):
                 if not seen[y]:
                     seen[y] = True
                     queue.append(y)
@@ -255,26 +265,9 @@ def cyclic_part(F: FiniteMapping) -> tuple[frozenset[int], dict[int, int]]:
     An element is cyclic iff some forward iterate returns to it.  The height
     of x is its tree distance to Z (0 exactly on Z).
     """
-    n = F.n
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    cyclic = [False] * n
-    for start in F.elements():
-        if color[start]:
-            continue
-        path = []
-        x = start
-        while color[x] == 0:
-            color[x] = 1
-            path.append(x)
-            x = F.f[x]
-        if color[x] == 1:  # found a new cycle: the tail of `path` from x
-            for y in path[path.index(x):]:
-                cyclic[y] = True
-        for y in path:
-            color[y] = 2
-    Z = frozenset(v for v in F.elements() if cyclic[v])
+    Z = frozenset(v for orbit in cycle_orbits(F) for v in orbit)
     heights = {v: 0 for v in Z}
-    pre = _preimage_table(F)
+    pre = F.pre
     queue = deque(sorted(Z))
     while queue:
         x = queue.popleft()
@@ -285,22 +278,32 @@ def cyclic_part(F: FiniteMapping) -> tuple[frozenset[int], dict[int, int]]:
     return Z, heights
 
 
+def cycle_orbits(F: FiniteMapping) -> list[tuple[int, ...]]:
+    """Every cycle as its orbit under f, starting from its least element;
+    cycles ordered by least element (fixed points are orbits of length 1)."""
+    f = F.f
+    state = [0] * F.n  # 0 unvisited, 1 on the current path, 2 done
+    orbits = []
+    for start in F.elements():
+        path = []
+        x = start
+        while state[x] == 0:
+            state[x] = 1
+            path.append(x)
+            x = f[x]
+        if state[x] == 1:  # the path closed a new cycle through x
+            orbit = path[path.index(x):]
+            least = orbit.index(min(orbit))
+            orbits.append(tuple(orbit[least:] + orbit[:least]))
+        for y in path:
+            state[y] = 2
+    orbits.sort()
+    return orbits
+
+
 def cycle_lengths(F: FiniteMapping) -> list[int]:
     """Lengths of all cycles, sorted ascending (fixed points count as length 1)."""
-    Z, _ = cyclic_part(F)
-    seen = set()
-    lengths = []
-    for v in sorted(Z):
-        if v in seen:
-            continue
-        length = 0
-        x = v
-        while x not in seen:
-            seen.add(x)
-            x = F.f[x]
-            length += 1
-        lengths.append(length)
-    return sorted(lengths)
+    return sorted(len(orbit) for orbit in cycle_orbits(F))
 
 
 def disjoint_union(A: FiniteMapping, B: FiniteMapping) -> FiniteMapping:
@@ -354,13 +357,6 @@ def mark_element(F: FiniteMapping, name: str, elements: Iterable[int]) -> Finite
     return FiniteMapping(f=F.f, marks=marks, signature=signature)
 
 
-def _strip_predicates(F: FiniteMapping, names: Iterable[str]) -> FiniteMapping:
-    drop = set(names)
-    keep = tuple(p for p in F.signature.predicates if p not in drop)
-    marks = {p: F.marks[p] for p in keep}
-    return FiniteMapping(f=F.f, marks=marks, signature=Signature(keep))
-
-
 # ---------------------------------------------------------------------------
 # residualization
 
@@ -382,7 +378,7 @@ def _strict_iterated_preimages(F: FiniteMapping, pre) -> list[set[int]]:
     return out
 
 
-def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, "object"]:
+def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, str]]]:
     """Cut every oversized component into pieces of at most ceil(eps*n)+1 elements.
 
     Two kinds of cut, both recorded with fresh predicate pairs (A_k, B_k) so
@@ -397,13 +393,10 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, "object"]:
       B_j.  Fixed points are skipped as sources: their image is unchanged, so
       no record is needed.
 
-    Returns the residual mapping together with the recovery interpretation
-    (identity on original predicates, cut predicates dropped) which restores
-    the input exactly.
+    Returns the residual mapping together with the cut pairs, in cut order;
+    recover(residual, pairs) restores the input exactly.
     """
     from fractions import Fraction
-
-    from . import logic
 
     eps = Fraction(eps)
     if eps <= 0:
@@ -441,15 +434,14 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, "object"]:
     for comp in connected_components(F):
         if len(comp) <= threshold:
             continue
-        cycle = sorted(v for v in comp if v in Z)
-        v = cycle[0]
+        v = min(Z & comp)
         if F.f[v] != v:
             cut([v], F.f[v])
 
     # Repeatedly cut below elements with oversized iterated preimage sets.
     while True:
         current = FiniteMapping(f=tuple(f), marks={}, signature=Signature())
-        pre = _preimage_table(current)
+        pre = current.pre
         big = _strict_iterated_preimages(current, pre)
         candidate = None
         for u in current.elements():
@@ -476,8 +468,42 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, "object"]:
                 f"internal error: component of size {len(comp)} remains after cuts"
             )
 
-    recovery = logic.recovery_interpretation(F.signature.predicates, pairs)
-    return F1, recovery
+    return F1, pairs
+
+
+def recover(F: FiniteMapping, pairs: Sequence[tuple[str, str]]) -> FiniteMapping:
+    """Undo residual cuts in linear time: every element marked A_k points at
+    the unique B_k element, everything else keeps its image, and the cut
+    predicates are dropped.  The same map as evaluating
+    logic.recovery_interpretation on F, which raises the same error when
+    some A_k is non-empty and B_k does not hold exactly one element.
+    """
+    target_of: dict[int, int] = {}
+    redirect: dict[int, int] = {}
+    for index, (a_name, b_name) in enumerate(pairs):
+        sources = sorted(F.marks[a_name])
+        if not sources:
+            continue
+        targets = sorted(F.marks[b_name])
+        if len(targets) != 1:
+            raise EtaNotFunctional(sources[0], tuple(targets))
+        for v in sources:
+            if v in redirect:
+                raise EtaNotFunctional(
+                    v, tuple(sorted({target_of[redirect[v]], targets[0]}))
+                )
+            redirect[v] = index
+        target_of[index] = targets[0]
+    f = tuple(
+        target_of[redirect[v]] if v in redirect else F.f[v] for v in F.elements()
+    )
+    dropped = {name for pair in pairs for name in pair}
+    kept = tuple(name for name in F.signature.predicates if name not in dropped)
+    return FiniteMapping(
+        f=f,
+        marks={name: F.marks[name] for name in kept},
+        signature=Signature(kept),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +538,7 @@ def cycle_cut_product(
         if t.key not in order:
             order[t.key] = len(order)
 
-    Z, _ = cyclic_part(F)
-    cycle_len: dict[int, int] = {}
-    for v in sorted(Z):
-        if v in cycle_len:
-            continue
-        orbit = [v]
-        x = F.f[v]
-        while x != v:
-            orbit.append(x)
-            x = F.f[x]
-        for y in orbit:
-            cycle_len[y] = len(orbit)
+    cycle_len = {y: len(orbit) for orbit in cycle_orbits(F) for y in orbit}
 
     def type_name(t, v: int) -> str:
         base = f"T{order[t.key]}"

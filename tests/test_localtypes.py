@@ -1,6 +1,7 @@
 """Local types, projections, transport, admissibility, type measures."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,17 @@ class TestTypeDistribution:
                 assert b_same.mass(t) == b_other.mass(t) == b_other.mass(t_other)
         with pytest.raises(RankMismatch):
             a.mass(t_of(A, 0, 2))
+
+    def test_table_cache_does_not_keep_structure_alive(self):
+        table = TypeTable()
+        F = seeded(40, 3)
+        for v in F.elements():
+            table.nv_value(F, (v,), 2)
+        assert F in table._caches
+        ref = weakref.ref(F)
+        del F
+        assert ref() is None
+        assert len(table._caches) == 0
 
 
 class TestAdmissibility:

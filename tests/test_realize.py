@@ -1,5 +1,6 @@
-"""Realization, label verification, rewiring, hubs, and the pipeline."""
+"""Realization, label verification, rewiring, merging, and the pipeline."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,10 +9,7 @@ import pytest
 from helpers import cycle, fixed_point, path, seeded, star
 from mapprox.equivalence import ldist
 from mapprox.errors import (
-    HubsTooClose,
-    InsufficientHubs,
     MissingCutPredicates,
-    NoHubAvailable,
     PreconditionFailed,
     RankTooLow,
     ScheduleInfeasible,
@@ -28,8 +26,6 @@ from mapprox.localtypes import (
 from mapprox.realize import (
     PipelineConfig,
     certificate_digest,
-    find_hubs,
-    find_terminals,
     merge,
     pipeline,
     realize,
@@ -181,62 +177,37 @@ class TestRewire:
 
 
 class TestTerminalsHubsMerge:
-    def test_extracted_measures_have_no_terminals(self):
-        mu = type_distribution(seeded(12, 3), 2, TABLE)
-        assert find_terminals(mu, 1) == set()
+    """Terminal types, whose images would need hub elements of a host, are
+    rejected by realize; merge lays out copies without hubs."""
 
-    def test_leaf_point_mass_terminal(self):
-        t_leaf = local_type(star(3), 1, 2, TABLE)
-        mu = TypeMeasure.from_pairs(2, [(t_leaf, Fraction(1))])
-        terminals = find_terminals(mu, 1)
-        assert {t.key for t in terminals} == {t_leaf.key}
-        hubs = find_hubs(mu, terminals, 1)
-        hub = hubs[next(iter(terminals))]
-        assert hub.key == local_type(star(3), 0, 3, TABLE).key
-
-    def test_no_hub_available(self):
-        t = local_type(path(4), 0, 2, TABLE)
-        mu = TypeMeasure.from_pairs(2, [(t, Fraction(1))])
-        with pytest.raises(NoHubAvailable):
-            find_hubs(mu, find_terminals(mu, 1), 1)
+    def test_terminal_type_fails_cleanness(self):
+        # A star leaf's image, the centre, has no mass: a terminal type,
+        # which would need a hub element outside the realization.
+        t_leaf = local_type(star(3), 1, 3, TABLE)
+        mu = TypeMeasure.from_pairs(3, [(t_leaf, Fraction(1))])
+        with pytest.raises(PreconditionFailed) as caught:
+            realize(mu, 1)
+        assert caught.value.check == "cleanness"
 
     def test_merge_shape(self):
-        E, F2 = cycle(6), path(3)
-        out = merge(E, F2, {0: (0, 3)}, 2, 2, r=1)
-        assert out.n == 6 + 2 * 2 * 3
-        for i in range(2):
-            for j in range(2):
-                base = 6 + (i * 2 + j) * 3
-                assert out.f[base] == (0, 3)[i]
-                assert out.f[base + 1] == base + 2
-                assert out.f[base + 2] == base + 2
-
-    def test_merge_single_hub_accepts_int(self):
-        out = merge(cycle(6), path(3), {0: 4}, 1, 3)
-        assert out.n == 6 + 3 * 3
-        assert out.f[6] == out.f[9] == out.f[12] == 4
-
-    def test_insufficient_hubs(self):
-        with pytest.raises(InsufficientHubs):
-            merge(cycle(6), path(3), {0: (0,)}, 2, 1)
-        with pytest.raises(InsufficientHubs):
-            merge(cycle(6), path(3), {0: (0, 0)}, 2, 1)
-
-    def test_hubs_too_close(self):
-        with pytest.raises(HubsTooClose):
-            merge(cycle(6), path(3), {0: (0, 1)}, 2, 1, r=1)
-
-    def test_distance_unchecked_without_r(self):
-        out = merge(cycle(6), path(3), {0: (0, 1)}, 2, 1)
-        assert out.n == 12
+        E = cycle(6, {"U": frozenset({0})})
+        F2 = FiniteMapping(f=(1, 2, 2), marks={"U": frozenset({2})})
+        out = merge(E, F2, 4)
+        assert out.n == 6 + 4 * 3
+        assert out.f[:6] == E.f
+        for k in range(4):
+            base = 6 + 3 * k
+            assert out.f[base : base + 3] == (base + 1, base + 2, base + 2)
+        assert out.marks["U"] == {0} | {6 + 3 * k + 2 for k in range(4)}
+        assert out.signature == E.signature
 
     def test_merge_signature_checked(self):
         with pytest.raises(SignatureMismatch):
-            merge(cycle(6), seeded(3, 0), {}, 1, 1)
+            merge(cycle(6), seeded(3, 0), 1)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
-            merge(cycle(6), path(3), {}, 0, 1)
+            merge(cycle(6), path(3), 0)
 
 
 class TestPipeline:
@@ -292,6 +263,22 @@ class TestPipeline:
             assert sorted(map(Fraction, histogram.values())) == sorted(
                 mass for _, mass in full
             )
+
+    def test_preimage_table_built_once_per_structure(self, monkeypatch):
+        built = []
+        build = FiniteMapping.__dict__["pre"].func
+
+        def counting(F):
+            built.append(F)
+            return build(F)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(FiniteMapping, "pre")
+        monkeypatch.setattr(FiniteMapping, "pre", counted)
+        out, _ = pipeline(seeded(20, 6), 2, 1, Fraction(1, 6))
+        assert out in built
+        ids = [id(F) for F in built]  # `built` keeps every structure alive
+        assert len(ids) == len(set(ids))
 
     def test_factorial_schedule_infeasible(self):
         with pytest.raises(ScheduleInfeasible) as caught:

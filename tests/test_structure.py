@@ -1,7 +1,9 @@
 """Mapping construction, balls, components, products, residualization."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,12 @@ from mapprox.errors import (
     DuplicatePredicate,
     ElementOutOfRange,
     EmptyDomain,
+    EtaNotFunctional,
     OutOfRangeImage,
     SignatureMismatch,
 )
 from mapprox.fmtp import check_fmtp
-from mapprox.logic import apply_interpretation
+from mapprox.logic import apply_interpretation, recovery_interpretation
 from mapprox.structure import (
     FiniteMapping,
     Signature,
@@ -23,11 +26,13 @@ from mapprox.structure import (
     connected_components,
     cycle_cut_product,
     cycle_lengths,
+    cycle_orbits,
     cyclic_part,
     disjoint_union,
     distance,
     mark_element,
     preimage,
+    recover,
     residualize,
     restrict,
     validate,
@@ -167,6 +172,40 @@ class TestComponentsAndCycles:
         F = disjoint_union(cycle(3), disjoint_union(cycle(3), fixed_point()))
         assert sorted(cycle_lengths(F)) == [1, 3, 3]
 
+    def test_cycle_orbits_exhaustive(self):
+        # every mapping with n <= 5: 1 + 4 + 27 + 256 + 3125 = 3413 of them
+        checked = 0
+        for n in range(1, 6):
+            for f in itertools.product(range(n), repeat=n):
+                F = FiniteMapping(f=f)
+                period = {}  # least k >= 1 with f^k(v) == v, cyclic v only
+                for v in range(n):
+                    x = v
+                    for k in range(1, n + 1):
+                        x = f[x]
+                        if x == v:
+                            period[v] = k
+                            break
+                orbits = cycle_orbits(F)
+                assert [orbit[0] for orbit in orbits] == sorted(
+                    min(orbit) for orbit in orbits
+                )
+                length_of = {}
+                for orbit in orbits:
+                    for i, v in enumerate(orbit):
+                        assert f[v] == orbit[(i + 1) % len(orbit)]
+                        assert v not in length_of
+                        length_of[v] = len(orbit)
+                assert length_of == period
+                # a k-cycle holds exactly k elements of period k
+                counts = Counter(period.values())
+                assert cycle_lengths(F) == sorted(
+                    k for k, count in counts.items() for _ in range(count // k)
+                )
+                assert cyclic_part(F)[0] == frozenset(period)
+                checked += 1
+        assert checked == 3413
+
 
 class TestUnionRestrictMark:
     def test_union_sizes(self):
@@ -266,8 +305,35 @@ class TestResidualize:
     def test_interpretation_recovers_input(self):
         for seed in range(4):
             F = seeded(30, seed)
-            R, interp = residualize(F, Fraction(1, 6))
-            back = apply_interpretation(interp, R)
-            assert back.f == F.f
-            assert back.signature == F.signature
-            assert back.marks == F.marks
+            R, pairs = residualize(F, Fraction(1, 6))
+            assert pairs
+            assert structurally_equal(recover(R, pairs), F)
+
+    def test_recover_matches_interpretation(self):
+        taken = FiniteMapping(
+            f=tuple((i + 1) % 24 for i in range(24)),
+            marks={"A1": frozenset({3}), "B1": frozenset({5, 7})},
+        )
+        cases = [seeded(30, seed) for seed in range(4, 8)]
+        cases += [seeded(24, 9, Fraction(1, 2)), taken]
+        for F in cases:
+            R, pairs = residualize(F, Fraction(1, 6))
+            assert pairs
+            fast = recover(R, pairs)
+            oracle = apply_interpretation(
+                recovery_interpretation(F.signature.predicates, pairs), R
+            )
+            for back in (fast, oracle):
+                assert structurally_equal(back, F)
+        assert pairs[0] == ("A2", "B2")
+
+    def test_recover_rejects_two_targets(self):
+        R = FiniteMapping(
+            f=(0, 1, 2, 3),
+            marks={"A1": frozenset({0}), "B1": frozenset({1, 2})},
+        )
+        pairs = [("A1", "B1")]
+        with pytest.raises(EtaNotFunctional):
+            recover(R, pairs)
+        with pytest.raises(EtaNotFunctional):
+            apply_interpretation(recovery_interpretation((), pairs), R)
