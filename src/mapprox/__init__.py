@@ -68,7 +68,6 @@ from .fmtp import (
     verify_certificate,
 )
 from .realize import (
-    PipelineConfig,
     certificate_digest,
     merge,
     pipeline,

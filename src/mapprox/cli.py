@@ -24,7 +24,7 @@ from .errors import MapproxError
 from .fmtp import CompanionCertificate, check_fmtp, exhaustive_fmtp_check, restricted_fmtp_certificate
 from .localtypes import global_table, type_distribution
 from .randgen import SplitMix64, cycle_statistics, random_mapping
-from .realize import PipelineConfig, certificate_digest, pipeline, realize, rewire
+from .realize import certificate_digest, pipeline, realize, rewire
 from .structure import cycle_cut_product
 
 __all__ = ["main"]
@@ -147,10 +147,14 @@ def _cmd_compress(args) -> None:
 
 def _cmd_pipeline(args) -> None:
     F = mapfile.read_map(args.file)
-    config = PipelineConfig(
-        factorial_schedule=args.factorial_schedule, multiplier=args.multiplier
+    G, report = pipeline(
+        F,
+        args.p,
+        args.r,
+        args.eps,
+        multiplier=args.multiplier,
+        factorial_schedule=args.factorial_schedule,
     )
-    G, report = pipeline(F, args.p, args.r, args.eps, config)
     if args.out:
         Path(args.out).write_text(mapfile.dump_map(G))
     _emit(report)

@@ -48,11 +48,12 @@ def _sibling_classes(
 def _component_form(
     F: FiniteMapping,
     heights: dict[int, int],
-    anchor_of: dict[int, int],
     kept: set[int],
     cycle: tuple[int, ...],
+    members: list[int],
 ) -> tuple:
-    """Canonical value of one component restricted to the kept elements.
+    """Canonical value of one component restricted to the kept elements,
+    given as its cycle and its kept members.
 
     Trees are canonicalized bottom-up with sorted child forms; the cycle
     contributes the lexicographically minimal rotation of its per-vertex
@@ -60,13 +61,10 @@ def _component_form(
     components.
     """
     pre = F.pre
-    members = [
-        x
-        for x in kept
-        if heights[x] > 0 and _cycle_of(F, anchor_of, x) == cycle[0]
-    ]
     form: dict[int, tuple] = {}
     for x in sorted(members, key=lambda v: -heights[v]):
+        if heights[x] == 0:
+            continue
         child_forms = sorted(
             form[c] for c in pre[x] if c in kept and heights[c] == heights[x] + 1
         )
@@ -80,14 +78,6 @@ def _component_form(
     doubled = ring + ring
     size = len(ring)
     return min(tuple(doubled[i : i + size]) for i in range(size))
-
-
-def _cycle_of(F: FiniteMapping, anchor_of: dict[int, int], x: int) -> int:
-    """The least element of the cycle below x; anchor_of maps every cyclic
-    element to the least element of its cycle."""
-    while x not in anchor_of:
-        x = F.f[x]
-    return anchor_of[x]
 
 
 def standard_r_approximation(F: FiniteMapping, r: int) -> FiniteMapping:
@@ -140,15 +130,19 @@ def _prune_once(F: FiniteMapping, r: int) -> FiniteMapping:
                 members.sort()
                 kept.update(members[:r])
 
+    # The least element of the cycle below each element, layer by layer.
     anchor_of = {z: orbit[0] for orbit in orbits for z in orbit}
+    for layer in layers[1:]:
+        for x in layer:
+            anchor_of[x] = anchor_of[F.f[x]]
+    members: dict[int, list[int]] = {orbit[0]: [] for orbit in orbits}
+    for x in kept:
+        members[anchor_of[x]].append(x)
+
     by_form: dict[tuple, list[int]] = {}
     for orbit in orbits:
-        shape = _component_form(F, heights, anchor_of, kept, orbit)
+        shape = _component_form(F, heights, kept, orbit, members[orbit[0]])
         by_form.setdefault(shape, []).append(orbit[0])
 
-    surviving: set[int] = set()
-    for anchors in by_form.values():
-        surviving.update(anchors[:r])
-
-    final = [x for x in kept if _cycle_of(F, anchor_of, x) in surviving]
+    final = [x for anchors in by_form.values() for a in anchors[:r] for x in members[a]]
     return restrict(F, final)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from . import simplex
@@ -133,11 +134,15 @@ class CompanionCertificate:
     r: int
     entries: tuple[tuple[LocalType, LocalType, Fraction], ...]
 
+    @cached_property
+    def _values(self) -> dict[tuple[LocalType, LocalType], Fraction]:
+        values: dict[tuple[LocalType, LocalType], Fraction] = {}
+        for tau, t, s in self.entries:
+            values.setdefault((tau, t), s)
+        return values
+
     def value(self, tau: LocalType, t: LocalType) -> Fraction:
-        for entry_tau, entry_t, s in self.entries:
-            if entry_tau == tau and entry_t == t:
-                return s
-        return Fraction(0)
+        return self._values.get((tau, t), Fraction(0))
 
 
 def _support_universe(mu: TypeMeasure, r: int):
@@ -323,12 +328,15 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
 # rational approximation over the feasible polytope
 
 
+# Halvings of the lower bound on every mass before the LP gives up.
+LP_RETRIES = 20
+
+
 def approximate_measure(
     mu: TypeMeasure,
     eps,
     r: int,
     force_lp: bool = False,
-    max_retries: int = 20,
 ) -> TypeMeasure:
     """A rational measure with the same support, restricted-FMTP feasible,
     within total variation eps of mu.
@@ -376,7 +384,7 @@ def approximate_measure(
     img_key = [project(transport(tau), r).key for tau in support]
 
     delta = min(masses) / 2
-    for _ in range(max_retries):
+    for _ in range(LP_RETRIES):
         rows: list[tuple[list[Fraction], Fraction]] = []
 
         def blank() -> list[Fraction]:

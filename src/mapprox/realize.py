@@ -21,11 +21,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    Infeasible,
     MissingCutPredicates,
     PreconditionFailed,
     RankTooLow,
@@ -34,7 +34,7 @@ from .errors import (
     Stuck,
 )
 from .fmtp import (
-    approximate_measure,
+    Violation,
     check_realizability_preconditions,
     restricted_fmtp_certificate,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "verify_upsilon",
     "rewire",
     "merge",
-    "PipelineConfig",
     "pipeline",
     "certificate_digest",
 ]
@@ -471,51 +470,26 @@ def merge(E: FiniteMapping, F2: FiniteMapping, copies: int) -> FiniteMapping:
 # the end-to-end pipeline
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Parameters of the approximation pipeline.
-
-    rank_schedule is (r, rr, clean_rank, cut_length, elementary_rank); when
-    omitted a desk-scale schedule is derived from r, or the factorial
-    schedule rr = 4r^2, clean = 2rr + 1, cut = clean! when
-    factorial_schedule is set.  The factorial schedule is exposed for
-    completeness; its cut is expected to exceed every budget beyond tiny
-    radii.  epsilons is (eps, eps_res, eps_f1, eps_mu).
-    """
-
-    rank_schedule: Optional[tuple[int, int, int, int, int]] = None
-    epsilons: Optional[tuple] = None
-    n_away_factor: int = 2
-    max_product_size: int = 2_000_000
-    max_realize_size: int = 4_000_000
-    max_output_size: int = 8_000_000
-    factorial_schedule: bool = False
-    multiplier: int = 1
+# Budgets on the sizes the pipeline builds, checked before each is built.
+MAX_PRODUCT_SIZE = 2_000_000
+MAX_REALIZE_SIZE = 4_000_000
+MAX_OUTPUT_SIZE = 8_000_000
+# n_away = N_AWAY_FACTOR * ceil(1 / eps); the merge lays out n_close * n_away
+# copies of the rewired structure.
+N_AWAY_FACTOR = 2
 
 
-def _schedule(r: int, config: PipelineConfig) -> tuple[int, int, int, int, int]:
-    if config.rank_schedule is not None:
-        schedule = tuple(config.rank_schedule)
-        if len(schedule) != 5:
-            raise ValueError("rank_schedule must have five entries")
-        if schedule[0] != r:
-            raise ValueError("rank_schedule must start with the requested r")
-    elif config.factorial_schedule:
-        rr = 4 * r * r
-        clean = 2 * rr + 1
-        schedule = (r, rr, clean, math.factorial(clean), r)
+def _schedule(r: int, factorial_schedule: bool) -> tuple[int, int, int]:
+    """(rr, clean_rank, cut_length) for rank r: rr = r, clean = 2rr + 1 and
+    cut = lcm(1..clean); or, with factorial_schedule, rr = 4r^2 and
+    cut = clean!, which exceeds every budget beyond tiny radii."""
+    rr = 4 * r * r if factorial_schedule else r
+    clean = 2 * rr + 1
+    if factorial_schedule:
+        cut = math.factorial(clean)
     else:
-        rr = r
-        clean = 2 * rr + 1
-        schedule = (r, rr, clean, math.lcm(*range(1, clean + 1)), r)
-    _, rr, clean, cut, _ = schedule
-    if rr < r:
-        raise ValueError("schedule needs rr >= r")
-    if clean < 2 * rr + 1:
-        raise ValueError("schedule needs clean_rank >= 2*rr + 1")
-    if cut < 2:
-        raise ValueError("schedule needs cut_length >= 2")
-    return schedule
+        cut = math.lcm(*range(1, clean + 1))
+    return rr, clean, cut
 
 
 def _sweep(n: int, copy_size: int, copies: int):
@@ -560,46 +534,50 @@ def pipeline(
     p: int,
     r: int,
     eps,
-    config: Optional[PipelineConfig] = None,
+    *,
+    multiplier: int = 1,
+    factorial_schedule: bool = False,
 ) -> tuple[FiniteMapping, dict]:
-    """Residualize, cut, extract, approximate, realize, rewire, merge,
-    recover; return the approximation and a stage-by-stage report.
+    """Residualize, cut, extract, certify, realize, rewire, merge, recover;
+    return the approximation and a stage-by-stage report.
+
+    p >= 1 is the tuple size of the reported distance (p >= 2 adds a bound
+    built from proximities), r >= 1 the rank, and eps > 0 both the
+    residualization threshold and the target of the measured distance.
+    The schedule is rr = r, clean rank 2rr + 1 and cut length
+    lcm(1..clean), or with factorial_schedule rr = 4r^2 and cut length
+    clean!; multiplier scales the realized structure.  The product, the
+    realization and the output are each checked against their budget
+    (MAX_PRODUCT_SIZE, MAX_REALIZE_SIZE, MAX_OUTPUT_SIZE) before they are
+    built, and a miss raises ScheduleInfeasible.
 
     The residualized input serves as the host structure for the merge: it
     is finite already, so no separate elementary approximation is needed,
     and the measure extracted from the cut product never has terminals.
-    The report carries per-stage sizes and rank-r type histograms, the
-    certificate digest, and the measured distance of the output to the
-    input, which is checked against eps rather than assumed.  Statistics of
-    the merged and output structures sweep the host plus one copy, the copy
-    weighted by the number of copies; the values equal a full sweep's.
+    That measure is rational and certified as it is, so it is realized
+    without approximation.  The report carries per-stage sizes and rank-r
+    type histograms, the certificate digest, and the measured distance of
+    the output to the input, which is checked against eps rather than
+    assumed.  Statistics of the merged and output structures sweep the host
+    plus one copy, the copy weighted by the number of copies; the values
+    equal a full sweep's.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    if r < 1:
+        raise ValueError("r must be at least 1")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    config = config or PipelineConfig()
-    schedule = _schedule(r, config)
-    _, rr, clean, cut, elementary = schedule
-    if config.epsilons is not None:
-        eps_total, eps_res, eps_f1, eps_mu = (Fraction(e) for e in config.epsilons)
-    else:
-        eps_total, eps_res, eps_f1, eps_mu = eps, eps, eps, eps / 4
-    schedule_info = {
-        "r": r,
-        "rr": rr,
-        "clean_rank": clean,
-        "cut_length": cut,
-        "elementary_rank": elementary,
-    }
+    rr, clean, cut = _schedule(r, factorial_schedule)
+    schedule_info = {"r": r, "rr": rr, "clean_rank": clean, "cut_length": cut}
 
     product_size = F.n * cut
-    if product_size > config.max_product_size:
-        origin = "cut = clean! = " if config.factorial_schedule else "cut = "
+    if product_size > MAX_PRODUCT_SIZE:
+        origin = "cut = clean! = " if factorial_schedule else "cut = "
         raise ScheduleInfeasible(
             f"{origin}{cut} yields a product of {product_size} elements, "
-            f"over the budget of {config.max_product_size}",
+            f"over the budget of {MAX_PRODUCT_SIZE}",
             schedule=schedule_info,
         )
 
@@ -618,26 +596,27 @@ def pipeline(
         return dist
 
     input_dist = record("input", F)
-    residual, pairs = residualize(F, eps_res)
+    residual, pairs = residualize(F, eps)
     record("residual", residual)
 
     product = cycle_cut_product(residual, cut, clean, table=table)
     record("product", product)
 
     nu = type_distribution(product, clean, table)
-    mu_hat = approximate_measure(nu, eps_mu, rr)
-    certificate = restricted_fmtp_certificate(mu_hat, rr)
+    certificate = restricted_fmtp_certificate(nu, rr)
+    if isinstance(certificate, Violation):
+        raise Infeasible(str(certificate))
 
-    estimated = config.multiplier * math.lcm(
-        *(mass.denominator for _, mass in mu_hat if mass > 0)
+    estimated = multiplier * math.lcm(
+        *(mass.denominator for _, mass in nu if mass > 0)
     )
-    if estimated > config.max_realize_size:
+    if estimated > MAX_REALIZE_SIZE:
         raise ScheduleInfeasible(
             f"realization would need {estimated} elements, over the budget "
-            f"of {config.max_realize_size}",
+            f"of {MAX_REALIZE_SIZE}",
             schedule=schedule_info,
         )
-    realized = realize(mu_hat, rr, config.multiplier)
+    realized = realize(nu, rr, multiplier)
     record("realized", realized)
 
     rewired = rewire(realized, cut, clean)
@@ -655,13 +634,13 @@ def pipeline(
         signature=rewired.signature,
     )
 
-    n_away = config.n_away_factor * math.ceil(1 / eps_res)
-    n_close = math.ceil(Fraction(residual.n, stripped.n) / eps_res)
+    n_away = N_AWAY_FACTOR * math.ceil(1 / eps)
+    n_close = math.ceil(Fraction(residual.n, stripped.n) / eps)
     merged_size = residual.n + stripped.n * n_close * n_away
-    if merged_size > config.max_output_size:
+    if merged_size > MAX_OUTPUT_SIZE:
         raise ScheduleInfeasible(
             f"merging would need {merged_size} elements, over the budget "
-            f"of {config.max_output_size}",
+            f"of {MAX_OUTPUT_SIZE}",
             schedule=schedule_info,
         )
     # Swapping two copies is an automorphism of the merged structure and,
@@ -678,8 +657,8 @@ def pipeline(
     final = measure_tv(output_dist, input_dist)
     entry = {
         "final": str(final),
-        "target": str(eps_total),
-        "ok": final <= eps_total,
+        "target": str(eps),
+        "ok": final <= eps,
     }
     if p >= 2:
         prox_out = _proximity(output, 2 * r, stripped.n, copies)
@@ -695,20 +674,15 @@ def pipeline(
         )
 
     report = {
-        "version": 1,
+        "version": 2,
         "parameters": {
             "p": p,
             "r": r,
             "eps": str(eps),
-            "multiplier": config.multiplier,
+            "multiplier": multiplier,
             "n_close": n_close,
             "n_away": n_away,
-            "epsilons": {
-                "eps": str(eps_total),
-                "eps_res": str(eps_res),
-                "eps_f1": str(eps_f1),
-                "eps_mu": str(eps_mu),
-            },
+            "epsilons": {"eps": str(eps), "eps_res": str(eps)},
             "schedule": schedule_info,
         },
         "cut_pairs": [list(pair) for pair in pairs],

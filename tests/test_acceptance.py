@@ -44,7 +44,7 @@ from mapprox.logic import (
     translate,
 )
 from mapprox.randgen import cycle_statistics, random_mapping
-from mapprox.realize import PipelineConfig, pipeline, realize, rewire
+from mapprox.realize import pipeline, realize, rewire
 from mapprox.structure import (
     FiniteMapping,
     cycle_cut_product,
@@ -325,7 +325,7 @@ def test_pipeline_meets_target_and_factorial_schedule_overflows():
     assert out.n == report["stages"][-1]["size"]
 
     with pytest.raises(ScheduleInfeasible) as caught:
-        pipeline(F, 2, 2, Fraction(1, 10), PipelineConfig(factorial_schedule=True))
+        pipeline(F, 2, 2, Fraction(1, 10), factorial_schedule=True)
     assert "cut = clean! =" in str(caught.value)
     elapsed = time.perf_counter() - started
     assert elapsed < 300

@@ -233,7 +233,7 @@ class TestPipelineCommand:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert report["parameters"]["eps"] == "1/8"
         Fraction(report["ldist"]["final"])
         G = read_map(approx_path)
@@ -257,6 +257,14 @@ class TestPipelineCommand:
         assert code == 1
         assert out == ""
         assert "cut = clean! =" in err
+
+    def test_rank_zero_exits_1(self, capsys, random_map):
+        code, out, err = run(
+            capsys, ["pipeline", random_map, "--p", "1", "--r", "0", "--eps", "1/8"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "r must be at least 1" in err
 
 
 class TestErrorHandling:

@@ -1,7 +1,9 @@
 """Pinned map-file digests of compression and the cycle-cut product.
 
 The sha256 of `dump_map` output for fixed inputs, recorded before the orbit
-walks in `compress` and `structure` were folded into one helper.  Run this
+walks in `compress` and `structure` were folded into one helper; the
+`leafy-900-6` cases were recorded before `compress` grouped kept elements
+by component in one pass.  Run this
 file as a script to print the digests of the current code.
 """
 
@@ -38,12 +40,32 @@ def several_cycles(seed: int, n: int = 60) -> FiniteMapping:
     return FiniteMapping(f=tuple(g), marks={"U": marked})
 
 
+def leafy_two_cycles(seed: int, count: int = 300) -> FiniteMapping:
+    """`count` two-cycles with one leaf each, marked and relabelled at
+    random: many small components, so compression cost per component
+    shows."""
+    rng = random.Random(seed)
+    f: list[int] = []
+    for _ in range(count):
+        base = len(f)
+        f.extend((base + 1, base, base))
+    n = len(f)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = [0] * n
+    for v in range(n):
+        g[perm[v]] = perm[f[v]]
+    marked = frozenset(v for v in range(n) if rng.random() < 0.3)
+    return FiniteMapping(f=tuple(g), marks={"U": marked})
+
+
 INPUTS = {
     "seeded-40-1": lambda: seeded(40, 1),
     "seeded-60-5": lambda: seeded(60, 5),
     "cycles-60-3": lambda: several_cycles(3),
     "seeded-12-2": lambda: seeded(12, 2),
     "cycles-30-4": lambda: several_cycles(4, 30),
+    "leafy-900-6": lambda: leafy_two_cycles(6),
 }
 
 CASES = {
@@ -52,6 +74,8 @@ CASES = {
         for name in ("seeded-40-1", "seeded-60-5", "cycles-60-3")
         for r in (0, 1, 2)
     },
+    "compress-r1-leafy-900-6": ("leafy-900-6", 1),
+    "compress-r2-leafy-900-6": ("leafy-900-6", 2),
     "cut-6-3-seeded-12-2": ("seeded-12-2", None),
     "cut-6-3-cycles-30-4": ("cycles-30-4", None),
 }
@@ -66,12 +90,16 @@ GOLDEN = {
         "f1db14d6aac83fdf23035897ff697ce1bc73e933605f873b5a2f1843cad245d9",
     "compress-r1-cycles-60-3":
         "edb30b4a1e5c2fcbe3679da92d6300c9076be1a2c064760e93fd9a8fdcca18f9",
+    "compress-r1-leafy-900-6":
+        "2d59ee547e551c58ca58a1707aba947bf72ff8d840db1ec683fde57589c242fd",
     "compress-r1-seeded-40-1":
         "4e2e5f25006d4b8b858e9454fa1c7c0bf2292ea91c867b3bf879213e7784bbf3",
     "compress-r1-seeded-60-5":
         "4f0209276c3036f9a573b18813bc319f772455b56c18d21e827e864abe26d87a",
     "compress-r2-cycles-60-3":
         "10e448ee74b75514fdf54fdcd011d02f1da5ee6d93438988722cf150048ba089",
+    "compress-r2-leafy-900-6":
+        "b80b73ea6e6b01beb1e24d15bbccfb248a81b74c1278d7fac04a1a50331b6516",
     "compress-r2-seeded-40-1":
         "4e2e5f25006d4b8b858e9454fa1c7c0bf2292ea91c867b3bf879213e7784bbf3",
     "compress-r2-seeded-60-5":

@@ -72,6 +72,25 @@ class TestCertificates:
         assert isinstance(cert, CompanionCertificate)
         assert verify_certificate(mu, cert)
 
+    def test_value_lookup(self):
+        H = cycle_cut_product(seeded(12, 5), 6, 3, TABLE)
+        mu = type_distribution(H, 3, TABLE)
+        cert = restricted_fmtp_certificate(mu, 1)
+        assert len(cert.entries) > 1
+        for tau, t, s in cert.entries:
+            assert cert.value(tau, t) == s
+        present = {(tau, t) for tau, t, _ in cert.entries}
+        taus = {tau for tau, _, _ in cert.entries}
+        ts = {t for _, t, _ in cert.entries}
+        absent = [(tau, t) for tau in taus for t in ts if (tau, t) not in present]
+        assert absent
+        for tau, t in absent:
+            assert cert.value(tau, t) == 0
+        other = TypeTable()
+        for tau, t, _ in cert.entries:
+            assert cert.value(local_type(tau.structure, tau.element, 3, other), t) == 0
+            assert cert.value(tau, local_type(t.structure, t.element, 1, other)) == 0
+
     def test_cut_product_certificate(self):
         H = cycle_cut_product(seeded(12, 5), 6, 3, TABLE)
         mu = type_distribution(H, 3, TABLE)

@@ -1,6 +1,7 @@
 """Realization, label verification, rewiring, merging, and the pipeline."""
 
 import functools
+import importlib
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from helpers import cycle, fixed_point, path, seeded, star
 from mapprox.equivalence import ldist
 from mapprox.errors import (
+    Infeasible,
     MissingCutPredicates,
     PreconditionFailed,
     RankTooLow,
@@ -24,7 +26,6 @@ from mapprox.localtypes import (
     type_distribution,
 )
 from mapprox.realize import (
-    PipelineConfig,
     certificate_digest,
     merge,
     pipeline,
@@ -34,6 +35,10 @@ from mapprox.realize import (
 )
 from mapprox.structure import FiniteMapping, cycle_cut_product, cycle_lengths
 from oracles import proximity as oracle_proximity
+
+# The package exports the function `realize`, which shadows the module.
+fmtp_module = importlib.import_module("mapprox.fmtp")
+realize_module = importlib.import_module("mapprox.realize")
 
 TABLE = TypeTable()
 
@@ -214,7 +219,7 @@ class TestPipeline:
     def test_report_shape(self):
         F = seeded(24, 5)
         out, report = pipeline(F, 1, 1, Fraction(1, 8))
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert [stage["name"] for stage in report["stages"]] == [
             "input",
             "residual",
@@ -287,7 +292,7 @@ class TestPipeline:
                 1,
                 2,
                 Fraction(1, 10),
-                config=PipelineConfig(factorial_schedule=True),
+                factorial_schedule=True,
             )
         assert "cut = clean! =" in str(caught.value)
         assert caught.value.schedule["cut_length"] == math.factorial(33)
@@ -297,6 +302,55 @@ class TestPipeline:
             pipeline(seeded(10, 0), 0, 1, Fraction(1, 4))
         with pytest.raises(ValueError):
             pipeline(seeded(10, 0), 1, 1, 0)
+
+    @pytest.mark.parametrize("factorial", [False, True])
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rank_validated(self, r, factorial):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            pipeline(seeded(10, 0), 1, r, Fraction(1, 4), factorial_schedule=factorial)
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            ("MAX_REALIZE_SIZE", "realization would need"),
+            ("MAX_OUTPUT_SIZE", "merging would need"),
+        ],
+    )
+    def test_budget_exceeded(self, monkeypatch, budget, message):
+        monkeypatch.setattr(realize_module, budget, 10)
+        with pytest.raises(ScheduleInfeasible, match=message) as caught:
+            pipeline(seeded(10, 0), 1, 1, Fraction(1, 4))
+        assert "over the budget of 10" in str(caught.value)
+        assert caught.value.schedule == {
+            "r": 1,
+            "rr": 1,
+            "clean_rank": 3,
+            "cut_length": 6,
+        }
+
+    def test_certificate_computed_twice(self, monkeypatch):
+        # Once by the pipeline for its report, once by realize's
+        # preconditions.
+        calls = []
+        solve = fmtp_module.restricted_fmtp_certificate
+
+        def counting(mu, r):
+            calls.append(r)
+            return solve(mu, r)
+
+        monkeypatch.setattr(fmtp_module, "restricted_fmtp_certificate", counting)
+        monkeypatch.setattr(realize_module, "restricted_fmtp_certificate", counting)
+        pipeline(seeded(10, 0), 1, 1, Fraction(1, 4))
+        assert calls == [1, 1]
+
+    def test_violation_raises_infeasible(self, monkeypatch):
+        violation = fmtp_module.Violation("balance", "lhs 1/2 != rhs 1/3")
+        monkeypatch.setattr(
+            realize_module, "restricted_fmtp_certificate", lambda mu, r: violation
+        )
+        with pytest.raises(Infeasible) as caught:
+            pipeline(seeded(10, 0), 1, 1, Fraction(1, 4))
+        assert str(caught.value) == str(violation)
 
     def test_digest_stability(self):
         from mapprox.fmtp import restricted_fmtp_certificate
