@@ -167,7 +167,20 @@ def restricted_fmtp_certificate(
 ) -> Union[CompanionCertificate, Violation]:
     """Solve for a companion function, or name the equation that fails.
 
-    The balance equations decouple: the unknowns of equation (t1, t2) are
+    Each measure solves once per r and hands the same result to every
+    later call, so the pipeline's report and realize's preconditions share
+    one solve.
+    """
+    found = mu._certificates.get(r)
+    if found is None:
+        found = mu._certificates[r] = _solve_certificate(mu, r)
+    return found
+
+
+def _solve_certificate(
+    mu: TypeMeasure, r: int
+) -> Union[CompanionCertificate, Violation]:
+    """The balance equations decouple: the unknowns of equation (t1, t2) are
     the s(tau, t1) with tau projecting to t2 and an unforced preimage count,
     and they appear in no other equation.  Each equation is solvable iff the
     forced flow does not overshoot the left side and the free weight can

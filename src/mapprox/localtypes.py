@@ -14,6 +14,22 @@ player can mirror between them for the remaining rounds.  Re-placing an
 already-placed element is never a winning move for the first player (the new
 atoms are forced), so extensions range over fresh neighbors only.
 
+Sibling twins are explored once.  In a game that starts from one element,
+every placed tuple is connected.  Let y and y' be fresh preimages of the same
+placed element, neither on a cycle.  Then the in-tree T(y) of y (every
+element some iterate sends to y) meets neither T(y') nor the tuple: a
+connected tuple reaches T(y) only through y.  Suppose the two in-trees, cut
+off at depth k, are isomorphic with marks, where k is the number of rounds
+left once y is placed.  Swapping them maps every position those k rounds can
+reach to one with the same atoms and the same fresh moves.  So the tuple
+extended by y has the same value as the tuple extended by y', and the set of
+extension values loses nothing when only one of them is explored.  Each
+in-tree is encoded bottom-up by its marks and the sorted codes of its
+children, as Aho, Hopcroft and Ullman (1974) encode trees; the codes are
+interned per structure.  A game from a p-tuple with p >= 2 may start
+disconnected, with a placed element inside some T(y), so it explores every
+fresh neighbor.
+
 The TypeTable assigns session-stable canonical ids on first sight and caches
 everything per structure; it is shared process-wide by default.
 """
@@ -52,15 +68,43 @@ def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
 
 
 class _PerElement(dict):
-    """element -> value, each value built by `build` on first lookup."""
+    """key -> value, each value built by `build` on first lookup."""
+
+    __slots__ = ("_build",)
 
     def __init__(self, build):
         super().__init__()
         self._build = build
 
-    def __missing__(self, v: int):
-        value = self[v] = self._build(v)
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
         return value
+
+
+class _OnCycle(dict):
+    """element -> whether it lies on a cycle of f, settled on first lookup
+    by walking forward to an element already settled or to a repeat.  Every
+    element on the walk is settled with it, so each is walked once."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: tuple[int, ...]):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, v: int) -> bool:
+        f = self._f
+        position: dict[int, int] = {}
+        path: list[int] = []
+        x = v
+        while x not in self and x not in position:
+            position[x] = len(path)
+            path.append(x)
+            x = f[x]
+        cycle_start = position.get(x, len(path))
+        for i, y in enumerate(path):
+            self[y] = i >= cycle_start
+        return self[v]
 
 
 class TypeTable:
@@ -101,13 +145,61 @@ class TypeTable:
     def _structure_cache(self, F: FiniteMapping) -> dict:
         cache = self._caches.get(F)
         if cache is None:
-            # Neighbor sets are built per element on first use: the pipeline
-            # queries a few thousand elements of structures with hundreds of
-            # thousands.  The builder must not capture F, or the cache would
-            # keep its own weak key alive.
-            f, pre = F.f, F.pre
-            nbr = _PerElement(lambda v: (frozenset(pre[v]) | {f[v]}) - {v})
-            cache = {"marks": F.mark_sets, "nbr": nbr, "nv": {}}
+            # Twin codes and moves are built per element on first use: the
+            # pipeline queries a few thousand elements of structures with
+            # hundreds of thousands.  The builders must not capture F, or the
+            # cache would keep its own weak key alive.
+            f, pre, marks = F.f, F.pre, F.mark_sets
+            on_cycle = _OnCycle(f)
+            interned: dict[tuple, int] = {}
+
+            def build_code(key: tuple[int, int]) -> int:
+                # The in-tree of an element off every cycle, cut off at
+                # depth d: its marks and its children's codes at depth d - 1.
+                y, d = key
+                children = tuple(sorted(code[c, d - 1] for c in pre[y])) if d else ()
+                return interned.setdefault((marks[y], children), len(interned))
+
+            # Every neighbor of x (x too if it is a fixed point), with no
+            # twin classes.
+            plain = _PerElement(lambda x: (frozenset(pre[x]) | {f[x]}, ()))
+
+            def build_moves(x: int, d: int) -> tuple[frozenset, tuple]:
+                # The neighbors of x as (singles, twin classes): a twin class
+                # holds two or more preimages off every cycle whose in-trees
+                # agree to depth d, and singles are the other neighbors.
+                # Twins share their marks, so only preimages that share
+                # their marks with a sibling are checked further.
+                by_marks: dict[frozenset, list[int]] = {}
+                for y in pre[x]:
+                    by_marks.setdefault(marks[y], []).append(y)
+                twins = []
+                for group in by_marks.values():
+                    if len(group) < 2:
+                        continue
+                    classes: dict[int, list[int]] = {}
+                    for y in group:
+                        if not on_cycle[y]:
+                            classes.setdefault(code[y, d], []).append(y)
+                    twins += (tuple(c) for c in classes.values() if len(c) > 1)
+                if not twins:
+                    return plain[x]
+                paired = {y for members in twins for y in members}
+                singles = frozenset(y for y in pre[x] if y not in paired) | {f[x]}
+                return singles, tuple(twins)
+
+            code = _PerElement(build_code)
+            cache = {
+                "marks": marks,
+                "plain": plain,
+                # moves[d][x]: the neighbors of x for a game with d rounds
+                # left once one of them is placed.
+                "moves": _PerElement(
+                    lambda d: _PerElement(lambda x: build_moves(x, d))
+                ),
+                "nv": {},
+                "roots": {},
+            }
             self._caches[F] = cache
         return cache
 
@@ -115,9 +207,20 @@ class TypeTable:
 
     def nv_value(self, F: FiniteMapping, tup: tuple[int, ...], k: int) -> int:
         cache = self._structure_cache(F)
-        return self._nv(F.f, cache, tup, k)
+        if len(tup) != 1:
+            return self._nv(F.f, cache, tup, k, False)
+        # A root's value at a lower rank is read off its highest-rank value
+        # already solved; only roots are recorded, to keep the table small.
+        roots = cache["roots"]
+        best = roots.get(tup[0])
+        if best is not None and self.rank_of(best) >= k:
+            return self.lower_to(best, k)
+        value = roots[tup[0]] = self._nv(F.f, cache, tup, k, True)
+        return value
 
-    def _nv(self, f, cache: dict, tup: tuple[int, ...], k: int) -> int:
+    def _nv(
+        self, f, cache: dict, tup: tuple[int, ...], k: int, connected: bool
+    ) -> int:
         memo = cache["nv"]
         key = (tup, k)
         found = memo.get(key)
@@ -127,13 +230,25 @@ class TypeTable:
         if k == 0:
             value = self._intern_value((0, row, None))
         else:
-            nbr = cache["nbr"]
+            placed = set(tup)
             ext: set[int] = set()
-            for a in tup:
-                ext |= nbr[a]
-            ext -= set(tup)
+            if connected:
+                moves = cache["moves"][k - 1]
+                for a in tup:
+                    singles, twins = moves[a]
+                    ext |= singles
+                    for members in twins:
+                        for y in members:
+                            if y not in placed:
+                                ext.add(y)
+                                break
+            else:
+                plain = cache["plain"]
+                for a in tup:
+                    ext |= plain[a][0]
+            ext -= placed
             kids = frozenset(
-                self._nv(f, cache, tup + (y,), k - 1) for y in ext
+                self._nv(f, cache, tup + (y,), k - 1, connected) for y in ext
             )
             value = self._intern_value((k, row, kids))
         memo[key] = value
@@ -368,6 +483,12 @@ class TypeMeasure:
     @cached_property
     def _mass_by_key(self) -> dict[tuple[int, int], Fraction]:
         return {t.key: mass for t, mass in self.entries}
+
+    @cached_property
+    def _certificates(self) -> dict[int, object]:
+        """Restricted certificates (or violations) of this measure by rank
+        r, each solved once by fmtp.restricted_fmtp_certificate."""
+        return {}
 
     def _shares_table(self, t: LocalType) -> bool:
         return self.entries[0][0].table is t.table

@@ -361,21 +361,28 @@ def mark_element(F: FiniteMapping, name: str, elements: Iterable[int]) -> Finite
 # residualization
 
 
-def _strict_iterated_preimages(F: FiniteMapping, pre) -> list[set[int]]:
-    """E(u): elements with some forward iterate equal to u, u itself excluded."""
-    out: list[set[int]] = []
-    for u in F.elements():
-        seen: set[int] = set()
-        queue = deque(pre[u])
-        while queue:
-            x = queue.popleft()
-            if x in seen:
-                continue
-            seen.add(x)
-            queue.extend(pre[x])
-        seen.discard(u)
-        out.append(seen)
-    return out
+def _strict_preimage_counts(F: FiniteMapping) -> list[int]:
+    """|E(u)| for every u, where E(u) holds the elements with some forward
+    iterate equal to u, u itself excluded.  One bottom-up pass sums every
+    tree into its root, peeling elements whose preimages are all peeled;
+    on a cycle, E(u) is the rest of u's component."""
+    f, pre = F.f, F.pre
+    size = [1] * F.n  # elements of the in-tree, the element itself included
+    waiting = [len(p) for p in pre]
+    ready = [u for u in F.elements() if not waiting[u]]
+    while ready:
+        x = ready.pop()
+        y = f[x]
+        size[y] += size[x]
+        waiting[y] -= 1
+        if not waiting[y]:
+            ready.append(y)
+    counts = [s - 1 for s in size]
+    for orbit in cycle_orbits(F):
+        component = sum(size[z] for z in orbit)
+        for z in orbit:
+            counts[z] = component - 1
+    return counts
 
 
 def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, str]]]:
@@ -442,12 +449,12 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
     while True:
         current = FiniteMapping(f=tuple(f), marks={}, signature=Signature())
         pre = current.pre
-        big = _strict_iterated_preimages(current, pre)
+        big = _strict_preimage_counts(current)
         candidate = None
         for u in current.elements():
-            if len(big[u]) <= threshold:
+            if big[u] <= threshold:
                 continue
-            if all(len(big[x]) <= threshold for x in pre[u] if x != u):
+            if all(big[x] <= threshold for x in pre[u] if x != u):
                 candidate = u
                 break
         if candidate is None:

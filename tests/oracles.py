@@ -177,3 +177,74 @@ def random_clean_formula(rng, predicates, free_vars, depth):
     for name in scope:
         phi = And(phi, Eq(Term(name), Term(name)))
     return phi
+
+
+class UnprunedValues:
+    """The type kernel's interning game with every fresh neighbor explored:
+    the value of a placed tuple is its last element's atoms plus the set of
+    values of its one-element extensions at one rank lower.  Values are
+    interned in this object only; `positions` counts the memo entries
+    (placed tuple, rank) the game visited in one structure."""
+
+    def __init__(self):
+        self._interned: dict = {}
+        self._memos: dict = {}
+
+    def _memo(self, F: FiniteMapping):
+        entry = self._memos.get(id(F))
+        if entry is None:
+            pre: list = [[] for _ in range(F.n)]
+            for u in range(F.n):
+                pre[F.f[u]].append(u)
+            entry = self._memos[id(F)] = (F, pre, {})
+        return entry
+
+    def value(self, F: FiniteMapping, tup, k: int) -> int:
+        _, pre, memo = self._memo(F)
+        return self._value(F, pre, memo, tuple(tup), k)
+
+    def positions(self, F: FiniteMapping) -> int:
+        return len(self._memo(F)[2])
+
+    def _value(self, F, pre, memo, tup, k) -> int:
+        found = memo.get((tup, k))
+        if found is not None:
+            return found
+        f, x, last = F.f, tup[-1], len(tup) - 1
+        row = (
+            F.marks_of(x),
+            f[x] == x,
+            next((j for j in range(last) if tup[j] == x), None),
+            next((j for j in range(last) if tup[j] == f[x]), None),
+            frozenset(j for j in range(last) if f[tup[j]] == x),
+        )
+        kids = None
+        if k > 0:
+            ext: set = set()
+            for a in tup:
+                ext.add(f[a])
+                ext.update(pre[a])
+            ext -= set(tup)
+            kids = frozenset(self._value(F, pre, memo, tup + (y,), k - 1) for y in ext)
+        value = self._interned.setdefault((k, row, kids), len(self._interned))
+        memo[(tup, k)] = value
+        return value
+
+
+def strict_iterated_preimages(F: FiniteMapping) -> list:
+    """E(u) for every u: the elements with some forward iterate equal to u,
+    u itself excluded, by one breadth-first search per element."""
+    pre: list = [[] for _ in range(F.n)]
+    for u in range(F.n):
+        pre[F.f[u]].append(u)
+    out = []
+    for u in range(F.n):
+        seen: set = set()
+        queue = list(pre[u])
+        for x in queue:
+            if x not in seen:
+                seen.add(x)
+                queue.extend(pre[x])
+        seen.discard(u)
+        out.append(seen)
+    return out

@@ -68,6 +68,17 @@ class TestLdist:
         F = cycle(5)
         assert ldist(F, relabel(F, (4, 2, 0, 1, 3)), 2, 2) == 0
 
+    def test_pair_inside_a_twin_in_tree(self):
+        # In A, 1 and 2 are interchangeable siblings under the fixed point
+        # 0, with in-trees {1, 3} and {2, 4}; in B, 0 has the siblings 1, 2
+        # and 5, and 2 and 5 have one child each.  From the pair (0, 3),
+        # which has an element inside the in-tree of 1 in A, the siblings
+        # are not interchangeable.
+        A = FiniteMapping(f=(0, 0, 0, 1, 2))
+        B = FiniteMapping(f=(0, 0, 0, 2, 5, 0))
+        for r in (1, 2):
+            assert ldist(A, B, 2, r) == brute_ldist(A, B, 2, r)
+
     def test_needs_positive_p(self):
         with pytest.raises(ValueError):
             ldist(cycle(3), cycle(3), 0, 1)

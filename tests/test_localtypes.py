@@ -1,5 +1,6 @@
 """Local types, projections, transport, admissibility, type measures."""
 
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -29,13 +30,92 @@ from mapprox.localtypes import (
 )
 from mapprox.logic import evaluate
 from mapprox.structure import FiniteMapping, disjoint_union
-from oracles import local_game, random_clean_formula
+from oracles import UnprunedValues, local_game, random_clean_formula
 
 TABLE = TypeTable()
 
 
 def t_of(F, v, r):
     return local_type(F, v, r, TABLE)
+
+
+def functions_up_to_relabeling(n):
+    """One function on 0..n-1 from each isomorphism class."""
+    seen = set()
+    perms = list(itertools.permutations(range(n)))
+    for f in itertools.product(range(n), repeat=n):
+        if f not in seen:
+            for perm in perms:
+                g = [0] * n
+                for v in range(n):
+                    g[perm[v]] = perm[f[v]]
+                seen.add(tuple(g))
+            yield f
+
+
+def every_marking(f, names):
+    """f with every assignment of the named predicates to its elements."""
+    n = len(f)
+    for bits in itertools.product(range(2 ** len(names)), repeat=n):
+        yield FiniteMapping(
+            f=f,
+            marks={
+                name: frozenset(v for v in range(n) if bits[v] >> i & 1)
+                for i, name in enumerate(names)
+            },
+        )
+
+
+def hub_heavy(n, seed):
+    """Two thirds of the elements point at one of three hubs, the rest
+    anywhere; a third of them are marked U."""
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(3) if rng.random() < 2 / 3 else rng.randrange(n) for _ in range(n))
+    return FiniteMapping(
+        f=f, marks={"U": frozenset(v for v in range(n) if rng.random() < 1 / 3)}
+    )
+
+
+def copies_on_a_hub(copy, copies):
+    """A host (copy itself) followed by `copies` copies of it whose
+    U-marked elements all point at host element 0, the way the pipeline
+    redirects cut elements of its copies to one host element."""
+    n, marked = copy.n, copy.marks["U"]
+    f = list(copy.f)
+    for c in range(1, copies + 1):
+        f.extend(0 if v in marked else c * n + copy.f[v] for v in copy.elements())
+    return FiniteMapping(
+        f=tuple(f),
+        marks={"U": frozenset(c * n + v for c in range(copies + 1) for v in marked)},
+    )
+
+
+def two_level_star(middles, leaves):
+    """A fixed center 0, `middles` elements pointing at it, and `leaves`
+    P-marked leaves pointing at each middle element."""
+    f = [0] * (1 + middles)
+    for m in range(1, middles + 1):
+        f.extend([m] * leaves)
+    return FiniteMapping(f=tuple(f), marks={"P": frozenset(range(1 + middles, len(f)))})
+
+
+def value_pairs(table, oracle, F, tuples, ranks):
+    """(kernel value, unpruned oracle value) for every tuple at every rank,
+    ranks in the given order."""
+    return [
+        (table.nv_value(F, tup, r), oracle.value(F, tup, r))
+        for r in ranks
+        for tup in tuples
+    ]
+
+
+def assert_biject(pairs):
+    """The first and second coordinates split the pairs into the same
+    classes."""
+    forward, backward = {}, {}
+    for a, b in pairs:
+        assert forward.setdefault(a, b) == b
+        assert backward.setdefault(b, a) == a
 
 
 class TestLocalType:
@@ -282,3 +362,77 @@ class TestAdmissibility:
             for w in F.elements():
                 t = t_of(F, w, 1)
                 assert min(2, table.get(t.key, 0)) == adm_minus(tau, t)
+
+
+class TestTwinRule:
+    def test_matches_unpruned_kernel_exhaustive(self):
+        # Every function up to relabeling with n <= 5 under every marking by
+        # one predicate, and with n <= 3 by two.  Ranks run downwards, so
+        # lower ranks are read off higher ones.
+        table, oracle, pairs = TypeTable(), UnprunedValues(), []
+        for n in range(1, 6):
+            for f in functions_up_to_relabeling(n):
+                structures = list(every_marking(f, ("P",)))
+                if n <= 3:
+                    structures += every_marking(f, ("P", "Q"))
+                for F in structures:
+                    roots = [(v,) for v in F.elements()]
+                    pairs += value_pairs(table, oracle, F, roots, (3, 2, 1))
+        assert_biject(pairs)
+
+    def test_matches_unpruned_kernel_on_hubs(self):
+        table, oracle, pairs = TypeTable(), UnprunedValues(), []
+        structures = [(hub_heavy(n, seed), (1, 2, 3)) for seed in range(12) for n in (10, 16)]
+        structures += [(hub_heavy(40, seed), (1, 2)) for seed in range(4)]
+        structures += [
+            (copies_on_a_hub(seeded(6, seed, Fraction(1, 2)), 12), (1, 2))
+            for seed in range(6)
+        ]
+        structures += [(two_level_star(3, 12), (1, 2, 3)), (star(20), (1, 2, 3))]
+        for F, ranks in structures:
+            roots = [(v,) for v in F.elements()]
+            pairs += value_pairs(table, oracle, F, roots, ranks)
+        assert_biject(pairs)
+
+    def test_types_equal_matches_local_game(self):
+        # Every pointed mapping with n <= 4 up to relabeling, under every
+        # marking by one predicate: each type class is one game class.
+        points = [
+            (F, v)
+            for n in range(1, 5)
+            for f in functions_up_to_relabeling(n)
+            for F in every_marking(f, ("P",))
+            for v in F.elements()
+        ]
+        # Within one table, types_equal compares keys, so grouping by key
+        # groups by types_equal.  Points the game already tells apart at
+        # rank r - 1 stay apart at rank r, so only representatives of one
+        # rank-(r - 1) class are compared.
+        table = TypeTable()
+        for r in (0, 1, 2, 3):
+            reps = {}
+            for F, v in points:
+                t = local_type(F, v, r, table)
+                rep_t, G, w = reps.setdefault(t.key, (t, F, v))
+                assert types_equal(t, rep_t)
+                assert local_game(F, (v,), G, (w,), r)
+            by_lower = {}
+            for t, F, v in reps.values():
+                lower = project(t, r - 1).key if r else None
+                by_lower.setdefault(lower, []).append((F, v))
+            for group in by_lower.values():
+                for i, (F, v) in enumerate(group):
+                    for G, w in group[i + 1 :]:
+                        assert not local_game(F, (v,), G, (w,), r)
+
+    def test_game_positions_on_two_level_star(self):
+        # Hundreds of interchangeable leaves per node: the rank-2 game of
+        # every element visits a few positions, not one per pair of leaves.
+        F = two_level_star(2, 200)
+        table, oracle = TypeTable(), UnprunedValues()
+        type_distribution(F, 2, table)
+        positions = len(table._structure_cache(F)["nv"])
+        for v in F.elements():
+            oracle.value(F, (v,), 2)
+        assert positions <= 2000
+        assert oracle.positions(F) >= 10 * 2000

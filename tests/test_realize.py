@@ -328,20 +328,18 @@ class TestPipeline:
             "cut_length": 6,
         }
 
-    def test_certificate_computed_twice(self, monkeypatch):
-        # Once by the pipeline for its report, once by realize's
-        # preconditions.
+    def test_certificate_computed_once(self, monkeypatch):
+        # The pipeline's report and realize's preconditions share one solve.
         calls = []
-        solve = fmtp_module.restricted_fmtp_certificate
+        solve = fmtp_module._solve_certificate
 
         def counting(mu, r):
             calls.append(r)
             return solve(mu, r)
 
-        monkeypatch.setattr(fmtp_module, "restricted_fmtp_certificate", counting)
-        monkeypatch.setattr(realize_module, "restricted_fmtp_certificate", counting)
+        monkeypatch.setattr(fmtp_module, "_solve_certificate", counting)
         pipeline(seeded(10, 0), 1, 1, Fraction(1, 4))
-        assert calls == [1, 1]
+        assert calls == [1]
 
     def test_violation_raises_infeasible(self, monkeypatch):
         violation = fmtp_module.Violation("balance", "lhs 1/2 != rhs 1/3")

@@ -18,6 +18,7 @@ from mapprox.errors import (
     SignatureMismatch,
 )
 from mapprox.fmtp import check_fmtp
+from mapprox import structure as structure_module
 from mapprox.logic import apply_interpretation, recovery_interpretation
 from mapprox.structure import (
     FiniteMapping,
@@ -37,6 +38,7 @@ from mapprox.structure import (
     restrict,
     validate,
 )
+from oracles import strict_iterated_preimages
 
 
 class TestConstruction:
@@ -326,6 +328,31 @@ class TestResidualize:
             for back in (fast, oracle):
                 assert structurally_equal(back, F)
         assert pairs[0] == ("A2", "B2")
+
+    def test_preimage_counts_match_bfs_oracle(self, monkeypatch):
+        # Every mapping with n <= 5, then seeded ones: the same counts, and
+        # residualize cuts the same pairs in the same order when it reads
+        # the oracle's counts instead.
+        def bfs_counts(F):
+            return [len(e) for e in strict_iterated_preimages(F)]
+
+        cases = [
+            FiniteMapping(f=f)
+            for n in range(1, 6)
+            for f in itertools.product(range(n), repeat=n)
+        ]
+        cases += [seeded(n, seed) for n in (20, 60) for seed in range(6)]
+        cases += [path(40), star(30)]
+        epsilons = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))
+        fast = []
+        for F in cases:
+            assert structure_module._strict_preimage_counts(F) == bfs_counts(F)
+            fast.extend(residualize(F, eps) for eps in epsilons)
+        monkeypatch.setattr(structure_module, "_strict_preimage_counts", bfs_counts)
+        slow = [residualize(F, eps) for F in cases for eps in epsilons]
+        for (R1, pairs1), (R2, pairs2) in zip(fast, slow):
+            assert pairs1 == pairs2
+            assert structurally_equal(R1, R2)
 
     def test_recover_rejects_two_targets(self):
         R = FiniteMapping(
