@@ -11,17 +11,48 @@ The pseudometrics follow: dist_p^r is the total variation distance between
 the two structures' distributions of r-round game classes of p-tuples (every
 rank-r definable event is a union of classes, so the supremum over formulas
 is attained there), and ldist_p^r is the same with the local game.
+
+The class of a p-tuple is its game value together with the atom rows of its
+proper prefixes.  A value records only the atoms its last element adds over
+the earlier ones, so without the prefix rows the marks and self-loop of an
+earlier element would be lost: fixed points 0 and 1 with U = {0} and with
+U = {0, 1} would give their pairs (0, 1) one class.
+
+At p = 2, ldist splits the pairs by Gaifman distance (Gaifman 1982; Hanf
+1965).  A far pair, at distance at least r + 2, needs no game:
+
+- Every local move is adjacent to a placed element, so the placed elements
+  split into the part around a and the part around b.  After i moves on
+  a's side and j <= r - i on b's, the parts are at distance at least
+  r + 2 - i - j >= 2, so no atom links them: every move is pinned to one
+  side by its atoms.  Duplicator composes the two one-sided strategies,
+  and Spoiler may spend all r rounds on either side.  So the class of a
+  far pair (a, b) is the pair of rank-r root classes (s, t) of a and b,
+  and distinct (s, t) give distinct classes.
+- A near pair, at distance d <= r + 1, shows its link within d - 1 <= r
+  moves: Spoiler places a shortest path from a to b, whose atoms no far
+  pair can mirror.  So no near pair shares a class with a far one.
+
+ldist therefore takes each element's root value, plays the pair game only
+for b in the radius-(r+1) ball of a (a itself included), and counts the far
+pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
+those roots.  Its budget at p = 2 counts the work it does: n plus the ball
+sizes, summed as the balls are built, and BudgetExceeded is raised as soon
+as the sum passes the budget, before any game is played.  At p = 1 and
+p >= 3, and in dist_p^r, whose unrestricted moves reach past any ball,
+every p-tuple is enumerated and the budget bounds n^p.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetExceeded, SignatureMismatch
 from .localtypes import TypeTable, atom_row, global_table
-from .structure import FiniteMapping
+from .structure import FiniteMapping, ball
 
 GAME_BUDGET = 1_000_000
 
@@ -81,18 +112,63 @@ def ef_equivalent(
     return values.value(A, (), r) == values.value(B, (), r)
 
 
-def _histogram(values_of) -> dict[int, Fraction]:
-    hist: dict[int, Fraction] = {}
-    total = 0
-    for v in values_of:
-        hist[v] = hist.get(v, 0) + 1
-        total += 1
-    return {v: Fraction(c, total) for v, c in hist.items()}
+def _tuple_classes(F: FiniteMapping, p: int, value) -> Counter:
+    """Counts of the classes of all p-tuples of F, each keyed by the atom
+    rows of its proper prefixes and its game value `value(tup)`."""
+    f, marks = F.f, F.mark_sets
+    return Counter(
+        (tuple(atom_row(f, marks, tup[:i]) for i in range(1, p)), value(tup))
+        for tup in itertools.product(F.elements(), repeat=p)
+    )
 
 
-def _tv(a: dict[int, Fraction], b: dict[int, Fraction]) -> Fraction:
-    keys = set(a) | set(b)
-    return sum((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), Fraction(0)) / 2
+def _near_balls(F: FiniteMapping, radius: int, budget: int) -> list[frozenset[int]]:
+    """Every element's ball of the given radius, raising BudgetExceeded as
+    soon as n plus the ball sizes so far passes `budget`."""
+    spent = F.n
+    if spent > budget:
+        raise BudgetExceeded(budget, spent)
+    balls = []
+    for a in F.elements():
+        near = ball(F, a, radius)
+        spent += len(near)
+        if spent > budget:
+            raise BudgetExceeded(budget, spent)
+        balls.append(near)
+    return balls
+
+
+def _pair_classes(
+    F: FiniteMapping, r: int, table: TypeTable, balls: list[frozenset[int]]
+) -> Counter:
+    """Counts of the rank-r local classes of all ordered pairs of F: near
+    pairs (b in the radius-(r+1) ball of a) play their game, far pairs are
+    counted from the roots' classes."""
+    f, marks = F.f, F.mark_sets
+    roots = [table.nv_value(F, (a,), r) for a in F.elements()]
+    counts: Counter = Counter()
+    near_roots: Counter = Counter()
+    for a, near in enumerate(balls):
+        row, s = atom_row(f, marks, (a,)), roots[a]
+        for b in near:
+            counts["near", row, table.nv_value(F, (a, b), r)] += 1
+            near_roots[s, roots[b]] += 1
+    root_counts = Counter(roots)
+    for s, count_s in root_counts.items():
+        for t, count_t in root_counts.items():
+            far = count_s * count_t - near_roots[s, t]
+            if far:
+                counts["far", s, t] = far
+    return counts
+
+
+def _tv(a: dict, total_a: int, b: dict, total_b: int) -> Fraction:
+    """TV distance between the class counts a (out of total_a tuples) and
+    b (out of total_b)."""
+    gap = sum(
+        abs(a.get(k, 0) * total_b - b.get(k, 0) * total_a) for k in a.keys() | b.keys()
+    )
+    return Fraction(gap, 2 * total_a * total_b)
 
 
 def ldist(
@@ -110,17 +186,17 @@ def ldist(
     if p < 1:
         raise ValueError("ldist needs p >= 1")
     table = table or global_table()
-    if A.n**p > budget or B.n**p > budget:
-        raise BudgetExceeded(budget, max(A.n, B.n) ** p)
-    hists = []
-    for F in (A, B):
-        hists.append(
-            _histogram(
-                table.nv_value(F, tup, r)
-                for tup in itertools.product(F.elements(), repeat=p)
-            )
-        )
-    return _tv(hists[0], hists[1])
+    if p == 2:
+        balls = [_near_balls(F, r + 1, budget) for F in (A, B)]
+        counts = [_pair_classes(F, r, table, near) for F, near in zip((A, B), balls)]
+    else:
+        if A.n**p > budget or B.n**p > budget:
+            raise BudgetExceeded(budget, max(A.n, B.n) ** p)
+        counts = [
+            _tuple_classes(F, p, lambda tup, F=F: table.nv_value(F, tup, r))
+            for F in (A, B)
+        ]
+    return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 
 def fo_dist(
@@ -135,15 +211,11 @@ def fo_dist(
         return Fraction(1 if separated else 0)
     if A.n**p > budget or B.n**p > budget:
         raise BudgetExceeded(budget, max(A.n, B.n) ** p)
-    hists = []
-    for F in (A, B):
-        hists.append(
-            _histogram(
-                values.value(F, tup, r)
-                for tup in itertools.product(F.elements(), repeat=p)
-            )
-        )
-    tv = _tv(hists[0], hists[1])
+    counts = [
+        _tuple_classes(F, p, lambda tup, F=F: values.value(F, tup, r))
+        for F in (A, B)
+    ]
+    tv = _tv(counts[0], A.n**p, counts[1], B.n**p)
     return max(tv, Fraction(1)) if separated else tv
 
 

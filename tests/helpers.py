@@ -1,5 +1,6 @@
 """Builders shared across the test suite."""
 
+import itertools
 from fractions import Fraction
 
 from mapprox.randgen import random_mapping
@@ -12,6 +13,8 @@ __all__ = [
     "fixed_point",
     "seeded",
     "structurally_equal",
+    "functions_up_to_relabeling",
+    "every_marking",
 ]
 
 
@@ -42,3 +45,30 @@ def seeded(n: int, seed: int, density=Fraction(1, 4)) -> FiniteMapping:
 def structurally_equal(A: FiniteMapping, B: FiniteMapping) -> bool:
     """Identical f, marks, and signature (mapping equality is identity)."""
     return A.f == B.f and A.marks == B.marks and A.signature == B.signature
+
+
+def functions_up_to_relabeling(n):
+    """One function on 0..n-1 from each isomorphism class."""
+    seen = set()
+    perms = list(itertools.permutations(range(n)))
+    for f in itertools.product(range(n), repeat=n):
+        if f not in seen:
+            for perm in perms:
+                g = [0] * n
+                for v in range(n):
+                    g[perm[v]] = perm[f[v]]
+                seen.add(tuple(g))
+            yield f
+
+
+def every_marking(f, names):
+    """f with every assignment of the named predicates to its elements."""
+    n = len(f)
+    for bits in itertools.product(range(2 ** len(names)), repeat=n):
+        yield FiniteMapping(
+            f=f,
+            marks={
+                name: frozenset(v for v in range(n) if bits[v] >> i & 1)
+                for i, name in enumerate(names)
+            },
+        )

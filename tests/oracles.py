@@ -14,7 +14,9 @@ from mapprox.structure import FiniteMapping
 __all__ = [
     "local_game",
     "global_game",
+    "global_tuple_game",
     "brute_ldist",
+    "brute_fo_dist",
     "proximity",
     "tuple_histograms",
     "tv",
@@ -81,7 +83,13 @@ def local_game(F1, t1, F2, t2, k) -> bool:
 
 def global_game(A: FiniteMapping, B: FiniteMapping, r: int) -> bool:
     """Duplicator wins the r-round unrestricted game from empty boards."""
-    return _game(A, (), B, (), r, lambda F, tup: set(range(F.n)), {})
+    return global_tuple_game(A, (), B, (), r)
+
+
+def global_tuple_game(F1, t1, F2, t2, k) -> bool:
+    """Duplicator wins the k-round unrestricted game from the placed tuples:
+    every move may pick any element of the domain."""
+    return _game(F1, tuple(t1), F2, tuple(t2), k, lambda F, tup: set(range(F.n)), {})
 
 
 def tv(a: dict, b: dict) -> Fraction:
@@ -93,31 +101,40 @@ def tv(a: dict, b: dict) -> Fraction:
     return gap / 2
 
 
-def tuple_histograms(A, B, p, r):
-    """Class histograms of all p-tuples of each structure under the local
-    game, classes shared across both structures."""
+def tuple_histograms(structures, p, r, game=local_game) -> list:
+    """Class histograms of all p-tuples of each structure under `game`
+    (the local game by default), classes shared across all the structures."""
     reps: list = []
 
     def class_of(F, tup) -> int:
         for index, (G, rep) in enumerate(reps):
-            if local_game(F, tup, G, rep, r):
+            if game(F, tup, G, rep, r):
                 return index
         reps.append((F, tup))
         return len(reps) - 1
 
     histograms = []
-    for F in (A, B):
+    for F in structures:
         counts: dict[int, int] = {}
         for tup in product(range(F.n), repeat=p):
             c = class_of(F, tup)
             counts[c] = counts.get(c, 0) + 1
         total = F.n**p
         histograms.append({c: Fraction(v, total) for c, v in counts.items()})
-    return histograms[0], histograms[1]
+    return histograms
 
 
 def brute_ldist(A, B, p, r) -> Fraction:
-    ha, hb = tuple_histograms(A, B, p, r)
+    ha, hb = tuple_histograms((A, B), p, r)
+    return tv(ha, hb)
+
+
+def brute_fo_dist(A, B, p, r) -> Fraction:
+    """1 when a sentence of rank <= r separates A from B; otherwise the TV
+    distance between the global-game class histograms of p-tuples."""
+    if not global_game(A, B, r):
+        return Fraction(1)
+    ha, hb = tuple_histograms((A, B), p, r, global_tuple_game)
     return tv(ha, hb)
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, structurally_equal
+from helpers import cycle, star, structurally_equal
 from mapprox.cli import main
 from mapprox.mapfile import dump_map, parse_map, read_map, write_map
 from mapprox.randgen import random_mapping
+from mapprox.structure import FiniteMapping
 
 
 @pytest.fixture
@@ -64,6 +65,19 @@ class TestDistances:
         )
         assert code == 0
         assert json.loads(out)["distance"] == "0/1"
+
+    @pytest.mark.parametrize("kind", ["local", "fo"])
+    def test_dist_pairs_see_earlier_marks(self, capsys, tmp_path, kind):
+        # Fixed points 0 and 1 with U = {0}, against U = {0, 1}.
+        paths = []
+        for name, marked in (("a", {0}), ("b", {0, 1})):
+            paths.append(str(tmp_path / f"{name}.map"))
+            write_map(FiniteMapping(f=(0, 1), marks={"U": frozenset(marked)}), paths[-1])
+        code, out, _ = run(
+            capsys, ["dist", *paths, "--p", "2", "--r", "0", "--kind", kind]
+        )
+        assert code == 0
+        assert json.loads(out)["distance"] == "3/4"
 
     def test_ef(self, capsys, c3):
         code, out, _ = run(capsys, ["ef", c3, c3, "--r", "3"])
@@ -284,6 +298,16 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])
         assert code == 1
         assert "at least 2" in err
+
+    def test_dist_over_budget(self, capsys, tmp_path):
+        # Every radius-2 ball of a 1,200-leaf star holds the whole star.
+        big = tmp_path / "star.map"
+        write_map(star(1200), big)
+        code, out, err = run(capsys, ["dist", str(big), str(big), "--p", "2", "--r", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: work budget 1000000 exceeded (needed >= ")
+        assert "Traceback" not in err
 
     def test_usage_error(self, capsys, c3):
         with pytest.raises(SystemExit) as caught:

@@ -1,11 +1,20 @@
 """Global game equivalence and the local/FO pseudometrics."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, seeded, star
+from helpers import (
+    cycle,
+    every_marking,
+    fixed_point,
+    functions_up_to_relabeling,
+    seeded,
+    star,
+)
 from mapprox.equivalence import (
     dist_fo_truncated,
     ef_equivalent,
@@ -13,8 +22,9 @@ from mapprox.equivalence import (
     ldist,
 )
 from mapprox.errors import BudgetExceeded, SignatureMismatch
+from mapprox.localtypes import TypeTable
 from mapprox.structure import FiniteMapping
-from oracles import brute_ldist, global_game
+from oracles import brute_fo_dist, brute_ldist, global_game, tuple_histograms, tv
 
 
 def relabel(F: FiniteMapping, perm) -> FiniteMapping:
@@ -25,6 +35,18 @@ def relabel(F: FiniteMapping, perm) -> FiniteMapping:
         name: frozenset(perm[v] for v in ext) for name, ext in F.marks.items()
     }
     return FiniteMapping(f=tuple(f), marks=marks)
+
+
+def marked_fixed_points(marked):
+    """Two fixed points 0 and 1, with U on the elements in `marked`."""
+    return FiniteMapping(f=(0, 1), marks={"U": frozenset(marked)})
+
+
+def pair_games(table, F, r):
+    """How many pair games ldist played in F at rank r: the table's memo
+    entries for 2-tuples with r rounds left.  A root game reaches 2-tuples
+    only with fewer rounds left."""
+    return sum(1 for tup, k in table._caches[F]["nv"] if len(tup) == 2 and k == r)
 
 
 class TestEfEquivalent:
@@ -87,6 +109,65 @@ class TestLdist:
         with pytest.raises(BudgetExceeded):
             ldist(seeded(40, 0), seeded(40, 1), 3, 1, budget=1000)
 
+    def test_earlier_element_marks_count(self):
+        # The pairs (0, 1) differ only in the mark of their first element:
+        # 3 of 4 pairs of A have a class that B has none of.
+        A, B = marked_fixed_points({0}), marked_fixed_points({0, 1})
+        assert ldist(A, B, 2, 0) == Fraction(3, 4)
+        assert fo_dist(A, B, 2, 0) == Fraction(3, 4)
+
+    def test_pairs_match_oracle_exhaustive(self):
+        # Every pair of mappings with n <= 3 up to relabeling, under every
+        # marking by one predicate.  Game equivalence is an equivalence
+        # relation, so classes pooled over all the structures give
+        # brute_ldist's histograms for every pair of them.
+        structures = [
+            F
+            for n in (1, 2, 3)
+            for f in functions_up_to_relabeling(n)
+            for F in every_marking(f, ("U",))
+        ]
+        table = TypeTable()
+        for r in (0, 1, 2):
+            hists = tuple_histograms(structures, 2, r)
+            for i, j in itertools.combinations_with_replacement(range(len(structures)), 2):
+                expected = tv(hists[i], hists[j])
+                assert ldist(structures[i], structures[j], 2, r, table) == expected, (i, j, r)
+
+    @pytest.mark.parametrize("p, sizes, ranks", [(2, (2, 7), (0, 1, 2)), (3, (2, 5), (0, 1))])
+    def test_tuples_match_oracle_seeded(self, p, sizes, ranks):
+        rng = random.Random(60 + p)
+        for trial in range(40):
+            A = seeded(rng.randrange(*sizes), trial, Fraction(1, 2))
+            B = seeded(rng.randrange(*sizes), 300 + trial, Fraction(1, 2))
+            for r in ranks:
+                assert ldist(A, B, p, r) == brute_ldist(A, B, p, r), (trial, r)
+
+    def test_plays_only_near_pair_games(self):
+        # A count guard: at r = 1 a pair game is played only for b in the
+        # radius-2 ball of a, about 2% of the n^2 ordered pairs here.
+        A, B = seeded(300, 0, Fraction(1, 2)), seeded(300, 1, Fraction(1, 2))
+        table = TypeTable()
+        ldist(A, B, 2, 1, table)
+        for F in (A, B):
+            assert 0 < pair_games(table, F, 1) <= F.n**2 // 25
+
+    def test_pair_budget_counts_ball_sizes(self):
+        # Every radius-2 ball of a star holds all of it, so the ball sizes
+        # pass the budget after about a third of the leaves, before any
+        # game is played.
+        table = TypeTable()
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as caught:
+            ldist(star(3000), star(2999), 2, 1, table)
+        assert time.perf_counter() - started < 10
+        assert 1_000_000 < caught.value.needed < 1_010_000
+        assert all(not cache["nv"] for cache in table._caches.values())
+
+    def test_large_pair_within_default_budget(self):
+        A, B = seeded(2000, 0), seeded(2000, 1)
+        assert 0 < ldist(A, B, 2, 1) < 1
+
     def test_matches_formula_supremum(self):
         rng = random.Random(33)
         for trial in range(15):
@@ -116,6 +197,14 @@ class TestFoDist:
             B = seeded(rng.randrange(3, 7), 99 + trial, Fraction(1, 2))
             for p, r in ((1, 1), (2, 1)):
                 assert fo_dist(A, B, p, r) >= ldist(A, B, p, r)
+
+    def test_matches_global_tuple_game_oracle(self):
+        rng = random.Random(41)
+        for trial in range(40):
+            A = seeded(rng.randrange(2, 5), trial, Fraction(1, 2))
+            B = seeded(rng.randrange(2, 5), 500 + trial, Fraction(1, 2))
+            for r in (0, 1):
+                assert fo_dist(A, B, 2, r) == brute_fo_dist(A, B, 2, r), (trial, r)
 
 
 class TestTruncatedSeries:

@@ -1,13 +1,19 @@
 """Local types, projections, transport, admissibility, type measures."""
 
-import itertools
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, seeded, star
+from helpers import (
+    cycle,
+    every_marking,
+    fixed_point,
+    functions_up_to_relabeling,
+    seeded,
+    star,
+)
 from mapprox.errors import (
     MeasureError,
     RankIncrease,
@@ -37,33 +43,6 @@ TABLE = TypeTable()
 
 def t_of(F, v, r):
     return local_type(F, v, r, TABLE)
-
-
-def functions_up_to_relabeling(n):
-    """One function on 0..n-1 from each isomorphism class."""
-    seen = set()
-    perms = list(itertools.permutations(range(n)))
-    for f in itertools.product(range(n), repeat=n):
-        if f not in seen:
-            for perm in perms:
-                g = [0] * n
-                for v in range(n):
-                    g[perm[v]] = perm[f[v]]
-                seen.add(tuple(g))
-            yield f
-
-
-def every_marking(f, names):
-    """f with every assignment of the named predicates to its elements."""
-    n = len(f)
-    for bits in itertools.product(range(2 ** len(names)), repeat=n):
-        yield FiniteMapping(
-            f=f,
-            marks={
-                name: frozenset(v for v in range(n) if bits[v] >> i & 1)
-                for i, name in enumerate(names)
-            },
-        )
 
 
 def hub_heavy(n, seed):
