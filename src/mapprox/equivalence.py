@@ -40,7 +40,9 @@ those roots.  Its budget at p = 2 counts the work it does: n plus the ball
 sizes, summed as the balls are built, and BudgetExceeded is raised as soon
 as the sum passes the budget, before any game is played.  At p = 1 and
 p >= 3, and in dist_p^r, whose unrestricted moves reach past any ball,
-every p-tuple is enumerated and the budget bounds n^p.
+every p-tuple is enumerated and the budget bounds n^p.  dist_p^r is 1 when
+a sentence of rank r separates the structures, and then no tuple is
+enumerated.
 """
 
 from __future__ import annotations
@@ -202,21 +204,24 @@ def ldist(
 def fo_dist(
     A: FiniteMapping, B: FiniteMapping, p: int, r: int, budget: int = GAME_BUDGET
 ) -> Fraction:
-    """sup over p-variable formulas of quantifier rank <= r of the pairing gap."""
+    """sup over p-variable formulas of quantifier rank <= r of the pairing gap.
+
+    1 as soon as a sentence of rank <= r separates A from B; the p-tuples
+    are enumerated, and n^p counted against the budget, only otherwise."""
     if not A.same_signature(B):
         raise SignatureMismatch("structures must share a signature")
     values = _GlobalValues(budget)
-    separated = values.value(A, (), r) != values.value(B, (), r)
+    if values.value(A, (), r) != values.value(B, (), r):
+        return Fraction(1)
     if p == 0:
-        return Fraction(1 if separated else 0)
+        return Fraction(0)
     if A.n**p > budget or B.n**p > budget:
         raise BudgetExceeded(budget, max(A.n, B.n) ** p)
     counts = [
         _tuple_classes(F, p, lambda tup, F=F: values.value(F, tup, r))
         for F in (A, B)
     ]
-    tv = _tv(counts[0], A.n**p, counts[1], B.n**p)
-    return max(tv, Fraction(1)) if separated else tv
+    return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 
 def dist_fo_truncated(

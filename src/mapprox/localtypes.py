@@ -30,12 +30,29 @@ interned per structure.  A game from a p-tuple with p >= 2 may start
 disconnected, with a placed element inside some T(y), so it explores every
 fresh neighbor.
 
+Layers of a cut product are played once.  structure.cycle_cut_product
+numbers (x, i) as x*m + i, marks it U_i, and registers m with the table
+that types it.  Shifting every element by s layers, (x, i) -> (x, i + s mod
+m), commutes with f and keeps every input and type mark; it changes only
+U_j into U_{j+s mod m}.  So it is an isomorphism from the product onto the
+product with its layer marks renamed, and the game from (x, s) is the game
+from (x, 0) with every placed element shifted.  Interned values are
+structural (rank, atom row, set of kid values), and shifting keeps every
+atom but the layer marks, so the value of (x, s) is the value of (x, 0)
+with U_j renamed U_{j+s mod m} in every row, kids included.  The table
+therefore plays root games of registered products in layer 0 only and
+relabels their values for the other layers, memoized per (value, shift);
+relabelling yields the value playing would, so canonical ids come out the
+same.  Tuples of two or more elements, and structures nobody registered
+with this table, are played as before.
+
 The TypeTable assigns session-stable canonical ids on first sight and caches
 everything per structure; it is shared process-wide by default.
 """
 
 from __future__ import annotations
 
+import gc
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,6 +98,29 @@ class _PerElement(dict):
         return value
 
 
+class _InTreeCodes(dict):
+    """(y, d) -> the code of y's in-tree cut off at depth d, for y off every
+    cycle: its marks and its children's codes at depth d - 1, interned per
+    structure.  A dict subclass rather than a closure over itself, so the
+    codes are freed by reference counting alone."""
+
+    __slots__ = ("_pre", "_marks", "_interned")
+
+    def __init__(self, pre, marks):
+        super().__init__()
+        self._pre, self._marks = pre, marks
+        self._interned: dict[tuple, int] = {}
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        y, d = key
+        children = tuple(sorted(self[c, d - 1] for c in self._pre[y])) if d else ()
+        interned = self._interned
+        value = self[key] = interned.setdefault(
+            (self._marks[y], children), len(interned)
+        )
+        return value
+
+
 class _OnCycle(dict):
     """element -> whether it lies on a cycle of f, settled on first lookup
     by walking forward to an element already settled or to a repeat.  Every
@@ -119,6 +159,8 @@ class TypeTable:
             weakref.WeakKeyDictionary()
         )
         self._adm_tables: dict[tuple[int, int], dict] = {}
+        # (shift, layers) -> (layer renaming, renamed rows, shifted values).
+        self._shifts: dict[tuple[int, int], tuple[dict, dict, dict]] = {}
 
     # -- interning ---------------------------------------------------------
 
@@ -151,14 +193,7 @@ class TypeTable:
             # cache would keep its own weak key alive.
             f, pre, marks = F.f, F.pre, F.mark_sets
             on_cycle = _OnCycle(f)
-            interned: dict[tuple, int] = {}
-
-            def build_code(key: tuple[int, int]) -> int:
-                # The in-tree of an element off every cycle, cut off at
-                # depth d: its marks and its children's codes at depth d - 1.
-                y, d = key
-                children = tuple(sorted(code[c, d - 1] for c in pre[y])) if d else ()
-                return interned.setdefault((marks[y], children), len(interned))
+            code = _InTreeCodes(pre, marks)
 
             # Every neighbor of x (x too if it is a fixed point), with no
             # twin classes.
@@ -188,7 +223,6 @@ class TypeTable:
                 singles = frozenset(y for y in pre[x] if y not in paired) | {f[x]}
                 return singles, tuple(twins)
 
-            code = _PerElement(build_code)
             cache = {
                 "marks": marks,
                 "plain": plain,
@@ -199,9 +233,18 @@ class TypeTable:
                 ),
                 "nv": {},
                 "roots": {},
+                # m when F is a cut product with m layers (register_layers).
+                "layers": None,
             }
             self._caches[F] = cache
         return cache
+
+    def register_layers(self, F: FiniteMapping, m: int) -> None:
+        """Declare F a cut product with m layers: element x*m + i carries
+        U_i, and shifting every element by s layers while renaming U_j to
+        U_{j+s mod m} maps F onto itself.  Root games are then played in
+        layer 0 only (module docstring)."""
+        self._structure_cache(F)["layers"] = m
 
     # -- game values ---------------------------------------------------------
 
@@ -212,10 +255,44 @@ class TypeTable:
         # A root's value at a lower rank is read off its highest-rank value
         # already solved; only roots are recorded, to keep the table small.
         roots = cache["roots"]
-        best = roots.get(tup[0])
+        v = tup[0]
+        best = roots.get(v)
         if best is not None and self.rank_of(best) >= k:
             return self.lower_to(best, k)
-        value = roots[tup[0]] = self._nv(F.f, cache, tup, k, True)
+        m = cache["layers"]
+        if m and v % m:
+            layer = v % m
+            value = self._shifted(self.nv_value(F, (v - layer,), k), layer, m)
+        else:
+            value = self._nv(F.f, cache, tup, k, True)
+        roots[v] = value
+        return value
+
+    def _shifted(self, nv: int, s: int, m: int) -> int:
+        """nv with U_j renamed U_{j+s mod m} in every row, kids included:
+        in an m-layer product, the value of the same tuple shifted by s
+        layers.  Memoized per (value, s, m), renamed rows per (row, s, m)."""
+        state = self._shifts.get((s, m))
+        if state is None:
+            rename = {f"U{j}": f"U{(j + s) % m}" for j in range(m)}
+            state = self._shifts[s, m] = (rename, {}, {})
+        return self._shift(nv, *state)
+
+    def _shift(self, nv: int, rename: dict, rows: dict, memo: dict) -> int:
+        found = memo.get(nv)
+        if found is not None:
+            return found
+        rank, row, kids = self._meta[nv]
+        moved = rows.get(row)
+        if moved is None:
+            marks = frozenset(rename.get(name, name) for name in row[0])
+            moved = rows[row] = (marks,) + row[1:]
+        if kids is not None:
+            for c in kids:
+                if c not in memo:
+                    self._shift(c, rename, rows, memo)
+            kids = frozenset(map(memo.__getitem__, kids))
+        value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
     def _nv(
@@ -528,15 +605,26 @@ def _weighted_distribution(
 ) -> TypeMeasure:
     """type_distribution from (element, weight) pairs whose weights sum to
     F.n, each pair standing for `weight` elements of the element's type.
-    Canonical ids are assigned in order of first appearance."""
+    Canonical ids are assigned in order of first appearance.
+
+    The cyclic garbage collector is paused while the games are played:
+    they allocate millions of memo tuples and frozensets that stay alive,
+    which every collection would rescan in vain.  The kernel's caches hold
+    no reference cycles, so reference counting frees them as before."""
     groups: dict[int, list[int]] = {}
-    for v, weight in weighted:
-        nv = table.nv_value(F, (v,), r)
-        group = groups.get(nv)
-        if group is None:
-            groups[nv] = [v, weight]
-        else:
-            group[1] += weight
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for v, weight in weighted:
+            nv = table.nv_value(F, (v,), r)
+            group = groups.get(nv)
+            if group is None:
+                groups[nv] = [v, weight]
+            else:
+                group[1] += weight
+    finally:
+        if collecting:
+            gc.enable()
     pairs = []
     for nv, (v, count) in groups.items():
         t = LocalType(r, F, v, nv, table.canonical_id(nv), table)

@@ -531,6 +531,13 @@ def cycle_cut_product(
 
     Every cycle of the output has length a multiple of m (hence >= m), and no
     output cycle is shorter than m.
+
+    The output is registered with the type table (`table`, or the global
+    one) as an m-layer product: shifting every layer by s, with U_j renamed
+    U_{j+s mod m}, maps it onto itself, so that table plays its root games
+    in layer 0 only and relabels the values for the other layers.  The
+    symmetry holds by construction, since an input predicate named like a
+    layer mark is rejected.
     """
     from . import localtypes
 
@@ -582,8 +589,10 @@ def cycle_cut_product(
         + tuple(f"U{i}" for i in range(m))
         + tuple(t_names)
     )
-    return FiniteMapping(
+    product = FiniteMapping(
         f=f,
         marks={k: frozenset(v) for k, v in marks.items()},
         signature=signature,
     )
+    (table or localtypes.global_table()).register_layers(product, m)
+    return product

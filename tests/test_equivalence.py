@@ -182,6 +182,14 @@ class TestFoDist:
         F = FiniteMapping(f=(1, 2, 0))
         assert fo_dist(F, FiniteMapping(f=(0,)), 0, 1) == 1
 
+    def test_separated_skips_tuples(self):
+        # Separated at rank 1 (a fixed point against none): the distance is
+        # 1 without enumerating the 20^3 triples, which the budget forbids.
+        A, B = cycle(20), FiniteMapping(f=(0,) * 20)
+        assert fo_dist(A, B, 3, 1, budget=1000) == 1
+        with pytest.raises(BudgetExceeded):
+            fo_dist(A, cycle(20), 3, 1, budget=1000)
+
     def test_zero_rank_zero_vars(self):
         assert fo_dist(cycle(3), cycle(4), 0, 0) == 0
 

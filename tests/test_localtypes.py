@@ -1,5 +1,6 @@
 """Local types, projections, transport, admissibility, type measures."""
 
+import gc
 import random
 import weakref
 from fractions import Fraction
@@ -24,6 +25,7 @@ from mapprox.errors import (
 from mapprox.localtypes import (
     TypeMeasure,
     TypeTable,
+    _weighted_distribution,
     adm_minus,
     adm_minus_table,
     adm_plus,
@@ -35,7 +37,7 @@ from mapprox.localtypes import (
     types_equal,
 )
 from mapprox.logic import evaluate
-from mapprox.structure import FiniteMapping, disjoint_union
+from mapprox.structure import FiniteMapping, cycle_cut_product, disjoint_union
 from oracles import UnprunedValues, local_game, random_clean_formula
 
 TABLE = TypeTable()
@@ -415,3 +417,83 @@ class TestTwinRule:
             oracle.value(F, (v,), 2)
         assert positions <= 2000
         assert oracle.positions(F) >= 10 * 2000
+
+
+def unregistered(P):
+    """A copy of P that no table knows as a cut product: the direct kernel
+    plays every one of its layers."""
+    return FiniteMapping(f=P.f, marks=P.marks, signature=P.signature)
+
+
+def assert_layers_match_direct_kernel(F, m, type_rank, ranks):
+    """Root values of the registered product equal the direct kernel's on
+    an unregistered copy, typed in the same table, for every element at
+    every rank, ranks in the given order."""
+    table = TypeTable()
+    P = cycle_cut_product(F, m, type_rank, table)
+    Q = unregistered(P)
+    for r in ranks:
+        for v in P.elements():
+            assert table.nv_value(P, (v,), r) == table.nv_value(Q, (v,), r), (m, r, v)
+
+
+class TestLayerShift:
+    def test_matches_direct_kernel_exhaustive(self):
+        # Every function up to relabeling with n <= 3 under every marking by
+        # one predicate.  Rank 1 is played first, rank 3 above it, and
+        # ranks 0 and 2 are read off rank 3.
+        for n in (1, 2, 3):
+            for f in functions_up_to_relabeling(n):
+                for F in every_marking(f, ("P",)):
+                    for m in (2, 3, 6):
+                        assert_layers_match_direct_kernel(F, m, 1, (1, 3, 0, 2))
+
+    def test_matches_direct_kernel_seeded_at_sixty_layers(self):
+        # The rank-2 pipeline's cut: m = 60, clean rank 5.  The input
+        # predicate U is not a layer mark and must keep its name.
+        for trial, (n, rank) in enumerate([(3, 5), (4, 5), (5, 5), (7, 3), (8, 3)]):
+            F = seeded(n, 700 + trial, Fraction(1, 2))
+            assert_layers_match_direct_kernel(F, 60, rank, (rank,))
+
+    def test_unregistered_table_gives_same_canonical_ids(self):
+        # A table the product was not registered with plays every layer;
+        # given the same history, it assigns the same canonical ids.
+        F = seeded(9, 3, Fraction(1, 2))
+        home, other = TypeTable(), TypeTable()
+        P = cycle_cut_product(F, 6, 3, home)
+        for v in F.elements():
+            local_type(F, v, 3, other)
+        ids = [
+            [local_type(P, v, 3, table).canonical_id for v in P.elements()]
+            for table in (home, other)
+        ]
+        assert ids[0] == ids[1]
+        assert other._structure_cache(P)["layers"] is None
+        assert any(tup[0] % 6 for tup, _ in other._structure_cache(P)["nv"])
+
+    def test_plays_root_games_in_layer_zero_only(self):
+        # A count guard: every position the kernel memoizes for a
+        # registered product starts in layer 0.
+        table = TypeTable()
+        m = 6
+        P = cycle_cut_product(seeded(12, 5), m, 3, table)
+        type_distribution(P, 3, table)
+        memo = table._structure_cache(P)["nv"]
+        assert memo
+        assert all(tup[0] % m == 0 for tup, _ in memo)
+
+
+class TestHistogramCollector:
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_state_restored_after_error(self, collecting):
+        F = seeded(10, 1)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with pytest.raises(IndexError):
+                _weighted_distribution(F, 2, TypeTable(), [(0, 1), (F.n + 3, 1)])
+            assert gc.isenabled() is collecting
+            type_distribution(F, 2, TypeTable())
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
