@@ -1,11 +1,9 @@
 """Global r-equivalence and the convergence pseudometrics.
 
 Two structures are r-equivalent when the second player wins the r-round
-back-and-forth game with unrestricted moves.  As with local types, the game
-is decided by interning values: the value of a placed tuple is the atom row
-of its last element plus the set of values of all one-element extensions,
-here ranging over the whole domain.  Values of tuples from both structures
-are interned in one shared registry, so equal values mean mutual mirroring.
+back-and-forth game with unrestricted moves.  Its values come from the type
+kernel's engine under the whole-domain move rule (localtypes), played in a
+fresh TypeTable per call, so nothing is kept once the call returns.
 
 The pseudometrics follow: dist_p^r is the total variation distance between
 the two structures' distributions of r-round game classes of p-tuples (every
@@ -36,13 +34,14 @@ At p = 2, ldist splits the pairs by Gaifman distance (Gaifman 1982; Hanf
 ldist therefore takes each element's root value, plays the pair game only
 for b in the radius-(r+1) ball of a (a itself included), and counts the far
 pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
-those roots.  Its budget at p = 2 counts the work it does: n plus the ball
-sizes, summed as the balls are built, and BudgetExceeded is raised as soon
-as the sum passes the budget, before any game is played.  At p = 1 and
-p >= 3, and in dist_p^r, whose unrestricted moves reach past any ball,
-every p-tuple is enumerated and the budget bounds n^p.  dist_p^r is 1 when
-a sentence of rank r separates the structures, and then no tuple is
-enumerated.
+those roots.  Before any game is played, ldist at p = 2 checks n plus the
+ball sizes of each structure against the budget, summed as the balls are
+built.  At p = 1 and p >= 3, and in dist_p^r, whose unrestricted moves reach
+past any ball, every p-tuple is enumerated and the budget bounds n^p.
+dist_p^r is 1 when a sentence of rank r separates the structures, and then
+no tuple is enumerated.  Either distance also spends every game position it
+plays (a miss of the engine's memo) on one meter per call, and raises
+BudgetExceeded once the positions pass the budget.
 """
 
 from __future__ import annotations
@@ -50,110 +49,68 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .errors import BudgetExceeded, SignatureMismatch
-from .localtypes import TypeTable, atom_row, global_table
+from .localtypes import Meter, TypeTable, atom_row, global_table
 from .structure import FiniteMapping, ball
 
 GAME_BUDGET = 1_000_000
-
-
-class _GlobalValues:
-    """Interned r-round game values with unrestricted extension moves."""
-
-    def __init__(self, budget: int = GAME_BUDGET):
-        self.budget = budget
-        self.ops = 0
-        self._intern: dict[tuple, int] = {}
-        self._memo: dict[tuple, int] = {}
-
-    def _spend(self, amount: int = 1) -> None:
-        self.ops += amount
-        if self.ops > self.budget:
-            raise BudgetExceeded(self.budget, self.ops)
-
-    def _intern_value(self, key: tuple) -> int:
-        found = self._intern.get(key)
-        if found is None:
-            found = len(self._intern)
-            self._intern[key] = found
-        return found
-
-    def value(self, F: FiniteMapping, tup: tuple[int, ...], k: int) -> int:
-        return self._value(F, F.mark_sets, tup, k)
-
-    def _value(self, F, marks, tup, k) -> int:
-        key = (id(F), tup, k)
-        found = self._memo.get(key)
-        if found is not None:
-            return found
-        self._spend()
-        row = atom_row(F.f, marks, tup)
-        if k == 0:
-            value = self._intern_value((0, row, None))
-        else:
-            placed = set(tup)
-            kids = frozenset(
-                self._value(F, marks, tup + (x,), k - 1)
-                for x in F.elements()
-                if x not in placed
-            )
-            value = self._intern_value((k, row, kids))
-        self._memo[key] = value
-        return value
 
 
 def ef_equivalent(
     A: FiniteMapping, B: FiniteMapping, r: int, budget: int = GAME_BUDGET
 ) -> bool:
     """Whether no sentence of quantifier rank <= r separates A from B."""
-    if not A.same_signature(B):
-        raise SignatureMismatch("structures must share a signature")
-    values = _GlobalValues(budget)
-    return values.value(A, (), r) == values.value(B, (), r)
+    return fo_dist(A, B, 0, r, budget) == 0
 
 
-def _tuple_classes(F: FiniteMapping, p: int, value) -> Counter:
-    """Counts of the classes of all p-tuples of F, each keyed by the atom
-    rows of its proper prefixes and its game value `value(tup)`."""
-    f, marks = F.f, F.mark_sets
-    return Counter(
-        (tuple(atom_row(f, marks, tup[:i]) for i in range(1, p)), value(tup))
-        for tup in itertools.product(F.elements(), repeat=p)
-    )
+def _tuple_classes(
+    A: FiniteMapping, B: FiniteMapping, p: int, value, budget: int
+) -> list[Counter]:
+    """Counts of the classes of all p-tuples of A and of B, each keyed by the
+    atom rows of its proper prefixes and its game value `value(F, tup)`.
+    BudgetExceeded when either structure has more than `budget` p-tuples."""
+    needed = max(A.n, B.n) ** p
+    if needed > budget:
+        raise BudgetExceeded(budget, needed)
+    counts = []
+    for F in (A, B):
+        f, marks = F.f, F.mark_sets
+        counts.append(
+            Counter(
+                (tuple(atom_row(f, marks, tup[:i]) for i in range(1, p)), value(F, tup))
+                for tup in itertools.product(F.elements(), repeat=p)
+            )
+        )
+    return counts
 
 
 def _near_balls(F: FiniteMapping, radius: int, budget: int) -> list[frozenset[int]]:
     """Every element's ball of the given radius, raising BudgetExceeded as
     soon as n plus the ball sizes so far passes `budget`."""
-    spent = F.n
-    if spent > budget:
-        raise BudgetExceeded(budget, spent)
+    meter = Meter(budget)
+    meter.spend(F.n)
     balls = []
     for a in F.elements():
-        near = ball(F, a, radius)
-        spent += len(near)
-        if spent > budget:
-            raise BudgetExceeded(budget, spent)
-        balls.append(near)
+        balls.append(ball(F, a, radius))
+        meter.spend(len(balls[-1]))
     return balls
 
 
-def _pair_classes(
-    F: FiniteMapping, r: int, table: TypeTable, balls: list[frozenset[int]]
-) -> Counter:
-    """Counts of the rank-r local classes of all ordered pairs of F: near
-    pairs (b in the radius-(r+1) ball of a) play their game, far pairs are
-    counted from the roots' classes."""
+def _pair_classes(F: FiniteMapping, value, balls: list[frozenset[int]]) -> Counter:
+    """Counts of the local classes of all ordered pairs of F, `value(F, tup)`
+    giving a tuple's game value: near pairs (b in the radius-(r+1) ball of
+    a) play their game, far pairs are counted from the roots' classes."""
     f, marks = F.f, F.mark_sets
-    roots = [table.nv_value(F, (a,), r) for a in F.elements()]
+    roots = [value(F, (a,)) for a in F.elements()]
     counts: Counter = Counter()
     near_roots: Counter = Counter()
     for a, near in enumerate(balls):
         row, s = atom_row(f, marks, (a,)), roots[a]
         for b in near:
-            counts["near", row, table.nv_value(F, (a, b), r)] += 1
+            counts["near", row, value(F, (a, b))] += 1
             near_roots[s, roots[b]] += 1
     root_counts = Counter(roots)
     for s, count_s in root_counts.items():
@@ -188,16 +145,12 @@ def ldist(
     if p < 1:
         raise ValueError("ldist needs p >= 1")
     table = table or global_table()
+    value = partial(table.local_value, k=r, meter=Meter(budget))
     if p == 2:
         balls = [_near_balls(F, r + 1, budget) for F in (A, B)]
-        counts = [_pair_classes(F, r, table, near) for F, near in zip((A, B), balls)]
+        counts = [_pair_classes(F, value, near) for F, near in zip((A, B), balls)]
     else:
-        if A.n**p > budget or B.n**p > budget:
-            raise BudgetExceeded(budget, max(A.n, B.n) ** p)
-        counts = [
-            _tuple_classes(F, p, lambda tup, F=F: table.nv_value(F, tup, r))
-            for F in (A, B)
-        ]
+        counts = _tuple_classes(A, B, p, value, budget)
     return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 
@@ -210,17 +163,10 @@ def fo_dist(
     are enumerated, and n^p counted against the budget, only otherwise."""
     if not A.same_signature(B):
         raise SignatureMismatch("structures must share a signature")
-    values = _GlobalValues(budget)
-    if values.value(A, (), r) != values.value(B, (), r):
+    value = partial(TypeTable().global_value, k=r, meter=Meter(budget))
+    if value(A, ()) != value(B, ()):
         return Fraction(1)
-    if p == 0:
-        return Fraction(0)
-    if A.n**p > budget or B.n**p > budget:
-        raise BudgetExceeded(budget, max(A.n, B.n) ** p)
-    counts = [
-        _tuple_classes(F, p, lambda tup, F=F: values.value(F, tup, r))
-        for F in (A, B)
-    ]
+    counts = _tuple_classes(A, B, p, value, budget)
     return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 

@@ -46,6 +46,14 @@ relabelling yields the value playing would, so canonical ids come out the
 same.  Tuples of two or more elements, and structures nobody registered
 with this table, are played as before.
 
+The same engine plays the FO game of equivalence.fo_dist, whose moves range
+over the whole domain.  Its values share the intern registry but have their
+own memo per structure, since one (tuple, rounds) has a different value
+under each rule; values are compared only within one rule.  Lowering holds
+for both rules, as the set of kid values does not depend on the rounds
+left.  A Meter passed down counts the positions a call plays, one per memo
+miss.
+
 The TypeTable assigns session-stable canonical ids on first sight and caches
 everything per structure; it is shared process-wide by default.
 """
@@ -60,6 +68,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
+    BudgetExceeded,
     MeasureError,
     RankIncrease,
     RankMismatch,
@@ -147,6 +156,22 @@ class _OnCycle(dict):
         return self[v]
 
 
+class Meter:
+    """The work one call may do: BudgetExceeded(budget, spent) is raised
+    once what it spends passes the budget.  A game spends one per position
+    it plays, that is per memo miss."""
+
+    __slots__ = ("budget", "spent")
+
+    def __init__(self, budget: int):
+        self.budget, self.spent = budget, 0
+
+    def spend(self, amount: int = 1) -> None:
+        self.spent += amount
+        if self.spent > self.budget:
+            raise BudgetExceeded(self.budget, self.spent)
+
+
 class TypeTable:
     """Insert-if-absent registry of game values and canonical type ids."""
 
@@ -224,14 +249,16 @@ class TypeTable:
                 return singles, tuple(twins)
 
             cache = {
-                "marks": marks,
-                "plain": plain,
                 # moves[d][x]: the neighbors of x for a game with d rounds
                 # left once one of them is placed.
                 "moves": _PerElement(
                     lambda d: _PerElement(lambda x: build_moves(x, d))
                 ),
+                # The same for the rule with no twin classes.
+                "all_moves": _PerElement(lambda d: plain),
                 "nv": {},
+                # Values of the whole-domain game, apart from local values.
+                "fo": {},
                 "roots": {},
                 # m when F is a cut product with m layers (register_layers).
                 "layers": None,
@@ -249,9 +276,16 @@ class TypeTable:
     # -- game values ---------------------------------------------------------
 
     def nv_value(self, F: FiniteMapping, tup: tuple[int, ...], k: int) -> int:
+        """The value of `tup` in F's local game with k rounds left."""
+        return self.local_value(F, tup, k, None)
+
+    def local_value(
+        self, F: FiniteMapping, tup: tuple[int, ...], k: int, meter: Optional[Meter]
+    ) -> int:
+        """nv_value, spending every position it plays on `meter`."""
         cache = self._structure_cache(F)
         if len(tup) != 1:
-            return self._nv(F.f, cache, tup, k, False)
+            return self._nv(F, cache["nv"], cache["all_moves"], tup, k, meter)
         # A root's value at a lower rank is read off its highest-rank value
         # already solved; only roots are recorded, to keep the table small.
         roots = cache["roots"]
@@ -262,11 +296,18 @@ class TypeTable:
         m = cache["layers"]
         if m and v % m:
             layer = v % m
-            value = self._shifted(self.nv_value(F, (v - layer,), k), layer, m)
+            value = self._shifted(self.local_value(F, (v - layer,), k, meter), layer, m)
         else:
-            value = self._nv(F.f, cache, tup, k, True)
+            value = self._nv(F, cache["nv"], cache["moves"], tup, k, meter)
         roots[v] = value
         return value
+
+    def global_value(
+        self, F: FiniteMapping, tup: tuple[int, ...], k: int, meter: Optional[Meter]
+    ) -> int:
+        """The value of `tup` in F's game whose moves range over the whole
+        domain, with k rounds left, spending every position on `meter`."""
+        return self._nv(F, self._structure_cache(F)["fo"], None, tup, k, meter)
 
     def _shifted(self, nv: int, s: int, m: int) -> int:
         """nv with U_j renamed U_{j+s mod m} in every row, kids included:
@@ -295,37 +336,37 @@ class TypeTable:
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
-    def _nv(
-        self, f, cache: dict, tup: tuple[int, ...], k: int, connected: bool
-    ) -> int:
-        memo = cache["nv"]
+    def _nv(self, F, memo, moves, tup, k, meter) -> int:
+        """The value of `tup` with k rounds left, memoized in `memo`.  Fresh
+        moves are the neighbors in moves[k - 1] (singles and one per twin
+        class), or every element if `moves` is None.  A miss spends one."""
         key = (tup, k)
         found = memo.get(key)
         if found is not None:
             return found
-        row = atom_row(f, cache["marks"], tup)
+        if meter is not None:
+            meter.spend()
+        row = atom_row(F.f, F.mark_sets, tup)
         if k == 0:
             value = self._intern_value((0, row, None))
         else:
             placed = set(tup)
-            ext: set[int] = set()
-            if connected:
-                moves = cache["moves"][k - 1]
+            if moves is None:
+                ext = set(range(F.n))
+            else:
+                by_element = moves[k - 1]
+                ext = set()
                 for a in tup:
-                    singles, twins = moves[a]
+                    singles, twins = by_element[a]
                     ext |= singles
                     for members in twins:
                         for y in members:
                             if y not in placed:
                                 ext.add(y)
                                 break
-            else:
-                plain = cache["plain"]
-                for a in tup:
-                    ext |= plain[a][0]
             ext -= placed
             kids = frozenset(
-                self._nv(f, cache, tup + (y,), k - 1, connected) for y in ext
+                self._nv(F, memo, moves, tup + (y,), k - 1, meter) for y in ext
             )
             value = self._intern_value((k, row, kids))
         memo[key] = value

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,17 @@ from mapprox.equivalence import (
     ldist,
 )
 from mapprox.errors import BudgetExceeded, SignatureMismatch
-from mapprox.localtypes import TypeTable
+from mapprox.localtypes import TypeTable, global_table
 from mapprox.structure import FiniteMapping
-from oracles import brute_fo_dist, brute_ldist, global_game, tuple_histograms, tv
+from oracles import (
+    brute_fo_dist,
+    brute_ldist,
+    global_game,
+    global_tuple_game,
+    local_game,
+    tuple_histograms,
+    tv,
+)
 
 
 def relabel(F: FiniteMapping, perm) -> FiniteMapping:
@@ -47,6 +56,35 @@ def pair_games(table, F, r):
     entries for 2-tuples with r rounds left.  A root game reaches 2-tuples
     only with fewer rounds left."""
     return sum(1 for tup, k in table._caches[F]["nv"] if len(tup) == 2 and k == r)
+
+
+def small_structures() -> list[FiniteMapping]:
+    """Every mapping with n <= 3 up to relabeling, under every marking by
+    one predicate."""
+    return [
+        F
+        for n in (1, 2, 3)
+        for f in functions_up_to_relabeling(n)
+        for F in every_marking(f, ("U",))
+    ]
+
+
+def assert_pairs_match_oracle(distance, game):
+    """`distance(A, B, r)`, a distance between the structures' pairs, against
+    the oracle `game` for every two of small_structures() and r <= 2.  Game
+    equivalence is an equivalence relation, so classes pooled over all the
+    structures give the oracle's histograms for every two of them.  The
+    distance is 1 when the empty tuples differ in class, that is when a
+    sentence separates the structures (the local game has no move from the
+    empty tuple, so there they never differ), and otherwise the TV distance
+    of the pairs' classes."""
+    structures = small_structures()
+    for r in (0, 1, 2):
+        sentences = tuple_histograms(structures, 0, r, game)
+        pairs = tuple_histograms(structures, 2, r, game)
+        for i, j in itertools.combinations_with_replacement(range(len(structures)), 2):
+            expected = max(tv(sentences[i], sentences[j]), tv(pairs[i], pairs[j]))
+            assert distance(structures[i], structures[j], r) == expected, (i, j, r)
 
 
 class TestEfEquivalent:
@@ -76,6 +114,33 @@ class TestEfEquivalent:
             B = seeded(rng.randrange(2, 6), 77 + trial, Fraction(1, 2))
             for r in (0, 1, 2):
                 assert ef_equivalent(A, B, r) == global_game(A, B, r), (trial, r)
+
+    def test_matches_global_game_exhaustive(self):
+        structures = small_structures()
+        for r in (0, 1, 2):
+            sentences = tuple_histograms(structures, 0, r, global_tuple_game)
+            for i, j in itertools.combinations_with_replacement(range(len(structures)), 2):
+                expected = sentences[i] == sentences[j]
+                assert ef_equivalent(structures[i], structures[j], r) == expected, (i, j, r)
+
+    def test_budget_counts_game_positions(self):
+        # The 1 + 20 + 380 positions with at most two elements placed fit
+        # in the budget, and the next position played passes it.
+        with pytest.raises(BudgetExceeded) as caught:
+            ef_equivalent(cycle(20), cycle(20), 3, budget=1000)
+        assert caught.value.needed == 1001
+
+    def test_keeps_nothing(self):
+        # Each call plays in a table of its own: the shared table gains no
+        # entry, and the structures are freed once the caller drops them.
+        A, B = cycle(6), relabel(cycle(6), (5, 3, 1, 0, 2, 4))
+        assert ef_equivalent(A, B, 2)
+        assert fo_dist(A, B, 2, 1) == 0
+        caches = global_table()._caches
+        assert A not in caches and B not in caches
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
 
 
 class TestLdist:
@@ -117,22 +182,8 @@ class TestLdist:
         assert fo_dist(A, B, 2, 0) == Fraction(3, 4)
 
     def test_pairs_match_oracle_exhaustive(self):
-        # Every pair of mappings with n <= 3 up to relabeling, under every
-        # marking by one predicate.  Game equivalence is an equivalence
-        # relation, so classes pooled over all the structures give
-        # brute_ldist's histograms for every pair of them.
-        structures = [
-            F
-            for n in (1, 2, 3)
-            for f in functions_up_to_relabeling(n)
-            for F in every_marking(f, ("U",))
-        ]
         table = TypeTable()
-        for r in (0, 1, 2):
-            hists = tuple_histograms(structures, 2, r)
-            for i, j in itertools.combinations_with_replacement(range(len(structures)), 2):
-                expected = tv(hists[i], hists[j])
-                assert ldist(structures[i], structures[j], 2, r, table) == expected, (i, j, r)
+        assert_pairs_match_oracle(lambda A, B, r: ldist(A, B, 2, r, table), local_game)
 
     @pytest.mark.parametrize("p, sizes, ranks", [(2, (2, 7), (0, 1, 2)), (3, (2, 5), (0, 1))])
     def test_tuples_match_oracle_seeded(self, p, sizes, ranks):
@@ -163,6 +214,16 @@ class TestLdist:
         assert time.perf_counter() - started < 10
         assert 1_000_000 < caught.value.needed < 1_010_000
         assert all(not cache["nv"] for cache in table._caches.values())
+
+    def test_budget_counts_game_positions(self):
+        # The ball sizes of two 100-leaf stars (10,302 each) fit in a budget
+        # of 100,000, but their rank-2 pair games play about 3 million
+        # positions.
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as caught:
+            ldist(star(100), star(100), 2, 2, budget=100_000)
+        assert time.perf_counter() - started < 5
+        assert caught.value.needed == 100_001
 
     def test_large_pair_within_default_budget(self):
         A, B = seeded(2000, 0), seeded(2000, 1)
@@ -213,6 +274,9 @@ class TestFoDist:
             B = seeded(rng.randrange(2, 5), 500 + trial, Fraction(1, 2))
             for r in (0, 1):
                 assert fo_dist(A, B, 2, r) == brute_fo_dist(A, B, 2, r), (trial, r)
+
+    def test_pairs_match_oracle_exhaustive(self):
+        assert_pairs_match_oracle(lambda A, B, r: fo_dist(A, B, 2, r), global_tuple_game)
 
 
 class TestTruncatedSeries:
