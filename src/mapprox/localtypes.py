@@ -54,6 +54,19 @@ for both rules, as the set of kid values does not depend on the rounds
 left.  A Meter passed down counts the positions a call plays, one per memo
 miss.
 
+The whole-domain game's last round is read off atom rows, not played.
+With one round left, the kids of a tuple are the rank-0 values of its
+extensions by each unplaced z, and a rank-0 value is z's atom row: its
+marks, whether it is fixed, and which placed elements equal it, are its
+image, or are its preimages.  An unplaced z that is neither an image nor a
+preimage of a placed element has the row (marks, fixed, None, None, {}),
+which depends only on its class (marks, fixed).  So the kid set is the row
+of every image and preimage of a placed element, plus the free row of each
+class with more elements in F than the tuple and those related elements
+hold.  Class sizes are counted once per structure.  The position is still
+played, and spends one; its n leaf positions are neither played nor
+counted, so a game of rank r spends about n^(r-1) positions, not n^r.
+
 The TypeTable assigns session-stable canonical ids on first sight and caches
 everything per structure; it is shared process-wide by default.
 """
@@ -62,6 +75,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -259,6 +273,9 @@ class TypeTable:
                 "nv": {},
                 # Values of the whole-domain game, apart from local values.
                 "fo": {},
+                # (marks, fixed) -> how many elements of F share them, for
+                # the whole-domain game's last round (_last_round).
+                "classes": None,
                 "roots": {},
                 # m when F is a cut product with m layers (register_layers).
                 "layers": None,
@@ -339,7 +356,8 @@ class TypeTable:
     def _nv(self, F, memo, moves, tup, k, meter) -> int:
         """The value of `tup` with k rounds left, memoized in `memo`.  Fresh
         moves are the neighbors in moves[k - 1] (singles and one per twin
-        class), or every element if `moves` is None.  A miss spends one."""
+        class), or every element if `moves` is None; that rule's last round
+        is read off atom rows (_last_round).  A miss spends one."""
         key = (tup, k)
         found = memo.get(key)
         if found is not None:
@@ -349,6 +367,8 @@ class TypeTable:
         row = atom_row(F.f, F.mark_sets, tup)
         if k == 0:
             value = self._intern_value((0, row, None))
+        elif moves is None and k == 1:
+            value = self._intern_value((1, row, self._last_round(F, tup)))
         else:
             placed = set(tup)
             if moves is None:
@@ -371,6 +391,32 @@ class TypeTable:
             value = self._intern_value((k, row, kids))
         memo[key] = value
         return value
+
+    def _last_round(self, F: FiniteMapping, tup: tuple[int, ...]) -> frozenset:
+        """The kid values of `tup` with one whole-domain round left, read
+        off atom rows instead of played: each image or preimage of a placed
+        element gets its own row, and each (marks, fixed) class with an
+        element outside those and the tuple gives one shared row (module
+        docstring)."""
+        f, marks = F.f, F.mark_sets
+        cache = self._structure_cache(F)
+        classes = cache["classes"]
+        if classes is None:
+            classes = cache["classes"] = Counter(
+                (marks[x], f[x] == x) for x in range(F.n)
+            )
+        placed = set(tup)
+        related = {f[t] for t in tup}
+        for t in tup:
+            related.update(F.pre[t])
+        related -= placed
+        intern = self._intern_value
+        kids = {intern((0, atom_row(f, marks, tup + (z,)), None)) for z in related}
+        held = Counter((marks[x], f[x] == x) for x in placed | related)
+        for (names, fixed), count in classes.items():
+            if count > held[names, fixed]:
+                kids.add(intern((0, (names, fixed, None, None, frozenset()), None)))
+        return frozenset(kids)
 
     def lower_value(self, nv: int) -> int:
         """The value one rank down for the same tuple in the same structure."""

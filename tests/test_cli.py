@@ -84,6 +84,17 @@ class TestDistances:
         assert code == 0
         assert json.loads(out) == {"r": 3, "equivalent": True}
 
+    def test_ef_reaches_large_maps(self, capsys, tmp_path):
+        # Two 2,000-element maps at rank 2 play 1 + 2,000 positions each,
+        # far inside the work budget.
+        paths = []
+        for seed in (0, 1):
+            paths.append(str(tmp_path / f"{seed}.map"))
+            write_map(random_mapping(2000, seed, {"U": Fraction(1, 4)}), paths[-1])
+        code, out, _ = run(capsys, ["ef", *paths, "--r", "2"])
+        assert code == 0
+        assert json.loads(out) == {"r": 2, "equivalent": False}
+
 
 class TestFmtp:
     def test_exhaustive_small(self, capsys, c3):

@@ -23,7 +23,8 @@ from mapprox.equivalence import (
     ldist,
 )
 from mapprox.errors import BudgetExceeded, SignatureMismatch
-from mapprox.localtypes import TypeTable, global_table
+from mapprox.localtypes import Meter, TypeTable, global_table
+from mapprox.randgen import random_mapping
 from mapprox.structure import FiniteMapping
 from oracles import (
     brute_fo_dist,
@@ -49,6 +50,32 @@ def relabel(F: FiniteMapping, perm) -> FiniteMapping:
 def marked_fixed_points(marked):
     """Two fixed points 0 and 1, with U on the elements in `marked`."""
     return FiniteMapping(f=(0, 1), marks={"U": frozenset(marked)})
+
+
+def with_fixed_points(rng, n) -> FiniteMapping:
+    """A seeded mapping on n elements with predicates U and V, about a
+    third of its elements forced to be fixed points."""
+    F = random_mapping(n, rng.randrange(10**6), {"U": Fraction(1, 2), "V": Fraction(1, 3)})
+    f = tuple(v if rng.randrange(3) == 0 else w for v, w in enumerate(F.f))
+    return FiniteMapping(f=f, marks=F.marks, signature=F.signature)
+
+
+def nudged(rng, F: FiniteMapping) -> FiniteMapping:
+    """F with one element's image and one element's V mark redrawn."""
+    f = list(F.f)
+    f[rng.randrange(F.n)] = rng.randrange(F.n)
+    marks = dict(F.marks)
+    marks["V"] = marks["V"] ^ {rng.randrange(F.n)}
+    return FiniteMapping(f=tuple(f), marks=marks, signature=F.signature)
+
+
+def grown(rng, F: FiniteMapping) -> FiniteMapping:
+    """F with one more element shaped like a random element v: v's marks,
+    and v's image, or itself if v is a fixed point."""
+    v = rng.randrange(F.n)
+    f = F.f + (F.n if F.f[v] == v else F.f[v],)
+    marks = {name: ext | {F.n} if v in ext else ext for name, ext in F.marks.items()}
+    return FiniteMapping(f=f, marks=marks, signature=F.signature)
 
 
 def pair_games(table, F, r):
@@ -124,10 +151,11 @@ class TestEfEquivalent:
                 assert ef_equivalent(structures[i], structures[j], r) == expected, (i, j, r)
 
     def test_budget_counts_game_positions(self):
-        # The 1 + 20 + 380 positions with at most two elements placed fit
-        # in the budget, and the next position played passes it.
+        # A rank-3 game plays 1 + 30 + 870 positions in the first cycle (its
+        # last round is counted, not played), which fit in the budget; the
+        # second cycle's positions pass it.
         with pytest.raises(BudgetExceeded) as caught:
-            ef_equivalent(cycle(20), cycle(20), 3, budget=1000)
+            ef_equivalent(cycle(30), cycle(30), 3, budget=1000)
         assert caught.value.needed == 1001
 
     def test_keeps_nothing(self):
@@ -277,6 +305,31 @@ class TestFoDist:
 
     def test_pairs_match_oracle_exhaustive(self):
         assert_pairs_match_oracle(lambda A, B, r: fo_dist(A, B, 2, r), global_tuple_game)
+
+    def test_matches_oracle_seeded_two_predicates(self):
+        # Two predicates and forced fixed points give the last round's
+        # atom-row classes many shapes.  A nudged or grown copy of A is
+        # often close enough to it for the distance to lie strictly between
+        # 0 and 1, and a grown copy holds one more element of some class.
+        rng = random.Random(1)
+        for trial in range(30):
+            A = with_fixed_points(rng, 1 + rng.randrange(5))
+            if trial % 3 == 0:
+                B = with_fixed_points(rng, 1 + rng.randrange(6))
+            else:
+                B = (nudged, grown)[trial % 3 - 1](rng, A)
+            for p in (0, 1, 2):
+                for r in (0, 1, 2):
+                    assert fo_dist(A, B, p, r) == brute_fo_dist(A, B, p, r), (trial, p, r)
+
+    def test_last_round_is_counted_not_played(self):
+        # A count guard: with one round left, a position reads its kids off
+        # atom rows instead of playing n leaf positions.
+        F = seeded(50, 8, Fraction(1, 2))
+        for r, spent in ((2, 1 + 50), (3, 1 + 50**2)):
+            meter = Meter(10**6)
+            TypeTable().global_value(F, (), r, meter)
+            assert meter.spent == spent, r
 
 
 class TestTruncatedSeries:
