@@ -525,9 +525,15 @@ def types_equal(t1: LocalType, t2: LocalType) -> bool:
     recomputing the second witness in the first table."""
     if t1.rank != t2.rank:
         raise RankMismatch(f"rank {t1.rank} vs {t2.rank}")
-    if t1.table is t2.table:
-        return t1.nv == t2.nv
-    return t1.nv == t1.table.nv_value(t2.structure, (t2.element,), t2.rank)
+    return t1.key == _key_in(t1.table, t2)
+
+
+def _key_in(table: TypeTable, t: LocalType) -> tuple[int, int]:
+    """The key of t's type in `table`: t.key when t was typed there, else
+    (rank, the value of t's witness in `table`)."""
+    if t.table is table:
+        return t.key
+    return (t.rank, table.nv_value(t.structure, (t.element,), t.rank))
 
 
 def project(t: LocalType, r: int) -> LocalType:
@@ -654,18 +660,16 @@ class TypeMeasure:
         r, each solved once by fmtp.restricted_fmtp_certificate."""
         return {}
 
-    def _shares_table(self, t: LocalType) -> bool:
-        return self.entries[0][0].table is t.table
+    @property
+    def _table(self) -> TypeTable:
+        return self.entries[0][0].table
 
     def mass(self, t: LocalType) -> Fraction:
-        if self._shares_table(t):
-            if t.rank != self.rank:
-                raise RankMismatch(f"rank {self.rank} vs {t.rank}")
-            return self._mass_by_key.get(t.key, Fraction(0))
-        for entry_type, mass in self.entries:
-            if types_equal(entry_type, t):
-                return mass
-        return Fraction(0)
+        """The mass of t's type: one lookup, after one value of t's witness
+        in this measure's table when t comes from another table."""
+        if t.rank != self.rank:
+            raise RankMismatch(f"rank {self.rank} vs {t.rank}")
+        return self._mass_by_key.get(_key_in(self._table, t), Fraction(0))
 
     def project(self, r: int) -> "TypeMeasure":
         """Push forward along the rank-lowering projection."""
@@ -720,27 +724,19 @@ def _weighted_distribution(
 
 
 def measure_tv(a: TypeMeasure, b: TypeMeasure) -> Fraction:
-    """Total variation distance (half L1) between two same-rank measures."""
+    """Total variation distance (half L1) between two same-rank measures.
+
+    Both are keyed in a's table: b's entries by their own keys when b
+    shares it, else by their witnesses' values there, one each.  The cost
+    is |a| + |b| dict entries and at most |b| values, not |a|·|b| type
+    comparisons.  Distinct types of b have distinct values, so no two of
+    its entries share a key."""
     if a.rank != b.rank:
         raise RankMismatch(f"rank {a.rank} vs {b.rank}")
-    if b._shares_table(a.entries[0][0]):
-        masses_a, masses_b = a._mass_by_key, b._mass_by_key
-        keys = masses_a.keys() | masses_b.keys()
-        gap = sum(
-            (abs(masses_a.get(k, 0) - masses_b.get(k, 0)) for k in keys), Fraction(0)
-        )
-        return gap / 2
-    diff = Fraction(0)
-    matched_b: set[int] = set()
-    for t, mass in a.entries:
-        other = Fraction(0)
-        for j, (u, mass_b) in enumerate(b.entries):
-            if j not in matched_b and types_equal(t, u):
-                other = mass_b
-                matched_b.add(j)
-                break
-        diff += abs(mass - other)
-    for j, (_, mass_b) in enumerate(b.entries):
-        if j not in matched_b:
-            diff += mass_b
-    return diff / 2
+    masses_a = a._mass_by_key
+    masses_b = {_key_in(a._table, u): mass for u, mass in b.entries}
+    keys = masses_a.keys() | masses_b.keys()
+    gap = sum(
+        (abs(masses_a.get(k, 0) - masses_b.get(k, 0)) for k in keys), Fraction(0)
+    )
+    return gap / 2

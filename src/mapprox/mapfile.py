@@ -169,7 +169,9 @@ def structure_to_json(F: FiniteMapping) -> dict:
         "n": F.n,
         "predicates": list(F.signature.predicates),
         "f": list(F.f),
-        "marks": {name: sorted(F.marks[name]) for name in F.signature.predicates},
+        "marks": {
+            name: sorted(elems) if elems else [] for name, elems in F.marks.items()
+        },
     }
 
 
@@ -179,11 +181,20 @@ def structure_from_json(data) -> FiniteMapping:
     try:
         predicates = tuple(data["predicates"])
         f = tuple(data["f"])
-        marks = {name: frozenset(data["marks"][name]) for name in predicates}
+        raw_marks = data["marks"]
+        # Every predicate is listed, but a witness holds few of them: the
+        # empty ones are left for the constructor to fill in.
+        marks = {}
+        for name in predicates:
+            elems = raw_marks[name]
+            if elems != []:
+                marks[name] = frozenset(elems)
     except (KeyError, TypeError) as failure:
         raise FormatError(f"malformed structure: {failure!r}") from None
     if not all(isinstance(w, int) for w in f):
         raise FormatError("function values must be integers")
+    if not all(isinstance(v, int) for elems in marks.values() for v in elems):
+        raise FormatError("mark members must be integers")
     return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))
 
 

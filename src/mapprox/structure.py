@@ -61,20 +61,20 @@ class Signature:
     predicates: tuple[str, ...] = ()
 
     def __post_init__(self):
-        seen = set()
-        for name in self.predicates:
-            if name in seen:
-                raise DuplicatePredicate(name)
-            seen.add(name)
-
-    def require(self, name: str) -> None:
-        if name not in self.predicates:
-            raise UnknownPredicate(name)
+        if len(set(self.predicates)) < len(self.predicates):
+            seen = set()
+            for name in self.predicates:
+                if name in seen:
+                    raise DuplicatePredicate(name)
+                seen.add(name)
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteMapping:
-    """An endofunction on 0..n-1 together with unary predicate extensions."""
+    """An endofunction on 0..n-1 together with unary predicate extensions.
+
+    `marks` may name only declared predicates; the constructor stores every
+    declared predicate, in signature order, those not given as empty."""
 
     f: tuple[int, ...]
     marks: Mapping[str, frozenset[int]] = field(default_factory=dict)
@@ -87,18 +87,24 @@ class FiniteMapping:
         for v, w in enumerate(self.f):
             if not isinstance(w, int) or not 0 <= w < n:
                 raise OutOfRangeImage(v, w, n)
-        marks = {name: frozenset(elems) for name, elems in self.marks.items()}
-        object.__setattr__(self, "marks", marks)
+        given = {name: frozenset(elems) for name, elems in self.marks.items()}
         if self.signature is None:
-            object.__setattr__(self, "signature", Signature(tuple(sorted(marks))))
-        for name in marks:
-            self.signature.require(name)
-        for name in self.signature.predicates:
-            marks.setdefault(name, frozenset())
-        for name, elems in marks.items():
-            for v in elems:
-                if not 0 <= v < n:
-                    raise ElementOutOfRange(v, n)
+            object.__setattr__(self, "signature", Signature(tuple(sorted(given))))
+        # Linear in the given marks plus one C-level pass over the names, not
+        # a scan of the names per mark: a witness cut from a cut product
+        # declares hundreds of predicates and holds a few of them.
+        predicates = self.signature.predicates
+        marks = dict.fromkeys(predicates, frozenset())
+        marks.update(given)
+        if len(marks) != len(predicates):
+            undeclared = next(name for name in given if name not in predicates)
+            raise UnknownPredicate(undeclared)
+        object.__setattr__(self, "marks", marks)
+        for elems in given.values():
+            if elems and (min(elems) < 0 or max(elems) >= n):
+                raise ElementOutOfRange(
+                    next(v for v in sorted(elems) if not 0 <= v < n), n
+                )
 
     @property
     def n(self) -> int:
@@ -117,8 +123,8 @@ class FiniteMapping:
         element.  Built once by one pass over each predicate's extension;
         elements with equal marks share one frozenset."""
         names: list[tuple[str, ...]] = [()] * len(self.f)
-        for name in self.signature.predicates:
-            for v in self.marks[name]:
+        for name, elems in self.marks.items():  # in signature order
+            for v in elems:
                 names[v] += (name,)
         shared: dict[tuple[str, ...], frozenset[str]] = {}
         sets = []
@@ -169,12 +175,7 @@ def validate(raw: Mapping) -> FiniteMapping:
     f = tuple(raw.get("f", ()))
     predicates = raw.get("predicates")
     marks = {name: frozenset(elems) for name, elems in raw.get("marks", {}).items()}
-    if predicates is None:
-        signature = None
-    else:
-        signature = Signature(tuple(predicates))
-        for name in marks:
-            signature.require(name)
+    signature = None if predicates is None else Signature(tuple(predicates))
     return FiniteMapping(f=f, marks=marks, signature=signature)
 
 
@@ -325,7 +326,9 @@ def restrict(F: FiniteMapping, X: Iterable[int]) -> FiniteMapping:
     """Induced substructure on X, re-indexed ascending.
 
     Where the image leaves X the function is redirected to the element itself,
-    so the result is again a total mapping.
+    so the result is again a total mapping.  Marks are read off the kept
+    elements' mark sets, so the cost is linear in the kept elements and
+    their marks, not in the extensions of F's predicates.
     """
     keep = sorted(set(X))
     if not keep:
@@ -337,10 +340,11 @@ def restrict(F: FiniteMapping, X: Iterable[int]) -> FiniteMapping:
         index[F.f[v]] if F.f[v] in index else index[v]
         for v in keep
     )
-    marks = {
-        name: frozenset(index[v] for v in F.marks[name] if v in index)
-        for name in F.signature.predicates
-    }
+    marks: dict[str, list[int]] = {}
+    mark_sets = F.mark_sets
+    for i, v in enumerate(keep):
+        for name in mark_sets[v]:
+            marks.setdefault(name, []).append(i)
     return FiniteMapping(f=f, marks=marks, signature=F.signature)
 
 

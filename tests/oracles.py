@@ -21,6 +21,8 @@ __all__ = [
     "tuple_histograms",
     "tv",
     "random_clean_formula",
+    "restrict_by_scan",
+    "pairwise_measure_tv",
 ]
 
 
@@ -265,3 +267,39 @@ def strict_iterated_preimages(F: FiniteMapping) -> list:
         seen.discard(u)
         out.append(seen)
     return out
+
+
+def restrict_by_scan(F: FiniteMapping, X) -> FiniteMapping:
+    """Induced substructure on X, re-indexed ascending, images leaving X
+    redirected to the element itself, with every predicate's extension
+    scanned for kept elements."""
+    keep = sorted(set(X))
+    index = {v: i for i, v in enumerate(keep)}
+    f = tuple(index[F.f[v]] if F.f[v] in index else index[v] for v in keep)
+    marks = {
+        name: frozenset(index[v] for v in F.marks[name] if v in index)
+        for name in F.signature.predicates
+    }
+    return FiniteMapping(f=f, marks=marks, signature=F.signature)
+
+
+def pairwise_measure_tv(a, b) -> Fraction:
+    """Total variation between two same-rank type measures, matching each
+    entry of `a` against the entries of `b` one pair at a time: an entry u
+    of b matches t when u's witness has t's value in t's table."""
+    diff = Fraction(0)
+    matched: set = set()
+    for t, mass in a.entries:
+        other = Fraction(0)
+        for j, (u, mass_b) in enumerate(b.entries):
+            if j in matched:
+                continue
+            if t.nv == t.table.nv_value(u.structure, (u.element,), u.rank):
+                other = mass_b
+                matched.add(j)
+                break
+        diff += abs(mass - other)
+    for j, (_, mass_b) in enumerate(b.entries):
+        if j not in matched:
+            diff += mass_b
+    return diff / 2

@@ -1,10 +1,14 @@
-"""Pinned map-file digests of compression and the cycle-cut product.
+"""Pinned map-file digests of compression and the cycle-cut product, and
+pinned measure-file digests.
 
 The sha256 of `dump_map` output for fixed inputs, recorded before the orbit
 walks in `compress` and `structure` were folded into one helper; the
 `leafy-900-6` cases were recorded before `compress` grouped kept elements
-by component in one pass.  Run this
-file as a script to print the digests of the current code.
+by component in one pass.  The measure digests are the sha256 of
+`json.dumps(measure_to_json(mu))` for the rank-3 measure of a cut product,
+recorded before `restrict` built witness marks from the kept elements'
+mark sets: measure format version 1 is byte-identical.  Run this file as a
+script to print the digests of the current code.
 """
 
 import hashlib
@@ -15,8 +19,8 @@ import pytest
 
 from helpers import seeded
 from mapprox.compress import standard_r_approximation
-from mapprox.localtypes import TypeTable
-from mapprox.mapfile import dump_map
+from mapprox.localtypes import TypeTable, type_distribution
+from mapprox.mapfile import dump_map, measure_to_json
 from mapprox.structure import FiniteMapping, cycle_cut_product, cycle_lengths
 
 
@@ -111,6 +115,18 @@ GOLDEN = {
 }
 
 
+# source: sha256 of json.dumps(measure_to_json(mu)), mu the rank-3 type
+# distribution of cycle_cut_product(source, 6, 3)
+MEASURE_GOLDEN = {
+    "seeded-12-2":
+        "93e84fd2d877e2856b4fe1f0041fe6a2d61bf0f27e8e20d37d98733e61815f49",
+    "cycles-30-4":
+        "b02a9ec2a09a6aba707920650962be7b9fc91b7164b17360db63dffa509b65e8",
+    "seeded-60-5":
+        "c99b46451389a9dc0143aaaf6225d768e94e88978cf4567502e615a885da30f1",
+}
+
+
 def build(name: str) -> FiniteMapping:
     source, r = CASES[name]
     F = INPUTS[source]()
@@ -121,6 +137,12 @@ def build(name: str) -> FiniteMapping:
 
 def digest(name: str) -> str:
     return hashlib.sha256(dump_map(build(name)).encode()).hexdigest()
+
+
+def measure_digest(source: str) -> str:
+    table = TypeTable()
+    mu = type_distribution(cycle_cut_product(INPUTS[source](), 6, 3, table), 3, table)
+    return hashlib.sha256(json.dumps(measure_to_json(mu)).encode()).hexdigest()
 
 
 def test_inputs_have_several_cycles_and_fixed_points():
@@ -134,5 +156,11 @@ def test_map_digest_pinned(name):
     assert digest(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("source", sorted(MEASURE_GOLDEN))
+def test_measure_digest_pinned(source):
+    assert measure_digest(source) == MEASURE_GOLDEN[source]
+
+
 if __name__ == "__main__":
     print(json.dumps({name: digest(name) for name in sorted(CASES)}, indent=4))
+    print(json.dumps({s: measure_digest(s) for s in sorted(MEASURE_GOLDEN)}, indent=4))

@@ -38,7 +38,13 @@ from mapprox.localtypes import (
 )
 from mapprox.logic import evaluate
 from mapprox.structure import FiniteMapping, cycle_cut_product, disjoint_union
-from oracles import UnprunedValues, local_game, random_clean_formula
+from mapprox.randgen import random_mapping
+from oracles import (
+    UnprunedValues,
+    local_game,
+    pairwise_measure_tv,
+    random_clean_formula,
+)
 
 TABLE = TypeTable()
 
@@ -279,6 +285,54 @@ class TestTypeDistribution:
                 assert b_same.mass(t) == b_other.mass(t) == b_other.mass(t_other)
         with pytest.raises(RankMismatch):
             a.mass(t_of(A, 0, 2))
+
+    def test_cross_table_tv_matches_pairwise_oracle(self):
+        # Overlapping, disjoint and equal supports, in both argument orders;
+        # each measure in its own table.
+        def measure(F, r):
+            return type_distribution(F, r, TypeTable())
+
+        for seed in range(5):
+            r = 1 + seed % 3
+            A, B = seeded(14, seed), seeded(11, seed + 10)
+            marked = random_mapping(9, seed, {"U": 1})
+            plain = random_mapping(9, seed, {"U": 0})
+            cases = [
+                ("overlapping", measure(A, r), measure(disjoint_union(A, B), r)),
+                ("unrelated", measure(A, r), measure(B, r)),
+                ("disjoint", measure(marked, r), measure(plain, r)),
+                ("equal", measure(A, r), measure(A, r)),
+                ("equal", measure(A, r), measure(disjoint_union(A, A), r)),
+            ]
+            for support, a, b in cases:
+                for x, y in ((a, b), (b, a)):
+                    got = measure_tv(x, y)
+                    assert got == pairwise_measure_tv(x, y), (seed, support)
+                    if support == "disjoint":
+                        assert got == 1
+                    if support == "equal":
+                        assert got == 0
+            assert 0 < measure_tv(*cases[0][1:]) < 1
+
+    def test_cross_table_lookups_value_each_witness_once(self):
+        # measure_tv values each entry of b once in a's table, and mass
+        # values its argument once; matching pairs would value up to
+        # |a|·|b| witnesses.
+        for seed in range(4):
+            a = type_distribution(seeded(30, seed), 2, TypeTable())
+            b = type_distribution(seeded(25, seed + 10), 2, TypeTable())
+            assert len(a.entries) > 3 and len(b.entries) > 3
+            want = pairwise_measure_tv(a, b)
+            calls = []
+            table = a.entries[0][0].table
+            played = table.nv_value
+            table.nv_value = lambda F, tup, k: calls.append(k) or played(F, tup, k)
+            assert measure_tv(a, b) == want > 0
+            assert len(calls) <= len(b.entries)
+            for u, _ in b.entries:
+                calls.clear()
+                a.mass(u)
+                assert len(calls) <= 1
 
     def test_table_cache_does_not_keep_structure_alive(self):
         table = TypeTable()

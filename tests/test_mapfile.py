@@ -158,6 +158,11 @@ class TestStructureJson:
             structure_from_json(
                 {"n": 1, "predicates": [], "f": ["0"], "marks": {}}
             )
+        for members in (["a"], [0.5], [None], 3):
+            with pytest.raises(FormatError):
+                structure_from_json(
+                    {"n": 1, "predicates": ["U"], "f": [0], "marks": {"U": members}}
+                )
 
 
 class TestTypeJson:

@@ -8,7 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, path, seeded, star, structurally_equal
+from helpers import (
+    cycle,
+    every_marking,
+    fixed_point,
+    functions_up_to_relabeling,
+    path,
+    seeded,
+    star,
+    structurally_equal,
+)
 from mapprox.errors import (
     DuplicatePredicate,
     ElementOutOfRange,
@@ -16,9 +25,11 @@ from mapprox.errors import (
     EtaNotFunctional,
     OutOfRangeImage,
     SignatureMismatch,
+    UnknownPredicate,
 )
 from mapprox.fmtp import check_fmtp
 from mapprox import structure as structure_module
+from mapprox.localtypes import TypeTable
 from mapprox.logic import apply_interpretation, recovery_interpretation
 from mapprox.structure import (
     FiniteMapping,
@@ -38,7 +49,7 @@ from mapprox.structure import (
     restrict,
     validate,
 )
-from oracles import strict_iterated_preimages
+from oracles import restrict_by_scan, strict_iterated_preimages
 
 
 class TestConstruction:
@@ -244,6 +255,49 @@ class TestUnionRestrictMark:
                 A = {v for v in range(G.n) if A_bits >> v & 1}
                 B = {v for v in range(G.n) if rng.random() < 0.5}
                 assert check_fmtp(G, A, B)
+
+    def test_restrict_matches_scan_exhaustive(self):
+        # Every mapping on n <= 4 up to relabelling, every marking by two
+        # predicates, every nonempty X.
+        checked = 0
+        for n in range(1, 5):
+            for f in functions_up_to_relabeling(n):
+                for F in every_marking(f, ("P", "Q")):
+                    for bits in range(1, 1 << n):
+                        X = [v for v in range(n) if bits >> v & 1]
+                        fast, slow = restrict(F, X), restrict_by_scan(F, X)
+                        assert structurally_equal(fast, slow), (f, F.marks, X)
+                        assert fast.mark_sets == slow.mark_sets
+                        checked += 1
+        assert checked > 50_000
+
+    def test_restrict_matches_scan_on_cut_product_balls(self):
+        for seed in range(4):
+            H = cycle_cut_product(seeded(10, seed), 6, 3, TypeTable())
+            assert len(H.signature.predicates) > 8
+            for v in H.elements():
+                for radius in range(1, 5):
+                    X = ball(H, v, radius)
+                    fast, slow = restrict(H, X), restrict_by_scan(H, X)
+                    assert structurally_equal(fast, slow), (seed, v, radius)
+                    assert list(fast.marks) == list(H.signature.predicates)
+
+    def test_undeclared_mark_rejected_on_wide_signature(self):
+        signature = Signature(tuple(f"P{i}" for i in range(184)))
+        marks = {"P5": {0}, "Q": {1}, "P183": {1}, "R": {0}}
+        with pytest.raises(UnknownPredicate) as raised:
+            FiniteMapping(f=(1, 0), marks=marks, signature=signature)
+        assert raised.value.name == "Q"  # the first undeclared, in marks order
+        with pytest.raises(UnknownPredicate):
+            validate({"f": [1, 0], "predicates": list(signature.predicates), "marks": marks})
+        F = FiniteMapping(f=(1, 0), marks={"P183": {1}, "P5": {0}}, signature=signature)
+        assert list(F.marks) == list(signature.predicates)
+        assert F.marks["P0"] == frozenset() and F.marks_of(1) == {"P183"}
+
+    def test_mark_outside_domain_rejected(self):
+        for marks in ({"P": {0, 2}}, {"P": {-1}}, {"P": set(), "Q": {1, 5}}):
+            with pytest.raises(ElementOutOfRange):
+                FiniteMapping(f=(1, 0), marks=marks)
 
     def test_mark_element(self):
         F = mark_element(cycle(3), "P", [0])
