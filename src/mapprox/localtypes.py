@@ -35,16 +35,29 @@ numbers (x, i) as x*m + i, marks it U_i, and registers m with the table
 that types it.  Shifting every element by s layers, (x, i) -> (x, i + s mod
 m), commutes with f and keeps every input and type mark; it changes only
 U_j into U_{j+s mod m}.  So it is an isomorphism from the product onto the
-product with its layer marks renamed, and the game from (x, s) is the game
-from (x, 0) with every placed element shifted.  Interned values are
-structural (rank, atom row, set of kid values), and shifting keeps every
-atom but the layer marks, so the value of (x, s) is the value of (x, 0)
-with U_j renamed U_{j+s mod m} in every row, kids included.  The table
-therefore plays root games of registered products in layer 0 only and
-relabels their values for the other layers, memoized per (value, shift);
-relabelling yields the value playing would, so canonical ids come out the
-same.  Tuples of two or more elements, and structures nobody registered
-with this table, are played as before.
+product with its layer marks renamed, and the value of (x, s) is the value
+of (x, 0) with U_j renamed U_{j+s mod m} in every row, kids included.
+
+Root values are therefore kept in a layer-0 normal form in a table that
+has an m registered.  A root value whose root row carries exactly one of
+U_0..U_{m-1}, say U_j with j != 0, gets the id of the pair (its value
+shifted by -j, j), interned as (rank, layer-0 value, j); every other root
+value is its own normal form.  A registered product's root (x, s) is the
+pair (value of (x, 0), s), with no tree built and no game played outside
+layer 0; a root played on any other structure is brought to normal form by
+one memoized walk that shifts it back.  Lowering a pair lowers its layer-0
+value, since a shift commutes with lowering.  The normal form is faithful:
+a shift renames U_0..U_{m-1}, so it is a bijection on values, and j is read
+off the value's own root row, so two root values are equal exactly when
+their normal forms are.  Canonical ids are still given in order of first
+appearance, to the same values, so they come out the same.  Kid values and
+tuples of two or more elements stay as played.
+
+A table keeps the first m registered with it.  A product with another m is
+left unregistered and played in every layer; its values are normalized like
+any other structure's, so they stay consistent.  Nor is anything registered
+once a root value with a mark U_j, j >= 1, was handed out before any m was
+known, since that value was not normalized.
 
 The same engine plays the FO game of equivalence.fo_dist, whose moves range
 over the whole domain.  Its values share the intern registry but have their
@@ -105,6 +118,14 @@ def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
     img = next((j for j in range(last) if tup[j] == fx), None)
     pre = frozenset(j for j in range(last) if f[tup[j]] == x)
     return (marks[x], fx == x, eq, img, pre)
+
+
+def _layer_index(name: str) -> Optional[int]:
+    """j when `name` is the layer mark U_j, else None."""
+    digits = name[1:]
+    if name[:1] == "U" and digits.isdecimal() and name == f"U{int(digits)}":
+        return int(digits)
+    return None
 
 
 class _PerElement(dict):
@@ -200,6 +221,13 @@ class TypeTable:
         self._adm_tables: dict[tuple[int, int], dict] = {}
         # (shift, layers) -> (layer renaming, renamed rows, shifted values).
         self._shifts: dict[tuple[int, int], tuple[dict, dict, dict]] = {}
+        # The m of the first product registered here, and root mark set ->
+        # its layer j, or 0 when its values are their own normal form.
+        self._layers: Optional[int] = None
+        self._layer_of: dict[frozenset, int] = {}
+        # Whether a root value carrying some U_j, j >= 1, was handed out
+        # before any m was registered; no m can be registered after that.
+        self._early_layer_marks = False
 
     # -- interning ---------------------------------------------------------
 
@@ -285,10 +313,18 @@ class TypeTable:
 
     def register_layers(self, F: FiniteMapping, m: int) -> None:
         """Declare F a cut product with m layers: element x*m + i carries
-        U_i, and shifting every element by s layers while renaming U_j to
-        U_{j+s mod m} maps F onto itself.  Root games are then played in
-        layer 0 only (module docstring)."""
-        self._structure_cache(F)["layers"] = m
+        exactly the layer mark U_i, and shifting every element by s layers
+        while renaming U_j to U_{j+s mod m} maps F onto itself.  The root
+        value of x*m + s is then the pair (root value of x*m, s), with no
+        game played outside layer 0 (module docstring).  A table keeps the
+        first m registered with it; a product with another m, or any product
+        once a root value with a layer mark was handed out unnormalized, is
+        left unregistered and played in every layer."""
+        if self._layers is None and not self._early_layer_marks:
+            self._layers = m
+            self._layer_of.clear()
+        if m == self._layers:
+            self._structure_cache(F)["layers"] = m
 
     # -- game values ---------------------------------------------------------
 
@@ -313,11 +349,38 @@ class TypeTable:
         m = cache["layers"]
         if m and v % m:
             layer = v % m
-            value = self._shifted(self.local_value(F, (v - layer,), k, meter), layer, m)
+            value = self._pair(self.local_value(F, (v - layer,), k, meter), layer)
         else:
-            value = self._nv(F, cache["nv"], cache["moves"], tup, k, meter)
+            value = self._normal(self._nv(F, cache["nv"], cache["moves"], tup, k, meter))
         roots[v] = value
         return value
+
+    def _pair(self, base: int, layer: int) -> int:
+        """The id of the root value `base` shifted by `layer` layers, interned
+        as (rank, base, layer): no shifted tree is built."""
+        return self._intern_value((self.rank_of(base), base, layer))
+
+    def _normal(self, nv: int) -> int:
+        """The layer-0 normal form of a played root value: the pair of nv
+        shifted back to layer 0 and its layer j, read off nv's root row, when
+        that row carries exactly one layer mark U_j with j != 0; else nv."""
+        marks = self._meta[nv][1][0]
+        layer = self._layer_of.get(marks)
+        if layer is None:
+            layer = self._layer_of[marks] = self._root_layer(marks)
+        if not layer:
+            return nv
+        m = self._layers
+        return self._pair(self._shifted(nv, m - layer, m), layer)
+
+    def _root_layer(self, marks: frozenset) -> int:
+        indices = [j for j in map(_layer_index, marks) if j is not None]
+        m = self._layers
+        if m is None:
+            self._early_layer_marks |= any(indices)
+            return 0
+        layers = [j for j in indices if j < m]
+        return layers[0] if len(layers) == 1 else 0
 
     def global_value(
         self, F: FiniteMapping, tup: tuple[int, ...], k: int, meter: Optional[Meter]
@@ -426,7 +489,10 @@ class TypeTable:
         rank, row, kids = self._meta[nv]
         if rank == 0:
             raise RankZero("rank-0 values have no lower value")
-        if rank == 1:
+        if type(row) is int:
+            # A pair (rank, layer-0 value, layer): lower the layer-0 value.
+            lowered = self._pair(self.lower_value(row), kids)
+        elif rank == 1:
             lowered = self._intern_value((0, row, None))
         else:
             lowered = self._intern_value(

@@ -92,9 +92,13 @@ def dump_map(F: FiniteMapping) -> str:
         f"n {F.n}",
         " ".join(["predicates", *F.signature.predicates]),
     ]
-    for v in F.elements():
-        inside = " ".join(sorted(F.marks_of(v)))
-        rows.append(f"{v} -> {F.f[v]} [{inside}]")
+    # Elements with equal marks share one frozenset, rendered once.
+    rendered: dict[frozenset[str], str] = {}
+    for v, (image, marks) in enumerate(zip(F.f, F.mark_sets)):
+        inside = rendered.get(marks)
+        if inside is None:
+            inside = rendered[marks] = " ".join(sorted(marks))
+        rows.append(f"{v} -> {image} [{inside}]")
     return "\n".join(rows) + "\n"
 
 

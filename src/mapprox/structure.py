@@ -51,6 +51,7 @@ __all__ = [
     "residualize",
     "recover",
     "cycle_cut_product",
+    "cut_product_layers",
 ]
 
 
@@ -539,9 +540,10 @@ def cycle_cut_product(
     The output is registered with the type table (`table`, or the global
     one) as an m-layer product: shifting every layer by s, with U_j renamed
     U_{j+s mod m}, maps it onto itself, so that table plays its root games
-    in layer 0 only and relabels the values for the other layers.  The
-    symmetry holds by construction, since an input predicate named like a
-    layer mark is rejected.
+    in layer 0 only and keeps the root value of (x, s) as the pair (value
+    of (x, 0), s).  The symmetry holds by construction, since an input
+    predicate named like a layer mark is rejected.  A table keeps the first
+    m registered with it and plays products with another m in every layer.
     """
     from . import localtypes
 
@@ -600,3 +602,42 @@ def cycle_cut_product(
     )
     (table or localtypes.global_table()).register_layers(product, m)
     return product
+
+
+def cut_product_layers(F: FiniteMapping) -> int:
+    """The m for which F is an m-layer cut product, or 0 if it is not one.
+
+    m is the largest with U0..U{m-1} declared, and must be at least 2.  F
+    is a product when m divides n, element v carries exactly the layer mark
+    U_{v mod m}, f(x*m + i) = g(x)*m + (i + 1 mod m) for one g(x), and every
+    other mark holds on all of a block x*m .. x*m + m - 1 or on none of it.
+    Then shifting every element by s layers, with U_j renamed U_{j+s mod m},
+    maps F onto itself, as it does for the output of cycle_cut_product, and
+    F may be registered with a type table.  One pass over f and the marks.
+    """
+    names = set(F.signature.predicates)
+    m = 0
+    while f"U{m}" in names:
+        m += 1
+    n = F.n
+    if m < 2 or n % m:
+        return 0
+    layers = {f"U{j}": j for j in range(m)}
+    f = F.f
+    for start in range(0, n, m):
+        # g(x)*m for the block x*m = start, from the image of its layer 0.
+        base = f[start] - 1
+        if base % m or any(f[start + i] != base + (i + 1) % m for i in range(m)):
+            return 0
+    for name, elems in F.marks.items():
+        j = layers.get(name)
+        if j is not None:
+            if len(elems) != n // m or any(v % m != j for v in elems):
+                return 0
+            continue
+        per_block: dict[int, int] = {}
+        for v in elems:
+            per_block[v // m] = per_block.get(v // m, 0) + 1
+        if any(count != m for count in per_block.values()):
+            return 0
+    return m

@@ -15,6 +15,7 @@ __all__ = [
     "structurally_equal",
     "functions_up_to_relabeling",
     "every_marking",
+    "broken_cut_products",
 ]
 
 
@@ -72,3 +73,20 @@ def every_marking(f, names):
                 for i, name in enumerate(names)
             },
         )
+
+
+def broken_cut_products(P: FiniteMapping) -> dict[str, FiniteMapping]:
+    """Copies of a cut product P (layers U0.., an input predicate U) that
+    each break one condition of structure.cut_product_layers."""
+    n, marks = P.n, P.marks
+
+    def copy(f=P.f, **changed):
+        return FiniteMapping(f=f, marks={**marks, **changed}, signature=P.signature)
+
+    return {
+        # One more element, a fixed point in layer 0.
+        "m does not divide n": copy(f=P.f + (n,), U0=marks["U0"] | {n}),
+        "element 0 carries U0 and U1": copy(U1=marks["U1"] | {0}),
+        "element 1 maps into layer 1": copy(f=P.f[:1] + P.f[:1] + P.f[2:]),
+        "U differs within block 0": copy(U=marks["U"] ^ {1}),
+    }

@@ -5,11 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, star, structurally_equal
+from helpers import broken_cut_products, cycle, star, structurally_equal
 from mapprox.cli import main
-from mapprox.mapfile import dump_map, parse_map, read_map, write_map
+from mapprox.localtypes import TypeTable, type_distribution
+from mapprox.mapfile import (
+    dump_map,
+    jsonable,
+    measure_to_json,
+    parse_map,
+    read_map,
+    write_map,
+)
 from mapprox.randgen import random_mapping
-from mapprox.structure import FiniteMapping
+from mapprox.structure import FiniteMapping, cycle_cut_product
 
 
 @pytest.fixture
@@ -150,6 +158,42 @@ class TestConstructionCommands:
         assert data["format"] == "certificate"
         assert len(data["digest"]) == 64
         assert data["entries"]
+
+    def test_cut_product_read_back_is_registered(
+        self, capsys, tmp_path, random_map, monkeypatch
+    ):
+        # `types` and `certificate` register a cut product read from a map
+        # file with their table; the output is byte-identical to playing
+        # every layer.
+        cut_path = str(tmp_path / "cut.map")
+        run(capsys, ["cut", random_map, "--m", "6", "--type-rank", "3", "--out", cut_path])
+        outputs = []
+        for registering in (True, False):
+            if not registering:
+                monkeypatch.setattr("mapprox.cli.cut_product_layers", lambda F: 0)
+            for argv in (["types", "--rank", "3"], ["certificate", "--rank", "3", "--r", "1"]):
+                table = TypeTable()
+                monkeypatch.setattr("mapprox.cli.global_table", lambda: table)
+                code, out, _ = run(capsys, [argv[0], cut_path, *argv[1:]])
+                assert code == 0
+                assert table._layers == (6 if registering else None)
+                outputs.append(out)
+        assert outputs[:2] == outputs[2:]
+
+    def test_broken_cut_products_are_typed_directly(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        P = cycle_cut_product(random_mapping(5, 4, {"U": Fraction(1, 2)}), 6, 1, TypeTable())
+        path = tmp_path / "broken.map"
+        for name, broken in broken_cut_products(P).items():
+            write_map(broken, path)
+            table = TypeTable()
+            monkeypatch.setattr("mapprox.cli.global_table", lambda: table)
+            code, out, _ = run(capsys, ["types", str(path), "--rank", "3"])
+            assert code == 0
+            assert table._layers is None, name
+            direct = type_distribution(read_map(path), 3, TypeTable())
+            assert out == json.dumps(jsonable(measure_to_json(direct)), indent=2) + "\n", name
 
     def test_certificate_rank_error_exits_1(self, capsys, tmp_path):
         star_path = tmp_path / "star.map"

@@ -536,6 +536,63 @@ class TestLayerShift:
         assert memo
         assert all(tup[0] % m == 0 for tup, _ in memo)
 
+    @pytest.mark.parametrize("ms", [(6, 12), (12, 6), (2, 3), (6, 6)])
+    def test_mixed_layer_counts_give_unregistered_ids(self, ms):
+        # A table keeps the first m registered with it: a product with
+        # another m is played in every layer, and its values, like those of
+        # the unregistered copies, are brought to the same normal form.  A
+        # table with nothing registered, given the same history, must
+        # assign the same canonical ids.
+        home, plain = TypeTable(), TypeTable()
+        typed = []
+        for trial, m in enumerate(ms):
+            F = seeded(4 + trial, 40 + trial, Fraction(1, 2))
+            for v in F.elements():
+                local_type(F, v, 1, plain)
+            P = cycle_cut_product(F, m, 1, home)
+            expected = m if m == ms[0] else None
+            assert home._structure_cache(P)["layers"] == expected
+            typed += [P, unregistered(P)]
+            for r in (3, 1, 2, 0):
+                for S in typed:
+                    ids = [
+                        [local_type(S, v, r, table).canonical_id for v in S.elements()]
+                        for table in (home, plain)
+                    ]
+                    assert ids[0] == ids[1], (ms, trial, r)
+
+    def test_lower_ranks_and_transport_build_no_shifted_tree(self):
+        # A count guard: a registered product's values in layers other than
+        # 0 are (layer-0 value, layer) pairs, lowered and transported
+        # without building any relabelled tree.
+        table = TypeTable()
+        P = cycle_cut_product(seeded(12, 5), 6, 3, table)
+        for v in P.elements():
+            t = local_type(P, v, 3, table)
+            for r in range(3):
+                project(t, r)
+            project(transport(t), 0)
+        assert not table._shifts
+
+    def test_layer_marks_seen_before_registration_block_it(self):
+        # Root values with a layer mark handed out before any m is known
+        # were not normalized; registering afterwards would split their
+        # types, so the product is played in every layer instead.
+        home, plain = TypeTable(), TypeTable()
+        F = seeded(6, 9, Fraction(1, 2))
+        Q = unregistered(cycle_cut_product(F, 6, 2, TypeTable()))
+        for table in (home, plain):
+            for v in F.elements():
+                local_type(F, v, 2, table)
+            type_distribution(Q, 2, table)
+        P = cycle_cut_product(F, 6, 2, home)
+        assert home._structure_cache(P)["layers"] is None
+        ids = [
+            [local_type(P, v, 2, table).canonical_id for v in P.elements()]
+            for table in (home, plain)
+        ]
+        assert ids[0] == ids[1]
+
 
 class TestHistogramCollector:
     @pytest.mark.parametrize("collecting", [True, False])

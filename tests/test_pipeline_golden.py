@@ -30,6 +30,8 @@ CASES = {
     ),
     "r2-p1-n4": (4, 1, None, 1, 2, Fraction(1, 4)),
     "r2-p2-n4": (4, 2, None, 2, 2, Fraction(1, 3)),
+    # Cut length 420: typed in seconds because a product's layers share values.
+    "r3-p1-n6": (6, 42, {"U": Fraction(1, 4)}, 1, 3, Fraction(1, 4)),
 }
 
 # name: (sha256 of dump_map(out), sha256 of json.dumps(report, sort_keys=True))
@@ -57,6 +59,10 @@ GOLDEN = {
     "r2-p2-n4": (
         "79356a47d4d779259c717e755d5098b9f13871c347e225c357f26b84fcad7e8f",
         "9547d3bb55d9941bb858095187b3695a80fdc969cd7920936e7d84fcf8e41ba6",
+    ),
+    "r3-p1-n6": (
+        "9c061d150145c42928d8b0ad3568f5ef465be824e8e209ac66ff061546c1af9c",
+        "97b9c85e16ec1ef4db61176d1108a4cb9a8ab03f154cc10e5df3073e2dd87286",
     ),
 }
 

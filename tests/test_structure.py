@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    broken_cut_products,
     cycle,
     every_marking,
     fixed_point,
@@ -36,6 +37,7 @@ from mapprox.structure import (
     Signature,
     ball,
     connected_components,
+    cut_product_layers,
     cycle_cut_product,
     cycle_lengths,
     cycle_orbits,
@@ -337,6 +339,22 @@ class TestCycleCutProduct:
             P = cycle_cut_product(F, 6, 1)
             for length in cycle_lengths(P):
                 assert length >= 6 and length % 6 == 0
+
+    def test_layers_of_a_product_are_recognized(self):
+        for m in (2, 3, 6, 12):
+            for seed in range(3):
+                P = cycle_cut_product(seeded(7, seed, Fraction(1, 2)), m, 1, TypeTable())
+                assert cut_product_layers(P) == m
+
+    def test_non_products_are_not_recognized(self):
+        P = cycle_cut_product(seeded(7, 2, Fraction(1, 2)), 6, 1, TypeTable())
+        for name, broken in broken_cut_products(P).items():
+            assert cut_product_layers(broken) == 0, name
+        # A single layer mark, or none, names no product.
+        assert cut_product_layers(cycle(3)) == 0
+        assert cut_product_layers(fixed_point({"U0": {0}})) == 0
+        # A predicate U0 that is no layer mark.
+        assert cut_product_layers(cycle(4, {"U0": {0}, "U1": {1, 3}})) == 0
 
 
 class TestResidualize:
