@@ -25,7 +25,7 @@ from .fmtp import CompanionCertificate, check_fmtp, exhaustive_fmtp_check, restr
 from .localtypes import global_table, type_distribution
 from .randgen import SplitMix64, cycle_statistics, random_mapping
 from .realize import certificate_digest, pipeline, realize, rewire
-from .structure import FiniteMapping, cut_product_layers, cycle_cut_product
+from .structure import cycle_cut_product
 
 __all__ = ["main"]
 
@@ -57,22 +57,12 @@ def _density(text: str) -> tuple[str, Fraction]:
     return name, _fraction(value)
 
 
-def _read_typed_map(path) -> FiniteMapping:
-    """A map file read for typing in the global table, registered with it
-    when the file holds a cut product, so its layers are played once."""
-    F = mapfile.read_map(path)
-    m = cut_product_layers(F)
-    if m:
-        global_table().register_layers(F, m)
-    return F
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_types(args) -> None:
-    F = _read_typed_map(args.file)
+    F = mapfile.read_map(args.file)
     mu = type_distribution(F, args.rank, global_table())
     if args.table:
         sys.stdout.write("type\tmass\tmass_float\n")
@@ -105,6 +95,8 @@ def _cmd_fmtp(args) -> None:
         _emit({"mode": "exhaustive", "n": F.n, "pairs": 4**F.n, "ok": ok})
         return
     trials = args.trials if args.trials is not None else 1000
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = SplitMix64(args.seed)
     failures = 0
     for _ in range(trials):
@@ -125,7 +117,7 @@ def _cmd_fmtp(args) -> None:
 
 
 def _cmd_certificate(args) -> None:
-    F = _read_typed_map(args.file)
+    F = mapfile.read_map(args.file)
     mu = type_distribution(F, args.rank, global_table())
     result = restricted_fmtp_certificate(mu, args.r)
     if not isinstance(result, CompanionCertificate):

@@ -147,8 +147,10 @@ def ldist(
         raise SignatureMismatch("structures must share a signature")
     if p < 1:
         raise ValueError("ldist needs p >= 1")
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     table = table or global_table()
-    value = partial(table.local_value, k=r, meter=Meter(budget))
+    value = partial(table.nv_value, k=r, meter=Meter(budget))
     if p == 2:
         balls = [_near_balls(F, r + 1, budget) for F in (A, B)]
         counts = [_pair_classes(F, value, near) for F, near in zip((A, B), balls)]
@@ -166,6 +168,10 @@ def fo_dist(
     are enumerated, and n^p counted against the budget, only otherwise."""
     if not A.same_signature(B):
         raise SignatureMismatch("structures must share a signature")
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     value = partial(TypeTable().global_value, k=r, meter=Meter(budget))
     if value(A, ()) != value(B, ()):
         return Fraction(1)

@@ -31,18 +31,19 @@ disconnected, with a placed element inside some T(y), so it explores every
 fresh neighbor.
 
 Layers of a cut product are played once.  structure.cycle_cut_product
-numbers (x, i) as x*m + i, marks it U_i, and registers m with the table
-that types it.  Shifting every element by s layers, (x, i) -> (x, i + s mod
-m), commutes with f and keeps every input and type mark; it changes only
-U_j into U_{j+s mod m}.  So it is an isomorphism from the product onto the
+numbers (x, i) as x*m + i and marks it U_i; a table recognizes any
+structure laid out so (structure.cut_product_layers) when it first builds
+its cache.  Shifting every element by s layers, (x, i) -> (x, i + s mod m),
+commutes with f and keeps every input and type mark; it changes only U_j
+into U_{j+s mod m}.  So it is an isomorphism from the product onto the
 product with its layer marks renamed, and the value of (x, s) is the value
 of (x, 0) with U_j renamed U_{j+s mod m} in every row, kids included.
 
 Root values are therefore kept in a layer-0 normal form in a table that
-has an m registered.  A root value whose root row carries exactly one of
+has claimed an m.  A root value whose root row carries exactly one of
 U_0..U_{m-1}, say U_j with j != 0, gets the id of the pair (its value
 shifted by -j, j), interned as (rank, layer-0 value, j); every other root
-value is its own normal form.  A registered product's root (x, s) is the
+value is its own normal form.  A claimed product's root (x, s) is the
 pair (value of (x, 0), s), with no tree built and no game played outside
 layer 0; a root played on any other structure is brought to normal form by
 one memoized walk that shifts it back.  Lowering a pair lowers its layer-0
@@ -53,9 +54,9 @@ their normal forms are.  Canonical ids are still given in order of first
 appearance, to the same values, so they come out the same.  Kid values and
 tuples of two or more elements stay as played.
 
-A table keeps the first m registered with it.  A product with another m is
-left unregistered and played in every layer; its values are normalized like
-any other structure's, so they stay consistent.  Nor is anything registered
+A table claims the m of the first product it sees and keeps it.  A
+product with another m is played in every layer; its values are normalized
+like any other structure's, so they stay consistent.  Nor is any m claimed
 once a root value with a mark U_j, j >= 1, was handed out before any m was
 known, since that value was not normalized.
 
@@ -102,7 +103,7 @@ from .errors import (
     RankTooLow,
     RankZero,
 )
-from .structure import FiniteMapping
+from .structure import FiniteMapping, cut_product_layers
 
 
 def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
@@ -219,14 +220,14 @@ class TypeTable:
             weakref.WeakKeyDictionary()
         )
         self._adm_tables: dict[tuple[int, int], dict] = {}
-        # (shift, layers) -> (layer renaming, renamed rows, shifted values).
-        self._shifts: dict[tuple[int, int], tuple[dict, dict, dict]] = {}
-        # The m of the first product registered here, and root mark set ->
-        # its layer j, or 0 when its values are their own normal form.
+        # shift -> (layer renaming, renamed rows, shifted values).
+        self._shifts: dict[int, tuple[dict, dict, dict]] = {}
+        # The m this table claimed, and root mark set -> its layer j, or 0
+        # when its values are their own normal form.
         self._layers: Optional[int] = None
         self._layer_of: dict[frozenset, int] = {}
         # Whether a root value carrying some U_j, j >= 1, was handed out
-        # before any m was registered; no m can be registered after that.
+        # before any m was claimed; no m can be claimed after that.
         self._early_layer_marks = False
 
     # -- interning ---------------------------------------------------------
@@ -305,37 +306,35 @@ class TypeTable:
                 # the whole-domain game's last round (_last_round).
                 "classes": None,
                 "roots": {},
-                # m when F is a cut product with m layers (register_layers).
-                "layers": None,
+                # m when this table plays F as an m-layer cut product.
+                "layers": self._claim_layers(F),
             }
             self._caches[F] = cache
         return cache
 
-    def register_layers(self, F: FiniteMapping, m: int) -> None:
-        """Declare F a cut product with m layers: element x*m + i carries
-        exactly the layer mark U_i, and shifting every element by s layers
-        while renaming U_j to U_{j+s mod m} maps F onto itself.  The root
-        value of x*m + s is then the pair (root value of x*m, s), with no
-        game played outside layer 0 (module docstring).  A table keeps the
-        first m registered with it; a product with another m, or any product
-        once a root value with a layer mark was handed out unnormalized, is
-        left unregistered and played in every layer."""
+    def _claim_layers(self, F: FiniteMapping) -> Optional[int]:
+        """m when F is an m-layer cut product and m is the one this table
+        claimed, claiming it now if none was and none is blocked (module
+        docstring); else None, and F is played in every layer."""
+        m = cut_product_layers(F)
+        if not m:
+            return None
         if self._layers is None and not self._early_layer_marks:
             self._layers = m
             self._layer_of.clear()
-        if m == self._layers:
-            self._structure_cache(F)["layers"] = m
+        return m if m == self._layers else None
 
     # -- game values ---------------------------------------------------------
 
-    def nv_value(self, F: FiniteMapping, tup: tuple[int, ...], k: int) -> int:
-        """The value of `tup` in F's local game with k rounds left."""
-        return self.local_value(F, tup, k, None)
-
-    def local_value(
-        self, F: FiniteMapping, tup: tuple[int, ...], k: int, meter: Optional[Meter]
+    def nv_value(
+        self,
+        F: FiniteMapping,
+        tup: tuple[int, ...],
+        k: int,
+        meter: Optional[Meter] = None,
     ) -> int:
-        """nv_value, spending every position it plays on `meter`."""
+        """The value of `tup` in F's local game with k rounds left,
+        spending every position it plays on `meter`."""
         cache = self._structure_cache(F)
         if len(tup) != 1:
             return self._nv(F, cache["nv"], cache["all_moves"], tup, k, meter)
@@ -349,7 +348,7 @@ class TypeTable:
         m = cache["layers"]
         if m and v % m:
             layer = v % m
-            value = self._pair(self.local_value(F, (v - layer,), k, meter), layer)
+            value = self._pair(self.nv_value(F, (v - layer,), k, meter), layer)
         else:
             value = self._normal(self._nv(F, cache["nv"], cache["moves"], tup, k, meter))
         roots[v] = value
@@ -370,8 +369,7 @@ class TypeTable:
             layer = self._layer_of[marks] = self._root_layer(marks)
         if not layer:
             return nv
-        m = self._layers
-        return self._pair(self._shifted(nv, m - layer, m), layer)
+        return self._pair(self._shifted(nv, self._layers - layer), layer)
 
     def _root_layer(self, marks: frozenset) -> int:
         indices = [j for j in map(_layer_index, marks) if j is not None]
@@ -389,14 +387,15 @@ class TypeTable:
         domain, with k rounds left, spending every position on `meter`."""
         return self._nv(F, self._structure_cache(F)["fo"], None, tup, k, meter)
 
-    def _shifted(self, nv: int, s: int, m: int) -> int:
-        """nv with U_j renamed U_{j+s mod m} in every row, kids included:
-        in an m-layer product, the value of the same tuple shifted by s
-        layers.  Memoized per (value, s, m), renamed rows per (row, s, m)."""
-        state = self._shifts.get((s, m))
+    def _shifted(self, nv: int, s: int) -> int:
+        """nv with U_j renamed U_{j+s mod m} in every row, kids included,
+        for this table's m: the value of the same tuple shifted by s layers.
+        Memoized per (value, s), renamed rows per (row, s)."""
+        state = self._shifts.get(s)
         if state is None:
+            m = self._layers
             rename = {f"U{j}": f"U{(j + s) % m}" for j in range(m)}
-            state = self._shifts[s, m] = (rename, {}, {})
+            state = self._shifts[s] = (rename, {}, {})
         return self._shift(nv, *state)
 
     def _shift(self, nv: int, rename: dict, rows: dict, memo: dict) -> int:
@@ -753,6 +752,8 @@ def type_distribution(
     F: FiniteMapping, r: int, table: Optional[TypeTable] = None
 ) -> TypeMeasure:
     """Group elements of F by rank-r type; mass of a type = count / n."""
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     weighted = ((v, 1) for v in F.elements())
     return _weighted_distribution(F, r, table or _GLOBAL_TABLE, weighted)
 

@@ -537,13 +537,10 @@ def cycle_cut_product(
     Every cycle of the output has length a multiple of m (hence >= m), and no
     output cycle is shorter than m.
 
-    The output is registered with the type table (`table`, or the global
-    one) as an m-layer product: shifting every layer by s, with U_j renamed
-    U_{j+s mod m}, maps it onto itself, so that table plays its root games
-    in layer 0 only and keeps the root value of (x, s) as the pair (value
-    of (x, 0), s).  The symmetry holds by construction, since an input
-    predicate named like a layer mark is rejected.  A table keeps the first
-    m registered with it and plays products with another m in every layer.
+    The types of the input are computed in `table`, or the global one.  The
+    output passes cut_product_layers, since an input predicate named like a
+    layer mark is rejected, so a type table may play its root games in
+    layer 0 only.
     """
     from . import localtypes
 
@@ -595,13 +592,11 @@ def cycle_cut_product(
         + tuple(f"U{i}" for i in range(m))
         + tuple(t_names)
     )
-    product = FiniteMapping(
+    return FiniteMapping(
         f=f,
         marks={k: frozenset(v) for k, v in marks.items()},
         signature=signature,
     )
-    (table or localtypes.global_table()).register_layers(product, m)
-    return product
 
 
 def cut_product_layers(F: FiniteMapping) -> int:
@@ -613,11 +608,12 @@ def cut_product_layers(F: FiniteMapping) -> int:
     other mark holds on all of a block x*m .. x*m + m - 1 or on none of it.
     Then shifting every element by s layers, with U_j renamed U_{j+s mod m},
     maps F onto itself, as it does for the output of cycle_cut_product, and
-    F may be registered with a type table.  One pass over f and the marks.
+    a type table plays F's root games in layer 0 only.  Two lookups when
+    F lacks U0 or U1, else at most one pass over f and the marks.
     """
-    names = set(F.signature.predicates)
+    marks = F.marks
     m = 0
-    while f"U{m}" in names:
+    while f"U{m}" in marks:
         m += 1
     n = F.n
     if m < 2 or n % m:
@@ -629,7 +625,7 @@ def cut_product_layers(F: FiniteMapping) -> int:
         base = f[start] - 1
         if base % m or any(f[start + i] != base + (i + 1) % m for i in range(m)):
             return 0
-    for name, elems in F.marks.items():
+    for name, elems in marks.items():
         j = layers.get(name)
         if j is not None:
             if len(elems) != n // m or any(v % m != j for v in elems):

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from mapprox.randgen import random_mapping
-from mapprox.structure import FiniteMapping
+from mapprox.structure import FiniteMapping, cut_product_layers
 
 __all__ = [
     "cycle",
@@ -16,6 +16,7 @@ __all__ = [
     "functions_up_to_relabeling",
     "every_marking",
     "broken_cut_products",
+    "mirrored",
 ]
 
 
@@ -90,3 +91,17 @@ def broken_cut_products(P: FiniteMapping) -> dict[str, FiniteMapping]:
         "element 1 maps into layer 1": copy(f=P.f[:1] + P.f[:1] + P.f[2:]),
         "U differs within block 0": copy(U=marks["U"] ^ {1}),
     }
+
+
+def mirrored(P: FiniteMapping) -> FiniteMapping:
+    """P relabelled by v -> n - 1 - v: isomorphic to P, so the value of
+    n - 1 - v in the copy is the value of v in P, but no type table takes
+    the copy for a cut product, and every one of its layers is played."""
+    n = P.n
+    copy = FiniteMapping(
+        f=tuple(n - 1 - P.f[n - 1 - v] for v in range(n)),
+        marks={name: {n - 1 - v for v in elems} for name, elems in P.marks.items()},
+        signature=P.signature,
+    )
+    assert cut_product_layers(copy) == 0
+    return copy

@@ -124,6 +124,13 @@ class TestFmtp:
         assert code == 0
         assert json.loads(out)["mode"] == "sampled"
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_1(self, capsys, c3, trials):
+        code, out, err = run(capsys, ["fmtp", c3, "--trials", trials])
+        assert code == 1
+        assert out == ""
+        assert "trials must be at least 1" in err
+
 
 class TestConstructionCommands:
     def test_cut_then_rewire_recovers_distribution(
@@ -162,15 +169,15 @@ class TestConstructionCommands:
     def test_cut_product_read_back_is_registered(
         self, capsys, tmp_path, random_map, monkeypatch
     ):
-        # `types` and `certificate` register a cut product read from a map
-        # file with their table; the output is byte-identical to playing
-        # every layer.
+        # The type table recognizes a cut product read from a map file, and
+        # `types` and `certificate` play it in layer 0 only; the output is
+        # byte-identical to playing every layer.
         cut_path = str(tmp_path / "cut.map")
         run(capsys, ["cut", random_map, "--m", "6", "--type-rank", "3", "--out", cut_path])
         outputs = []
         for registering in (True, False):
             if not registering:
-                monkeypatch.setattr("mapprox.cli.cut_product_layers", lambda F: 0)
+                monkeypatch.setattr("mapprox.localtypes.cut_product_layers", lambda F: 0)
             for argv in (["types", "--rank", "3"], ["certificate", "--rank", "3", "--r", "1"]):
                 table = TypeTable()
                 monkeypatch.setattr("mapprox.cli.global_table", lambda: table)
@@ -348,6 +355,35 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["types", str(bad), "--rank", "1"])
         assert code == 1
         assert "duplicate element id" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["types", "{a}", "--rank", "-1"], "rank must be nonnegative"),
+            (["types", "{a}", "--rank", "-2"], "rank must be nonnegative"),
+            (["ef", "{a}", "{b}", "--r", "-1"], "rank must be nonnegative"),
+            (["dist", "{a}", "{b}", "--p", "1", "--r", "-1"], "rank must be nonnegative"),
+            (
+                ["dist", "{a}", "{b}", "--p", "1", "--r", "-1", "--kind", "fo"],
+                "rank must be nonnegative",
+            ),
+            (
+                ["dist", "{a}", "{b}", "--p", "-1", "--r", "1", "--kind", "fo"],
+                "p must be nonnegative",
+            ),
+        ],
+        ids=["types-r-1", "types-r-2", "ef", "dist-local", "dist-fo-r", "dist-fo-p"],
+    )
+    def test_negative_rank_or_p_exits_1(self, capsys, tmp_path, argv, message):
+        paths = {}
+        for key, F in (("a", cycle(3)), ("b", star(4))):
+            paths[key] = str(tmp_path / f"{key}.map")
+            write_map(F, paths[key])
+        code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
 
     def test_domain_error(self, capsys, c3):
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])

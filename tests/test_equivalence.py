@@ -198,6 +198,11 @@ class TestLdist:
         with pytest.raises(ValueError):
             ldist(cycle(3), cycle(3), 0, 1)
 
+    def test_rejects_negative_rank(self):
+        for p in (1, 2, 3):
+            with pytest.raises(ValueError, match="rank must be nonnegative"):
+                ldist(cycle(3), cycle(5), p, -1, TypeTable())
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             ldist(seeded(40, 0), seeded(40, 1), 3, 1, budget=1000)
@@ -352,3 +357,15 @@ class TestTruncatedSeries:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dist_fo_truncated(cycle(3), cycle(3), -1)
+
+
+class TestNegativeArguments:
+    def test_fo_dist_and_ef_reject_negative_rank(self):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            fo_dist(cycle(3), cycle(5), 1, -1)
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            ef_equivalent(cycle(3), cycle(5), -1)
+
+    def test_fo_dist_rejects_negative_p(self):
+        with pytest.raises(ValueError, match="p must be nonnegative"):
+            fo_dist(cycle(3), cycle(3), -1, 1)

@@ -12,6 +12,7 @@ from helpers import (
     every_marking,
     fixed_point,
     functions_up_to_relabeling,
+    mirrored,
     seeded,
     star,
 )
@@ -37,6 +38,7 @@ from mapprox.localtypes import (
     types_equal,
 )
 from mapprox.logic import evaluate
+from mapprox.mapfile import dump_map, parse_map
 from mapprox.structure import FiniteMapping, cycle_cut_product, disjoint_union
 from mapprox.randgen import random_mapping
 from oracles import (
@@ -259,6 +261,10 @@ class TestTypeDistribution:
         with pytest.raises(MeasureError):
             TypeMeasure(rank=1, entries=((t, Fraction(1, 2)),))
 
+    def test_rejects_negative_rank(self):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            type_distribution(cycle(3), -1, TypeTable())
+
     def test_duplicate_types_rejected(self):
         t1, t2 = t_of(cycle(5), 0, 1), t_of(cycle(7), 0, 1)
         with pytest.raises(MeasureError):
@@ -473,22 +479,20 @@ class TestTwinRule:
         assert oracle.positions(F) >= 10 * 2000
 
 
-def unregistered(P):
-    """A copy of P that no table knows as a cut product: the direct kernel
-    plays every one of its layers."""
-    return FiniteMapping(f=P.f, marks=P.marks, signature=P.signature)
-
-
 def assert_layers_match_direct_kernel(F, m, type_rank, ranks):
-    """Root values of the registered product equal the direct kernel's on
-    an unregistered copy, typed in the same table, for every element at
-    every rank, ranks in the given order."""
+    """Root values of the product equal the direct kernel's on a mirrored
+    copy, typed in the same table, for every element at every rank, ranks
+    in the given order."""
     table = TypeTable()
     P = cycle_cut_product(F, m, type_rank, table)
-    Q = unregistered(P)
+    Q = mirrored(P)
+    last = P.n - 1
     for r in ranks:
         for v in P.elements():
-            assert table.nv_value(P, (v,), r) == table.nv_value(Q, (v,), r), (m, r, v)
+            got = table.nv_value(P, (v,), r)
+            assert got == table.nv_value(Q, (last - v,), r), (m, r, v)
+    assert table._structure_cache(P)["layers"] == m
+    assert table._structure_cache(Q)["layers"] is None
 
 
 class TestLayerShift:
@@ -510,24 +514,27 @@ class TestLayerShift:
             assert_layers_match_direct_kernel(F, 60, rank, (rank,))
 
     def test_unregistered_table_gives_same_canonical_ids(self):
-        # A table the product was not registered with plays every layer;
-        # given the same history, it assigns the same canonical ids.
+        # A table that plays every layer, of a mirrored copy typed at the
+        # mirrored elements, assigns the same canonical ids given the same
+        # history.
         F = seeded(9, 3, Fraction(1, 2))
         home, other = TypeTable(), TypeTable()
         P = cycle_cut_product(F, 6, 3, home)
         for v in F.elements():
             local_type(F, v, 3, other)
+        Q, last = mirrored(P), P.n - 1
         ids = [
-            [local_type(P, v, 3, table).canonical_id for v in P.elements()]
-            for table in (home, other)
+            [local_type(P, v, 3, home).canonical_id for v in P.elements()],
+            [local_type(Q, last - v, 3, other).canonical_id for v in P.elements()],
         ]
         assert ids[0] == ids[1]
-        assert other._structure_cache(P)["layers"] is None
-        assert any(tup[0] % 6 for tup, _ in other._structure_cache(P)["nv"])
+        assert home._structure_cache(P)["layers"] == 6
+        assert other._structure_cache(Q)["layers"] is None
+        assert any(tup[0] % 6 for tup, _ in other._structure_cache(Q)["nv"])
 
     def test_plays_root_games_in_layer_zero_only(self):
         # A count guard: every position the kernel memoizes for a
-        # registered product starts in layer 0.
+        # product starts in layer 0.
         table = TypeTable()
         m = 6
         P = cycle_cut_product(seeded(12, 5), m, 3, table)
@@ -536,13 +543,32 @@ class TestLayerShift:
         assert memo
         assert all(tup[0] % m == 0 for tup, _ in memo)
 
+    @pytest.mark.parametrize("source", ["another table", "map file"])
+    def test_products_built_elsewhere_play_layer_zero_only(self, source):
+        # A table recognizes a product it did not build: one built with
+        # another table, or read back from its map file.  Its histogram
+        # equals the one of a mirrored copy, which is played in every layer.
+        P = cycle_cut_product(seeded(12, 5), 6, 3, TypeTable())
+        if source == "map file":
+            P = parse_map(dump_map(P))
+        table, oracle = TypeTable(), TypeTable()
+        mu = type_distribution(P, 3, table)
+        memo = table._structure_cache(P)["nv"]
+        assert table._structure_cache(P)["layers"] == 6
+        assert memo
+        assert all(tup[0] % 6 == 0 for tup, _ in memo)
+        Q = mirrored(P)
+        assert measure_tv(mu, type_distribution(Q, 3, oracle)) == 0
+        assert oracle._structure_cache(Q)["layers"] is None
+
     @pytest.mark.parametrize("ms", [(6, 12), (12, 6), (2, 3), (6, 6)])
     def test_mixed_layer_counts_give_unregistered_ids(self, ms):
-        # A table keeps the first m registered with it: a product with
-        # another m is played in every layer, and its values, like those of
-        # the unregistered copies, are brought to the same normal form.  A
-        # table with nothing registered, given the same history, must
-        # assign the same canonical ids.
+        # A table keeps the first m it claims: a product with another m is
+        # played in every layer, and its values, like those of the mirrored
+        # copies, are brought to the same normal form.  A table that sees
+        # only mirrored copies, and so claims no m, given the same history
+        # must assign the same canonical ids.  It types the mirrored copy
+        # of each product at the mirrored elements.
         home, plain = TypeTable(), TypeTable()
         typed = []
         for trial, m in enumerate(ms):
@@ -552,17 +578,22 @@ class TestLayerShift:
             P = cycle_cut_product(F, m, 1, home)
             expected = m if m == ms[0] else None
             assert home._structure_cache(P)["layers"] == expected
-            typed += [P, unregistered(P)]
+            Q, last = mirrored(P), P.n - 1
+            typed += [
+                (P, Q, [last - v for v in P.elements()]),
+                (Q, Q, list(Q.elements())),
+            ]
             for r in (3, 1, 2, 0):
-                for S in typed:
+                for S, oracle, order in typed:
                     ids = [
-                        [local_type(S, v, r, table).canonical_id for v in S.elements()]
-                        for table in (home, plain)
+                        [local_type(S, v, r, home).canonical_id for v in S.elements()],
+                        [local_type(oracle, w, r, plain).canonical_id for w in order],
                     ]
                     assert ids[0] == ids[1], (ms, trial, r)
+                    assert plain._structure_cache(oracle)["layers"] is None
 
     def test_lower_ranks_and_transport_build_no_shifted_tree(self):
-        # A count guard: a registered product's values in layers other than
+        # A count guard: a product's values in layers other than
         # 0 are (layer-0 value, layer) pairs, lowered and transported
         # without building any relabelled tree.
         table = TypeTable()
@@ -576,22 +607,24 @@ class TestLayerShift:
 
     def test_layer_marks_seen_before_registration_block_it(self):
         # Root values with a layer mark handed out before any m is known
-        # were not normalized; registering afterwards would split their
+        # were not normalized; claiming an m afterwards would split their
         # types, so the product is played in every layer instead.
         home, plain = TypeTable(), TypeTable()
         F = seeded(6, 9, Fraction(1, 2))
-        Q = unregistered(cycle_cut_product(F, 6, 2, TypeTable()))
+        Q = mirrored(cycle_cut_product(F, 6, 2, TypeTable()))
         for table in (home, plain):
             for v in F.elements():
                 local_type(F, v, 2, table)
             type_distribution(Q, 2, table)
         P = cycle_cut_product(F, 6, 2, home)
         assert home._structure_cache(P)["layers"] is None
+        last = P.n - 1
         ids = [
-            [local_type(P, v, 2, table).canonical_id for v in P.elements()]
-            for table in (home, plain)
+            [local_type(P, v, 2, home).canonical_id for v in P.elements()],
+            [local_type(Q, last - v, 2, plain).canonical_id for v in P.elements()],
         ]
         assert ids[0] == ids[1]
+        assert plain._structure_cache(Q)["layers"] is None
 
 
 class TestHistogramCollector:
