@@ -36,7 +36,7 @@ def _sibling_classes(
     for layer in reversed(layers[1:]):
         for z in layer:
             children = tuple(sorted(Counter(cls[x] for x in pre[z]).items()))
-            key = (F.mark_vector(z), children)
+            key = (F.mark_sets[z], children)
             code = interned.get(key)
             if code is None:
                 code = len(interned)
@@ -68,13 +68,13 @@ def _component_form(
         child_forms = sorted(
             form[c] for c in pre[x] if c in kept and heights[c] == heights[x] + 1
         )
-        form[x] = (F.mark_vector(x), tuple(child_forms))
+        form[x] = (F.mark_sets[x], tuple(child_forms))
     ring = []
     for z in cycle:
         child_forms = sorted(
             form[c] for c in pre[z] if c in kept and heights.get(c) == 1
         )
-        ring.append((F.mark_vector(z), tuple(child_forms)))
+        ring.append((F.mark_sets[z], tuple(child_forms)))
     doubled = ring + ring
     size = len(ring)
     return min(tuple(doubled[i : i + size]) for i in range(size))

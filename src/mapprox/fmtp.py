@@ -146,16 +146,18 @@ class CompanionCertificate:
 
 
 def _support_universe(mu: TypeMeasure, r: int):
-    """Rank-r types under the support plus the transport images, keyed."""
+    """Rank-r types under the support plus the transport images, keyed,
+    and (tau, its rank-r projection, its image's rank-r type, mass) per
+    support type."""
     reps: dict[tuple[int, int], LocalType] = {}
-    proj: list[tuple[LocalType, LocalType, Fraction]] = []
+    proj: list[tuple[LocalType, LocalType, LocalType, Fraction]] = []
     images: dict[tuple[int, int], LocalType] = {}
     for tau, mass in mu.entries:
         low = project(tau, r)
         reps.setdefault(low.key, low)
-        proj.append((tau, low, mass))
         img = project(transport(tau), r)
         images.setdefault(img.key, img)
+        proj.append((tau, low, img, mass))
     for key, t in images.items():
         reps.setdefault(key, t)
     universe = sorted(reps.values(), key=lambda t: t.canonical_id)
@@ -196,9 +198,8 @@ def _solve_certificate(
     # both keyed up front so the equation loop is dictionary lookups only.
     flow: dict[tuple, Fraction] = {}
     by_low: dict[tuple, list[tuple[LocalType, Fraction]]] = {}
-    for tau, low, mass in proj:
-        img_key = project(transport(tau), r).key
-        pair = (low.key, img_key)
+    for tau, low, img, mass in proj:
+        pair = (low.key, img.key)
         flow[pair] = flow.get(pair, Fraction(0)) + mass
         by_low.setdefault(low.key, []).append((tau, mass))
 
@@ -308,7 +309,7 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
     for tau, t, s in cert.entries:
         s_by_tau.setdefault(tau.key, {})[t.key] = s
 
-    for tau, _, _ in proj:
+    for tau, _, _, _ in proj:
         minus = adm_minus_table(tau, r)
         claimed = s_by_tau.get(tau.key, {})
         touched = {k for k in minus if k in universe_keys}
@@ -323,9 +324,8 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
 
     lhs: dict[tuple, Fraction] = {}
     rhs: dict[tuple, Fraction] = {}
-    for tau, low, mass in proj:
-        img_key = project(transport(tau), r).key
-        pair = (low.key, img_key)
+    for tau, low, img, mass in proj:
+        pair = (low.key, img.key)
         lhs[pair] = lhs.get(pair, zero) + mass
         for t_key, s in s_by_tau.get(tau.key, {}).items():
             if s != 0 and t_key in universe_keys:
@@ -372,9 +372,10 @@ def approximate_measure(
         return mu
 
     universe, proj = _support_universe(mu, r)
-    support = [tau for tau, _, _ in proj]
-    masses = [mass for _, _, mass in proj]
-    lows = [low for _, low, _ in proj]
+    support = [tau for tau, _, _, _ in proj]
+    masses = [mass for _, _, _, mass in proj]
+    lows = [low for _, low, _, _ in proj]
+    img_key = [img.key for _, _, img, _ in proj]
     S = len(support)
 
     # Variable layout: masses x, then one excess variable per free (tau, t1)
@@ -393,8 +394,6 @@ def approximate_measure(
     q_base = p_base + S
     slack = q_base + S
     num_vars = slack + 1
-
-    img_key = [project(transport(tau), r).key for tau in support]
 
     delta = min(masses) / 2
     for _ in range(LP_RETRIES):

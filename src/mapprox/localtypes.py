@@ -73,7 +73,7 @@ With one round left, the kids of a tuple are the rank-0 values of its
 extensions by each unplaced z, and a rank-0 value is z's atom row: its
 marks, whether it is fixed, and which placed elements equal it, are its
 image, or are its preimages.  An unplaced z that is neither an image nor a
-preimage of a placed element has the row (marks, fixed, None, None, {}),
+preimage of a placed element has the row (marks, fixed, None, None, 0),
 which depends only on its class (marks, fixed).  So the kid set is the row
 of every image and preimage of a placed element, plus the free row of each
 class with more elements in F than the tuple and those related elements
@@ -83,11 +83,20 @@ counted, so a game of rank r spends about n^(r-1) positions, not n^r.
 
 The TypeTable assigns session-stable canonical ids on first sight and caches
 everything per structure; it is shared process-wide by default.
+
+What a table keeps holds only ints, strings, None and tuples of these: a
+value is (rank, atom row, kids) with its kid set as a sorted tuple of value
+ids, an atom row holds its element's marks as a sorted tuple of names and
+its preimage indices as a bitmask, and move lists are tuples.  The cyclic
+garbage collector untracks such a tuple once what it holds is untracked,
+and a full collection then untracks the dicts keyed by them, so the
+millions of values and memo entries a histogram leaves are not rescanned
+by every later collection.  A set or a list stored there brings those
+rescans back.
 """
 
 from __future__ import annotations
 
-import gc
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -109,7 +118,8 @@ from .structure import FiniteMapping, cut_product_layers
 def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
     """The atoms the last element of `tup` adds over the earlier ones:
     its marks, self-loop flag, first coincidence index, image index, and
-    preimage indices among the earlier elements.  None for the empty tuple."""
+    the preimage indices among the earlier elements as a bitmask.  None for
+    the empty tuple."""
     if not tup:
         return None
     x = tup[-1]
@@ -117,7 +127,7 @@ def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
     eq = next((j for j in range(last) if tup[j] == x), None)
     fx = f[x]
     img = next((j for j in range(last) if tup[j] == fx), None)
-    pre = frozenset(j for j in range(last) if f[tup[j]] == x)
+    pre = sum(1 << j for j in range(last) if f[tup[j]] == x)
     return (marks[x], fx == x, eq, img, pre)
 
 
@@ -225,7 +235,7 @@ class TypeTable:
         # The m this table claimed, and root mark set -> its layer j, or 0
         # when its values are their own normal form.
         self._layers: Optional[int] = None
-        self._layer_of: dict[frozenset, int] = {}
+        self._layer_of: dict[tuple[str, ...], int] = {}
         # Whether a root value carrying some U_j, j >= 1, was handed out
         # before any m was claimed; no m can be claimed after that.
         self._early_layer_marks = False
@@ -265,15 +275,15 @@ class TypeTable:
 
             # Every neighbor of x (x too if it is a fixed point), with no
             # twin classes.
-            plain = _PerElement(lambda x: (frozenset(pre[x]) | {f[x]}, ()))
+            plain = _PerElement(lambda x: (pre[x] + (f[x],), ()))
 
-            def build_moves(x: int, d: int) -> tuple[frozenset, tuple]:
+            def build_moves(x: int, d: int) -> tuple[tuple, tuple]:
                 # The neighbors of x as (singles, twin classes): a twin class
                 # holds two or more preimages off every cycle whose in-trees
                 # agree to depth d, and singles are the other neighbors.
                 # Twins share their marks, so only preimages that share
                 # their marks with a sibling are checked further.
-                by_marks: dict[frozenset, list[int]] = {}
+                by_marks: dict[tuple[str, ...], list[int]] = {}
                 for y in pre[x]:
                     by_marks.setdefault(marks[y], []).append(y)
                 twins = []
@@ -288,7 +298,7 @@ class TypeTable:
                 if not twins:
                     return plain[x]
                 paired = {y for members in twins for y in members}
-                singles = frozenset(y for y in pre[x] if y not in paired) | {f[x]}
+                singles = tuple(y for y in pre[x] if y not in paired) + (f[x],)
                 return singles, tuple(twins)
 
             cache = {
@@ -371,7 +381,7 @@ class TypeTable:
             return nv
         return self._pair(self._shifted(nv, self._layers - layer), layer)
 
-    def _root_layer(self, marks: frozenset) -> int:
+    def _root_layer(self, marks: tuple[str, ...]) -> int:
         indices = [j for j in map(_layer_index, marks) if j is not None]
         m = self._layers
         if m is None:
@@ -405,13 +415,14 @@ class TypeTable:
         rank, row, kids = self._meta[nv]
         moved = rows.get(row)
         if moved is None:
-            marks = frozenset(rename.get(name, name) for name in row[0])
+            marks = tuple(sorted(rename.get(name, name) for name in row[0]))
             moved = rows[row] = (marks,) + row[1:]
         if kids is not None:
             for c in kids:
                 if c not in memo:
                     self._shift(c, rename, rows, memo)
-            kids = frozenset(map(memo.__getitem__, kids))
+            # A shift is a bijection on values, so the kids stay distinct.
+            kids = tuple(sorted(map(memo.__getitem__, kids)))
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
@@ -440,21 +451,19 @@ class TypeTable:
                 ext = set()
                 for a in tup:
                     singles, twins = by_element[a]
-                    ext |= singles
+                    ext.update(singles)
                     for members in twins:
                         for y in members:
                             if y not in placed:
                                 ext.add(y)
                                 break
             ext -= placed
-            kids = frozenset(
-                self._nv(F, memo, moves, tup + (y,), k - 1, meter) for y in ext
-            )
-            value = self._intern_value((k, row, kids))
+            kids = {self._nv(F, memo, moves, tup + (y,), k - 1, meter) for y in ext}
+            value = self._intern_value((k, row, tuple(sorted(kids))))
         memo[key] = value
         return value
 
-    def _last_round(self, F: FiniteMapping, tup: tuple[int, ...]) -> frozenset:
+    def _last_round(self, F: FiniteMapping, tup: tuple[int, ...]) -> tuple[int, ...]:
         """The kid values of `tup` with one whole-domain round left, read
         off atom rows instead of played: each image or preimage of a placed
         element gets its own row, and each (marks, fixed) class with an
@@ -477,8 +486,8 @@ class TypeTable:
         held = Counter((marks[x], f[x] == x) for x in placed | related)
         for (names, fixed), count in classes.items():
             if count > held[names, fixed]:
-                kids.add(intern((0, (names, fixed, None, None, frozenset()), None)))
-        return frozenset(kids)
+                kids.add(intern((0, (names, fixed, None, None, 0), None)))
+        return tuple(sorted(kids))
 
     def lower_value(self, nv: int) -> int:
         """The value one rank down for the same tuple in the same structure."""
@@ -494,9 +503,8 @@ class TypeTable:
         elif rank == 1:
             lowered = self._intern_value((0, row, None))
         else:
-            lowered = self._intern_value(
-                (rank - 1, row, frozenset(self.lower_value(c) for c in kids))
-            )
+            kids = {self.lower_value(c) for c in kids}
+            lowered = self._intern_value((rank - 1, row, tuple(sorted(kids))))
         self._lower[nv] = lowered
         return lowered
 
@@ -763,26 +771,15 @@ def _weighted_distribution(
 ) -> TypeMeasure:
     """type_distribution from (element, weight) pairs whose weights sum to
     F.n, each pair standing for `weight` elements of the element's type.
-    Canonical ids are assigned in order of first appearance.
-
-    The cyclic garbage collector is paused while the games are played:
-    they allocate millions of memo tuples and frozensets that stay alive,
-    which every collection would rescan in vain.  The kernel's caches hold
-    no reference cycles, so reference counting frees them as before."""
+    Canonical ids are assigned in order of first appearance."""
     groups: dict[int, list[int]] = {}
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for v, weight in weighted:
-            nv = table.nv_value(F, (v,), r)
-            group = groups.get(nv)
-            if group is None:
-                groups[nv] = [v, weight]
-            else:
-                group[1] += weight
-    finally:
-        if collecting:
-            gc.enable()
+    for v, weight in weighted:
+        nv = table.nv_value(F, (v,), r)
+        group = groups.get(nv)
+        if group is None:
+            groups[nv] = [v, weight]
+        else:
+            group[1] += weight
     pairs = []
     for nv, (v, count) in groups.items():
         t = LocalType(r, F, v, nv, table.canonical_id(nv), table)

@@ -92,13 +92,8 @@ def dump_map(F: FiniteMapping) -> str:
         f"n {F.n}",
         " ".join(["predicates", *F.signature.predicates]),
     ]
-    # Elements with equal marks share one frozenset, rendered once.
-    rendered: dict[frozenset[str], str] = {}
     for v, (image, marks) in enumerate(zip(F.f, F.mark_sets)):
-        inside = rendered.get(marks)
-        if inside is None:
-            inside = rendered[marks] = " ".join(sorted(marks))
-        rows.append(f"{v} -> {image} [{inside}]")
+        rows.append(f"{v} -> {image} [{' '.join(marks)}]")
     return "\n".join(rows) + "\n"
 
 

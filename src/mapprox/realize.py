@@ -124,6 +124,8 @@ def realize(
     Measures with terminal types, whose images the paper's construction
     attaches to hub elements of a host, fail the cleanness precondition.
     """
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     if multiplier < 1:
         raise ValueError("multiplier must be at least 1")
     if mu.rank < 2 * r + 1:
@@ -137,7 +139,7 @@ def realize(
         failure = report.failures()[0]
         raise PreconditionFailed(failure.name, failure.detail)
 
-    entries = [(tau, mass) for tau, mass in mu if mass > 0]
+    entries = mu.entries
     signature = entries[0][0].structure.signature
     for tau, _ in entries:
         if tau.structure.signature.predicates != signature.predicates:
@@ -256,7 +258,7 @@ def realize(
     marks: dict[str, set[int]] = {name: set() for name in signature.predicates}
     for index, (tau, _) in enumerate(entries):
         witness_structure, w = tau.witness
-        for name in witness_structure.marks_of(w):
+        for name in witness_structure.mark_sets[w]:
             marks[name].update(block_range[index])
     realized = FiniteMapping(
         f=tuple(g),
@@ -326,7 +328,7 @@ def verify_upsilon(
 
     for v in F.elements():
         witness_structure, w = upsilon[v].witness
-        if F.marks_of(v) != witness_structure.marks_of(w):
+        if F.mark_sets[v] != witness_structure.mark_sets[w]:
             return False
 
     plus_cache: dict[tuple, bool] = {}
@@ -607,9 +609,7 @@ def pipeline(
     if isinstance(certificate, Violation):
         raise Infeasible(str(certificate))
 
-    estimated = multiplier * math.lcm(
-        *(mass.denominator for _, mass in nu if mass > 0)
-    )
+    estimated = multiplier * math.lcm(*(mass.denominator for _, mass in nu))
     if estimated > MAX_REALIZE_SIZE:
         raise ScheduleInfeasible(
             f"realization would need {estimated} elements, over the budget "

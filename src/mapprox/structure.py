@@ -1,7 +1,8 @@
 """Finite mappings: a finite domain, one unary function, unary predicates.
 
 Elements are 0..n-1.  The function is stored as a tuple ``f`` with
-``f[v] = image of v``; predicates ("marks") are frozensets of elements.  All
+``f[v] = image of v``; predicates ("marks") are frozensets of elements, and
+the marks of each element are a sorted tuple of names (``mark_sets``).  All
 derived notions (Gaifman distance, balls, components, the cyclic part) treat
 the structure as the undirected functional graph with edges v -- f(v), and
 read the preimage table each structure builds once (``FiniteMapping.pre``).
@@ -119,20 +120,24 @@ class FiniteMapping:
             raise ElementOutOfRange(v, len(self.f))
 
     @cached_property
-    def mark_sets(self) -> tuple[frozenset[str], ...]:
-        """The set of predicate names holding at each element, indexed by
-        element.  Built once by one pass over each predicate's extension;
-        elements with equal marks share one frozenset."""
+    def mark_sets(self) -> tuple[tuple[str, ...], ...]:
+        """The predicate names holding at each element as a sorted tuple,
+        indexed by element: two elements carry the same marks exactly when
+        their tuples are equal.  Built once by one pass over each
+        predicate's extension; elements with equal marks share one tuple.
+        A tuple, not a frozenset like the extensions, because the type
+        kernel keeps these in its values, which the garbage collector must
+        not have to scan."""
         names: list[tuple[str, ...]] = [()] * len(self.f)
         for name, elems in self.marks.items():  # in signature order
             for v in elems:
                 names[v] += (name,)
-        shared: dict[tuple[str, ...], frozenset[str]] = {}
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
         sets = []
         for key in names:
             found = shared.get(key)
             if found is None:
-                found = shared[key] = frozenset(key)
+                found = shared[key] = tuple(sorted(key))
             sets.append(found)
         return tuple(sets)
 
@@ -147,10 +152,7 @@ class FiniteMapping:
 
     def marks_of(self, v: int) -> frozenset[str]:
         self.check_element(v)
-        return self.mark_sets[v]
-
-    def mark_vector(self, v: int) -> tuple[bool, ...]:
-        return tuple(v in self.marks[name] for name in self.signature.predicates)
+        return frozenset(self.mark_sets[v])
 
     def same_signature(self, other: "FiniteMapping") -> bool:
         return self.signature.predicates == other.signature.predicates

@@ -371,14 +371,26 @@ class TestErrorHandling:
                 ["dist", "{a}", "{b}", "--p", "-1", "--r", "1", "--kind", "fo"],
                 "p must be nonnegative",
             ),
+            (["realize", "{mu}", "--r", "-1"], "rank must be nonnegative"),
         ],
-        ids=["types-r-1", "types-r-2", "ef", "dist-local", "dist-fo-r", "dist-fo-p"],
+        ids=[
+            "types-r-1",
+            "types-r-2",
+            "ef",
+            "dist-local",
+            "dist-fo-r",
+            "dist-fo-p",
+            "realize",
+        ],
     )
     def test_negative_rank_or_p_exits_1(self, capsys, tmp_path, argv, message):
         paths = {}
         for key, F in (("a", cycle(3)), ("b", star(4))):
             paths[key] = str(tmp_path / f"{key}.map")
             write_map(F, paths[key])
+        mu = type_distribution(cycle(3), 3, TypeTable())
+        paths["mu"] = str(tmp_path / "mu.json")
+        (tmp_path / "mu.json").write_text(json.dumps(jsonable(measure_to_json(mu))))
         code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
         assert code == 1
         assert out == ""

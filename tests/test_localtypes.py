@@ -26,7 +26,6 @@ from mapprox.errors import (
 from mapprox.localtypes import (
     TypeMeasure,
     TypeTable,
-    _weighted_distribution,
     adm_minus,
     adm_minus_table,
     adm_plus,
@@ -592,6 +591,33 @@ class TestLayerShift:
                     assert ids[0] == ids[1], (ms, trial, r)
                     assert plain._structure_cache(oracle)["layers"] is None
 
+    def test_shift_keeps_rows_with_two_layer_marks_sorted(self):
+        # The value of (x, s) is the value of (x, 0) with U_j renamed
+        # U_{j+s mod m} in every row, kids included.  A row carrying two
+        # layer marks can change its sorted order when renamed (U9 -> U10
+        # sorts before U3), and the shifted row must still match the
+        # played one.
+        m, k = 12, 2
+        table = TypeTable()
+        P = cycle_cut_product(seeded(5, 3), m, k, table)
+        assert table._structure_cache(P)["layers"] == m
+        # P with U_{i+7 mod m} added to each (x, i), x odd: the layer shift
+        # still renames marks only, but no table takes Q for a product.
+        marks = dict(P.marks)
+        for v in P.elements():
+            if v // m % 2:
+                name = f"U{(v % m + 7) % m}"
+                marks[name] = marks[name] | {v}
+        Q = FiniteMapping(f=P.f, marks=marks, signature=P.signature)
+        cache = table._structure_cache(Q)
+        assert cache["layers"] is None
+        for x in range(0, Q.n // m, 2):
+            played = [
+                table._nv(Q, cache["nv"], cache["moves"], (x * m + s,), k, None)
+                for s in range(m)
+            ]
+            assert [table._shifted(played[0], s) for s in range(m)] == played
+
     def test_lower_ranks_and_transport_build_no_shifted_tree(self):
         # A count guard: a product's values in layers other than
         # 0 are (layer-0 value, layer) pairs, lowered and transported
@@ -627,17 +653,29 @@ class TestLayerShift:
         assert plain._structure_cache(Q)["layers"] is None
 
 
-class TestHistogramCollector:
-    @pytest.mark.parametrize("collecting", [True, False])
-    def test_collector_state_restored_after_error(self, collecting):
+class TestUntrackedValues:
+    def test_collector_untracks_what_a_table_keeps(self):
+        # Values, rows, memo keys and move lists hold only ints, strings,
+        # None and tuples, so full collections untrack them and the dicts
+        # keyed by them, and no later collection rescans them.  A set or a
+        # list kept there would stay tracked.
+        table = TypeTable()
         F = seeded(10, 1)
-        was = gc.isenabled()
-        (gc.enable if collecting else gc.disable)()
-        try:
-            with pytest.raises(IndexError):
-                _weighted_distribution(F, 2, TypeTable(), [(0, 1), (F.n + 3, 1)])
-            assert gc.isenabled() is collecting
-            type_distribution(F, 2, TypeTable())
-            assert gc.isenabled() is collecting
-        finally:
-            (gc.enable if was else gc.disable)()
+        P = cycle_cut_product(F, 6, 3, table)
+        for G in (F, P, mirrored(P)):
+            for t in type_distribution(G, 3, table).types():
+                project(t, 1)
+            table.global_value(G, (0,), 2, None)
+        # A collection untracks a tuple only once what it holds is
+        # untracked, and may examine it before its parts: a value holds a
+        # row, which holds a marks tuple, so three collections suffice.
+        for _ in range(3):
+            gc.collect()
+        assert table._layers == 6 and table._shifts
+        assert not any(map(gc.is_tracked, table._meta))
+        assert not gc.is_tracked(table._intern)
+        assert not gc.is_tracked(table._layer_of)
+        cache = table._structure_cache(F)
+        assert not gc.is_tracked(cache["nv"]) and not gc.is_tracked(cache["fo"])
+        moves = [m for d in cache["moves"].values() for m in d.values()]
+        assert moves and not any(map(gc.is_tracked, moves))

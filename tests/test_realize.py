@@ -95,6 +95,11 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(mu, 1, 0)
 
+    def test_negative_rank_rejected(self):
+        mu = type_distribution(fixed_point(), 3, TABLE)
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            realize(mu, -1)
+
     def test_rank_too_low(self):
         with pytest.raises(RankTooLow):
             realize(type_distribution(cycle(6), 2, TABLE), 1)
