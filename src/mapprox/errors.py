@@ -8,6 +8,8 @@ handling can catch the base class.
 
 from __future__ import annotations
 
+import sys
+
 
 class MapproxError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -102,6 +104,19 @@ class BudgetExceeded(MapproxError):
         self.budget, self.needed = budget, needed
         detail = f" (needed >= {needed})" if needed is not None else ""
         super().__init__(f"work budget {budget} exceeded{detail}")
+
+
+class GameTooDeep(BudgetExceeded):
+    """A game has more rounds than Python's recursion limit lets it play;
+    the budget is that limit."""
+
+    def __init__(self, rank: int):
+        super().__init__(sys.getrecursionlimit())
+        self.rank = rank
+        self.args = (
+            f"a rank-{rank} game recurses deeper than Python's recursion "
+            f"limit of {self.budget} frames",
+        )
 
 
 class EtaNotFunctional(MapproxError):

@@ -14,8 +14,10 @@ satisfies the restricted principle when the balance equations
 hold for all rank-r types t1, t2 (tau < t means the rank-r projection of tau
 is t).  Because each unknown s(tau, t1) with pi(tau) = t2 occurs in exactly
 one equation, certification reduces to independent one-equation feasibility
-checks; no search is involved.  The harder problem, perturbing the masses
-while keeping the equations, is the linear program in approximate_measure.
+checks; no search is involved.  The harder problem, repairing a measure
+that breaks an equation by moving its masses, within a given distance, to
+ones that keep them all, is the linear program in approximate_measure; a
+measure that already certifies never reaches it.
 
 Everything here is exact rational arithmetic.
 """
@@ -28,13 +30,11 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from . import simplex
-from .errors import ElementOutOfRange, Infeasible, RankTooLow
+from .errors import BudgetExceeded, ElementOutOfRange, Infeasible, RankTooLow
 from .localtypes import (
     LocalType,
     TypeMeasure,
-    adm_minus,
     adm_minus_table,
-    adm_plus,
     measure_tv,
     project,
     transport,
@@ -344,111 +344,92 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
 # Halvings of the lower bound on every mass before the LP gives up.
 LP_RETRIES = 20
 
+# Largest LP (constraint rows times variables) approximate_measure hands to
+# the exact simplex.  A measure that cannot be repaired costs LP_RETRIES
+# infeasible solves: 5-10 s in all at 7,500-10,700 cells on a 2-core VM
+# with CPython 3.11.
+LP_MAX_CELLS = 12_000
 
-def approximate_measure(
-    mu: TypeMeasure,
-    eps,
-    r: int,
-    force_lp: bool = False,
-) -> TypeMeasure:
+
+def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
     """A rational measure with the same support, restricted-FMTP feasible,
     within total variation eps of mu.
 
-    Measures extracted from finite mappings are already rational and
-    feasible, so the fast path returns mu itself.  The linear program is
-    kept for perturbed inputs and can be exercised with force_lp; it solves
-    for masses x >= delta with the balance equations, sum 1, and L1
-    proximity, using flow variables w = s*x to stay linear.
+    A measure that certifies, as every measure extracted from a finite
+    mapping does, comes back as it is.  Any other measure is repaired by a
+    linear program: masses x >= delta > 0, the balance equations (with flow
+    variables w = s*x to stay linear), sum 1, and L1 distance to mu at most
+    eps, with delta halved up to LP_RETRIES times.  The masses are an LP
+    vertex, so their denominators, and with them the size lcm(denominators)
+    that realize builds, are not bounded here: realize.MAX_REALIZE_SIZE is
+    the guard, checked by pipeline before it realizes.
+
+    Raises BudgetExceeded, before any row is built, when the LP would have
+    more than LP_MAX_CELLS cells, and Infeasible, naming the balance
+    equation mu breaks, when no repair exists.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if mu.rank < 2 * r + 1:
         raise RankTooLow(f"approximation needs measure rank >= {2 * r + 1}")
-    cert = restricted_fmtp_certificate(mu, r)
-    if isinstance(cert, Violation):
-        raise Infeasible(str(cert))
-    if not force_lp:
+    violation = restricted_fmtp_certificate(mu, r)
+    if not isinstance(violation, Violation):
         return mu
 
     universe, proj = _support_universe(mu, r)
-    support = [tau for tau, _, _, _ in proj]
-    masses = [mass for _, _, _, mass in proj]
-    lows = [low for _, low, _, _ in proj]
-    img_key = [img.key for _, _, img, _ in proj]
-    S = len(support)
+    order = {t.key: index for index, t in enumerate(universe)}
+    S = len(proj)
 
-    # Variable layout: masses x, then one excess variable per free (tau, t1)
-    # pair, then p/q splittings of x - mu, then the proximity slack.
-    free_pairs: list[tuple[int, int]] = []
-    fixed_adm: dict[tuple[int, int], int] = {}
-    for i, tau in enumerate(support):
-        for j, t1 in enumerate(universe):
-            a = adm_minus(tau, t1)
-            if a < r:
-                fixed_adm[(i, j)] = a
-            else:
-                free_pairs.append((i, j))
-    excess_of = {pair: S + k for k, pair in enumerate(free_pairs)}
-    p_base = S + len(free_pairs)
+    # Balance per (t1, t2) that a flow or a preimage count touches, as
+    # sparse coefficients over the variables: masses x, then one excess
+    # variable per free (tau, t1) pair (count >= r; every pair at r = 0),
+    # then p/q splittings of x - mu, then the proximity slack.
+    equations: dict[tuple[int, int], dict[int, int]] = {}
+    num_free = 0
+    for i, (tau, low, img, _) in enumerate(proj):
+        j2 = order[low.key]
+        flow = equations.setdefault((j2, order[img.key]), {})
+        flow[i] = flow.get(i, 0) + 1
+        if r == 0:
+            counts = dict.fromkeys(range(len(universe)), 0)
+        else:
+            table = adm_minus_table(tau, r)
+            counts = {order[k]: c for k, c in table.items() if k in order}
+        for j1 in sorted(counts):
+            coeffs = equations.setdefault((j1, j2), {})
+            coeffs[i] = coeffs.get(i, 0) - min(r, counts[j1])
+            if counts[j1] >= r:
+                coeffs[S + num_free] = -1
+                num_free += 1
+    balance = [equations[p] for p in sorted(equations) if any(equations[p].values())]
+    p_base = S + num_free
     q_base = p_base + S
-    slack = q_base + S
-    num_vars = slack + 1
+    num_vars = q_base + S + 1
+    cells = (len(balance) + S + 2) * num_vars
+    if cells > LP_MAX_CELLS:
+        raise BudgetExceeded(LP_MAX_CELLS, cells)
 
+    sparse = balance + [dict.fromkeys(range(S), 1)]
+    sparse += [{i: 1, p_base + i: -1, q_base + i: 1} for i in range(S)]
+    sparse.append(dict.fromkeys(range(p_base, num_vars), 1))
+    rows = [[Fraction(0)] * num_vars for _ in sparse]
+    for row, coeffs in zip(rows, sparse):
+        for var, c in coeffs.items():
+            row[var] = Fraction(c)
+    # x_i enters shifted by delta: a balance row's right side is -delta
+    # times the sum of its mass coefficients.
+    x_sums = [sum(c for var, c in coeffs.items() if var < S) for coeffs in balance]
+
+    masses = [mass for _, _, _, mass in proj]
     delta = min(masses) / 2
     for _ in range(LP_RETRIES):
-        rows: list[tuple[list[Fraction], Fraction]] = []
-
-        def blank() -> list[Fraction]:
-            return [Fraction(0)] * num_vars
-
-        # Balance per (t1, t2); x_i enters shifted by delta.
-        for j1, t1 in enumerate(universe):
-            for j2, t2 in enumerate(universe):
-                coeffs = blank()
-                shift = Fraction(0)
-                for i in range(S):
-                    if lows[i].key == t1.key:
-                        a_plus = 1 if img_key[i] == t2.key else 0
-                        coeffs[i] += a_plus
-                        shift += a_plus * delta
-                    if lows[i].key == t2.key:
-                        a = fixed_adm.get((i, j1))
-                        if a is not None:
-                            coeffs[i] -= a
-                            shift -= a * delta
-                        else:
-                            coeffs[i] -= r
-                            shift -= r * delta
-                            coeffs[excess_of[(i, j1)]] -= 1
-                if any(coeffs) or shift:
-                    rows.append((coeffs, -shift))
-
-        coeffs = blank()
-        for i in range(S):
-            coeffs[i] = Fraction(1)
-        rows.append((coeffs, Fraction(1) - S * delta))
-
-        for i in range(S):
-            coeffs = blank()
-            coeffs[i] = Fraction(1)
-            coeffs[p_base + i] = Fraction(-1)
-            coeffs[q_base + i] = Fraction(1)
-            rows.append((coeffs, masses[i] - delta))
-
-        coeffs = blank()
-        for i in range(S):
-            coeffs[p_base + i] = Fraction(1)
-            coeffs[q_base + i] = Fraction(1)
-        coeffs[slack] = Fraction(1)
-        rows.append((coeffs, eps))
-
-        solution = simplex.solve_equalities(rows, num_vars)
+        rhs = [-delta * total for total in x_sums]
+        rhs += [1 - S * delta] + [mass - delta for mass in masses] + [eps]
+        solution = simplex.solve_equalities(list(zip(rows, rhs)), num_vars)
         if solution is not None:
-            new_masses = [delta + solution[i] for i in range(S)]
-            result = TypeMeasure.from_pairs(
-                mu.rank, zip(support, new_masses)
-            )
+            repaired = [(tau, delta + x) for (tau, *_), x in zip(proj, solution)]
+            result = TypeMeasure.from_pairs(mu.rank, repaired)
             check = restricted_fmtp_certificate(result, r)
             if isinstance(check, Violation):
                 raise Infeasible(f"solver returned an infeasible point: {check}")
@@ -456,7 +437,10 @@ def approximate_measure(
                 raise Infeasible("solver exceeded the proximity target")
             return result
         delta /= 2
-    raise Infeasible("no strictly positive solution at any tried lower bound")
+    raise Infeasible(
+        f"{violation}; no measure on the same support with positive masses "
+        f"meets the balance equations within L1 distance {eps}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +486,7 @@ def check_realizability_preconditions(
         raise RankTooLow(f"preconditions need measure rank >= {2 * r + 1}")
     checks: list[PreconditionCheck] = []
 
-    image_rank = mu.rank - 1
-    positive = {t.key for t, _ in mu.project(image_rank)}
+    positive = {project(t, mu.rank - 1).key for t, _ in mu.entries}
     clean_fail = None
     for tau, _ in mu.entries:
         img = transport(tau)

@@ -106,6 +106,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import (
     BudgetExceeded,
+    GameTooDeep,
     MeasureError,
     RankIncrease,
     RankMismatch,
@@ -347,7 +348,7 @@ class TypeTable:
         spending every position it plays on `meter`."""
         cache = self._structure_cache(F)
         if len(tup) != 1:
-            return self._nv(F, cache["nv"], cache["all_moves"], tup, k, meter)
+            return self._play(F, cache["nv"], cache["all_moves"], tup, k, meter)
         # A root's value at a lower rank is read off its highest-rank value
         # already solved; only roots are recorded, to keep the table small.
         roots = cache["roots"]
@@ -360,7 +361,7 @@ class TypeTable:
             layer = v % m
             value = self._pair(self.nv_value(F, (v - layer,), k, meter), layer)
         else:
-            value = self._normal(self._nv(F, cache["nv"], cache["moves"], tup, k, meter))
+            value = self._normal(self._play(F, cache["nv"], cache["moves"], tup, k, meter))
         roots[v] = value
         return value
 
@@ -395,7 +396,7 @@ class TypeTable:
     ) -> int:
         """The value of `tup` in F's game whose moves range over the whole
         domain, with k rounds left, spending every position on `meter`."""
-        return self._nv(F, self._structure_cache(F)["fo"], None, tup, k, meter)
+        return self._play(F, self._structure_cache(F)["fo"], None, tup, k, meter)
 
     def _shifted(self, nv: int, s: int) -> int:
         """nv with U_j renamed U_{j+s mod m} in every row, kids included,
@@ -425,6 +426,14 @@ class TypeTable:
             kids = tuple(sorted(map(memo.__getitem__, kids)))
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
+
+    def _play(self, F, memo, moves, tup, k, meter) -> int:
+        """_nv from the top: a game recurses once per round, and one past
+        Python's recursion limit raises GameTooDeep, a BudgetExceeded."""
+        try:
+            return self._nv(F, memo, moves, tup, k, meter)
+        except RecursionError:
+            raise GameTooDeep(k) from None
 
     def _nv(self, F, memo, moves, tup, k, meter) -> int:
         """The value of `tup` with k rounds left, memoized in `memo`.  Fresh

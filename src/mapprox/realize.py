@@ -93,13 +93,7 @@ def _closes_forbidden_cycle(g: list, i: int, j: int, cut: int) -> bool:
     return False
 
 
-def realize(
-    mu: TypeMeasure,
-    r: int,
-    multiplier: int = 1,
-    *,
-    cut_length: Optional[int] = None,
-) -> FiniteMapping:
+def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
     """A finite mapping whose rank-r type distribution equals mu's rank-r
     projection, with exact rational equality.
 
@@ -111,13 +105,14 @@ def realize(
     for element i when (a) j's projected type is the image type forced by
     i's type, (b) j's type either forces the full cap r + 1 of preimages
     typed like i, or strictly more than j has already received, and (c) the
-    edge would not close a cycle of length in (1, cut_length) -- by default
-    cut_length = r + 2, which forbids exactly the cycle lengths a rank-r
-    type can detect.  Eligible targets still short of the preimage count
-    their type promises are served first, capacity ascending then id
-    ascending; once every target met its minimum, the surplus goes to
-    targets whose type forces the cap, which tolerate any excess.  Types
-    whose witness is a fixed point map their elements to themselves.
+    edge would not close a cycle of length in (1, r + 1], exactly the cycle
+    lengths a rank-r type can detect; the band is fixed, and mu's witnesses
+    must avoid it too (the no-short-cycles precondition).  Eligible targets
+    still short of the preimage count their type promises are served first,
+    capacity ascending then id ascending; once every target met its
+    minimum, the surplus goes to targets whose type forces the cap, which
+    tolerate any excess.  Types whose witness is a fixed point map their
+    elements to themselves.
 
     The capped preimage-count equation is re-verified on the finished
     mapping rather than trusted; a failure raises PreconditionFailed.
@@ -130,11 +125,9 @@ def realize(
         raise ValueError("multiplier must be at least 1")
     if mu.rank < 2 * r + 1:
         raise RankTooLow(f"realization needs measure rank >= {2 * r + 1}")
-    cut = cut_length if cut_length is not None else r + 2
-    if cut < 2:
-        raise ValueError("cut_length must be at least 2")
+    cut = r + 2
 
-    report = check_realizability_preconditions(mu, cut - 1, r)
+    report = check_realizability_preconditions(mu, r + 1, r)
     if not report.passed:
         failure = report.failures()[0]
         raise PreconditionFailed(failure.name, failure.detail)
@@ -171,16 +164,6 @@ def realize(
     for j in range(n_elements):
         pools.setdefault(t1_obj[kind[j]].key, []).append(j)
 
-    capacity_cache: dict[tuple, int] = {}
-
-    def capacity(target_kind: int, t1_index: int) -> int:
-        key = (target_kind, t1_obj[t1_index].key)
-        value = capacity_cache.get(key)
-        if value is None:
-            value = adm_minus(block_type[target_kind], t1_obj[t1_index])
-            capacity_cache[key] = value
-        return value
-
     # Eligible targets for a (t1, t2) pair, grouped by capacity ascending.
     # Each group carries a shared head index so fully saturated prefixes are
     # skipped once, not rescanned per element.
@@ -192,7 +175,7 @@ def realize(
         if made is None:
             grouped: dict[int, list[int]] = {}
             for j in pools.get(t2_key[source_kind], ()):
-                cap = capacity(kind[j], source_kind)
+                cap = adm_minus(block_type[kind[j]], t1_obj[source_kind])
                 if cap > 0:
                     grouped.setdefault(cap, []).append(j)
             made = [[cap, grouped[cap], 0] for cap in sorted(grouped)]
@@ -267,7 +250,7 @@ def realize(
     )
 
     upsilon = {i: block_type[kind[i]] for i in range(n_elements)}
-    if not verify_upsilon(realized, upsilon, r, cut - 1):
+    if not verify_upsilon(realized, upsilon, r, r + 1):
         raise PreconditionFailed(
             "post-verification",
             "the finished assignment violates the capped preimage-count "

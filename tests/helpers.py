@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+from mapprox.localtypes import TypeMeasure, project
 from mapprox.randgen import random_mapping
 from mapprox.structure import FiniteMapping, cut_product_layers
 
@@ -17,6 +18,7 @@ __all__ = [
     "every_marking",
     "broken_cut_products",
     "mirrored",
+    "perturbed",
 ]
 
 
@@ -105,3 +107,20 @@ def mirrored(P: FiniteMapping) -> FiniteMapping:
     )
     assert cut_product_layers(copy) == 0
     return copy
+
+
+def perturbed(mu: TypeMeasure, amount=Fraction(1, 1000)) -> TypeMeasure:
+    """mu with `amount` of mass moved from its heaviest type to the first
+    type whose rank-1 projection differs: near the transport equations,
+    and, for the measures the tests perturb, off them."""
+    types = [t for t, _ in mu]
+    masses = [mass for _, mass in mu]
+    heavy = masses.index(max(masses))
+    light = next(
+        i
+        for i, t in enumerate(types)
+        if project(t, 1).key != project(types[heavy], 1).key
+    )
+    masses[heavy] -= amount
+    masses[light] += amount
+    return TypeMeasure.from_pairs(mu.rank, zip(types, masses))

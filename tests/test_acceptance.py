@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import cycle, fixed_point, path, star
+from helpers import cycle, fixed_point, path, perturbed, star
 from mapprox.compress import standard_r_approximation
 from mapprox.equivalence import ef_equivalent, ldist
 from mapprox.errors import ScheduleInfeasible
@@ -166,24 +166,32 @@ def test_measure_approximation_stays_close_and_feasible():
         cycle(6, {"U": frozenset({0, 3})}),
     ]
     sizes = []
-    for F in inputs:
-        mu = type_distribution(F, 3, table)
+    exact = [type_distribution(F, 3, table) for F in inputs]
+    product = cycle_cut_product(random_mapping(4, 1, {"U": Fraction(1, 4)}), 6, 3, table)
+    # The LP half: measures moved 1/1000 of mass off the transport
+    # equations, which the LP must repair.
+    near = [perturbed(mu) for mu in exact]
+    near.append(perturbed(type_distribution(product, 3, table)))
+    for index, mu in enumerate(exact + near):
         sizes.append(len(mu.entries))
-        for force_lp in (False, True):
-            out = approximate_measure(mu, eps, 1, force_lp=force_lp)
-            assert {t.key for t, _ in out} == {t.key for t, _ in mu}
-            assert all(mass > 0 for _, mass in out)
-            assert sum(mass for _, mass in out) == 1
-            assert measure_tv(mu, out) < eps
-            cert = restricted_fmtp_certificate(out, 1)
-            assert isinstance(cert, CompanionCertificate)
-            assert verify_certificate(out, cert)
-    assert sizes == [2, 3]
+        violation = restricted_fmtp_certificate(mu, 1)
+        assert isinstance(violation, Violation) == (index >= len(exact))
+        out = approximate_measure(mu, eps, 1)
+        assert {t.key for t, _ in out} == {t.key for t, _ in mu}
+        assert all(mass > 0 for _, mass in out)
+        assert sum(mass for _, mass in out) == 1
+        assert measure_tv(mu, out) < eps
+        cert = restricted_fmtp_certificate(out, 1)
+        assert isinstance(cert, CompanionCertificate)
+        assert verify_certificate(out, cert)
+    assert sizes == [2, 3, 2, 3, 24]
     elapsed = time.perf_counter() - started
     assert elapsed < 30
     print(
-        f"PASS approximation: two- and three-type measures, direct and LP "
-        f"paths, support/positivity/sum/TV and certificate all hold, "
+        f"PASS approximation: two- and three-type measures returned as they "
+        f"are, their perturbations and a perturbed 24-type cut-product measure "
+        f"repaired by the LP, support/positivity/sum/TV and certificate all "
+        f"hold, "
         f"{elapsed:.2f}s"
     )
 

@@ -412,6 +412,25 @@ class TestErrorHandling:
         assert err.startswith("error: work budget 1000000 exceeded (needed >= ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["types", "{c}", "--rank", "600"],
+            ["dist", "{c}", "{c}", "--p", "1", "--r", "600"],
+            ["ef", "{c}", "{c}", "--r", "600"],
+        ],
+        ids=["types", "dist", "ef"],
+    )
+    def test_game_too_deep_exits_1(self, capsys, tmp_path, argv):
+        # A 600-round game recurses past Python's stack limit.
+        path = tmp_path / "c.map"
+        write_map(cycle(1000), path)
+        code, out, err = run(capsys, [arg.format(c=path) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: a rank-600 game recurses deeper")
+        assert "Traceback" not in err
+
     def test_usage_error(self, capsys, c3):
         with pytest.raises(SystemExit) as caught:
             main(["dist", c3, c3, "--p", "1"])

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, path, seeded, star
-from mapprox.errors import ElementOutOfRange, Infeasible, RankTooLow
+from helpers import cycle, fixed_point, path, perturbed, seeded, star
+from mapprox import fmtp, simplex
+from mapprox.errors import BudgetExceeded, ElementOutOfRange, Infeasible, RankTooLow
 from mapprox.fmtp import (
     CompanionCertificate,
     Violation,
@@ -26,9 +27,18 @@ from mapprox.localtypes import (
     transport,
     type_distribution,
 )
+from mapprox.realize import realize
 from mapprox.structure import cycle_cut_product
 
 TABLE = TypeTable()
+
+
+def perturbed_product(n, seed):
+    """The rank-3 measure of seeded(n, seed)'s 6-layer cut product, moved
+    1/1000 off the transport equations."""
+    table = TypeTable()
+    H = cycle_cut_product(seeded(n, seed), 6, 3, table)
+    return perturbed(type_distribution(H, 3, table))
 
 
 class TestTransportIdentity:
@@ -157,9 +167,9 @@ class TestApproximateMeasure:
         assert approximate_measure(mu, Fraction(1, 100), 1) is mu
 
     def test_lp_path(self):
-        marked = cycle(6, {"U": frozenset({0, 2, 4})})
-        mu = type_distribution(marked, 3, TABLE)
-        out = approximate_measure(mu, Fraction(1, 100), 1, force_lp=True)
+        mu = perturbed_product(3, 1)
+        assert isinstance(restricted_fmtp_certificate(mu, 1), Violation)
+        out = approximate_measure(mu, Fraction(1, 100), 1)
         assert {t.key for t, _ in out} == {t.key for t, _ in mu}
         assert all(mass > 0 for _, mass in out)
         assert sum(mass for _, mass in out) == 1
@@ -178,6 +188,52 @@ class TestApproximateMeasure:
         mu = TypeMeasure.from_pairs(3, [(t, Fraction(1))])
         with pytest.raises(Infeasible):
             approximate_measure(mu, Fraction(1, 10), 1)
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_repair_certifies_and_realizes(self, n, seed):
+        # A seeded perturbed measure is repaired on its support, and the
+        # repair is a measure that realize turns into a mapping exactly.
+        mu = perturbed_product(n, seed)
+        assert isinstance(restricted_fmtp_certificate(mu, 1), Violation)
+        eps = Fraction(1, 100)
+        out = approximate_measure(mu, eps, 1)
+        assert [t.key for t, _ in out] == [t.key for t, _ in mu]
+        assert all(mass > 0 for _, mass in out)
+        assert sum(mass for _, mass in out) == 1
+        assert measure_tv(mu, out) < eps
+        cert = restricted_fmtp_certificate(out, 1)
+        assert isinstance(cert, CompanionCertificate)
+        assert verify_certificate(out, cert)
+        realized = realize(out, 1)
+        table = out.entries[0][0].table
+        assert measure_tv(type_distribution(realized, 1, table), out.project(1)) == 0
+
+    def test_repair_is_a_pinned_lp_vertex(self):
+        # The rows and the variable order decide which vertex the simplex
+        # returns; this pin shows any change to them.  Here the vertex is
+        # not the unperturbed measure: its TV is 1/1200 and its lcm 18,000.
+        out = approximate_measure(perturbed_product(3, 3), Fraction(1, 100), 1)
+        assert [mass for _, mass in out] == (
+            [Fraction(1003, 18000)] * 6 + [Fraction(991, 9000)] + [Fraction(1, 9)] * 5
+        )
+
+    def test_unrepairable_names_the_violation(self):
+        mu = perturbed_product(3, 1)
+        violation = restricted_fmtp_certificate(mu, 1)
+        with pytest.raises(Infeasible) as caught:
+            approximate_measure(mu, Fraction(1, 10**6), 1)
+        assert str(violation) in str(caught.value)
+
+    def test_lp_over_budget_is_refused_before_solving(self, monkeypatch):
+        def unreachable(rows, num_vars):
+            raise AssertionError("the simplex must not run over budget")
+
+        monkeypatch.setattr(simplex, "solve_equalities", unreachable)
+        mu = perturbed_product(8, 1)
+        with pytest.raises(BudgetExceeded) as caught:
+            approximate_measure(mu, Fraction(1, 100), 1)
+        assert caught.value.budget == fmtp.LP_MAX_CELLS
+        assert caught.value.needed > fmtp.LP_MAX_CELLS
 
 
 class TestPreconditions:

@@ -17,6 +17,7 @@ from helpers import (
     star,
 )
 from mapprox.errors import (
+    BudgetExceeded,
     MeasureError,
     RankIncrease,
     RankMismatch,
@@ -254,6 +255,15 @@ class TestTypeDistribution:
                 Fraction(6, 16) * mu_a.mass(t) + Fraction(10, 16) * mu_b.mass(t)
             )
             assert mass == want
+
+    def test_game_deeper_than_the_stack_is_a_budget_error(self):
+        # The game recurses once per round, so 600 rounds pass Python's
+        # recursion limit long before 2^600 positions could be played.
+        F = cycle(1000)
+        with pytest.raises(BudgetExceeded, match="rank-600 game"):
+            type_distribution(F, 600, TypeTable())
+        with pytest.raises(BudgetExceeded, match="rank-600 game"):
+            TypeTable().global_value(F, (), 600, None)
 
     def test_masses_validated(self):
         t = t_of(cycle(3), 0, 1)

@@ -105,9 +105,9 @@ class TestRealize:
             realize(type_distribution(cycle(6), 2, TABLE), 1)
 
     def test_precondition_surfaced(self):
-        mu = type_distribution(cycle(3), 3, TABLE)
+        mu = type_distribution(cycle(3), 5, TABLE)
         with pytest.raises(PreconditionFailed) as caught:
-            realize(mu, 1, cut_length=4)
+            realize(mu, 2)
         assert caught.value.check == "no-short-cycles"
 
 
