@@ -17,7 +17,10 @@ one equation, certification reduces to independent one-equation feasibility
 checks; no search is involved.  The harder problem, repairing a measure
 that breaks an equation by moving its masses, within a given distance, to
 ones that keep them all, is the linear program in approximate_measure; a
-measure that already certifies never reaches it.
+measure that already certifies never reaches it.  The certificate solver
+and the linear program read the same equations from one builder,
+_balance_equations.  Its one rule for r = 0, where min(r, s) says nothing
+about s, makes every rank-0 type a free unknown of every support type.
 
 Everything here is exact rational arithmetic.
 """
@@ -179,116 +182,96 @@ def restricted_fmtp_certificate(
     return found
 
 
+def _balance_equations(mu: TypeMeasure, r: int):
+    """The balance equations of mu at rank r, as the solver and the LP read
+    them: (universe, support rows as _support_universe gives them, number
+    of free unknowns, equations), the equations keyed (j1, j2) by universe
+    index in ascending order.
+
+    Only the equations a flow or a preimage count touches are listed; any
+    other holds as 0 = 0.  Each is (flow, forced, free): the support
+    indices whose type projects to t1 with image type t2; (i, count) for
+    the unknowns s(tau_i, t1) whose witness has count < r t1-typed
+    preimages, which fix them; and (i, x) for those with count >= r, which
+    only bound them below by r, numbered x = 0, 1, ... in (i, j1) order.
+    At r = 0 every universe type is an unknown of every support type, with
+    count 0, so no preimage is typed.
+    """
+    universe, proj = _support_universe(mu, r)
+    order = {t.key: index for index, t in enumerate(universe)}
+    equations: dict[tuple[int, int], tuple[list, list, list]] = {}
+    num_free = 0
+    for i, (tau, low, img, _) in enumerate(proj):
+        j2 = order[low.key]
+        equations.setdefault((j2, order[img.key]), ([], [], []))[0].append(i)
+        if r == 0:
+            counts = dict.fromkeys(range(len(universe)), 0)
+        else:
+            table = adm_minus_table(tau, r)
+            counts = {order[k]: c for k, c in table.items() if k in order}
+        for j1 in sorted(counts):
+            _, forced, free = equations.setdefault((j1, j2), ([], [], []))
+            if counts[j1] < r:
+                forced.append((i, counts[j1]))
+            else:
+                free.append((i, num_free))
+                num_free += 1
+    return universe, proj, num_free, dict(sorted(equations.items()))
+
+
 def _solve_certificate(
     mu: TypeMeasure, r: int
 ) -> Union[CompanionCertificate, Violation]:
     """The balance equations decouple: the unknowns of equation (t1, t2) are
-    the s(tau, t1) with tau projecting to t2 and an unforced preimage count,
-    and they appear in no other equation.  Each equation is solvable iff the
-    forced flow does not overshoot the left side and the free weight can
-    absorb the remainder at values >= r.
+    the s(tau, t1) with tau projecting to t2, and they appear in no other
+    equation.  Each equation is solvable iff the forced flow does not
+    overshoot the left side and the free weight can absorb the remainder
+    at values >= r.  The head free unknown takes the remainder, the others
+    r, and zero values are left out of the entries.
     """
     if mu.rank < 2 * r + 1:
         raise RankTooLow(f"certificates need measure rank >= {2 * r + 1}")
-    universe, proj = _support_universe(mu, r)
-    order = {t.key: index for index, t in enumerate(universe)}
-    rep = {t.key: t for t in universe}
-
-    # Flow demanded by the plus side, and the support grouped by projection,
-    # both keyed up front so the equation loop is dictionary lookups only.
-    flow: dict[tuple, Fraction] = {}
-    by_low: dict[tuple, list[tuple[LocalType, Fraction]]] = {}
-    for tau, low, img, mass in proj:
-        pair = (low.key, img.key)
-        flow[pair] = flow.get(pair, Fraction(0)) + mass
-        by_low.setdefault(low.key, []).append((tau, mass))
-
+    universe, proj, _, equations = _balance_equations(mu, r)
+    taus = [tau for tau, *_ in proj]
+    masses = [mass for *_, mass in proj]
     zero = Fraction(0)
     entries: list[tuple[LocalType, LocalType, Fraction]] = []
-
-    if r == 0:
-        # Every value is unconstrained, so any positive-mass class absorbs
-        # whatever the flow demands; only flow into an empty class fails.
-        for t1 in universe:
-            for t2 in universe:
-                lhs = flow.get((t1.key, t2.key), zero)
-                members = by_low.get(t2.key, ())
-                if not members:
-                    if lhs != 0:
-                        return Violation(
-                            check="balance",
-                            detail=(
-                                f"flow into {t1!r} from {t2!r}-typed mass is "
-                                f"forced to 0, needed {lhs}"
-                            ),
-                            t1=t1,
-                            t2=t2,
-                            lhs=lhs,
-                            rhs=zero,
-                        )
-                    continue
-                if lhs != 0:
-                    head_tau, head_mass = members[0]
-                    entries.append((head_tau, t1, lhs / head_mass))
-        return CompanionCertificate(R=mu.rank, r=r, entries=tuple(entries))
-
-    # Most (t1, t2) pairs have zero flow and zero forced count on every
-    # member; only pairs touched by a preimage type or by flow need work.
-    equations: dict[tuple, list] = {}
-    for t2_key, members in by_low.items():
-        for tau, mass in members:
-            for t1_key, count in adm_minus_table(tau, r).items():
-                if t1_key not in order:
-                    continue
-                a = min(r + 1, count)
-                slot = equations.setdefault(
-                    (t1_key, t2_key), [Fraction(0), [], []]
-                )
-                if a < r:
-                    slot[0] += a * mass
-                    slot[1].append((tau, rep[t1_key], Fraction(a)))
-                else:
-                    slot[2].append((tau, mass))
-    for pair in flow:
-        equations.setdefault(pair, [Fraction(0), [], []])
-
-    for pair in sorted(equations, key=lambda p: (order[p[0]], order[p[1]])):
-        forced, forced_entries, free = equations[pair]
-        t1, t2 = rep[pair[0]], rep[pair[1]]
-        lhs = flow.get(pair, zero)
-        entries.extend(forced_entries)
-        remainder = lhs - forced
+    for (j1, j2), (flow, forced, free) in equations.items():
+        t1, t2 = universe[j1], universe[j2]
+        lhs = sum((masses[i] for i in flow), zero)
+        pinned = sum((count * masses[i] for i, count in forced), zero)
+        entries.extend((taus[i], t1, Fraction(count)) for i, count in forced)
+        remainder = lhs - pinned
         if not free:
             if remainder != 0:
                 return Violation(
                     check="balance",
                     detail=(
                         f"flow into {t1!r} from {t2!r}-typed mass is "
-                        f"forced to {forced}, needed {lhs}"
+                        f"forced to {pinned}, needed {lhs}"
                     ),
                     t1=t1,
                     t2=t2,
                     lhs=lhs,
-                    rhs=forced,
+                    rhs=pinned,
                 )
             continue
-        floor = r * sum(mass for _, mass in free)
+        floor = r * sum(masses[i] for i, _ in free)
         if remainder < floor:
             return Violation(
                 check="balance",
                 detail=(
                     f"flow into {t1!r} from {t2!r}-typed mass is at "
-                    f"least {forced + floor}, but the left side is {lhs}"
+                    f"least {pinned + floor}, but the left side is {lhs}"
                 ),
                 t1=t1,
                 t2=t2,
                 lhs=lhs,
-                rhs=forced + floor,
+                rhs=pinned + floor,
             )
-        head_tau, head_mass = free[0]
-        entries.append((head_tau, t1, Fraction(r) + (remainder - floor) / head_mass))
-        for tau, _ in free[1:]:
-            entries.append((tau, t1, Fraction(r)))
+        head = Fraction(r) + (remainder - floor) / masses[free[0][0]]
+        values = [head] + [Fraction(r)] * (len(free) - 1)
+        entries.extend((taus[i], t1, s) for (i, _), s in zip(free, values) if s)
     return CompanionCertificate(R=mu.rank, r=r, entries=tuple(entries))
 
 
@@ -357,12 +340,14 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
 
     A measure that certifies, as every measure extracted from a finite
     mapping does, comes back as it is.  Any other measure is repaired by a
-    linear program: masses x >= delta > 0, the balance equations (with flow
-    variables w = s*x to stay linear), sum 1, and L1 distance to mu at most
-    eps, with delta halved up to LP_RETRIES times.  The masses are an LP
-    vertex, so their denominators, and with them the size lcm(denominators)
-    that realize builds, are not bounded here: realize.MAX_REALIZE_SIZE is
-    the guard, checked by pipeline before it realizes.
+    linear program: masses x >= delta > 0, the certificate's balance
+    equations from _balance_equations (a free unknown s(tau_i, t1) enters
+    as r x_i plus an excess variable, to stay linear), sum 1, and L1
+    distance to mu at most eps, with delta halved up to LP_RETRIES times.
+    The masses are an LP vertex, so their denominators, and with them the
+    size lcm(denominators) that realize builds, are not bounded here:
+    realize.MAX_REALIZE_SIZE is the guard, checked by realize before it
+    builds anything.
 
     Raises BudgetExceeded, before any row is built, when the LP would have
     more than LP_MAX_CELLS cells, and Infeasible, naming the balance
@@ -377,32 +362,23 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
     if not isinstance(violation, Violation):
         return mu
 
-    universe, proj = _support_universe(mu, r)
-    order = {t.key: index for index, t in enumerate(universe)}
+    _, proj, num_free, equations = _balance_equations(mu, r)
     S = len(proj)
 
-    # Balance per (t1, t2) that a flow or a preimage count touches, as
-    # sparse coefficients over the variables: masses x, then one excess
-    # variable per free (tau, t1) pair (count >= r; every pair at r = 0),
-    # then p/q splittings of x - mu, then the proximity slack.
-    equations: dict[tuple[int, int], dict[int, int]] = {}
-    num_free = 0
-    for i, (tau, low, img, _) in enumerate(proj):
-        j2 = order[low.key]
-        flow = equations.setdefault((j2, order[img.key]), {})
-        flow[i] = flow.get(i, 0) + 1
-        if r == 0:
-            counts = dict.fromkeys(range(len(universe)), 0)
-        else:
-            table = adm_minus_table(tau, r)
-            counts = {order[k]: c for k, c in table.items() if k in order}
-        for j1 in sorted(counts):
-            coeffs = equations.setdefault((j1, j2), {})
-            coeffs[i] = coeffs.get(i, 0) - min(r, counts[j1])
-            if counts[j1] >= r:
-                coeffs[S + num_free] = -1
-                num_free += 1
-    balance = [equations[p] for p in sorted(equations) if any(equations[p].values())]
+    # One row per listed balance equation that is not all zeros, as sparse
+    # coefficients over the variables: masses x, then one excess variable
+    # per free unknown, then p/q splittings of x - mu, then the proximity
+    # slack.
+    balance = []
+    for flow, forced, free in equations.values():
+        coeffs = dict.fromkeys(flow, 1)
+        for i, count in forced:
+            coeffs[i] = coeffs.get(i, 0) - count
+        for i, x in free:
+            coeffs[i] = coeffs.get(i, 0) - r
+            coeffs[S + x] = -1
+        if any(coeffs.values()):
+            balance.append(coeffs)
     p_base = S + num_free
     q_base = p_base + S
     num_vars = q_base + S + 1

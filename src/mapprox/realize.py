@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     Infeasible,
     MissingCutPredicates,
     PreconditionFailed,
@@ -52,6 +53,7 @@ from .localtypes import (
     type_distribution,
 )
 from .structure import (
+    MAX_PRODUCT_SIZE,
     FiniteMapping,
     Signature,
     ball,
@@ -99,7 +101,9 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
 
     The domain has N = multiplier * lcm(mass denominators) elements, the
     smallest size on which the measure is integral, scaled by the caller's
-    multiplier.  Marks are copied from the witness of each element's type.
+    multiplier; N over MAX_REALIZE_SIZE raises BudgetExceeded before
+    anything is checked or built.  Marks are copied from the witness of
+    each element's type.
 
     Images are assigned in ascending element order.  A target j is eligible
     for element i when (a) j's projected type is the image type forced by
@@ -125,6 +129,9 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
         raise ValueError("multiplier must be at least 1")
     if mu.rank < 2 * r + 1:
         raise RankTooLow(f"realization needs measure rank >= {2 * r + 1}")
+    n_elements = multiplier * math.lcm(*(mass.denominator for _, mass in mu))
+    if n_elements > MAX_REALIZE_SIZE:
+        raise BudgetExceeded(MAX_REALIZE_SIZE, n_elements)
     cut = r + 2
 
     report = check_realizability_preconditions(mu, r + 1, r)
@@ -139,8 +146,6 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
             raise SignatureMismatch(
                 "witness structures of the measure disagree on predicates"
             )
-
-    n_elements = multiplier * math.lcm(*(mass.denominator for _, mass in entries))
 
     # One contiguous block of elements per support type.
     block_type: list[LocalType] = []
@@ -455,8 +460,8 @@ def merge(E: FiniteMapping, F2: FiniteMapping, copies: int) -> FiniteMapping:
 # the end-to-end pipeline
 
 
-# Budgets on the sizes the pipeline builds, checked before each is built.
-MAX_PRODUCT_SIZE = 2_000_000
+# Budgets on the sizes the pipeline builds, checked before each is built;
+# MAX_PRODUCT_SIZE, which cycle_cut_product enforces, lives in structure.
 MAX_REALIZE_SIZE = 4_000_000
 MAX_OUTPUT_SIZE = 8_000_000
 # n_away = N_AWAY_FACTOR * ceil(1 / eps); the merge lays out n_close * n_away

@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    BudgetExceeded,
     DuplicatePredicate,
     ElementOutOfRange,
     EmptyDomain,
@@ -524,6 +525,10 @@ def recover(F: FiniteMapping, pairs: Sequence[tuple[str, str]]) -> FiniteMapping
 # cycle-lengthening product
 
 
+# Largest product cycle_cut_product builds.
+MAX_PRODUCT_SIZE = 2_000_000
+
+
 def cycle_cut_product(
     F: FiniteMapping, m: int, type_rank: int, table=None
 ) -> FiniteMapping:
@@ -537,7 +542,8 @@ def cycle_cut_product(
     structures loaded from files.
 
     Every cycle of the output has length a multiple of m (hence >= m), and no
-    output cycle is shorter than m.
+    output cycle is shorter than m.  A product of more than MAX_PRODUCT_SIZE
+    elements raises BudgetExceeded before any type is computed.
 
     The types of the input are computed in `table`, or the global one.  The
     output passes cut_product_layers, since an input predicate named like a
@@ -550,6 +556,8 @@ def cycle_cut_product(
         raise ValueError("cycle length m must be at least 2")
     if type_rank < 0:
         raise ValueError("type rank must be nonnegative")
+    if F.n * m > MAX_PRODUCT_SIZE:
+        raise BudgetExceeded(MAX_PRODUCT_SIZE, F.n * m)
 
     types = [localtypes.local_type(F, v, type_rank, table=table) for v in F.elements()]
     order: dict[object, int] = {}
@@ -585,14 +593,12 @@ def cycle_cut_product(
             raise DuplicatePredicate(t_name)
         marks.setdefault(t_name, set()).update(x * m + i for i in range(m))
 
-    t_names = sorted(
-        {name for name in marks if name not in F.signature.predicates and not name.startswith("U")},
-        key=lambda s: int(s[1:].split("_")[0]),
-    )
+    # T indices number types by first appearance, and a type fixes its
+    # cycle class, so names in first-appearance order are in index order.
     signature = Signature(
         F.signature.predicates
         + tuple(f"U{i}" for i in range(m))
-        + tuple(t_names)
+        + tuple(dict.fromkeys(names))
     )
     return FiniteMapping(
         f=f,

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import importlib
 import json
 from fractions import Fraction
 
@@ -401,6 +402,28 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])
         assert code == 1
         assert "at least 2" in err
+
+    @pytest.mark.parametrize(
+        "argv, constant",
+        [
+            (["realize", "{mu}", "--r", "1", "--multiplier", "4"], "realize.MAX_REALIZE_SIZE"),
+            (["cut", "{a}", "--m", "4", "--type-rank", "1"], "structure.MAX_PRODUCT_SIZE"),
+        ],
+        ids=["realize", "cut"],
+    )
+    def test_size_over_budget_exits_1(self, capsys, tmp_path, monkeypatch, argv, constant):
+        # Both sizes are 12, one over the budget.
+        module, name = constant.split(".")
+        monkeypatch.setattr(importlib.import_module(f"mapprox.{module}"), name, 11)
+        paths = {"a": str(tmp_path / "a.map"), "mu": str(tmp_path / "mu.json")}
+        write_map(cycle(3), paths["a"])
+        mu = type_distribution(cycle(3, {"U": {0}}), 3, TypeTable())
+        (tmp_path / "mu.json").write_text(json.dumps(jsonable(measure_to_json(mu))))
+        code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: work budget 11 exceeded (needed >= 12)")
+        assert "Traceback" not in err
 
     def test_dist_over_budget(self, capsys, tmp_path):
         # Every radius-2 ball of a 1,200-leaf star holds the whole star.

@@ -7,20 +7,30 @@ walks in `compress` and `structure` were folded into one helper; the
 by component in one pass.  The measure digests are the sha256 of
 `json.dumps(measure_to_json(mu))` for the rank-3 measure of a cut product,
 recorded before `restrict` built witness marks from the kept elements'
-mark sets: measure format version 1 is byte-identical.  Run this file as a
-script to print the digests of the current code.
+mark sets: measure format version 1 is byte-identical.  The certificate
+pins (the `certificate_digest`, or the `Violation` text, at r = 0, 1 and 2)
+and the repair pins (the masses `approximate_measure` returns, or its
+`Infeasible` text) were recorded before the certificate solver and the
+linear program read their balance equations from one builder.  Each case
+runs in a fresh type table, since canonical ids count the types a table has
+met.  Run this file as a script to print the digests of the current code.
 """
 
 import hashlib
 import json
 import random
 
+from fractions import Fraction
+
 import pytest
 
-from helpers import seeded
+from helpers import perturbed, seeded, star
 from mapprox.compress import standard_r_approximation
-from mapprox.localtypes import TypeTable, type_distribution
+from mapprox.errors import Infeasible
+from mapprox.fmtp import Violation, approximate_measure, restricted_fmtp_certificate
+from mapprox.localtypes import TypeMeasure, TypeTable, local_type, type_distribution
 from mapprox.mapfile import dump_map, measure_to_json
+from mapprox.realize import certificate_digest
 from mapprox.structure import FiniteMapping, cycle_cut_product, cycle_lengths
 
 
@@ -127,6 +137,123 @@ MEASURE_GOLDEN = {
 }
 
 
+def product_measure(n: int, seed: int, rank: int, table: TypeTable) -> TypeMeasure:
+    """The rank-`rank` measure of seeded(n, seed)'s 6-layer cut product."""
+    return type_distribution(cycle_cut_product(seeded(n, seed), 6, 3, table), rank, table)
+
+
+def unmarked_part(F: FiniteMapping, rank: int, table: TypeTable) -> TypeMeasure:
+    """F's measure conditioned on the U-unmarked elements: where one of them
+    maps onto a marked element, flow goes into a class without mass, which
+    breaks the balance equations at every r, r = 0 included."""
+    kept = [(t, mass) for t, mass in type_distribution(F, rank, table)
+            if t.element not in F.marks["U"]]
+    total = sum(mass for _, mass in kept)
+    return TypeMeasure.from_pairs(rank, [(t, mass / total) for t, mass in kept])
+
+
+# name: rank-5 measure built in the given table
+MEASURES = {
+    "seeded-15-2": lambda table: type_distribution(seeded(15, 2), 5, table),
+    "seeded-12-5": lambda table: type_distribution(seeded(12, 5), 5, table),
+    "perturbed-seeded-15-2": lambda table: perturbed(
+        type_distribution(seeded(15, 2), 5, table)
+    ),
+    "cut-seeded-6-1": lambda table: product_measure(6, 1, 5, table),
+    "perturbed-cut-seeded-4-1": lambda table: perturbed(product_measure(4, 1, 5, table)),
+    "unmarked-seeded-15-3": lambda table: unmarked_part(seeded(15, 3), 5, table),
+    "star-leaf": lambda table: TypeMeasure.from_pairs(
+        5, [(local_type(star(3, {"U": {0}}), 1, 5, table), Fraction(1))]
+    ),
+}
+
+# measure: [outcome at r = 0, 1, 2], each the certificate_digest of the
+# certificate or the text of the Violation
+CERTIFICATE_GOLDEN = {
+    "cut-seeded-6-1": [
+        "6c2a39b2003dacd478cfbf75e6e9869db9be876ca8bedb618891f9bad90a23a5",
+        "c56a8c97b6357bb491ea46cfa93d125cfeeced645927cc19f9881ef1aede189d",
+        "caf8081ea3446057efc839ff63e225266590d85841ebad13d9d541d386544f55",
+    ],
+    "perturbed-cut-seeded-4-1": [
+        "4d44a7374d7c1c8944d53febd86a5401b71d615b6088ffca00f5255ced50ac09",
+        "balance: flow into LocalType(rank=1, id=28) from LocalType(rank=1, id=72)-typed mass is at least 1/24, but the left side is 61/1500",
+        "balance: flow into LocalType(rank=2, id=94) from LocalType(rank=2, id=95)-typed mass is forced to 1/24, needed 61/1500",
+    ],
+    "perturbed-seeded-15-2": [
+        "d786876de588f671bb69bd4937f94f128af5f3d5095b0a59dafc50dfe9bcc12a",
+        "balance: flow into LocalType(rank=1, id=29) from LocalType(rank=1, id=15)-typed mass is at least 203/3000, but the left side is 1/15",
+        "balance: flow into LocalType(rank=2, id=40) from LocalType(rank=2, id=41)-typed mass is forced to 1/15, needed 203/3000",
+    ],
+    "seeded-12-5": [
+        "beda0df077d1f33c67e49bc6622f971bfcd30182cd33eb368282612839f73dff",
+        "9b035db3ef10c83042c358fc19aa77a858baf3712cc29f3988184580df349dbd",
+        "cc4b644355d93c7c5bd6abc0d511be5b0999b2f88865eb7afe87d5c73a79be3f",
+    ],
+    "seeded-15-2": [
+        "bc47a053f8d97aad1aa167afbe19d1aaf0ae4c553aad8845db97b3db4b5d6936",
+        "9965e31925cb04b1302b0ca7ea5632d377fd5dbca5170e997105778845152613",
+        "a2f54465c80ecb39495f0b4e44c29dd0eb774bdda661c6c121fec0a44da144b0",
+    ],
+    "star-leaf": [
+        "balance: flow into LocalType(rank=0, id=1) from LocalType(rank=0, id=3)-typed mass is forced to 0, needed 1",
+        "balance: flow into LocalType(rank=1, id=4) from LocalType(rank=1, id=5)-typed mass is forced to 0, needed 1",
+        "balance: flow into LocalType(rank=2, id=6) from LocalType(rank=2, id=7)-typed mass is forced to 0, needed 1",
+    ],
+    "unmarked-seeded-15-3": [
+        "balance: flow into LocalType(rank=0, id=15) from LocalType(rank=0, id=17)-typed mass is forced to 0, needed 2/11",
+        "balance: flow into LocalType(rank=1, id=26) from LocalType(rank=1, id=27)-typed mass is forced to 0, needed 1/11",
+        "balance: flow into LocalType(rank=2, id=33) from LocalType(rank=2, id=34)-typed mass is forced to 0, needed 1/11",
+    ],
+}
+
+# name: (measure builder, eps, r) for approximate_measure
+REPAIRS = {
+    "cut-3-1": (lambda table: perturbed(product_measure(3, 1, 3, table)), Fraction(1, 100), 1),
+    "cut-3-7": (lambda table: perturbed(product_measure(3, 7, 3, table)), Fraction(1, 100), 1),
+    "cut-4-3": (lambda table: perturbed(product_measure(4, 3, 3, table)), Fraction(1, 100), 1),
+    "cut-3-1-tight": (
+        lambda table: perturbed(product_measure(3, 1, 3, table)), Fraction(1, 10**6), 1
+    ),
+    "unmarked-seeded-15-3-r0": (
+        lambda table: unmarked_part(seeded(15, 3), 3, table), Fraction(1, 10), 0
+    ),
+}
+
+# name: sha256 of the repaired masses, one "p/q" per line, or the Infeasible text
+REPAIR_GOLDEN = {
+    "cut-3-1":
+        "9fc1544f6d001667d195a9cbd57dd8a70868dcbe167a34ee64d3a9b19ecfb52e",
+    "cut-3-1-tight":
+        "balance: flow into LocalType(rank=1, id=21) from LocalType(rank=1, id=24)-typed mass is at least 1/18, but the left side is 491/9000; no measure on the same support with positive masses meets the balance equations within L1 distance 1/1000000",
+    "cut-3-7":
+        "9c5d147a1ce34401140f5fefa01a06b0165edb6f459e318f21ac61f39b6fcb7c",
+    "cut-4-3":
+        "796bfd30c37a44ebcf46cd35e3c31c32470f980075f5af22a19447c0afcb059e",
+    "unmarked-seeded-15-3-r0":
+        "balance: flow into LocalType(rank=0, id=15) from LocalType(rank=0, id=17)-typed mass is forced to 0, needed 2/11; no measure on the same support with positive masses meets the balance equations within L1 distance 1/10",
+}
+
+
+def certificate_outcomes(name: str) -> list[str]:
+    mu = MEASURES[name](TypeTable())
+    outcomes = []
+    for r in (0, 1, 2):
+        cert = restricted_fmtp_certificate(mu, r)
+        outcomes.append(str(cert) if isinstance(cert, Violation) else certificate_digest(cert))
+    return outcomes
+
+
+def repair_outcome(name: str) -> str:
+    build_measure, eps, r = REPAIRS[name]
+    try:
+        out = approximate_measure(build_measure(TypeTable()), eps, r)
+    except Infeasible as failure:
+        return str(failure)
+    masses = "\n".join(str(mass) for _, mass in out)
+    return hashlib.sha256(masses.encode()).hexdigest()
+
+
 def build(name: str) -> FiniteMapping:
     source, r = CASES[name]
     F = INPUTS[source]()
@@ -161,6 +288,18 @@ def test_measure_digest_pinned(source):
     assert measure_digest(source) == MEASURE_GOLDEN[source]
 
 
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_certificate_outcomes_pinned(name):
+    assert certificate_outcomes(name) == CERTIFICATE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPAIRS))
+def test_repair_outcome_pinned(name):
+    assert repair_outcome(name) == REPAIR_GOLDEN[name]
+
+
 if __name__ == "__main__":
     print(json.dumps({name: digest(name) for name in sorted(CASES)}, indent=4))
     print(json.dumps({s: measure_digest(s) for s in sorted(MEASURE_GOLDEN)}, indent=4))
+    print(json.dumps({name: certificate_outcomes(name) for name in sorted(MEASURES)}, indent=4))
+    print(json.dumps({name: repair_outcome(name) for name in sorted(REPAIRS)}, indent=4))

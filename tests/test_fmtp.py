@@ -189,6 +189,19 @@ class TestApproximateMeasure:
         with pytest.raises(Infeasible):
             approximate_measure(mu, Fraction(1, 10), 1)
 
+    def test_rank_zero_violation_reaches_the_lp(self):
+        # The leaf maps onto the marked center, and no mass is marked: at
+        # r = 0 the flow goes into a class without mass, which no repair on
+        # the same support can fill.
+        t = local_type(star(3, {"U": {0}}), 1, 1, TABLE)
+        mu = TypeMeasure.from_pairs(1, [(t, Fraction(1))])
+        violation = restricted_fmtp_certificate(mu, 0)
+        assert isinstance(violation, Violation)
+        assert str(violation).endswith("is forced to 0, needed 1")
+        with pytest.raises(Infeasible) as caught:
+            approximate_measure(mu, Fraction(1, 10), 0)
+        assert str(caught.value).startswith(str(violation))
+
     @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_repair_certifies_and_realizes(self, n, seed):
         # A seeded perturbed measure is repaired on its support, and the

@@ -10,6 +10,7 @@ import pytest
 from helpers import cycle, fixed_point, path, seeded, star
 from mapprox.equivalence import ldist
 from mapprox.errors import (
+    BudgetExceeded,
     Infeasible,
     MissingCutPredicates,
     PreconditionFailed,
@@ -109,6 +110,20 @@ class TestRealize:
         with pytest.raises(PreconditionFailed) as caught:
             realize(mu, 2)
         assert caught.value.check == "no-short-cycles"
+
+    @pytest.mark.parametrize("multiplier", [1, 4])
+    def test_size_over_budget_is_refused_first(self, monkeypatch, multiplier):
+        # N = multiplier * 6 elements, one over the budget: refused before
+        # the preconditions run.
+        def unreachable(*args):
+            raise AssertionError("no precondition may run over budget")
+
+        monkeypatch.setattr(realize_module, "MAX_REALIZE_SIZE", 6 * multiplier - 1)
+        monkeypatch.setattr(realize_module, "check_realizability_preconditions", unreachable)
+        mu = type_distribution(marked_cycle(), 3, TABLE)
+        with pytest.raises(BudgetExceeded) as caught:
+            realize(mu, 1, multiplier)
+        assert (caught.value.budget, caught.value.needed) == (6 * multiplier - 1, 6 * multiplier)
 
 
 class TestVerifyUpsilon:

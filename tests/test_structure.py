@@ -20,6 +20,7 @@ from helpers import (
     structurally_equal,
 )
 from mapprox.errors import (
+    BudgetExceeded,
     DuplicatePredicate,
     ElementOutOfRange,
     EmptyDomain,
@@ -30,6 +31,7 @@ from mapprox.errors import (
 )
 from mapprox.fmtp import check_fmtp
 from mapprox import structure as structure_module
+from mapprox import localtypes
 from mapprox.localtypes import TypeTable
 from mapprox.logic import apply_interpretation, recovery_interpretation
 from mapprox.structure import (
@@ -339,6 +341,16 @@ class TestCycleCutProduct:
             P = cycle_cut_product(F, 6, 1)
             for length in cycle_lengths(P):
                 assert length >= 6 and length % 6 == 0
+
+    def test_size_over_budget_is_refused_before_typing(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no type may be computed over budget")
+
+        monkeypatch.setattr(structure_module, "MAX_PRODUCT_SIZE", 17)
+        monkeypatch.setattr(localtypes, "local_type", unreachable)
+        with pytest.raises(BudgetExceeded) as caught:
+            cycle_cut_product(cycle(3), 6, 1)
+        assert (caught.value.budget, caught.value.needed) == (17, 18)
 
     def test_layers_of_a_product_are_recognized(self):
         for m in (2, 3, 6, 12):
