@@ -351,7 +351,8 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
 
     Raises BudgetExceeded, before any row is built, when the LP would have
     more than LP_MAX_CELLS cells, and Infeasible, naming the balance
-    equation mu breaks, when no repair exists.
+    equation mu breaks, when no repair exists; at r = 0 none ever does, so
+    a failed certificate raises it before any row is built.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -361,6 +362,16 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
     violation = restricted_fmtp_certificate(mu, r)
     if not isinstance(violation, Violation):
         return mu
+    no_repair = (
+        f"{violation}; no measure on the same support with positive masses "
+        f"meets the balance equations within L1 distance {eps}"
+    )
+    # At r = 0 a free unknown enters its row only through its excess
+    # variable, so every row that has one holds for any masses.  The
+    # violated row has a nonempty flow and no unknown, and masses >= delta
+    # > 0 on the same support never bring its flow to 0.
+    if r == 0:
+        raise Infeasible(no_repair)
 
     _, proj, num_free, equations = _balance_equations(mu, r)
     S = len(proj)
@@ -413,10 +424,7 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
                 raise Infeasible("solver exceeded the proximity target")
             return result
         delta /= 2
-    raise Infeasible(
-        f"{violation}; no measure on the same support with positive masses "
-        f"meets the balance equations within L1 distance {eps}"
-    )
+    raise Infeasible(no_repair)
 
 
 # ---------------------------------------------------------------------------

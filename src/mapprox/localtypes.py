@@ -778,11 +778,15 @@ def type_distribution(
 def _weighted_distribution(
     F: FiniteMapping, r: int, table: TypeTable, weighted: Iterable[tuple[int, int]]
 ) -> TypeMeasure:
-    """type_distribution from (element, weight) pairs whose weights sum to
-    F.n, each pair standing for `weight` elements of the element's type.
-    Canonical ids are assigned in order of first appearance."""
+    """type_distribution from (element, weight) pairs, each standing for
+    `weight` elements of the element's type, with masses divided by the
+    total weight: F.n when every element has weight 1, the size of the
+    structure F stands for when F is a witness.  Canonical ids are assigned
+    in order of first appearance."""
     groups: dict[int, list[int]] = {}
+    total = 0
     for v, weight in weighted:
+        total += weight
         nv = table.nv_value(F, (v,), r)
         group = groups.get(nv)
         if group is None:
@@ -792,7 +796,7 @@ def _weighted_distribution(
     pairs = []
     for nv, (v, count) in groups.items():
         t = LocalType(r, F, v, nv, table.canonical_id(nv), table)
-        pairs.append((t, Fraction(count, F.n)))
+        pairs.append((t, Fraction(count, total)))
     return TypeMeasure.from_pairs(r, pairs)
 
 

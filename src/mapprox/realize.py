@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -482,13 +483,27 @@ def _schedule(r: int, factorial_schedule: bool) -> tuple[int, int, int]:
     return rr, clean, cut
 
 
-def _sweep(n: int, copy_size: int, copies: int):
-    """(element, weight) pairs standing for all n elements of a structure
-    that ends in `copies` consecutive blocks of `copy_size` elements, any
-    two of which an automorphism swaps: the elements before the blocks with
-    weight 1, then the first block with weight `copies`.  Exact for every
-    statistic that automorphisms preserve, such as types and ball sizes."""
-    host = n - copies * copy_size
+def _sweep(host: int, copy_size: int, copies: int):
+    """(element, weight) pairs standing for a structure of `host` elements
+    followed by `copies` blocks of `copy_size` elements, any two of which
+    an automorphism swaps: the host with weight 1, then the first block
+    with weight `copies`.  Exact for every statistic that automorphisms
+    preserve, such as types.
+
+    The structure swept may be a witness that holds the host and only the
+    first w = min(copies, r + 1) blocks: each of its elements has the same
+    rank-r type there as in the full structure.  The blocks of merge and
+    recover meet only the host, and the witness sits in the full structure
+    as its host and first w blocks, with every atom kept.  Play the r-round
+    game from the same element on both sides.  The second player answers a
+    move into a block no placed element lies in with such a block of the
+    other side, and any other move with its counterpart, offset for offset
+    in the matched blocks; the placed elements then always carry the same
+    atoms.  Before
+    round j, the j placed elements lie in at most j <= r blocks, so a side
+    with r + 1 blocks always has a free one.  Like a rank-r type's
+    preimage counts, the number of blocks is seen only up to the cap
+    r + 1."""
     for v in range(host):
         yield v, 1
     for v in range(host, host + copy_size):
@@ -496,15 +511,31 @@ def _sweep(n: int, copy_size: int, copies: int):
 
 
 def _proximity(
-    F: FiniteMapping, radius: int, copy_size: int = 0, copies: int = 1
+    F: FiniteMapping, radius: int, host: int, copy_size: int, copies: int
 ) -> Fraction:
     """Probability that two independent uniform elements are within radius,
-    swept as _sweep describes."""
-    total = sum(
-        weight * len(ball(F, v, radius))
-        for v, weight in _sweep(F.n, copy_size, copies)
-    )
-    return Fraction(total, F.n * F.n)
+    in the structure _sweep describes, read off F, which holds its host
+    and at least its first two blocks when copies > 1.
+
+    A path leaves a block only into the host, and its stretch inside one
+    block can be moved into any other block, so F has the full structure's
+    distances among its host and first two blocks.  A host element's ball
+    then holds its part in the host plus `copies` times its part in the
+    first block; a first-block element's ball holds its parts in the host
+    and its own block plus `copies - 1` times its part in the second block
+    (one block, not the sum over the witness's other blocks)."""
+    total = 0
+    for v, weight in _sweep(host, copy_size, copies):
+        parts = Counter(
+            (x - host) // copy_size if x >= host else -1 for x in ball(F, v, radius)
+        )
+        if v < host:
+            size = parts[-1] + copies * parts[0]
+        else:
+            size = parts[-1] + parts[0] + (copies - 1) * parts[1]
+        total += weight * size
+    n = host + copies * copy_size
+    return Fraction(total, n * n)
 
 
 def _histogram(dist: TypeMeasure) -> dict[str, str]:
@@ -548,9 +579,11 @@ def pipeline(
     without approximation.  The report carries per-stage sizes and rank-r
     type histograms, the certificate digest, and the measured distance of
     the output to the input, which is checked against eps rather than
-    assumed.  Statistics of the merged and output structures sweep the host
-    plus one copy, the copy weighted by the number of copies; the values
-    equal a full sweep's.
+    assumed.  The realized histogram is read off the product's, which
+    realize's own verify_upsilon makes exact.  The merged and output
+    statistics come from a witness of the host plus min(copies, r + 1)
+    copies, the first copy weighted by the number of copies; they equal a
+    full sweep's.  The full output is built only to be returned.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -574,15 +607,12 @@ def pipeline(
     table = TypeTable()
     stages: list[dict] = []
 
-    def record(
-        name: str, structure: FiniteMapping, copy_size: int = 0, copies: int = 1
-    ) -> TypeMeasure:
-        dist = _weighted_distribution(
-            structure, r, table, _sweep(structure.n, copy_size, copies)
-        )
-        stages.append(
-            {"name": name, "size": structure.n, "histogram": _histogram(dist)}
-        )
+    def record(name: str, structure: FiniteMapping, blocks=None) -> TypeMeasure:
+        host, copy_size, copies = blocks or (structure.n, 0, 1)
+        sweep = _sweep(host, copy_size, copies)
+        dist = _weighted_distribution(structure, r, table, sweep)
+        size = host + copies * copy_size
+        stages.append({"name": name, "size": size, "histogram": _histogram(dist)})
         return dist
 
     input_dist = record("input", F)
@@ -590,7 +620,7 @@ def pipeline(
     record("residual", residual)
 
     product = cycle_cut_product(residual, cut, clean, table=table)
-    record("product", product)
+    product_dist = record("product", product)
 
     nu = type_distribution(product, clean, table)
     certificate = restricted_fmtp_certificate(nu, rr)
@@ -605,7 +635,12 @@ def pipeline(
             schedule=schedule_info,
         )
     realized = realize(nu, rr, multiplier)
-    record("realized", realized)
+    # realize passed verify_upsilon, so every element's rank-r type is the
+    # projection of its label, and the labels carry nu's masses: the
+    # histogram is the product's, ids included.
+    stages.append(
+        {"name": "realized", "size": realized.n, "histogram": _histogram(product_dist)}
+    )
 
     rewired = rewire(realized, cut, clean)
     record("rewired", rewired)
@@ -633,14 +668,14 @@ def pipeline(
         )
     # Swapping two copies is an automorphism of the merged structure and,
     # since every A-marked copy element is redirected to the same host B
-    # element, of the output too: the host plus one copy stands for all.
+    # element, of the output too.  The host and min(copies, r + 1) >= 2
+    # copies stand for all of them, as _sweep and _proximity show.
     copies = n_close * n_away
-    merged = merge(residual, stripped, copies)
-    record("merged", merged, stripped.n, copies)
-
-    output = recover(merged, pairs)
-    del merged  # lets the type table drop the merged structure's cache
-    output_dist = record("output", output, stripped.n, copies)
+    blocks = (residual.n, stripped.n, copies)
+    witness = merge(residual, stripped, min(copies, r + 1))
+    record("merged", witness, blocks)
+    witness = recover(witness, pairs)
+    output_dist = record("output", witness, blocks)
 
     final = measure_tv(output_dist, input_dist)
     entry = {
@@ -649,8 +684,8 @@ def pipeline(
         "ok": final <= eps,
     }
     if p >= 2:
-        prox_out = _proximity(output, 2 * r, stripped.n, copies)
-        prox_in = _proximity(F, 2 * r)
+        prox_out = _proximity(witness, 2 * r, *blocks)
+        prox_in = _proximity(F, 2 * r, F.n, 0, 1)
         bound = 2 * p * final + math.comb(p, 2) * (prox_out + prox_in)
         entry.update(
             {
@@ -683,4 +718,4 @@ def pipeline(
         "stages": stages,
         "ldist": entry,
     }
-    return output, report
+    return recover(merge(residual, stripped, copies), pairs), report

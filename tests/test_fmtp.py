@@ -202,6 +202,18 @@ class TestApproximateMeasure:
             approximate_measure(mu, Fraction(1, 10), 0)
         assert str(caught.value).startswith(str(violation))
 
+    def test_rank_zero_violation_skips_the_simplex(self, monkeypatch):
+        # At r = 0 a violated row has a flow and no unknown, which no
+        # positive masses balance: the answer needs no LP solve.
+        def unreachable(rows, num_vars):
+            raise AssertionError("no r = 0 repair exists; the simplex must not run")
+
+        monkeypatch.setattr(simplex, "solve_equalities", unreachable)
+        t = local_type(star(3, {"U": {0}}), 1, 1, TABLE)
+        mu = TypeMeasure.from_pairs(1, [(t, Fraction(1))])
+        with pytest.raises(Infeasible, match="no measure on the same support"):
+            approximate_measure(mu, Fraction(1, 10), 0)
+
     @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_repair_certifies_and_realizes(self, n, seed):
         # A seeded perturbed measure is repaired on its support, and the

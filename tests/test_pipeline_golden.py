@@ -1,8 +1,10 @@
 """Golden digests of pipeline map files and reports.
 
-The digests were recorded with the implementation that swept every element
-of the merged and output stages; the host-plus-one-copy sweep must
-reproduce them byte for byte.  Every case runs in two fresh interpreters
+The digests were recorded with the implementation that typed the realized
+stage and swept every element of the merged and output stages.  The
+realized histogram read off the product's, and the merged and output
+statistics taken from a witness of the host and min(copies, r + 1) copies,
+must reproduce them byte for byte.  Every case runs in two fresh interpreters
 with different string-hash seeds, so the digests hold across processes and
 not only within one session.  The report digests are those of version 1;
 a version 2 report is checked to lack the three constant fields version 1

@@ -22,6 +22,7 @@ from mapprox.errors import (
 from mapprox.localtypes import (
     TypeMeasure,
     TypeTable,
+    _weighted_distribution,
     local_type,
     measure_tv,
     type_distribution,
@@ -34,7 +35,12 @@ from mapprox.realize import (
     rewire,
     verify_upsilon,
 )
-from mapprox.structure import FiniteMapping, cycle_cut_product, cycle_lengths
+from mapprox.structure import (
+    FiniteMapping,
+    cycle_cut_product,
+    cycle_lengths,
+    recover,
+)
 from oracles import proximity as oracle_proximity
 
 # The package exports the function `realize`, which shadows the module.
@@ -267,27 +273,92 @@ class TestPipeline:
         bound = Fraction(entry["p_bound"])
         assert bound >= 4 * final
 
-    def test_copy_sweep_matches_full_sweeps(self):
-        # The report sweeps merged and output over the host plus one copy;
-        # r = 2 is covered byte for byte by test_pipeline_golden.
+    def test_copy_sweep_matches_full_sweeps(self, monkeypatch):
+        # The report reads the realized histogram off the product's and takes
+        # the merged and output statistics from a witness of the host and
+        # min(copies, r + 1) copies.  Each is checked against the full
+        # structure, typed in the pipeline's own table, ids and order
+        # included.
         cases = [
-            (seeded(20, 6), Fraction(1, 6)),
-            (seeded(30, 3), Fraction(1, 10)),
-            (seeded(24, 9, Fraction(1, 2)), Fraction(1, 5)),
+            (seeded(20, 6), 2, 1, Fraction(1, 6)),
+            (seeded(30, 3), 2, 1, Fraction(1, 10)),
+            (seeded(24, 9, Fraction(1, 2)), 2, 1, Fraction(1, 5)),
+            # Six copies at p = 2: a first-copy ball counts one other copy,
+            # not every other copy the witness holds.
+            (seeded(4, 2), 2, 2, Fraction(1, 3)),
+            (seeded(6, 42), 1, 3, Fraction(1, 4)),
+            # Two copies, fewer than r + 1 (eps >= 1 cuts nothing).
+            (seeded(4, 1), 2, 2, Fraction(1)),
+            (seeded(6, 42), 2, 3, Fraction(2)),
         ]
-        for F, eps in cases:
-            out, report = pipeline(F, 2, 1, eps)
+        tables, built = [], []
+
+        def new_table():
+            tables.append(TypeTable())
+            return tables[-1]
+
+        def keeping(build):
+            def kept(*args):
+                built.append(build(*args))
+                return built[-1]
+
+            return kept
+
+        monkeypatch.setattr(realize_module, "TypeTable", new_table)
+        monkeypatch.setattr(realize_module, "realize", keeping(realize))
+        monkeypatch.setattr(realize_module, "merge", keeping(merge))
+        witness_smaller = set()
+        for F, p, r, eps in cases:
+            tables.clear()
+            built.clear()
+            out, report = pipeline(F, p, r, eps)
+            realized, merged = built[0], built[-1]
+            table = tables[0]
+            parameters = report["parameters"]
+            copies = parameters["n_close"] * parameters["n_away"]
+            host = out.n - copies * realized.n
+            assert len(built) == 3 and merged.n == out.n
+            assert built[1].n == host + min(copies, r + 1) * realized.n
+            witness_smaller.add(copies > r + 1)
+
+            stages = {stage["name"]: stage for stage in report["stages"]}
+            for name, full in [
+                ("realized", realized),
+                ("merged", merged),
+                ("output", out),
+            ]:
+                assert stages[name]["size"] == full.n
+                dist = type_distribution(full, r, table)
+                assert list(stages[name]["histogram"].items()) == [
+                    (str(t.canonical_id), str(mass)) for t, mass in dist
+                ]
+
             entry = report["ldist"]
-            assert report["parameters"]["n_close"] * report["parameters"]["n_away"] > 1
-            table = TypeTable()
-            assert Fraction(entry["final"]) == ldist(out, F, 1, 1, table=table)
-            assert Fraction(entry["proximity_output"]) == oracle_proximity(out, 2)
-            assert Fraction(entry["proximity_input"]) == oracle_proximity(F, 2)
-            histogram = report["stages"][-1]["histogram"]
-            full = type_distribution(out, 1, table)
-            assert sorted(map(Fraction, histogram.values())) == sorted(
-                mass for _, mass in full
-            )
+            assert Fraction(entry["final"]) == ldist(out, F, 1, r, table=table)
+            if p >= 2:
+                proximity = Fraction(entry["proximity_output"])
+                assert proximity == oracle_proximity(out, 2 * r)
+                assert Fraction(entry["proximity_input"]) == oracle_proximity(F, 2 * r)
+        assert witness_smaller == {True, False}
+
+    def test_witness_types_like_every_copy(self):
+        # A hub whose preimages all lie in the copies, one per copy: its
+        # rank-r type counts them up to r, so the witness's
+        # min(copies, r + 1) copies stand for any number of them, and
+        # fewer than min(copies, r) do not.
+        host = FiniteMapping(f=(0,), marks={"A1": frozenset(), "B1": {0}})
+        block = FiniteMapping(f=(0,), marks={"A1": {0}, "B1": frozenset()})
+        pairs = [("A1", "B1")]
+        for r in (1, 2, 3):
+            for copies in range(1, 7):
+                table = TypeTable()
+                full = recover(merge(host, block, copies), pairs)
+                expected = type_distribution(full, r, table)
+                for w in range(1, copies + 1):
+                    witness = recover(merge(host, block, w), pairs)
+                    sweep = realize_module._sweep(1, 1, copies)
+                    got = _weighted_distribution(witness, r, table, sweep)
+                    assert (got == expected) == (w >= min(copies, r))
 
     def test_preimage_table_built_once_per_structure(self, monkeypatch):
         built = []
@@ -300,8 +371,20 @@ class TestPipeline:
         counted = functools.cached_property(counting)
         counted.__set_name__(FiniteMapping, "pre")
         monkeypatch.setattr(FiniteMapping, "pre", counted)
+        typed = set()
+        nv_value = TypeTable.nv_value
+
+        def typing(table, F, *args, **kwargs):
+            typed.add(F)
+            return nv_value(table, F, *args, **kwargs)
+
+        monkeypatch.setattr(TypeTable, "nv_value", typing)
         out, _ = pipeline(seeded(20, 6), 2, 1, Fraction(1, 6))
-        assert out in built
+        # Merged and output statistics come from a witness of the host and
+        # r + 1 copies, so no structure the size of the full output is typed
+        # or builds its preimage table.
+        assert out not in built and out not in typed
+        assert max(F.n for F in [*built, *typed]) < out.n
         ids = [id(F) for F in built]  # `built` keeps every structure alive
         assert len(ids) == len(set(ids))
 
