@@ -34,10 +34,12 @@ At p = 2, ldist splits the pairs by Gaifman distance (Gaifman 1982; Hanf
 ldist therefore takes each element's root value, plays the pair game only
 for b in the radius-(r+1) ball of a (a itself included), and counts the far
 pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
-those roots.  Before any game is played, ldist at p = 2 checks n plus the
-ball sizes of each structure against the budget, summed as the balls are
-built.  At p = 1 and p >= 3, and in dist_p^r, whose unrestricted moves reach
-past any ball, every p-tuple is enumerated and the budget bounds n^p.
+those roots.  Every call has one work budget, the module constant
+GAME_BUDGET, read when the call runs; no call takes a budget of its own.
+Before any game is played, ldist at p = 2 checks n plus the ball sizes of
+each structure against the budget, summed as the balls are built.  At
+p = 1 and p >= 3, and in dist_p^r, whose unrestricted moves reach past any
+ball, every p-tuple is enumerated and the budget bounds n^p.
 dist_p^r is 1 when a sentence of rank r separates the structures, and then
 no tuple is enumerated.  Either distance also spends every game position it
 plays (a miss of the engine's memo) on one meter per call, and raises
@@ -62,22 +64,18 @@ from .structure import FiniteMapping, ball
 GAME_BUDGET = 1_000_000
 
 
-def ef_equivalent(
-    A: FiniteMapping, B: FiniteMapping, r: int, budget: int = GAME_BUDGET
-) -> bool:
+def ef_equivalent(A: FiniteMapping, B: FiniteMapping, r: int) -> bool:
     """Whether no sentence of quantifier rank <= r separates A from B."""
-    return fo_dist(A, B, 0, r, budget) == 0
+    return fo_dist(A, B, 0, r) == 0
 
 
-def _tuple_classes(
-    A: FiniteMapping, B: FiniteMapping, p: int, value, budget: int
-) -> list[Counter]:
+def _tuple_classes(A: FiniteMapping, B: FiniteMapping, p: int, value) -> list[Counter]:
     """Counts of the classes of all p-tuples of A and of B, each keyed by the
     atom rows of its proper prefixes and its game value `value(F, tup)`.
-    BudgetExceeded when either structure has more than `budget` p-tuples."""
+    BudgetExceeded when either structure has more than GAME_BUDGET p-tuples."""
     needed = max(A.n, B.n) ** p
-    if needed > budget:
-        raise BudgetExceeded(budget, needed)
+    if needed > GAME_BUDGET:
+        raise BudgetExceeded(GAME_BUDGET, needed)
     counts = []
     for F in (A, B):
         f, marks = F.f, F.mark_sets
@@ -90,10 +88,10 @@ def _tuple_classes(
     return counts
 
 
-def _near_balls(F: FiniteMapping, radius: int, budget: int) -> list[frozenset[int]]:
+def _near_balls(F: FiniteMapping, radius: int) -> list[frozenset[int]]:
     """Every element's ball of the given radius, raising BudgetExceeded as
-    soon as n plus the ball sizes so far passes `budget`."""
-    meter = Meter(budget)
+    soon as n plus the ball sizes so far passes GAME_BUDGET."""
+    meter = Meter(GAME_BUDGET)
     meter.spend(F.n)
     balls = []
     for a in F.elements():
@@ -139,7 +137,6 @@ def ldist(
     p: int,
     r: int,
     table: Optional[TypeTable] = None,
-    budget: int = GAME_BUDGET,
 ) -> Fraction:
     """TV distance between the distributions of local-game classes of
     p-tuples drawn uniformly from each structure."""
@@ -150,18 +147,16 @@ def ldist(
     if r < 0:
         raise ValueError("rank must be nonnegative")
     table = table or global_table()
-    value = partial(table.nv_value, k=r, meter=Meter(budget))
+    value = partial(table.nv_value, k=r, meter=Meter(GAME_BUDGET))
     if p == 2:
-        balls = [_near_balls(F, r + 1, budget) for F in (A, B)]
+        balls = [_near_balls(F, r + 1) for F in (A, B)]
         counts = [_pair_classes(F, value, near) for F, near in zip((A, B), balls)]
     else:
-        counts = _tuple_classes(A, B, p, value, budget)
+        counts = _tuple_classes(A, B, p, value)
     return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 
-def fo_dist(
-    A: FiniteMapping, B: FiniteMapping, p: int, r: int, budget: int = GAME_BUDGET
-) -> Fraction:
+def fo_dist(A: FiniteMapping, B: FiniteMapping, p: int, r: int) -> Fraction:
     """sup over p-variable formulas of quantifier rank <= r of the pairing gap.
 
     1 as soon as a sentence of rank <= r separates A from B; the p-tuples
@@ -172,15 +167,15 @@ def fo_dist(
         raise ValueError("p must be nonnegative")
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    value = partial(TypeTable().global_value, k=r, meter=Meter(budget))
+    value = partial(TypeTable().global_value, k=r, meter=Meter(GAME_BUDGET))
     if value(A, ()) != value(B, ()):
         return Fraction(1)
-    counts = _tuple_classes(A, B, p, value, budget)
+    counts = _tuple_classes(A, B, p, value)
     return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 
 def dist_fo_truncated(
-    A: FiniteMapping, B: FiniteMapping, K: int, budget: int = GAME_BUDGET
+    A: FiniteMapping, B: FiniteMapping, K: int
 ) -> tuple[Fraction, Fraction]:
     """Partial sum of sum_{p,r} 2^-(p+r) dist_p^r over p+r <= K, with the
     exact tail bound sum_{p+r>K} 2^-(p+r) = (K+3)/2^K as the upper gap."""
@@ -189,6 +184,6 @@ def dist_fo_truncated(
     lower = Fraction(0)
     for s in range(K + 1):
         for p in range(s + 1):
-            lower += Fraction(1, 2**s) * fo_dist(A, B, p, s - p, budget)
+            lower += Fraction(1, 2**s) * fo_dist(A, B, p, s - p)
     tail = Fraction(K + 3, 2**K)
     return lower, lower + tail

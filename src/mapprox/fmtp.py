@@ -324,13 +324,13 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
 # rational approximation over the feasible polytope
 
 
-# Halvings of the lower bound on every mass before the LP gives up.
+# The lower bound on every mass is tried down to its first value over
+# 2^(LP_RETRIES - 1).
 LP_RETRIES = 20
 
 # Largest LP (constraint rows times variables) approximate_measure hands to
-# the exact simplex.  A measure that cannot be repaired costs LP_RETRIES
-# infeasible solves: 5-10 s in all at 7,500-10,700 cells on a 2-core VM
-# with CPython 3.11.
+# the exact simplex.  A measure that cannot be repaired costs two
+# infeasible solves, one at the first and one at the last lower bound.
 LP_MAX_CELLS = 12_000
 
 
@@ -343,11 +343,15 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
     linear program: masses x >= delta > 0, the certificate's balance
     equations from _balance_equations (a free unknown s(tau_i, t1) enters
     as r x_i plus an excess variable, to stay linear), sum 1, and L1
-    distance to mu at most eps, with delta halved up to LP_RETRIES times.
-    The masses are an LP vertex, so their denominators, and with them the
-    size lcm(denominators) that realize builds, are not bounded here:
-    realize.MAX_REALIZE_SIZE is the guard, checked by realize before it
-    builds anything.
+    distance to mu at most eps.  delta is the first of min(mu) / 2^(k + 1),
+    k = 0 .. LP_RETRIES - 1, at which the LP is feasible.  A repair with
+    every mass >= delta also has every mass >= any smaller delta, so
+    feasibility is monotone in k: after k = 0 fails, the LP is solved at
+    the last k and then bisected, and a measure with no repair costs two
+    solves.  The masses are an LP vertex, so their denominators, and with
+    them the size lcm(denominators) that realize builds, are not bounded
+    here: realize.MAX_REALIZE_SIZE is the guard, checked by realize before
+    it builds anything.
 
     Raises BudgetExceeded, before any row is built, when the LP would have
     more than LP_MAX_CELLS cells, and Infeasible, naming the balance
@@ -409,22 +413,37 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
     x_sums = [sum(c for var, c in coeffs.items() if var < S) for coeffs in balance]
 
     masses = [mass for _, _, _, mass in proj]
-    delta = min(masses) / 2
-    for _ in range(LP_RETRIES):
+
+    def solve(k: int):
+        """(delta, LP solution) at delta = min(masses) / 2^(k + 1), or None."""
+        delta = min(masses) / 2 ** (k + 1)
         rhs = [-delta * total for total in x_sums]
         rhs += [1 - S * delta] + [mass - delta for mass in masses] + [eps]
         solution = simplex.solve_equalities(list(zip(rows, rhs)), num_vars)
-        if solution is not None:
-            repaired = [(tau, delta + x) for (tau, *_), x in zip(proj, solution)]
-            result = TypeMeasure.from_pairs(mu.rank, repaired)
-            check = restricted_fmtp_certificate(result, r)
-            if isinstance(check, Violation):
-                raise Infeasible(f"solver returned an infeasible point: {check}")
-            if measure_tv(mu, result) >= eps:
-                raise Infeasible("solver exceeded the proximity target")
-            return result
-        delta /= 2
-    raise Infeasible(no_repair)
+        return None if solution is None else (delta, solution)
+
+    found = solve(0)
+    if found is None:
+        infeasible, feasible = 0, LP_RETRIES - 1
+        found = solve(feasible)
+        if found is None:
+            raise Infeasible(no_repair)
+        while feasible - infeasible > 1:
+            k = (infeasible + feasible) // 2
+            attempt = solve(k)
+            if attempt is None:
+                infeasible = k
+            else:
+                feasible, found = k, attempt
+    delta, solution = found
+    repaired = [(tau, delta + x) for (tau, *_), x in zip(proj, solution)]
+    result = TypeMeasure.from_pairs(mu.rank, repaired)
+    check = restricted_fmtp_certificate(result, r)
+    if isinstance(check, Violation):
+        raise Infeasible(f"solver returned an infeasible point: {check}")
+    if measure_tv(mu, result) >= eps:
+        raise Infeasible("solver exceeded the proximity target")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +476,13 @@ class PreconditionReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def check_realizability_preconditions(
-    mu: TypeMeasure, cut_length: int, r: int
-) -> PreconditionReport:
+def check_realizability_preconditions(mu: TypeMeasure, r: int) -> PreconditionReport:
     """The three hypotheses of the realization construction, as a report.
 
     (1) cleanness: every positive-mass type sends its image type to positive
         projected mass; (2) no positive-mass type forces a cycle of length in
-        (1, cut_length]; (3) a companion certificate exists.
+        (1, r + 1], the lengths a rank-r type can see; (3) a companion
+        certificate exists.
     """
     if mu.rank < 2 * r + 1:
         raise RankTooLow(f"preconditions need measure rank >= {2 * r + 1}")
@@ -489,7 +507,7 @@ def check_realizability_preconditions(
         if lengths is None:
             lengths = {z: len(orbit) for orbit in cycle_orbits(F) for z in orbit}
             cycle_len_cache[id(F)] = lengths
-        if 1 < lengths.get(v, 0) <= cut_length:
+        if 1 < lengths.get(v, 0) <= r + 1:
             cycle_fail = (
                 f"witness of {tau!r} lies on a cycle of length {lengths[v]}"
             )

@@ -395,16 +395,16 @@ def evaluate(F: FiniteMapping, phi: Formula, assignment: Mapping[str, int]) -> b
     return ev(phi, dict(assignment))
 
 
-def stone_pairing(
-    F: FiniteMapping, phi: Formula, budget: int = EVALUATION_BUDGET
-) -> Fraction:
-    """Satisfaction probability |phi(F)| / n^p over uniform iid assignments."""
+def stone_pairing(F: FiniteMapping, phi: Formula) -> Fraction:
+    """Satisfaction probability |phi(F)| / n^p over uniform iid assignments.
+
+    BudgetExceeded when the n^p assignments pass EVALUATION_BUDGET."""
     variables = sorted(free_variables(phi), key=_var_sort_key)
     p = len(variables)
     n = F.n
     total = n**p
-    if total > budget:
-        raise BudgetExceeded(budget, total)
+    if total > EVALUATION_BUDGET:
+        raise BudgetExceeded(EVALUATION_BUDGET, total)
     count = 0
     for values in itertools.product(range(n), repeat=p):
         if evaluate(F, phi, dict(zip(variables, values))):
@@ -658,9 +658,7 @@ def translate(I: Interpretation, phi: Formula) -> Formula:
     return walk(phi)
 
 
-def recovery_interpretation(
-    original_predicates: tuple[str, ...], pairs: list[tuple[str, str]]
-) -> Interpretation:
+def recovery_interpretation(pairs: list[tuple[str, str]]) -> Interpretation:
     """Interpretation undoing residual cuts: elements marked A_k regain the
     B_k element as image, everything else keeps f; cut predicates dropped.
     structure.recover computes the same map in linear time."""

@@ -60,6 +60,7 @@ from .structure import (
     ball,
     cycle_cut_product,
     cycle_lengths,
+    disjoint_union,
     recover,
     residualize,
 )
@@ -135,7 +136,7 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
         raise BudgetExceeded(MAX_REALIZE_SIZE, n_elements)
     cut = r + 2
 
-    report = check_realizability_preconditions(mu, r + 1, r)
+    report = check_realizability_preconditions(mu, r)
     if not report.passed:
         failure = report.failures()[0]
         raise PreconditionFailed(failure.name, failure.detail)
@@ -237,9 +238,7 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
         if chosen is None:
             raise Stuck(
                 i,
-                _stuck_diagnostics(
-                    i, source, block_type, t1_obj, t2_key, pools, counts, cut
-                ),
+                _stuck_diagnostics(source, block_type, t1_obj, t2_key, pools, counts, cut),
             )
         g[i] = chosen
         counts[(chosen, t1_key)] = counts.get((chosen, t1_key), 0) + 1
@@ -256,7 +255,7 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
     )
 
     upsilon = {i: block_type[kind[i]] for i in range(n_elements)}
-    if not verify_upsilon(realized, upsilon, r, r + 1):
+    if not verify_upsilon(realized, upsilon, r):
         raise PreconditionFailed(
             "post-verification",
             "the finished assignment violates the capped preimage-count "
@@ -266,7 +265,6 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
 
 
 def _stuck_diagnostics(
-    i: int,
     source: int,
     block_type: Sequence[LocalType],
     t1_obj: Sequence[LocalType],
@@ -287,21 +285,17 @@ def _stuck_diagnostics(
     )
 
 
-def verify_upsilon(
-    F: FiniteMapping,
-    upsilon: dict,
-    r: int,
-    cut_length: int,
-) -> bool:
+def verify_upsilon(F: FiniteMapping, upsilon: dict, r: int) -> bool:
     """Check the four conditions under which a type labelling is faithful.
 
     upsilon maps every element of F to a rank-R local type with R >= 2r + 1.
     The conditions: (1) each element carries exactly the marks of its label's
-    witness; (2) F has no cycle of length in (1, cut_length]; (3) each
-    label forces the image's projected label; (4) for every element and
-    every relevant rank-r type t, the capped count of t-typed preimages
-    matches the capped count the label forces.  When all four hold, the
-    rank-r type of every element equals the rank-r projection of its label.
+    witness; (2) F has no cycle of length in (1, r + 1], the lengths a
+    rank-r type can see; (3) each label forces the image's projected label;
+    (4) for every element and every relevant rank-r type t, the capped
+    count of t-typed preimages matches the capped count the label forces.
+    When all four hold, the rank-r type of every element equals the rank-r
+    projection of its label.
     """
     for v in F.elements():
         if v not in upsilon:
@@ -312,7 +306,7 @@ def verify_upsilon(
             )
 
     for length in cycle_lengths(F):
-        if 1 < length <= cut_length:
+        if 1 < length <= r + 1:
             return False
 
     for v in F.elements():
@@ -439,22 +433,9 @@ def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
 def merge(E: FiniteMapping, F2: FiniteMapping, copies: int) -> FiniteMapping:
     """E followed by `copies` copies of F2, each a separate block of F2.n
     elements that keeps F2's function and marks."""
-    if not E.same_signature(F2):
-        raise SignatureMismatch("merge needs a shared signature")
     if copies < 1:
         raise ValueError("copies must be at least 1")
-    f = list(E.f)
-    marks = {name: set(E.marks[name]) for name in E.signature.predicates}
-    for index in range(copies):
-        base = E.n + index * F2.n
-        f.extend(base + w for w in F2.f)
-        for name in F2.signature.predicates:
-            marks[name].update(base + v for v in F2.marks[name])
-    return FiniteMapping(
-        f=tuple(f),
-        marks={name: frozenset(v) for name, v in marks.items()},
-        signature=E.signature,
-    )
+    return disjoint_union(E, *[F2] * copies)
 
 
 # ---------------------------------------------------------------------------

@@ -311,19 +311,22 @@ def cycle_lengths(F: FiniteMapping) -> list[int]:
     return sorted(len(orbit) for orbit in cycle_orbits(F))
 
 
-def disjoint_union(A: FiniteMapping, B: FiniteMapping) -> FiniteMapping:
-    """A followed by B with B's elements shifted by |A|; signatures must agree."""
-    if not A.same_signature(B):
-        raise SignatureMismatch(
-            f"cannot union {A.signature.predicates} with {B.signature.predicates}"
-        )
-    shift = A.n
-    f = A.f + tuple(w + shift for w in B.f)
-    marks = {
-        name: A.marks[name] | frozenset(v + shift for v in B.marks[name])
-        for name in A.signature.predicates
-    }
-    return FiniteMapping(f=f, marks=marks, signature=A.signature)
+def disjoint_union(first: FiniteMapping, *rest: FiniteMapping) -> FiniteMapping:
+    """The structures side by side, each one's elements shifted by the sizes
+    of those before it; signatures must agree."""
+    for B in rest:
+        if not first.same_signature(B):
+            raise SignatureMismatch(
+                f"cannot union {first.signature.predicates} with {B.signature.predicates}"
+            )
+    f = list(first.f)
+    marks = {name: set(elems) for name, elems in first.marks.items()}
+    for B in rest:
+        shift = len(f)
+        f.extend(w + shift for w in B.f)
+        for name, elems in B.marks.items():
+            marks[name].update(v + shift for v in elems)
+    return FiniteMapping(f=tuple(f), marks=marks, signature=first.signature)
 
 
 def restrict(F: FiniteMapping, X: Iterable[int]) -> FiniteMapping:

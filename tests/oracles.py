@@ -6,7 +6,7 @@ small inputs.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
 from mapprox.structure import FiniteMapping
@@ -23,6 +23,8 @@ __all__ = [
     "random_clean_formula",
     "restrict_by_scan",
     "pairwise_measure_tv",
+    "column_rank",
+    "brute_feasible_point",
 ]
 
 
@@ -303,3 +305,55 @@ def pairwise_measure_tv(a, b) -> Fraction:
         if j not in matched:
             diff += mass_b
     return diff / 2
+
+
+def _row_reduce(matrix) -> tuple[list, list]:
+    """Reduced row echelon form of a list of rows over Fractions, and the
+    pivot column of each nonzero row."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    pivots: list = []
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        at = len(pivots)
+        found = next((i for i in range(at, len(rows)) if rows[i][col] != 0), None)
+        if found is None:
+            continue
+        rows[at], rows[found] = rows[found], rows[at]
+        lead = rows[at][col]
+        rows[at] = [v / lead for v in rows[at]]
+        for i in range(len(rows)):
+            if i != at and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[at])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def column_rank(rows, columns) -> int:
+    """Rank of the given columns of the matrix `rows`."""
+    return len(_row_reduce([[row[j] for j in columns] for row in rows])[1])
+
+
+def brute_feasible_point(rows, num_vars):
+    """A point of {x >= 0 : A x = b}, rows given as (coefficients, b), or
+    None when the set is empty.  The set is nonempty exactly when some
+    linearly independent columns solve A x = b with x >= 0 (a basic
+    feasible solution), so every such column set is tried, smallest first,
+    and each is solved by exact elimination."""
+    A = [list(coeffs) for coeffs, _ in rows]
+    b = [rhs for _, rhs in rows]
+    for size in range(min(len(rows), num_vars) + 1):
+        for columns in combinations(range(num_vars), size):
+            if column_rank(A, columns) < size:
+                continue
+            reduced, pivots = _row_reduce(
+                [[row[j] for j in columns] + [rhs] for row, rhs in zip(A, b)]
+            )
+            if size in pivots:  # b lies outside the columns' span
+                continue
+            x = [Fraction(0)] * num_vars
+            for i, col in enumerate(pivots):
+                x[columns[col]] = reduced[i][-1]
+            if all(v >= 0 for v in x):
+                return x
+    return None

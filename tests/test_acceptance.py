@@ -134,18 +134,18 @@ def test_extracted_measures_certify_and_bad_measures_name_their_check():
     outcome = restricted_fmtp_certificate(leaf_mass, 1)
     assert isinstance(outcome, Violation)
     assert outcome.check == "balance"
-    assert not check_realizability_preconditions(leaf_mass, 5, 1).check(
+    assert not check_realizability_preconditions(leaf_mass, 1).check(
         "certificate"
     ).passed
 
-    short_cycles = type_distribution(cycle(3), 3, table)
-    report = check_realizability_preconditions(short_cycles, 5, 1)
+    short_cycles = type_distribution(cycle(3), 5, table)
+    report = check_realizability_preconditions(short_cycles, 2)
     assert not report.check("no-short-cycles").passed
 
     unclean = TypeMeasure.from_pairs(
         3, [(local_type(path(4), 0, 3, table), Fraction(1))]
     )
-    report = check_realizability_preconditions(unclean, 5, 1)
+    report = check_realizability_preconditions(unclean, 1)
     assert not report.check("cleanness").passed
 
     elapsed = time.perf_counter() - started

@@ -16,6 +16,7 @@ from helpers import (
     seeded,
     star,
 )
+from mapprox import equivalence
 from mapprox.equivalence import (
     dist_fo_truncated,
     ef_equivalent,
@@ -150,12 +151,13 @@ class TestEfEquivalent:
                 expected = sentences[i] == sentences[j]
                 assert ef_equivalent(structures[i], structures[j], r) == expected, (i, j, r)
 
-    def test_budget_counts_game_positions(self):
+    def test_budget_counts_game_positions(self, monkeypatch):
         # A rank-3 game plays 1 + 30 + 870 positions in the first cycle (its
         # last round is counted, not played), which fit in the budget; the
         # second cycle's positions pass it.
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", 1000)
         with pytest.raises(BudgetExceeded) as caught:
-            ef_equivalent(cycle(30), cycle(30), 3, budget=1000)
+            ef_equivalent(cycle(30), cycle(30), 3)
         assert caught.value.needed == 1001
 
     def test_keeps_nothing(self):
@@ -203,9 +205,10 @@ class TestLdist:
             with pytest.raises(ValueError, match="rank must be nonnegative"):
                 ldist(cycle(3), cycle(5), p, -1, TypeTable())
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", 1000)
         with pytest.raises(BudgetExceeded):
-            ldist(seeded(40, 0), seeded(40, 1), 3, 1, budget=1000)
+            ldist(seeded(40, 0), seeded(40, 1), 3, 1)
 
     def test_earlier_element_marks_count(self):
         # The pairs (0, 1) differ only in the mark of their first element:
@@ -248,13 +251,14 @@ class TestLdist:
         assert 1_000_000 < caught.value.needed < 1_010_000
         assert all(not cache["nv"] for cache in table._caches.values())
 
-    def test_budget_counts_game_positions(self):
+    def test_budget_counts_game_positions(self, monkeypatch):
         # The ball sizes of two 100-leaf stars (10,302 each) fit in a budget
         # of 100,000, but their rank-2 pair games play about 3 million
         # positions.
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", 100_000)
         started = time.perf_counter()
         with pytest.raises(BudgetExceeded) as caught:
-            ldist(star(100), star(100), 2, 2, budget=100_000)
+            ldist(star(100), star(100), 2, 2)
         assert time.perf_counter() - started < 5
         assert caught.value.needed == 100_001
 
@@ -276,13 +280,14 @@ class TestFoDist:
         F = FiniteMapping(f=(1, 2, 0))
         assert fo_dist(F, FiniteMapping(f=(0,)), 0, 1) == 1
 
-    def test_separated_skips_tuples(self):
+    def test_separated_skips_tuples(self, monkeypatch):
         # Separated at rank 1 (a fixed point against none): the distance is
         # 1 without enumerating the 20^3 triples, which the budget forbids.
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", 1000)
         A, B = cycle(20), FiniteMapping(f=(0,) * 20)
-        assert fo_dist(A, B, 3, 1, budget=1000) == 1
+        assert fo_dist(A, B, 3, 1) == 1
         with pytest.raises(BudgetExceeded):
-            fo_dist(A, cycle(20), 3, 1, budget=1000)
+            fo_dist(A, cycle(20), 3, 1)
 
     def test_zero_rank_zero_vars(self):
         assert fo_dist(cycle(3), cycle(4), 0, 0) == 0

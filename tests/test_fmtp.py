@@ -242,6 +242,52 @@ class TestApproximateMeasure:
             [Fraction(1003, 18000)] * 6 + [Fraction(991, 9000)] + [Fraction(1, 9)] * 5
         )
 
+    @pytest.mark.parametrize(
+        "n, seed, eps, solves",
+        [(3, 1, Fraction(1, 100), 1), (3, 7, Fraction(1, 100), 1),
+         (4, 3, Fraction(1, 100), 1), (3, 1, Fraction(1, 10**6), 2)],
+    )
+    def test_solve_count(self, monkeypatch, n, seed, eps, solves):
+        # A repair found at the first delta costs one solve; one with no
+        # repair costs two, at the first delta and the last, since
+        # feasibility is monotone in delta.
+        real, calls = simplex.solve_equalities, []
+
+        def counted(rows, num_vars):
+            calls.append(num_vars)
+            return real(rows, num_vars)
+
+        monkeypatch.setattr(simplex, "solve_equalities", counted)
+        try:
+            approximate_measure(perturbed_product(n, seed), eps, 1)
+        except Infeasible:
+            assert solves == 2
+        assert len(calls) == solves
+
+    def test_repair_found_after_halvings(self, monkeypatch):
+        # A solver that finds nothing while delta > delta_0 / 8 makes k = 3
+        # the first feasible halving: the bisection tries k = 0, 19, 9, 4,
+        # 2, 3 and returns the vertex at k = 3, which here is the same as
+        # the one at k = 0.  Masses pinned from the halving loop that tried
+        # k = 0, 1, 2, 3 in turn.
+        mu = perturbed_product(3, 3)
+        S, delta_0 = len(mu.entries), min(mass for _, mass in mu) / 2
+        real, tried = simplex.solve_equalities, []
+
+        def late(rows, num_vars):
+            # The row sum(x) = 1 - S delta comes just before the S mass rows
+            # and the proximity row.
+            delta = (1 - rows[-S - 2][1]) / S
+            tried.append(delta_0 / delta)
+            return None if delta > delta_0 / 8 else real(rows, num_vars)
+
+        monkeypatch.setattr(simplex, "solve_equalities", late)
+        out = approximate_measure(mu, Fraction(1, 100), 1)
+        assert tried == [1, 2**19, 2**9, 2**4, 2**2, 2**3]
+        assert [mass for _, mass in out] == (
+            [Fraction(1003, 18000)] * 6 + [Fraction(991, 9000)] + [Fraction(1, 9)] * 5
+        )
+
     def test_unrepairable_names_the_violation(self):
         mu = perturbed_product(3, 1)
         violation = restricted_fmtp_certificate(mu, 1)
@@ -265,9 +311,7 @@ class TestPreconditions:
     def test_cut_product_passes(self):
         # the product's shortest cycle has length 6, above the checked band
         H = cycle_cut_product(seeded(10, 7), 6, 3, TABLE)
-        report = check_realizability_preconditions(
-            type_distribution(H, 3, TABLE), 5, 1
-        )
+        report = check_realizability_preconditions(type_distribution(H, 3, TABLE), 1)
         assert report.passed
         assert report.certificate is not None
         assert [c.name for c in report.checks] == [
@@ -278,35 +322,35 @@ class TestPreconditions:
         assert report.failures() == ()
 
     def test_short_cycle_named(self):
-        report = check_realizability_preconditions(
-            type_distribution(cycle(3), 3, TABLE), 6, 1
-        )
+        report = check_realizability_preconditions(type_distribution(cycle(3), 5, TABLE), 2)
         assert not report.passed
         assert not report.check("no-short-cycles").passed
         assert "cycle of length 3" in report.check("no-short-cycles").detail
         assert report.check("cleanness").passed
 
     def test_cycle_band_is_closed_on_the_right(self):
-        mu = type_distribution(cycle(3), 3, TABLE)
-        at_bound = check_realizability_preconditions(mu, 3, 1)
+        # The band is (1, r + 1]: a 3-cycle lies on its right end at r = 2
+        # and past it at r = 1.
+        mu = type_distribution(cycle(3), 5, TABLE)
+        at_bound = check_realizability_preconditions(mu, 2)
         assert not at_bound.check("no-short-cycles").passed
-        below = check_realizability_preconditions(mu, 2, 1)
+        below = check_realizability_preconditions(mu, 1)
         assert below.check("no-short-cycles").passed
 
     def test_uncleanness_named(self):
         t = local_type(path(4), 0, 3, TABLE)
         mu = TypeMeasure.from_pairs(3, [(t, Fraction(1))])
-        report = check_realizability_preconditions(mu, 6, 1)
+        report = check_realizability_preconditions(mu, 1)
         assert not report.check("cleanness").passed
 
     def test_certificate_failure_named(self):
         t = local_type(star(3), 1, 3, TABLE)
         mu = TypeMeasure.from_pairs(3, [(t, Fraction(1))])
-        report = check_realizability_preconditions(mu, 6, 1)
+        report = check_realizability_preconditions(mu, 1)
         assert not report.check("certificate").passed
         assert report.certificate is None
 
     def test_fixed_point_passes(self):
         mu = type_distribution(fixed_point(), 3, TABLE)
-        report = check_realizability_preconditions(mu, 6, 1)
+        report = check_realizability_preconditions(mu, 1)
         assert report.passed

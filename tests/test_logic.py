@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import cycle, fixed_point, seeded, star
+from mapprox import logic
 from mapprox.errors import (
     BudgetExceeded,
     EtaNotFunctional,
@@ -116,9 +117,10 @@ class TestStonePairing:
         assert stone_pairing(cycle(3), phi) == 0
         assert stone_pairing(fixed_point(), phi) == 1
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(logic, "EVALUATION_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            stone_pairing(cycle(30), parse("x1=x2", PLAIN), budget=100)
+            stone_pairing(cycle(30), parse("x1=x2", PLAIN))
 
 
 class TestRank:

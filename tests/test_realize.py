@@ -136,40 +136,43 @@ class TestVerifyUpsilon:
     def test_faithful_labelling(self):
         F = cycle(6)
         upsilon = {v: local_type(F, v, 3, TABLE) for v in F.elements()}
-        assert verify_upsilon(F, upsilon, 1, 2)
+        assert verify_upsilon(F, upsilon, 1)
 
     def test_cycle_band_includes_cut_length(self):
-        F = cycle(6)
-        upsilon = {v: local_type(F, v, 3, TABLE) for v in F.elements()}
-        assert not verify_upsilon(F, upsilon, 1, 6)
+        # A 2-cycle labelled with a 6-cycle's types meets every other
+        # condition, but its elements' rank-1 types see the 2-cycle: the
+        # band (1, r + 1] must include r + 1 = 2.
+        F = cycle(2)
+        tau = local_type(cycle(6), 0, 3, TABLE)
+        assert not verify_upsilon(F, {v: tau for v in F.elements()}, 1)
 
     def test_image_type_must_be_forced(self):
         F = cycle(6)
         leaf = local_type(star(3), 1, 3, TABLE)
-        assert not verify_upsilon(F, {v: leaf for v in F.elements()}, 1, 2)
+        assert not verify_upsilon(F, {v: leaf for v in F.elements()}, 1)
 
     def test_marks_must_match_witness(self):
         F = cycle(6)
         labelled = local_type(marked_cycle(), 0, 3, TABLE)
         upsilon = {v: labelled for v in F.elements()}
-        assert not verify_upsilon(F, upsilon, 1, 2)
+        assert not verify_upsilon(F, upsilon, 1)
 
     def test_preimage_counts_checked(self):
         F = FiniteMapping(f=(1, 2, 0, 0))
         tau = local_type(cycle(6), 0, 3, TABLE)
-        assert not verify_upsilon(F, {v: tau for v in F.elements()}, 1, 2)
+        assert not verify_upsilon(F, {v: tau for v in F.elements()}, 1)
 
     def test_totality_required(self):
         F = cycle(6)
         upsilon = {v: local_type(F, v, 3, TABLE) for v in range(5)}
         with pytest.raises(ValueError):
-            verify_upsilon(F, upsilon, 1, 2)
+            verify_upsilon(F, upsilon, 1)
 
     def test_label_rank_checked(self):
         F = cycle(6)
         upsilon = {v: local_type(F, v, 2, TABLE) for v in F.elements()}
         with pytest.raises(RankTooLow):
-            verify_upsilon(F, upsilon, 1, 2)
+            verify_upsilon(F, upsilon, 1)
 
 
 class TestRewire:

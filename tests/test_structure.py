@@ -232,6 +232,15 @@ class TestUnionRestrictMark:
         with pytest.raises(SignatureMismatch):
             disjoint_union(cycle(3), fixed_point({"P": frozenset({0})}))
 
+    def test_union_of_several_matches_nested_pairs(self):
+        A, B = seeded(5, 1, Fraction(1, 2)), seeded(4, 2, Fraction(1, 2))
+        C = fixed_point({"U": frozenset({0})})
+        assert structurally_equal(disjoint_union(A), A)
+        nested = disjoint_union(disjoint_union(A, B), C)
+        assert structurally_equal(disjoint_union(A, B, C), nested)
+        with pytest.raises(SignatureMismatch):
+            disjoint_union(A, B, cycle(3))
+
     def test_union_component_count_adds(self):
         A, B = seeded(10, 1), seeded(14, 2)
         union = disjoint_union(A, B)
@@ -406,9 +415,7 @@ class TestResidualize:
             R, pairs = residualize(F, Fraction(1, 6))
             assert pairs
             fast = recover(R, pairs)
-            oracle = apply_interpretation(
-                recovery_interpretation(F.signature.predicates, pairs), R
-            )
+            oracle = apply_interpretation(recovery_interpretation(pairs), R)
             for back in (fast, oracle):
                 assert structurally_equal(back, F)
         assert pairs[0] == ("A2", "B2")
@@ -447,4 +454,4 @@ class TestResidualize:
         with pytest.raises(EtaNotFunctional):
             recover(R, pairs)
         with pytest.raises(EtaNotFunctional):
-            apply_interpretation(recovery_interpretation((), pairs), R)
+            apply_interpretation(recovery_interpretation(pairs), R)
