@@ -347,11 +347,11 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
     k = 0 .. LP_RETRIES - 1, at which the LP is feasible.  A repair with
     every mass >= delta also has every mass >= any smaller delta, so
     feasibility is monotone in k: after k = 0 fails, the LP is solved at
-    the last k and then bisected, and a measure with no repair costs two
-    solves.  The masses are an LP vertex, so their denominators, and with
-    them the size lcm(denominators) that realize builds, are not bounded
-    here: realize.MAX_REALIZE_SIZE is the guard, checked by realize before
-    it builds anything.
+    the last k, and only if that succeeds at k = 1, 2, ... in turn, so a
+    measure with no repair costs two solves.  The masses are an LP vertex,
+    so their denominators, and with them the size lcm(denominators) that
+    realize builds, are not bounded here: realize.MAX_REALIZE_SIZE is the
+    guard, checked by realize before it builds anything.
 
     Raises BudgetExceeded, before any row is built, when the LP would have
     more than LP_MAX_CELLS cells, and Infeasible, naming the balance
@@ -424,17 +424,10 @@ def approximate_measure(mu: TypeMeasure, eps, r: int) -> TypeMeasure:
 
     found = solve(0)
     if found is None:
-        infeasible, feasible = 0, LP_RETRIES - 1
-        found = solve(feasible)
-        if found is None:
+        last = solve(LP_RETRIES - 1)
+        if last is None:
             raise Infeasible(no_repair)
-        while feasible - infeasible > 1:
-            k = (infeasible + feasible) // 2
-            attempt = solve(k)
-            if attempt is None:
-                infeasible = k
-            else:
-                feasible, found = k, attempt
+        found = next(filter(None, map(solve, range(1, LP_RETRIES - 1))), last)
     delta, solution = found
     repaired = [(tau, delta + x) for (tau, *_), x in zip(proj, solution)]
     result = TypeMeasure.from_pairs(mu.rank, repaired)
