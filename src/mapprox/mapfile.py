@@ -59,6 +59,11 @@ _NUMBER = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 _RECORD = re.compile(r"(0|[1-9][0-9]*) -> (0|[1-9][0-9]*) \[([^\[\]]*)\]\Z")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false load as bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # rationals
 
@@ -190,9 +195,9 @@ def structure_from_json(data) -> FiniteMapping:
                 marks[name] = frozenset(elems)
     except (KeyError, TypeError) as failure:
         raise FormatError(f"malformed structure: {failure!r}") from None
-    if not all(isinstance(w, int) for w in f):
+    if not all(_is_int(w) for w in f):
         raise FormatError("function values must be integers")
-    if not all(isinstance(v, int) for elems in marks.values() for v in elems):
+    if not all(_is_int(v) for elems in marks.values() for v in elems):
         raise FormatError("mark members must be integers")
     return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))
 
@@ -218,9 +223,9 @@ def type_from_json(data, table: Optional[TypeTable] = None) -> LocalType:
         witness = data["witness"]
     except (KeyError, TypeError) as failure:
         raise FormatError(f"malformed type: {failure!r}") from None
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise FormatError(f"bad type rank {rank!r}")
-    if not isinstance(root, int):
+    if not _is_int(root):
         raise FormatError(f"bad type root {root!r}")
     return local_type(structure_from_json(witness), root, rank, table=table)
 
@@ -244,10 +249,11 @@ def measure_to_json(mu: TypeMeasure) -> dict:
 def measure_from_json(data, table: Optional[TypeTable] = None) -> TypeMeasure:
     if not isinstance(data, dict) or data.get("format") != "measure":
         raise FormatError("not a measure file")
-    if data.get("version") != MEASURE_VERSION:
-        raise FormatError(f"unsupported measure version {data.get('version')!r}")
+    version = data.get("version")
+    if not _is_int(version) or version != MEASURE_VERSION:
+        raise FormatError(f"unsupported measure version {version!r}")
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise FormatError(f"bad measure rank {rank!r}")
     entries = data.get("entries")
     if not isinstance(entries, list):
@@ -306,10 +312,11 @@ def certificate_to_json(cert: CompanionCertificate) -> dict:
 def certificate_from_json(data, table: Optional[TypeTable] = None) -> CompanionCertificate:
     if not isinstance(data, dict) or data.get("format") != "certificate":
         raise FormatError("not a certificate file")
-    if data.get("version") != CERTIFICATE_VERSION:
-        raise FormatError(f"unsupported certificate version {data.get('version')!r}")
+    version = data.get("version")
+    if not _is_int(version) or version != CERTIFICATE_VERSION:
+        raise FormatError(f"unsupported certificate version {version!r}")
     rank, r = data.get("rank"), data.get("r")
-    if not isinstance(rank, int) or not isinstance(r, int):
+    if not _is_int(rank) or not _is_int(r):
         raise FormatError("certificate rank and r must be integers")
     raw_types = data.get("types")
     if not isinstance(raw_types, list):
@@ -322,10 +329,10 @@ def certificate_from_json(data, table: Optional[TypeTable] = None) -> CompanionC
     for entry in raw_entries:
         if not isinstance(entry, dict):
             raise FormatError("certificate entries must be objects")
-        try:
-            tau, t = types[entry["tau"]], types[entry["t"]]
-        except (KeyError, TypeError, IndexError):
-            raise FormatError(f"bad certificate entry {entry!r}") from None
+        refs = entry.get("tau"), entry.get("t")
+        if not all(_is_int(ref) and 0 <= ref < len(types) for ref in refs):
+            raise FormatError(f"bad certificate entry {entry!r}")
+        tau, t = (types[ref] for ref in refs)
         entries.append((tau, t, fraction_from_text(entry.get("s"))))
     return CompanionCertificate(R=rank, r=r, entries=tuple(entries))
 

@@ -107,18 +107,19 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
     anything is checked or built.  Marks are copied from the witness of
     each element's type.
 
-    Images are assigned in ascending element order.  A target j is eligible
-    for element i when (a) j's projected type is the image type forced by
-    i's type, (b) j's type either forces the full cap r + 1 of preimages
-    typed like i, or strictly more than j has already received, and (c) the
-    edge would not close a cycle of length in (1, r + 1], exactly the cycle
-    lengths a rank-r type can detect; the band is fixed, and mu's witnesses
-    must avoid it too (the no-short-cycles precondition).  Eligible targets
-    still short of the preimage count their type promises are served first,
-    capacity ascending then id ascending; once every target met its
-    minimum, the surplus goes to targets whose type forces the cap, which
-    tolerate any excess.  Types whose witness is a fixed point map their
-    elements to themselves.
+    Elements come in one contiguous block per support type, in support
+    order, and images are assigned block by block in ascending element
+    order.  A target j is eligible for element i when (a) j's projected
+    type is the image type forced by i's type, (b) j's type either forces
+    the full cap r + 1 of preimages typed like i, or strictly more than j
+    has already received, and (c) the edge would not close a cycle of
+    length in (1, r + 1], exactly the cycle lengths a rank-r type can
+    detect; the band is fixed, and mu's witnesses must avoid it too (the
+    no-short-cycles precondition).  Each image is the first eligible target
+    of one ordered search: the targets still short of the preimage count
+    their type promises, capacity ascending then id ascending, then the
+    targets whose type forces the cap, which absorb any surplus.  Types
+    whose witness is a fixed point map their elements to themselves.
 
     The capped preimage-count equation is re-verified on the finished
     mapping rather than trusted; a failure raises PreconditionFailed.
@@ -149,112 +150,69 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
                 "witness structures of the measure disagree on predicates"
             )
 
-    # One contiguous block of elements per support type.
-    block_type: list[LocalType] = []
-    block_range: list[range] = []
-    kind: list[int] = []
-    for index, (tau, mass) in enumerate(entries):
-        count = int(n_elements * mass)
-        block_type.append(tau)
-        block_range.append(range(len(kind), len(kind) + count))
-        kind.extend([index] * count)
-    assert len(kind) == n_elements
+    # One contiguous block of elements per support type, in support order,
+    # as (type, rank-r projection, elements), and the blocks of each
+    # projection.  Every projection is taken before any image type, as
+    # canonical ids are handed out on first use.
+    blocks: list[tuple[LocalType, LocalType, range]] = []
+    by_projection: dict[tuple, list] = {}
+    start = 0
+    for tau, mass in entries:
+        t1, elements = project(tau, r), range(start, start + int(n_elements * mass))
+        blocks.append((tau, t1, elements))
+        by_projection.setdefault(t1.key, []).append(blocks[-1])
+        start = elements.stop
+    assert start == n_elements
+    image_keys = [project(transport(tau), r).key for tau, _, _ in blocks]
 
-    t1_obj = [project(tau, r) for tau, _ in entries]
-    t2_key = [project(transport(tau), r).key for tau, _ in entries]
-    fixed_point = []
-    for tau, _ in entries:
-        witness_structure, w = tau.witness
-        fixed_point.append(witness_structure.f[w] == w)
-
-    pools: dict[tuple, list[int]] = {}
-    for j in range(n_elements):
-        pools.setdefault(t1_obj[kind[j]].key, []).append(j)
-
-    # Eligible targets for a (t1, t2) pair, grouped by capacity ascending.
-    # Each group carries a shared head index so fully saturated prefixes are
-    # skipped once, not rescanned per element.
-    bucket_cache: dict[tuple, list[list]] = {}
-
-    def buckets_for(source_kind: int) -> list[list]:
-        key = (t1_obj[source_kind].key, t2_key[source_kind])
-        made = bucket_cache.get(key)
-        if made is None:
-            grouped: dict[int, list[int]] = {}
-            for j in pools.get(t2_key[source_kind], ()):
-                cap = adm_minus(block_type[kind[j]], t1_obj[source_kind])
-                if cap > 0:
-                    grouped.setdefault(cap, []).append(j)
-            made = [[cap, grouped[cap], 0] for cap in sorted(grouped)]
-            bucket_cache[key] = made
-        return made
-
+    # The targets for a (t1, t2) pair: the blocks projecting to t2, grouped
+    # by capacity for t1-typed preimages, ascending, each group with a
+    # shared head that skips its saturated prefix once.  Preimages received
+    # are kept per (t1, target projection) pair and target id.
+    target_groups: dict[tuple, list[list]] = {}
+    received: dict[tuple, dict[int, int]] = {}
     g: list[Optional[int]] = [None] * n_elements
-    counts: dict[tuple, int] = {}
-
-    for i in range(n_elements):
-        source = kind[i]
-        t1_key = t1_obj[source].key
-        if fixed_point[source]:
-            g[i] = i
-            counts[(i, t1_key)] = counts.get((i, t1_key), 0) + 1
+    for (tau, t1, elements), t2_key in zip(blocks, image_keys):
+        witness_structure, w = tau.witness
+        if witness_structure.f[w] == w:
+            filled = received.setdefault((t1.key, t1.key), {})
+            for i in elements:
+                g[i] = i
+                filled[i] = filled.get(i, 0) + 1
             continue
-        chosen = None
-        # First serve targets still short of the preimage count their type
-        # promises: capacity for a type forcing fewer than the cap, r for a
-        # type forcing the cap.  Capacity ascending, then id ascending.
-        for entry in buckets_for(source):
-            cap, members, head = entry
-            need = cap if cap <= r else r
-            while (
-                head < len(members)
-                and counts.get((members[head], t1_key), 0) >= need
-            ):
-                head += 1
-            entry[2] = head
-            for idx in range(head, len(members)):
-                j = members[idx]
-                if counts.get((j, t1_key), 0) >= need:
-                    continue
-                if j == i or _closes_forbidden_cycle(g, i, j, cut):
-                    continue
-                chosen = j
-                break
-            if chosen is not None:
-                break
-        if chosen is None:
-            # Every target met its minimum; cap-typed targets absorb surplus.
-            for entry in buckets_for(source):
-                cap, members, _ = entry
-                if cap <= r:
-                    continue
-                for j in members:
-                    if j == i or _closes_forbidden_cycle(g, i, j, cut):
-                        continue
-                    chosen = j
+        pair = (t1.key, t2_key)
+        filled = received.setdefault(pair, {})
+        groups = target_groups.get(pair)
+        if groups is None:
+            by_cap: dict[int, list[int]] = {}
+            for target, _, members in by_projection.get(t2_key, ()):
+                cap = adm_minus(target, t1)
+                if cap > 0:
+                    by_cap.setdefault(cap, []).extend(members)
+            groups = [[cap, by_cap[cap], 0] for cap in sorted(by_cap)]
+            target_groups[pair] = groups
+        for i in elements:
+            for j in _candidates(groups, filled, r):
+                if j != i and not _closes_forbidden_cycle(g, i, j, cut):
                     break
-                if chosen is not None:
-                    break
-        if chosen is None:
-            raise Stuck(
-                i,
-                _stuck_diagnostics(source, block_type, t1_obj, t2_key, pools, counts, cut),
-            )
-        g[i] = chosen
-        counts[(chosen, t1_key)] = counts.get((chosen, t1_key), 0) + 1
+            else:
+                pool = by_projection.get(t2_key, ())
+                raise Stuck(i, _stuck_diagnostics(tau, t1, pool, filled, cut))
+            g[i] = j
+            filled[j] = filled.get(j, 0) + 1
 
     marks: dict[str, set[int]] = {name: set() for name in signature.predicates}
-    for index, (tau, _) in enumerate(entries):
+    for tau, _, elements in blocks:
         witness_structure, w = tau.witness
         for name in witness_structure.mark_sets[w]:
-            marks[name].update(block_range[index])
+            marks[name].update(elements)
     realized = FiniteMapping(
         f=tuple(g),
         marks={name: frozenset(v) for name, v in marks.items()},
         signature=signature,
     )
 
-    upsilon = {i: block_type[kind[i]] for i in range(n_elements)}
+    upsilon = {i: tau for tau, _, elements in blocks for i in elements}
     if not verify_upsilon(realized, upsilon, r):
         raise PreconditionFailed(
             "post-verification",
@@ -264,24 +222,37 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
     return realized
 
 
+def _candidates(groups: list[list], filled: dict[int, int], r: int):
+    """Image candidates in the order they are served: first the targets
+    still short of the preimage count their type promises (capacity for a
+    type forcing fewer than the cap r + 1, r for one forcing the cap),
+    capacity ascending then id ascending; then the cap-typed targets, which
+    absorb any surplus."""
+    for group in groups:
+        cap, members, head = group
+        need = min(cap, r)
+        while head < len(members) and filled.get(members[head], 0) >= need:
+            head += 1
+        group[2] = head
+        for index in range(head, len(members)):
+            j = members[index]
+            if filled.get(j, 0) < need:
+                yield j
+    for cap, members, _ in groups:
+        if cap > r:
+            yield from members
+
+
 def _stuck_diagnostics(
-    source: int,
-    block_type: Sequence[LocalType],
-    t1_obj: Sequence[LocalType],
-    t2_key: Sequence[tuple],
-    pools: dict,
-    counts: dict,
-    cut: int,
+    tau: LocalType, t1: LocalType, pool: Sequence[tuple], filled: dict, cut: int
 ) -> str:
-    pool = pools.get(t2_key[source], [])
-    t1_key = t1_obj[source].key
-    filled = sum(counts.get((j, t1_key), 0) for j in pool)
+    size = sum(len(elements) for _, _, elements in pool)
     return (
-        f"element of type id {block_type[source].canonical_id} needs an image "
-        f"of projected type id {t1_obj[source].canonical_id}; its target pool "
-        f"has {len(pool)} elements holding {filled} assignments, and every "
-        f"remaining candidate is saturated or would close a cycle shorter "
-        f"than {cut}; a larger multiplier usually resolves the cycle guard"
+        f"element of type id {tau.canonical_id} needs an image of projected "
+        f"type id {t1.canonical_id}; its target pool has {size} elements "
+        f"holding {sum(filled.values())} assignments, and every remaining "
+        f"candidate is saturated or would close a cycle shorter than {cut}; "
+        f"a larger multiplier usually resolves the cycle guard"
     )
 
 

@@ -3,7 +3,10 @@
 Phase-1 simplex over Fractions: find x >= 0 with A x = b, or report that no
 such x exists.  Bland's smallest-index rule on entering and leaving columns
 guarantees termination; artificial variables never re-enter the basis.
-Sizes here are small (tens of variables), so a dense tableau is fine.
+The tableau is dense, rows x (variables + rows) Fractions, and every pivot
+rewrites all of it; fmtp.approximate_measure keeps its LPs within
+LP_MAX_CELLS = 12,000 rows-times-variables cells, which allows hundreds of
+variables.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 import itertools
 from fractions import Fraction
 
-from mapprox.localtypes import TypeMeasure, project
+from mapprox.localtypes import TypeMeasure, TypeTable, project, type_distribution
 from mapprox.randgen import random_mapping
-from mapprox.structure import FiniteMapping, cut_product_layers
+from mapprox.structure import FiniteMapping, cut_product_layers, cycle_cut_product
 
 __all__ = [
     "cycle",
@@ -19,6 +19,7 @@ __all__ = [
     "broken_cut_products",
     "mirrored",
     "perturbed",
+    "perturbed_product",
 ]
 
 
@@ -124,3 +125,11 @@ def perturbed(mu: TypeMeasure, amount=Fraction(1, 1000)) -> TypeMeasure:
     masses[heavy] -= amount
     masses[light] += amount
     return TypeMeasure.from_pairs(mu.rank, zip(types, masses))
+
+
+def perturbed_product(n, seed):
+    """The rank-3 measure of seeded(n, seed)'s 6-layer cut product, moved
+    1/1000 off the transport equations."""
+    table = TypeTable()
+    H = cycle_cut_product(seeded(n, seed), 6, 3, table)
+    return perturbed(type_distribution(H, 3, table))

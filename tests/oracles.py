@@ -2,12 +2,17 @@
 
 Everything here is deliberately naive and shares no code with the package
 internals, so the fast implementations can be cross-checked against it on
-small inputs.
+small inputs.  The exception is realize_two_pass, realize's earlier
+assignment loop kept as the reference for its block-by-block rewrite: it
+reads types through the package's projection, transport and capacity.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from mapprox.errors import Stuck
+from mapprox.localtypes import adm_minus, project, transport
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
 from mapprox.structure import FiniteMapping
 
@@ -25,6 +30,7 @@ __all__ = [
     "pairwise_measure_tv",
     "column_rank",
     "brute_feasible_point",
+    "realize_two_pass",
 ]
 
 
@@ -357,3 +363,132 @@ def brute_feasible_point(rows, num_vars):
             if all(v >= 0 for v in x):
                 return x
     return None
+
+
+def _closes_short_cycle(g: list, i: int, j: int, cut: int) -> bool:
+    """Would the edge i -> j close a cycle of length in (1, cut)?"""
+    cur = j
+    for steps in range(cut - 1):
+        if cur == i:
+            return steps > 0
+        if g[cur] is None:
+            return False
+        cur = g[cur]
+    return False
+
+
+def realize_two_pass(mu, r: int, multiplier: int = 1) -> FiniteMapping:
+    """realize's assignment as it was before it went block by block: one
+    label per element, one pool of elements per projected type, and two
+    searches per image, the first over targets still short of the count
+    their type promises, the second over the cap-typed targets that absorb
+    the surplus.  Skips the precondition and post-verification checks and
+    raises Stuck with realize's message where the greedy runs dry."""
+    entries = mu.entries
+    n_elements = multiplier * math.lcm(*(mass.denominator for _, mass in entries))
+    cut = r + 2
+
+    block_type: list = []
+    block_range: list = []
+    kind: list = []
+    for index, (tau, mass) in enumerate(entries):
+        count = int(n_elements * mass)
+        block_type.append(tau)
+        block_range.append(range(len(kind), len(kind) + count))
+        kind.extend([index] * count)
+    assert len(kind) == n_elements
+
+    t1_obj = [project(tau, r) for tau, _ in entries]
+    t2_key = [project(transport(tau), r).key for tau, _ in entries]
+    fixed_point = []
+    for tau, _ in entries:
+        witness_structure, w = tau.witness
+        fixed_point.append(witness_structure.f[w] == w)
+
+    pools: dict = {}
+    for j in range(n_elements):
+        pools.setdefault(t1_obj[kind[j]].key, []).append(j)
+
+    bucket_cache: dict = {}
+
+    def buckets_for(source_kind: int) -> list:
+        key = (t1_obj[source_kind].key, t2_key[source_kind])
+        made = bucket_cache.get(key)
+        if made is None:
+            grouped: dict = {}
+            for j in pools.get(t2_key[source_kind], ()):
+                cap = adm_minus(block_type[kind[j]], t1_obj[source_kind])
+                if cap > 0:
+                    grouped.setdefault(cap, []).append(j)
+            made = [[cap, grouped[cap], 0] for cap in sorted(grouped)]
+            bucket_cache[key] = made
+        return made
+
+    g: list = [None] * n_elements
+    counts: dict = {}
+
+    for i in range(n_elements):
+        source = kind[i]
+        t1_key = t1_obj[source].key
+        if fixed_point[source]:
+            g[i] = i
+            counts[(i, t1_key)] = counts.get((i, t1_key), 0) + 1
+            continue
+        chosen = None
+        for entry in buckets_for(source):
+            cap, members, head = entry
+            need = cap if cap <= r else r
+            while (
+                head < len(members)
+                and counts.get((members[head], t1_key), 0) >= need
+            ):
+                head += 1
+            entry[2] = head
+            for idx in range(head, len(members)):
+                j = members[idx]
+                if counts.get((j, t1_key), 0) >= need:
+                    continue
+                if j == i or _closes_short_cycle(g, i, j, cut):
+                    continue
+                chosen = j
+                break
+            if chosen is not None:
+                break
+        if chosen is None:
+            for entry in buckets_for(source):
+                cap, members, _ = entry
+                if cap <= r:
+                    continue
+                for j in members:
+                    if j == i or _closes_short_cycle(g, i, j, cut):
+                        continue
+                    chosen = j
+                    break
+                if chosen is not None:
+                    break
+        if chosen is None:
+            pool = pools.get(t2_key[source], [])
+            filled = sum(counts.get((j, t1_key), 0) for j in pool)
+            raise Stuck(
+                i,
+                f"element of type id {block_type[source].canonical_id} needs an "
+                f"image of projected type id {t1_obj[source].canonical_id}; its "
+                f"target pool has {len(pool)} elements holding {filled} "
+                f"assignments, and every remaining candidate is saturated or "
+                f"would close a cycle shorter than {cut}; a larger multiplier "
+                f"usually resolves the cycle guard",
+            )
+        g[i] = chosen
+        counts[(chosen, t1_key)] = counts.get((chosen, t1_key), 0) + 1
+
+    signature = entries[0][0].structure.signature
+    marks: dict = {name: set() for name in signature.predicates}
+    for index, (tau, _) in enumerate(entries):
+        witness_structure, w = tau.witness
+        for name in witness_structure.mark_sets[w]:
+            marks[name].update(block_range[index])
+    return FiniteMapping(
+        f=tuple(g),
+        marks={name: frozenset(v) for name, v in marks.items()},
+        signature=signature,
+    )

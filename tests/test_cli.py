@@ -398,6 +398,17 @@ class TestErrorHandling:
         assert message in err
         assert "Traceback" not in err
 
+    def test_boolean_in_measure_exits_1(self, capsys, tmp_path):
+        # JSON true loads as a bool, which Python counts as the int 1.
+        data = jsonable(measure_to_json(type_distribution(cycle(6), 3, TypeTable())))
+        target = tmp_path / "mu.json"
+        target.write_text(json.dumps({**data, "version": True}))
+        code, out, err = run(capsys, ["realize", str(target), "--r", "1"])
+        assert code == 1
+        assert out == ""
+        assert "unsupported measure version True" in err
+        assert "Traceback" not in err
+
     def test_domain_error(self, capsys, c3):
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])
         assert code == 1

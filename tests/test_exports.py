@@ -1,9 +1,14 @@
-"""Every exported and re-exported name of the package resolves, and every
-function reads each of its parameters."""
+"""Every exported and re-exported name of the package resolves, every
+function reads each of its parameters, and every function the traced
+benchmark wraps still exists with the parameters its counters bind."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+import sys
+import textwrap
 from pathlib import Path
 
 import mapprox
@@ -54,3 +59,35 @@ def test_every_parameter_is_read():
                 if a.arg != "self" and a.arg not in read
             ]
     assert unread == []
+
+
+def test_traced_benchmark_names_resolve(monkeypatch):
+    # perfbench/spans.py wraps functions by name and its counter hooks read
+    # call arguments by parameter name; a renamed function or parameter
+    # breaks every traced run.  Load it without writing bytecode there.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped, bound_total = {}, 0
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"mapprox.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"mapprox.{layer}.{name}"
+            wrapped[f"{layer}.{name}"] = getattr(module, name)
+    for span, hook in spans.COUNTERS.items():
+        assert span in wrapped, span
+        tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+        bound = {
+            node.slice.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+            and isinstance(node.slice, ast.Constant)
+        }
+        parameters = inspect.signature(wrapped[span]).parameters
+        assert bound <= parameters.keys(), (span, bound - parameters.keys())
+        bound_total += len(bound)
+    assert bound_total > 0  # the hooks do read arguments

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, path, perturbed, seeded, star
+from helpers import cycle, fixed_point, path, perturbed_product, seeded, star
 from mapprox import fmtp, simplex
 from mapprox.errors import BudgetExceeded, ElementOutOfRange, Infeasible, RankTooLow
 from mapprox.fmtp import (
@@ -31,14 +31,6 @@ from mapprox.realize import realize
 from mapprox.structure import cycle_cut_product
 
 TABLE = TypeTable()
-
-
-def perturbed_product(n, seed):
-    """The rank-3 measure of seeded(n, seed)'s 6-layer cut product, moved
-    1/1000 off the transport equations."""
-    table = TypeTable()
-    H = cycle_cut_product(seeded(n, seed), 6, 3, table)
-    return perturbed(type_distribution(H, 3, table))
 
 
 class TestTransportIdentity:

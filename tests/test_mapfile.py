@@ -158,11 +158,15 @@ class TestStructureJson:
             structure_from_json(
                 {"n": 1, "predicates": [], "f": ["0"], "marks": {}}
             )
-        for members in (["a"], [0.5], [None], 3):
+        for members in (["a"], [0.5], [None], 3, [False], [True]):
             with pytest.raises(FormatError):
                 structure_from_json(
                     {"n": 1, "predicates": ["U"], "f": [0], "marks": {"U": members}}
                 )
+        # JSON true and false load as bools, which Python counts as ints.
+        for f in ([True, 0], [0, False]):
+            with pytest.raises(FormatError, match="function values"):
+                structure_from_json({"predicates": ["U"], "f": f, "marks": {"U": []}})
 
 
 class TestTypeJson:
@@ -198,6 +202,10 @@ class TestTypeJson:
             type_from_json({"rank": -1, "root": 0, "witness": {}})
         with pytest.raises(FormatError):
             type_from_json({"rank": 1})
+        witness = structure_to_json(cycle(3))
+        for rank, root in ((True, 0), (False, 0), (1, True), (1, False)):
+            with pytest.raises(FormatError, match="bad type"):
+                type_from_json({"rank": rank, "root": root, "witness": witness})
 
 
 class TestMeasureJson:
@@ -233,6 +241,11 @@ class TestMeasureJson:
             measure_from_json({**data, "entries": "nope"})
         with pytest.raises(FormatError):
             measure_from_json({**data, "rank": "3"})
+        with pytest.raises(FormatError, match="unsupported measure version True"):
+            measure_from_json({**data, "version": True})
+        for rank in (True, False):
+            with pytest.raises(FormatError, match="bad measure rank"):
+                measure_from_json({**data, "rank": rank})
 
     def test_read_rejects_bad_json(self, tmp_path):
         target = tmp_path / "m.json"
@@ -268,6 +281,19 @@ class TestCertificateJson:
         }
         with pytest.raises(FormatError):
             certificate_from_json(bad)
+        H = cycle_cut_product(seeded(10, 2), 6, 3, TABLE)
+        cert = restricted_fmtp_certificate(type_distribution(H, 3, TABLE), 1)
+        good = certificate_to_json(cert)
+        with pytest.raises(FormatError, match="unsupported certificate version True"):
+            certificate_from_json({**good, "version": True})
+        for rank, r in ((True, 1), (3, False), (True, False)):
+            with pytest.raises(FormatError, match="rank and r must be integers"):
+                certificate_from_json({**good, "rank": rank, "r": r})
+        first = good["entries"][0]
+        for ref in ({"tau": False}, {"t": True}, {"tau": -1}):
+            entries = [{**first, **ref}, *good["entries"][1:]]
+            with pytest.raises(FormatError, match="bad certificate entry"):
+                certificate_from_json({**good, "entries": entries})
 
 
 class TestJsonable:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, path, seeded, star
+from helpers import cycle, fixed_point, path, perturbed_product, seeded, star
 from mapprox.equivalence import ldist
 from mapprox.errors import (
     BudgetExceeded,
@@ -19,6 +19,7 @@ from mapprox.errors import (
     SignatureMismatch,
     Stuck,
 )
+from mapprox.fmtp import approximate_measure
 from mapprox.localtypes import (
     TypeMeasure,
     TypeTable,
@@ -42,6 +43,7 @@ from mapprox.structure import (
     recover,
 )
 from oracles import proximity as oracle_proximity
+from oracles import realize_two_pass
 
 # The package exports the function `realize`, which shadows the module.
 fmtp_module = importlib.import_module("mapprox.fmtp")
@@ -130,6 +132,57 @@ class TestRealize:
         with pytest.raises(BudgetExceeded) as caught:
             realize(mu, 1, multiplier)
         assert (caught.value.budget, caught.value.needed) == (6 * multiplier - 1, 6 * multiplier)
+
+
+class TestRealizeAgainstTwoPass:
+    # realize assigns images block by block from one ordered search; the
+    # loop it replaced, one label per element and two searches per image,
+    # is the oracle.  Maps must agree image for image, and a Stuck message
+    # byte for byte.
+    def outcomes(self, mu, r, multiplier=1):
+        def outcome(build):
+            try:
+                out = build(mu, r, multiplier)
+            except Stuck as stuck:
+                return str(stuck)
+            return out.f, out.marks
+
+        return outcome(realize), outcome(realize_two_pass)
+
+    def assert_same(self, mu, r, multiplier=1):
+        got, expected = self.outcomes(mu, r, multiplier)
+        assert got == expected
+
+    def test_cut_products_rank_one(self):
+        for n in range(1, 13):
+            for seed in range(6):
+                table = TypeTable()
+                H = cycle_cut_product(seeded(n, seed), 6, 3, table)
+                mu = type_distribution(H, 3, table)
+                for multiplier in (1, 2, 3):
+                    self.assert_same(mu, 1, multiplier)
+
+    @pytest.mark.parametrize("n,seed", [(10, 3), (20, 1)])
+    def test_cut_products_rank_two(self, n, seed):
+        table = TypeTable()
+        H = cycle_cut_product(seeded(n, seed), 60, 5, table)
+        self.assert_same(type_distribution(H, 5, table), 2)
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_repaired_perturbed_products(self, n, seed):
+        repaired = approximate_measure(perturbed_product(n, seed), Fraction(1, 100), 1)
+        self.assert_same(repaired, 1)
+
+    def test_short_cycle_point_masses(self):
+        # The cycle guard decides these, and cycle(3) at multiplier 1 is
+        # test_short_cycle_point_mass_stuck.
+        got, expected = self.outcomes(type_distribution(cycle(3), 3, TABLE), 1)
+        assert "no eligible image" in got
+        assert got == expected
+        for k in (3, 4, 5):
+            mu = type_distribution(cycle(k), 3, TABLE)
+            for multiplier in (2, 3, 4):
+                self.assert_same(mu, 1, multiplier)
 
 
 class TestVerifyUpsilon:
