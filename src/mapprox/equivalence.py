@@ -42,7 +42,7 @@ p = 1 and p >= 3, and in dist_p^r, whose unrestricted moves reach past any
 ball, every p-tuple is enumerated and the budget bounds n^p.
 dist_p^r is 1 when a sentence of rank r separates the structures, and then
 no tuple is enumerated.  Either distance also spends every game position it
-plays (a miss of the engine's memo) on one meter per call, and raises
+plays (each is played once) on one meter per call, and raises
 BudgetExceeded once the positions pass the budget.  In dist_p^r a position
 with one round left is played and spent, but its extensions by the n
 elements are not: the engine reads their values off atom-row classes, so

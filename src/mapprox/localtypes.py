@@ -65,8 +65,15 @@ over the whole domain.  Its values share the intern registry but have their
 own memo per structure, since one (tuple, rounds) has a different value
 under each rule; values are compared only within one rule.  Lowering holds
 for both rules, as the set of kid values does not depend on the rounds
-left.  A Meter passed down counts the positions a call plays, one per memo
-miss.
+left.
+
+A position is played once and counted once.  A position (tup, k) below
+the top of a game is reached only from (tup[:-1], k + 1), which is played
+once, so a memo below the top would never be hit; only the top-level
+tuples of nv_value and global_value are memoized, and asking for one again
+plays and spends nothing.  A Meter passed down counts the positions a call
+plays, one each.  In the local game the leaves of the last round are read
+off their atom rows in place, and each still spends one.
 
 The whole-domain game's last round is read off atom rows, not played.
 With one round left, the kids of a tuple are the rank-0 values of its
@@ -90,9 +97,9 @@ ids, an atom row holds its element's marks as a sorted tuple of names and
 its preimage indices as a bitmask, and move lists are tuples.  The cyclic
 garbage collector untracks such a tuple once what it holds is untracked,
 and a full collection then untracks the dicts keyed by them, so the
-millions of values and memo entries a histogram leaves are not rescanned
-by every later collection.  A set or a list stored there brings those
-rescans back.
+millions of values a histogram leaves, and the memo entries of its
+top-level tuples, are not rescanned by every later collection.  A set or
+a list stored there brings those rescans back.
 """
 
 from __future__ import annotations
@@ -123,12 +130,17 @@ def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
     the empty tuple."""
     if not tup:
         return None
-    x = tup[-1]
-    last = len(tup) - 1
-    eq = next((j for j in range(last) if tup[j] == x), None)
+    head, x = tup[:-1], tup[-1]
     fx = f[x]
-    img = next((j for j in range(last) if tup[j] == fx), None)
-    pre = sum(1 << j for j in range(last) if f[tup[j]] == x)
+    # Tuple scans run in C; index() gives the first match, as a scan would.
+    eq = head.index(x) if x in head else None
+    img = head.index(fx) if fx in head else None
+    pre = 0
+    bit = 1
+    for t in head:
+        if f[t] == x:
+            pre |= bit
+        bit <<= 1
     return (marks[x], fx == x, eq, img, pre)
 
 
@@ -206,7 +218,8 @@ class _OnCycle(dict):
 class Meter:
     """The work one call may do: BudgetExceeded(budget, spent) is raised
     once what it spends passes the budget.  A game spends one per position
-    it plays, that is per memo miss."""
+    it plays; each position is played once, and a top-level tuple asked for
+    again is read off the memo and spends nothing."""
 
     __slots__ = ("budget", "spent")
 
@@ -312,8 +325,10 @@ class TypeTable:
                 ),
                 # The same for the rule with no twin classes.
                 "all_moves": _PerElement(lambda d: plain),
+                # (tuple, rounds) -> local value, for top-level tuples only:
+                # a position below the top is played once, so it is not kept.
                 "nv": {},
-                # Values of the whole-domain game, apart from local values.
+                # The same for the whole-domain game, apart from local values.
                 "fo": {},
                 # (marks, fixed) -> how many elements of F share them, for
                 # the whole-domain game's last round (_last_round).
@@ -430,49 +445,63 @@ class TypeTable:
         return value
 
     def _play(self, F, memo, moves, tup, k, meter) -> int:
-        """_nv from the top: a game recurses once per round, and one past
-        Python's recursion limit raises GameTooDeep, a BudgetExceeded."""
-        try:
-            return self._nv(F, memo, moves, tup, k, meter)
-        except RecursionError:
-            raise GameTooDeep(k) from None
-
-    def _nv(self, F, memo, moves, tup, k, meter) -> int:
-        """The value of `tup` with k rounds left, memoized in `memo`.  Fresh
-        moves are the neighbors in moves[k - 1] (singles and one per twin
-        class), or every element if `moves` is None; that rule's last round
-        is read off atom rows (_last_round).  A miss spends one."""
+        """The value of `tup` with k rounds left, memoized in `memo` by
+        (tup, k): only top-level tuples are memoized, since every position
+        below one is reached once (_nv).  A game recurses once per round,
+        and one past Python's recursion limit raises GameTooDeep, a
+        BudgetExceeded."""
         key = (tup, k)
         found = memo.get(key)
-        if found is not None:
-            return found
+        if found is None:
+            try:
+                found = memo[key] = self._nv(F, moves, tup, k, meter)
+            except RecursionError:
+                raise GameTooDeep(k) from None
+        return found
+
+    def _nv(self, F, moves, tup, k, meter) -> int:
+        """The value of `tup` with k rounds left, played with no memo: a
+        position (tup, k) below the top is reached only from (tup[:-1],
+        k + 1), which plays it once, so each position is played once and
+        spends one.  Fresh moves are the neighbors in moves[k - 1] (singles
+        and one per twin class), or every element if `moves` is None; that
+        rule's last round is read off atom rows (_last_round).  With one
+        local round left each kid is a leaf, its value read off its atom
+        row in place, spending one per leaf."""
         if meter is not None:
             meter.spend()
-        row = atom_row(F.f, F.mark_sets, tup)
+        f, marks = F.f, F.mark_sets
+        intern = self._intern_value
+        row = atom_row(f, marks, tup)
         if k == 0:
-            value = self._intern_value((0, row, None))
-        elif moves is None and k == 1:
-            value = self._intern_value((1, row, self._last_round(F, tup)))
+            return intern((0, row, None))
+        if moves is None and k == 1:
+            return intern((1, row, self._last_round(F, tup)))
+        placed = set(tup)
+        if moves is None:
+            ext = set(range(F.n))
         else:
-            placed = set(tup)
-            if moves is None:
-                ext = set(range(F.n))
-            else:
-                by_element = moves[k - 1]
-                ext = set()
-                for a in tup:
-                    singles, twins = by_element[a]
-                    ext.update(singles)
-                    for members in twins:
-                        for y in members:
-                            if y not in placed:
-                                ext.add(y)
-                                break
-            ext -= placed
-            kids = {self._nv(F, memo, moves, tup + (y,), k - 1, meter) for y in ext}
-            value = self._intern_value((k, row, tuple(sorted(kids))))
-        memo[key] = value
-        return value
+            by_element = moves[k - 1]
+            ext = set()
+            for a in tup:
+                singles, twins = by_element[a]
+                ext.update(singles)
+                for members in twins:
+                    for y in members:
+                        if y not in placed:
+                            ext.add(y)
+                            break
+        ext -= placed
+        if k > 1:
+            kids = {self._nv(F, moves, tup + (y,), k - 1, meter) for y in ext}
+        elif meter is None:
+            kids = {intern((0, atom_row(f, marks, tup + (y,)), None)) for y in ext}
+        else:
+            kids = set()
+            for y in ext:
+                meter.spend()
+                kids.add(intern((0, atom_row(f, marks, tup + (y,)), None)))
+        return intern((k, row, tuple(sorted(kids))))
 
     def _last_round(self, F: FiniteMapping, tup: tuple[int, ...]) -> tuple[int, ...]:
         """The kid values of `tup` with one whole-domain round left, read

@@ -193,8 +193,13 @@ def structure_from_json(data) -> FiniteMapping:
             elems = raw_marks[name]
             if elems != []:
                 marks[name] = frozenset(elems)
+        undeclared = sorted(set(raw_marks).difference(predicates))
     except (KeyError, TypeError) as failure:
         raise FormatError(f"malformed structure: {failure!r}") from None
+    if undeclared:
+        raise FormatError(f"marks name undeclared predicates {undeclared!r}")
+    if "n" in data and not (_is_int(data["n"]) and data["n"] == len(f)):
+        raise FormatError(f"n is {data['n']!r} but f has {len(f)} values")
     if not all(_is_int(w) for w in f):
         raise FormatError("function values must be integers")
     if not all(_is_int(v) for elems in marks.values() for v in elems):

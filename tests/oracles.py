@@ -31,6 +31,7 @@ __all__ = [
     "column_rank",
     "brute_feasible_point",
     "realize_two_pass",
+    "atom_row_scan",
 ]
 
 
@@ -204,6 +205,23 @@ def random_clean_formula(rng, predicates, free_vars, depth):
     for name in scope:
         phi = And(phi, Eq(Term(name), Term(name)))
     return phi
+
+
+def atom_row_scan(f, marks, tup):
+    """The atoms the last element of `tup` adds over the earlier ones, by
+    generator scans: its marks, self-loop flag, first coincidence index,
+    image index, and the preimage indices among the earlier elements as a
+    bitmask.  None for the empty tuple.  The type kernel's atom row before
+    it scanned tuples with `in` and `index`."""
+    if not tup:
+        return None
+    x = tup[-1]
+    last = len(tup) - 1
+    eq = next((j for j in range(last) if tup[j] == x), None)
+    fx = f[x]
+    img = next((j for j in range(last) if tup[j] == fx), None)
+    pre = sum(1 << j for j in range(last) if f[tup[j]] == x)
+    return (marks[x], fx == x, eq, img, pre)
 
 
 class UnprunedValues:

@@ -409,6 +409,32 @@ class TestErrorHandling:
         assert "unsupported measure version True" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 1000, "n is 1000 but f has"),
+            ("marks", {"V": [0]}, "undeclared predicates ['V']"),
+        ],
+    )
+    def test_witness_header_disagreeing_with_body_exits_1(
+        self, capsys, tmp_path, field, value, message
+    ):
+        # The measure realizes at multiplier 3 until one witness's header
+        # disagrees with its body.
+        data = jsonable(measure_to_json(type_distribution(cycle(6), 3, TypeTable())))
+        target = tmp_path / "mu.json"
+        argv = ["realize", str(target), "--r", "1", "--multiplier", "3"]
+        target.write_text(json.dumps(data))
+        assert run(capsys, argv)[0] == 0
+        witness = data["entries"][0]["type"]["witness"]
+        witness[field] = {**witness[field], **value} if field == "marks" else value
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
     def test_domain_error(self, capsys, c3):
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])
         assert code == 1

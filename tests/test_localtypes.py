@@ -1,6 +1,7 @@
 """Local types, projections, transport, admissibility, type measures."""
 
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -25,11 +26,13 @@ from mapprox.errors import (
     RankZero,
 )
 from mapprox.localtypes import (
+    Meter,
     TypeMeasure,
     TypeTable,
     adm_minus,
     adm_minus_table,
     adm_plus,
+    atom_row,
     local_type,
     measure_tv,
     project,
@@ -43,6 +46,7 @@ from mapprox.structure import FiniteMapping, cycle_cut_product, disjoint_union
 from mapprox.randgen import random_mapping
 from oracles import (
     UnprunedValues,
+    atom_row_scan,
     local_game,
     pairwise_measure_tv,
     random_clean_formula,
@@ -98,6 +102,21 @@ def value_pairs(table, oracle, F, tuples, ranks):
     ]
 
 
+def played_tuples(monkeypatch, F):
+    """A list that gains every tuple the kernel plays in F from now on,
+    recorded by wrapping TypeTable._nv, which plays each position once."""
+    played = []
+    nv = TypeTable._nv
+
+    def recording(self, G, moves, tup, k, meter):
+        if G is F:
+            played.append(tup)
+        return nv(self, G, moves, tup, k, meter)
+
+    monkeypatch.setattr(TypeTable, "_nv", recording)
+    return played
+
+
 def assert_biject(pairs):
     """The first and second coordinates split the pairs into the same
     classes."""
@@ -105,6 +124,65 @@ def assert_biject(pairs):
     for a, b in pairs:
         assert forward.setdefault(a, b) == b
         assert backward.setdefault(b, a) == a
+
+
+class TestAtomRow:
+    def test_matches_scan_exhaustive(self):
+        # Every tuple of length 1-4, repeats included, over every mapping
+        # with n <= 4 up to relabeling, under every marking by one
+        # predicate.  The row commutes with relabeling, so this covers
+        # every mapping.
+        for n in (1, 2, 3, 4):
+            for f in functions_up_to_relabeling(n):
+                for F in every_marking(f, ("U",)):
+                    for length in (1, 2, 3, 4):
+                        for tup in itertools.product(range(n), repeat=length):
+                            got = atom_row(F.f, F.mark_sets, tup)
+                            assert got == atom_row_scan(F.f, F.mark_sets, tup), tup
+
+    def test_matches_scan_seeded(self):
+        for s in range(10):
+            F = seeded(30, s)
+            rng = random.Random(s)
+            for _ in range(500):
+                # Tuples drawn from a random pool and its images, so that
+                # coincidences, images and preimages all occur.
+                pool = rng.sample(range(30), rng.randint(1, 30))
+                pool += [F.f[v] for v in pool]
+                tup = tuple(rng.choice(pool) for _ in range(rng.randint(0, 8)))
+                got = atom_row(F.f, F.mark_sets, tup)
+                assert got == atom_row_scan(F.f, F.mark_sets, tup), (s, tup)
+
+
+class TestPositionCount:
+    def test_top_level_tuples_are_memoized(self):
+        # Asking for a top-level tuple again plays nothing and spends
+        # nothing.
+        F = seeded(8, 2)
+        table, meter = TypeTable(), Meter(10**6)
+        value = table.global_value(F, (), 3, meter)
+        spent = meter.spent
+        assert spent > 1
+        assert table.global_value(F, (), 3, meter) == value
+        assert meter.spent == spent
+
+    def test_budget_overrun_is_one_position(self):
+        # A rooted game with twin pruning spends one per position, leaves
+        # included, so whichever position passes the budget needs exactly
+        # one more than it.
+        F = two_level_star(3, 4)
+        marks = dict(F.marks)
+        marks["Q"] = frozenset(range(0, F.n, 3))
+        F = FiniteMapping(f=F.f, marks=marks)
+        meter = Meter(10**6)
+        TypeTable().nv_value(F, (1,), 3, meter)
+        positions = meter.spent
+        assert positions > 20
+        for budget in range(positions):
+            with pytest.raises(BudgetExceeded) as caught:
+                TypeTable().nv_value(F, (1,), 3, Meter(budget))
+            assert caught.value.needed == budget + 1
+        TypeTable().nv_value(F, (1,), 3, Meter(positions))
 
 
 class TestLocalType:
@@ -478,12 +556,14 @@ class TestTwinRule:
     def test_game_positions_on_two_level_star(self):
         # Hundreds of interchangeable leaves per node: the rank-2 game of
         # every element visits a few positions, not one per pair of leaves.
+        # The meter counts every position played, leaves included.
         F = two_level_star(2, 200)
         table, oracle = TypeTable(), UnprunedValues()
-        type_distribution(F, 2, table)
-        positions = len(table._structure_cache(F)["nv"])
+        meter = Meter(10**6)
         for v in F.elements():
+            table.nv_value(F, (v,), 2, meter)
             oracle.value(F, (v,), 2)
+        positions = meter.spent
         assert positions <= 2000
         assert oracle.positions(F) >= 10 * 2000
 
@@ -541,19 +621,19 @@ class TestLayerShift:
         assert other._structure_cache(Q)["layers"] is None
         assert any(tup[0] % 6 for tup, _ in other._structure_cache(Q)["nv"])
 
-    def test_plays_root_games_in_layer_zero_only(self):
-        # A count guard: every position the kernel memoizes for a
-        # product starts in layer 0.
+    def test_plays_root_games_in_layer_zero_only(self, monkeypatch):
+        # A count guard: every tuple the kernel plays in a product starts
+        # in layer 0.
         table = TypeTable()
         m = 6
         P = cycle_cut_product(seeded(12, 5), m, 3, table)
+        played = played_tuples(monkeypatch, P)
         type_distribution(P, 3, table)
-        memo = table._structure_cache(P)["nv"]
-        assert memo
-        assert all(tup[0] % m == 0 for tup, _ in memo)
+        assert played
+        assert all(tup[0] % m == 0 for tup in played)
 
     @pytest.mark.parametrize("source", ["another table", "map file"])
-    def test_products_built_elsewhere_play_layer_zero_only(self, source):
+    def test_products_built_elsewhere_play_layer_zero_only(self, source, monkeypatch):
         # A table recognizes a product it did not build: one built with
         # another table, or read back from its map file.  Its histogram
         # equals the one of a mirrored copy, which is played in every layer.
@@ -561,11 +641,11 @@ class TestLayerShift:
         if source == "map file":
             P = parse_map(dump_map(P))
         table, oracle = TypeTable(), TypeTable()
+        played = played_tuples(monkeypatch, P)
         mu = type_distribution(P, 3, table)
-        memo = table._structure_cache(P)["nv"]
         assert table._structure_cache(P)["layers"] == 6
-        assert memo
-        assert all(tup[0] % 6 == 0 for tup, _ in memo)
+        assert played
+        assert all(tup[0] % 6 == 0 for tup in played)
         Q = mirrored(P)
         assert measure_tv(mu, type_distribution(Q, 3, oracle)) == 0
         assert oracle._structure_cache(Q)["layers"] is None
@@ -623,7 +703,7 @@ class TestLayerShift:
         assert cache["layers"] is None
         for x in range(0, Q.n // m, 2):
             played = [
-                table._nv(Q, cache["nv"], cache["moves"], (x * m + s,), k, None)
+                table._play(Q, cache["nv"], cache["moves"], (x * m + s,), k, None)
                 for s in range(m)
             ]
             assert [table._shifted(played[0], s) for s in range(m)] == played

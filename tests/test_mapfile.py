@@ -167,6 +167,17 @@ class TestStructureJson:
         for f in ([True, 0], [0, False]):
             with pytest.raises(FormatError, match="function values"):
                 structure_from_json({"predicates": ["U"], "f": f, "marks": {"U": []}})
+        # A header that disagrees with its body: n is the length of f.
+        for n in (5, 1, 0, "2", 2.0, True, None):
+            with pytest.raises(FormatError, match="but f has 2 values"):
+                structure_from_json(
+                    {"n": n, "predicates": ["U"], "f": [0, 0], "marks": {"U": []}}
+                )
+        # Every marked predicate is declared.
+        with pytest.raises(FormatError, match="undeclared predicates \\['V'\\]"):
+            structure_from_json(
+                {"n": 2, "predicates": ["U"], "f": [0, 0], "marks": {"U": [], "V": [1]}}
+            )
 
 
 class TestTypeJson:
