@@ -20,7 +20,7 @@ from pathlib import Path
 from . import mapfile
 from .compress import standard_r_approximation
 from .equivalence import ef_equivalent, fo_dist, ldist
-from .errors import MapproxError
+from .errors import DuplicatePredicate, MapproxError
 from .fmtp import CompanionCertificate, check_fmtp, exhaustive_fmtp_check, restricted_fmtp_certificate
 from .localtypes import global_table, type_distribution
 from .randgen import SplitMix64, cycle_statistics, random_mapping
@@ -163,7 +163,11 @@ def _cmd_pipeline(args) -> None:
 
 
 def _cmd_random(args) -> None:
-    densities = dict(args.density or [])
+    densities = {}
+    for name, p in args.density or []:
+        if name in densities:
+            raise DuplicatePredicate(name)
+        densities[name] = p
     _emit_structure(random_mapping(args.n, args.seed, densities), args.out)
 
 

@@ -42,7 +42,7 @@ from .localtypes import (
     project,
     transport,
 )
-from .structure import FiniteMapping, cycle_orbits
+from .structure import FiniteMapping
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +493,11 @@ def check_realizability_preconditions(mu: TypeMeasure, r: int) -> PreconditionRe
     )
 
     cycle_fail = None
-    cycle_len_cache: dict[int, dict[int, int]] = {}
     for tau, _ in mu.entries:
         F, v = tau.witness
-        lengths = cycle_len_cache.get(id(F))
-        if lengths is None:
-            lengths = {z: len(orbit) for orbit in cycle_orbits(F) for z in orbit}
-            cycle_len_cache[id(F)] = lengths
-        if 1 < lengths.get(v, 0) <= r + 1:
-            cycle_fail = (
-                f"witness of {tau!r} lies on a cycle of length {lengths[v]}"
-            )
+        length = F.cycle_length[v]
+        if 1 < length <= r + 1:
+            cycle_fail = f"witness of {tau!r} lies on a cycle of length {length}"
             break
     checks.append(
         PreconditionCheck("no-short-cycles", cycle_fail is None, cycle_fail or "")

@@ -189,32 +189,6 @@ class _InTreeCodes(dict):
         return value
 
 
-class _OnCycle(dict):
-    """element -> whether it lies on a cycle of f, settled on first lookup
-    by walking forward to an element already settled or to a repeat.  Every
-    element on the walk is settled with it, so each is walked once."""
-
-    __slots__ = ("_f",)
-
-    def __init__(self, f: tuple[int, ...]):
-        super().__init__()
-        self._f = f
-
-    def __missing__(self, v: int) -> bool:
-        f = self._f
-        position: dict[int, int] = {}
-        path: list[int] = []
-        x = v
-        while x not in self and x not in position:
-            position[x] = len(path)
-            path.append(x)
-            x = f[x]
-        cycle_start = position.get(x, len(path))
-        for i, y in enumerate(path):
-            self[y] = i >= cycle_start
-        return self[v]
-
-
 class Meter:
     """The work one call may do: BudgetExceeded(budget, spent) is raised
     once what it spends passes the budget.  A game spends one per position
@@ -279,14 +253,15 @@ class TypeTable:
     def _structure_cache(self, F: FiniteMapping) -> dict:
         cache = self._caches.get(F)
         if cache is None:
-            # Twin codes and moves are built per element on first use.  A
+            # Twin codes and moves are built per element on first use, and
+            # F's cycle table is read when a twin group first needs it.  A
             # pipeline-r1 job types six structures of 1,000 to 13,000
             # elements, but a cut product plays only its layer-0 roots, and
             # an eager pass over every orbit made the realize-roundtrip
-            # benchmark 2-3 % slower.  The builders must not capture F, or
-            # the cache would keep its own weak key alive.
+            # benchmark 2-3 % slower.  The builders hold F weakly, or the
+            # cache would keep its own weak key alive.
             f, pre, marks = F.f, F.pre, F.mark_sets
-            on_cycle = _OnCycle(f)
+            structure = weakref.ref(F)
             code = _InTreeCodes(pre, marks)
 
             # Every neighbor of x (x too if it is a fixed point), with no
@@ -306,9 +281,10 @@ class TypeTable:
                 for group in by_marks.values():
                     if len(group) < 2:
                         continue
+                    cycle_length = structure().cycle_length
                     classes: dict[int, list[int]] = {}
                     for y in group:
-                        if not on_cycle[y]:
+                        if not cycle_length[y]:
                             classes.setdefault(code[y, d], []).append(y)
                     twins += (tuple(c) for c in classes.values() if len(c) > 1)
                 if not twins:

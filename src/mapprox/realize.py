@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,6 +54,7 @@ from .localtypes import (
 )
 from .structure import (
     MAX_PRODUCT_SIZE,
+    TYPE_MARK,
     FiniteMapping,
     Signature,
     ball,
@@ -319,9 +319,6 @@ def verify_upsilon(F: FiniteMapping, upsilon: dict, r: int) -> bool:
 # rewiring layer-marked products
 
 
-_TYPE_MARK = re.compile(r"T\d+_(?:cyc(\d+)|acyc)\Z")
-
-
 def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
     """Close the recorded short cycles of a layer-marked product.
 
@@ -352,7 +349,7 @@ def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
 
     class_of_name: dict[str, Optional[int]] = {}
     for name in predicates:
-        matched = _TYPE_MARK.fullmatch(name)
+        matched = TYPE_MARK.fullmatch(name)
         if matched:
             class_of_name[name] = int(matched.group(1)) if matched.group(1) else None
     if not class_of_name:

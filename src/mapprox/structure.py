@@ -6,7 +6,8 @@ the marks of each element are a sorted tuple of names (``mark_sets``).  All
 derived notions (Gaifman distance, balls, components, the cyclic part) treat
 the structure as the undirected functional graph with edges v -- f(v), and
 read the preimage table each structure builds once (``FiniteMapping.pre``).
-Cycles are listed by one helper, `cycle_orbits`.
+Cycles are found by one walk per structure, into the cycle table every
+reader of cycles reads (``FiniteMapping.cycle_table``).
 
 Structures are immutable; every operation returns a new mapping.  Equality is
 identity (structures are compared through their derived invariants, not field
@@ -19,6 +20,7 @@ of fresh predicates; `recover` undoes the cuts from those predicates alone.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -88,7 +90,7 @@ class FiniteMapping:
         if n == 0:
             raise EmptyDomain("a mapping needs at least one element")
         for v, w in enumerate(self.f):
-            if not isinstance(w, int) or not 0 <= w < n:
+            if type(w) is not int or not 0 <= w < n:
                 raise OutOfRangeImage(v, w, n)
         given = {name: frozenset(elems) for name, elems in self.marks.items()}
         if self.signature is None:
@@ -151,6 +153,38 @@ class FiniteMapping:
             table[w].append(u)
         return tuple(map(tuple, table))
 
+    @cached_property
+    def cycle_table(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(orbits, lengths): the cycles as `cycle_orbits` lists them, and
+        the length of each element's cycle, 0 off every cycle.  Built once
+        per structure by one walk forward from each unvisited element."""
+        f = self.f
+        length = [0] * len(f)
+        state = [0] * len(f)  # 0 unvisited, 1 on the current path, 2 done
+        orbits = []
+        for start in range(len(f)):
+            path = []
+            x = start
+            while state[x] == 0:
+                state[x] = 1
+                path.append(x)
+                x = f[x]
+            if state[x] == 1:  # the path closed a new cycle through x
+                orbit = path[path.index(x):]
+                for y in orbit:
+                    length[y] = len(orbit)
+                least = orbit.index(min(orbit))
+                orbits.append(tuple(orbit[least:] + orbit[:least]))
+            for y in path:
+                state[y] = 2
+        orbits.sort()
+        return tuple(orbits), tuple(length)
+
+    @property
+    def cycle_length(self) -> tuple[int, ...]:
+        """The length of each element's cycle, 0 off every cycle."""
+        return self.cycle_table[1]
+
     def marks_of(self, v: int) -> frozenset[str]:
         self.check_element(v)
         return frozenset(self.mark_sets[v])
@@ -174,11 +208,16 @@ def validate(raw: Mapping) -> FiniteMapping:
 
     Expected keys: ``f`` (list of images), optional ``predicates`` (names) and
     ``marks`` (name -> list of elements).  Raises the specific structural
-    error for any violation.
+    error for any violation; only an int is an element, so a bool image or
+    mark member is rejected.
     """
     f = tuple(raw.get("f", ()))
     predicates = raw.get("predicates")
-    marks = {name: frozenset(elems) for name, elems in raw.get("marks", {}).items()}
+    marks = {name: tuple(elems) for name, elems in raw.get("marks", {}).items()}
+    for elems in marks.values():
+        for v in elems:
+            if type(v) is not int:
+                raise ElementOutOfRange(v, len(f))
     signature = None if predicates is None else Signature(tuple(predicates))
     return FiniteMapping(f=f, marks=marks, signature=signature)
 
@@ -270,7 +309,7 @@ def cyclic_part(F: FiniteMapping) -> tuple[frozenset[int], dict[int, int]]:
     An element is cyclic iff some forward iterate returns to it.  The height
     of x is its tree distance to Z (0 exactly on Z).
     """
-    Z = frozenset(v for orbit in cycle_orbits(F) for v in orbit)
+    Z = frozenset(v for orbit in F.cycle_table[0] for v in orbit)
     heights = {v: 0 for v in Z}
     pre = F.pre
     queue = deque(sorted(Z))
@@ -286,29 +325,12 @@ def cyclic_part(F: FiniteMapping) -> tuple[frozenset[int], dict[int, int]]:
 def cycle_orbits(F: FiniteMapping) -> list[tuple[int, ...]]:
     """Every cycle as its orbit under f, starting from its least element;
     cycles ordered by least element (fixed points are orbits of length 1)."""
-    f = F.f
-    state = [0] * F.n  # 0 unvisited, 1 on the current path, 2 done
-    orbits = []
-    for start in F.elements():
-        path = []
-        x = start
-        while state[x] == 0:
-            state[x] = 1
-            path.append(x)
-            x = f[x]
-        if state[x] == 1:  # the path closed a new cycle through x
-            orbit = path[path.index(x):]
-            least = orbit.index(min(orbit))
-            orbits.append(tuple(orbit[least:] + orbit[:least]))
-        for y in path:
-            state[y] = 2
-    orbits.sort()
-    return orbits
+    return list(F.cycle_table[0])
 
 
 def cycle_lengths(F: FiniteMapping) -> list[int]:
     """Lengths of all cycles, sorted ascending (fixed points count as length 1)."""
-    return sorted(len(orbit) for orbit in cycle_orbits(F))
+    return sorted(map(len, F.cycle_table[0]))
 
 
 def disjoint_union(first: FiniteMapping, *rest: FiniteMapping) -> FiniteMapping:
@@ -448,11 +470,11 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
             f[w] = w
 
     # Open every oversized component at a non-trivial cycle.
-    Z, _ = cyclic_part(F)
+    length = F.cycle_length
     for comp in connected_components(F):
         if len(comp) <= threshold:
             continue
-        v = min(Z & comp)
+        v = min(x for x in comp if length[x])
         if F.f[v] != v:
             cut([v], F.f[v])
 
@@ -531,6 +553,11 @@ def recover(F: FiniteMapping, pairs: Sequence[tuple[str, str]]) -> FiniteMapping
 # Largest product cycle_cut_product builds.
 MAX_PRODUCT_SIZE = 2_000_000
 
+# The type marks cycle_cut_product adds, T<k>_cyc<l> and T<k>_acyc, with l
+# as group 1; rewire reads them back.  An input predicate of this form is
+# rejected, so every such name on a cut product is one the cut added.
+TYPE_MARK = re.compile(r"T\d+_(?:cyc(\d+)|acyc)\Z")
+
 
 def cycle_cut_product(
     F: FiniteMapping, m: int, type_rank: int, table=None
@@ -548,10 +575,12 @@ def cycle_cut_product(
     output cycle is shorter than m.  A product of more than MAX_PRODUCT_SIZE
     elements raises BudgetExceeded before any type is computed.
 
-    The types of the input are computed in `table`, or the global one.  The
-    output passes cut_product_layers, since an input predicate named like a
-    layer mark is rejected, so a type table may play its root games in
-    layer 0 only.
+    The types of the input are computed in `table`, or the global one.  An
+    input predicate named like a layer mark U0..U{m-1} or like a type mark
+    (TYPE_MARK) raises DuplicatePredicate before any type is computed.  So
+    the output passes cut_product_layers, and a type table may play its
+    root games in layer 0 only; and rewire reads every type mark as one
+    this cut added.
     """
     from . import localtypes
 
@@ -561,6 +590,10 @@ def cycle_cut_product(
         raise ValueError("type rank must be nonnegative")
     if F.n * m > MAX_PRODUCT_SIZE:
         raise BudgetExceeded(MAX_PRODUCT_SIZE, F.n * m)
+    clashes = [f"U{i}" for i in range(m) if f"U{i}" in F.marks]
+    clashes += filter(TYPE_MARK.fullmatch, F.signature.predicates)
+    if clashes:
+        raise DuplicatePredicate(clashes[0])
 
     types = [localtypes.local_type(F, v, type_rank, table=table) for v in F.elements()]
     order: dict[object, int] = {}
@@ -568,12 +601,10 @@ def cycle_cut_product(
         if t.key not in order:
             order[t.key] = len(order)
 
-    cycle_len = {y: len(orbit) for orbit in cycle_orbits(F) for y in orbit}
-
     def type_name(t, v: int) -> str:
         base = f"T{order[t.key]}"
-        length = cycle_len.get(v)
-        if length is not None and length <= type_rank + 1:
+        length = F.cycle_length[v]
+        if 0 < length <= type_rank + 1:
             return f"{base}_cyc{length}"
         return f"{base}_acyc"
 
@@ -586,15 +617,9 @@ def cycle_cut_product(
     for name in F.signature.predicates:
         marks[name] = {x * m + i for x in F.marks[name] for i in range(m)}
     for i in range(m):
-        u_name = f"U{i}"
-        if u_name in F.signature.predicates:
-            raise DuplicatePredicate(u_name)
-        marks[u_name] = {x * m + i for x in range(n)}
+        marks[f"U{i}"] = {x * m + i for x in range(n)}
     for x in F.elements():
-        t_name = names[x]
-        if t_name in F.signature.predicates:
-            raise DuplicatePredicate(t_name)
-        marks.setdefault(t_name, set()).update(x * m + i for i in range(m))
+        marks.setdefault(names[x], set()).update(x * m + i for i in range(m))
 
     # T indices number types by first appearance, and a type fixes its
     # cycle class, so names in first-appearance order are in index order.

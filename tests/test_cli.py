@@ -258,6 +258,15 @@ class TestRandomAndCycles:
             parse_map(out), random_mapping(8, 3, {"U": Fraction(1, 4)})
         )
 
+    def test_random_repeated_density_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["random", "--n", "8", "--seed", "1", "--density", "U=1/2", "--density", "U=1/8"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "predicate 'U' declared or generated twice" in err
+
     def test_random_bad_density_usage_error(self, capsys):
         with pytest.raises(SystemExit) as caught:
             main(["random", "--n", "4", "--seed", "0", "--density", "U"])
@@ -434,6 +443,24 @@ class TestErrorHandling:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cut", "{a}", "--m", "2", "--type-rank", "1"],
+            ["pipeline", "{a}", "--p", "1", "--r", "1", "--eps", "1/2"],
+        ],
+        ids=["cut", "pipeline"],
+    )
+    def test_input_named_like_a_type_mark_exits_1(self, capsys, tmp_path, argv):
+        # 0 <-> 1 and 2 fixed, 0 marked T7_acyc: a cut of it would carry two
+        # type marks on one element, which rewire cannot read back.
+        target = tmp_path / "a.map"
+        write_map(FiniteMapping(f=(1, 0, 2), marks={"T7_acyc": {0}}), target)
+        code, out, err = run(capsys, [arg.format(a=target) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert "predicate 'T7_acyc' declared or generated twice" in err
 
     def test_domain_error(self, capsys, c3):
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])

@@ -162,6 +162,15 @@ class TestRealizeAgainstTwoPass:
                 for multiplier in (1, 2, 3):
                     self.assert_same(mu, 1, multiplier)
 
+    def test_cut_products_rank_zero(self):
+        for n in range(1, 9):
+            for seed in range(4):
+                table = TypeTable()
+                H = cycle_cut_product(seeded(n, seed), 6, 3, table)
+                mu = type_distribution(H, 1, table)
+                for multiplier in (1, 2):
+                    self.assert_same(mu, 0, multiplier)
+
     @pytest.mark.parametrize("n,seed", [(10, 3), (20, 1)])
     def test_cut_products_rank_two(self, n, seed):
         table = TypeTable()

@@ -29,10 +29,10 @@ from mapprox.errors import (
     SignatureMismatch,
     UnknownPredicate,
 )
-from mapprox.fmtp import check_fmtp
+from mapprox.fmtp import check_fmtp, check_realizability_preconditions
 from mapprox import structure as structure_module
 from mapprox import localtypes
-from mapprox.localtypes import TypeTable
+from mapprox.localtypes import TypeTable, type_distribution
 from mapprox.logic import apply_interpretation, recovery_interpretation
 from mapprox.structure import (
     FiniteMapping,
@@ -64,6 +64,17 @@ class TestConstruction:
     def test_out_of_range_image(self):
         with pytest.raises(OutOfRangeImage):
             FiniteMapping(f=(0, 5))
+
+    def test_only_ints_are_elements(self):
+        # True == 1, but a map file writes it as "True", which no reader
+        # takes back, and a structure file writes it as JSON true.
+        with pytest.raises(OutOfRangeImage):
+            FiniteMapping(f=(True, 0))
+        with pytest.raises(OutOfRangeImage):
+            validate({"f": [True, 0]})
+        for members in ([True], [False, 1], [1, True], ["0"], [0.0]):
+            with pytest.raises(ElementOutOfRange):
+                validate({"f": [1, 0], "marks": {"U": members}})
 
     def test_marked_three_cycle(self):
         F = FiniteMapping(f=(1, 2, 0), marks={"M1": frozenset({0})})
@@ -220,8 +231,32 @@ class TestComponentsAndCycles:
                     k for k, count in counts.items() for _ in range(count // k)
                 )
                 assert cyclic_part(F)[0] == frozenset(period)
+                assert F.cycle_length == tuple(period.get(v, 0) for v in range(n))
                 checked += 1
         assert checked == 3413
+
+    def test_cycles_are_walked_once(self, monkeypatch):
+        # One structure's cycle table is built once, by the twin rule of the
+        # type kernel here, and every later reader takes it from there.
+        walks = []
+        build = FiniteMapping.cycle_table.func
+
+        def counted(F):
+            walks.append(F)
+            return build(F)
+
+        monkeypatch.setattr(FiniteMapping.cycle_table, "func", counted)
+        # A 2-cycle 0 <-> 1; 2 and 3 are twin preimages of 0, each under
+        # one leaf.
+        F = FiniteMapping(f=(1, 0, 0, 0, 2, 3))
+        mu = type_distribution(F, 3, TypeTable())
+        assert walks == [F]
+        assert cycle_orbits(F) == [(0, 1)]
+        assert cycle_lengths(F) == [2]
+        assert cyclic_part(F) == (frozenset({0, 1}), {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2})
+        report = check_realizability_preconditions(mu, 1)
+        assert not report.check("no-short-cycles").passed
+        assert walks == [F]
 
 
 class TestUnionRestrictMark:
@@ -360,6 +395,28 @@ class TestCycleCutProduct:
         with pytest.raises(BudgetExceeded) as caught:
             cycle_cut_product(cycle(3), 6, 1)
         assert (caught.value.budget, caught.value.needed) == (17, 18)
+
+    @pytest.mark.parametrize(
+        "name", ["T7_acyc", "T0_cyc2", "T12_cyc30", "T01_acyc", "U0", "U1"]
+    )
+    def test_input_named_like_a_cut_mark_is_refused_before_typing(
+        self, monkeypatch, name
+    ):
+        # rewire would read such a name as a mark the cut added.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no type may be computed for a refused input")
+
+        monkeypatch.setattr(localtypes, "local_type", unreachable)
+        F = FiniteMapping(f=(1, 0, 2), marks={name: {0}})
+        with pytest.raises(DuplicatePredicate) as caught:
+            cycle_cut_product(F, 2, 1)
+        assert caught.value.name == name
+        # Names that only resemble one are kept.
+        kept = FiniteMapping(
+            f=(1, 0, 2), marks={"T7_acyclic": {0}, "T_cyc2": {1}, "U2": {2}}
+        )
+        monkeypatch.undo()
+        assert cycle_cut_product(kept, 2, 1).marks["T7_acyclic"] == {0, 1}
 
     def test_layers_of_a_product_are_recognized(self):
         for m in (2, 3, 6, 12):
