@@ -218,8 +218,10 @@ class TypeTable:
             weakref.WeakKeyDictionary()
         )
         self._adm_tables: dict[tuple[int, int], dict] = {}
-        # shift -> (layer renaming, renamed rows, shifted values).
+        # shift -> (layer renaming, renamed rows, shifted values), and the
+        # same for each set of forgotten names.
         self._shifts: dict[int, tuple[dict, dict, dict]] = {}
+        self._forgets: dict[tuple, tuple[dict, dict, dict]] = {}
         # The m this table claimed, and root mark set -> its layer j, or 0
         # when its values are their own normal form.
         self._layers: Optional[int] = None
@@ -400,23 +402,47 @@ class TypeTable:
             m = self._layers
             rename = {f"U{j}": f"U{(j + s) % m}" for j in range(m)}
             state = self._shifts[s] = (rename, {}, {})
-        return self._shift(nv, *state)
+        return self._rename(nv, *state)
 
-    def _shift(self, nv: int, rename: dict, rows: dict, memo: dict) -> int:
+    def forget(self, nv: int, names: frozenset[str]) -> int:
+        """The value of the same root in the same structure with the marks
+        in `names` dropped: nv with those names dropped from every row,
+        kids included.  Marks decide no move, so the game tree is the same,
+        and two kids that differ only in dropped marks become one.  `names`
+        must hold every layer mark U0..U{m-1} when this table claimed an m:
+        the result then carries none, so it is its own normal form, and a
+        root pair, a layer-0 value shifted by layers, forgets like its
+        layer-0 value.  Memoized per (value, names, claimed m)."""
+        key = (names, self._layers)
+        state = self._forgets.get(key)
+        if state is None:
+            if self._layers and not names >= {f"U{j}" for j in range(self._layers)}:
+                raise ValueError("forget must drop every layer mark")
+            state = self._forgets[key] = (dict.fromkeys(names), {}, {})
+        row = self._meta[nv][1]
+        if type(row) is int:
+            nv = row
+        return self._rename(nv, *state)
+
+    def _rename(self, nv: int, rename: dict, rows: dict, memo: dict) -> int:
+        """nv with each mark name in `rename` replaced by its entry there,
+        or dropped where the entry is None, in every row, kids included;
+        renamed rows are kept in `rows` and values in `memo`."""
         found = memo.get(nv)
         if found is not None:
             return found
         rank, row, kids = self._meta[nv]
         moved = rows.get(row)
         if moved is None:
-            marks = tuple(sorted(rename.get(name, name) for name in row[0]))
+            names = (rename.get(name, name) for name in row[0])
+            marks = tuple(sorted(name for name in names if name is not None))
             moved = rows[row] = (marks,) + row[1:]
         if kids is not None:
             for c in kids:
                 if c not in memo:
-                    self._shift(c, rename, rows, memo)
-            # A shift is a bijection on values, so the kids stay distinct.
-            kids = tuple(sorted(map(memo.__getitem__, kids)))
+                    self._rename(c, rename, rows, memo)
+            # A shift keeps the kids distinct; dropping names may merge them.
+            kids = tuple(sorted(set(map(memo.__getitem__, kids))))
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
@@ -790,11 +816,19 @@ def _weighted_distribution(
     total weight: F.n when every element has weight 1, the size of the
     structure F stands for when F is a witness.  Canonical ids are assigned
     in order of first appearance."""
+    valued = ((v, weight, table.nv_value(F, (v,), r)) for v, weight in weighted)
+    return _valued_distribution(F, r, table, valued)
+
+
+def _valued_distribution(
+    F: FiniteMapping, r: int, table: TypeTable, valued: Iterable[tuple[int, int, int]]
+) -> TypeMeasure:
+    """_weighted_distribution from (element, weight, value) triples, where
+    value is the element's rank-r value in `table`, of its type in F."""
     groups: dict[int, list[int]] = {}
     total = 0
-    for v, weight in weighted:
+    for v, weight, nv in valued:
         total += weight
-        nv = table.nv_value(F, (v,), r)
         group = groups.get(nv)
         if group is None:
             groups[nv] = [v, weight]

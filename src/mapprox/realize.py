@@ -43,7 +43,7 @@ from .localtypes import (
     LocalType,
     TypeMeasure,
     TypeTable,
-    _weighted_distribution,
+    _valued_distribution,
     adm_minus,
     adm_minus_table,
     adm_plus,
@@ -61,6 +61,7 @@ from .structure import (
     cycle_cut_product,
     cycle_lengths,
     disjoint_union,
+    near,
     recover,
     residualize,
 )
@@ -156,13 +157,10 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
     # canonical ids are handed out on first use.
     blocks: list[tuple[LocalType, LocalType, range]] = []
     by_projection: dict[tuple, list] = {}
-    start = 0
-    for tau, mass in entries:
-        t1, elements = project(tau, r), range(start, start + int(n_elements * mass))
+    for tau, elements in _blocks(mu, n_elements):
+        t1 = project(tau, r)
         blocks.append((tau, t1, elements))
         by_projection.setdefault(t1.key, []).append(blocks[-1])
-        start = elements.stop
-    assert start == n_elements
     image_keys = [project(transport(tau), r).key for tau, _, _ in blocks]
 
     # The targets for a (t1, t2) pair: the blocks projecting to t2, grouped
@@ -220,6 +218,17 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
             "equation; the input measure was not actually feasible",
         )
     return realized
+
+
+def _blocks(mu: TypeMeasure, n: int) -> list[tuple[LocalType, range]]:
+    """The contiguous block of elements each support type of mu labels in
+    its realization on n elements, in support order."""
+    blocks, start = [], 0
+    for tau, mass in mu:
+        blocks.append((tau, range(start, start + int(n * mass))))
+        start = blocks[-1][1].stop
+    assert start == n
+    return blocks
 
 
 def _candidates(groups: list[list], filled: dict[int, int], r: int):
@@ -439,20 +448,17 @@ def _sweep(host: int, copy_size: int, copies: int):
     with weight `copies`.  Exact for every statistic that automorphisms
     preserve, such as types.
 
-    The structure swept may be a witness that holds the host and only the
-    first w = min(copies, r + 1) blocks: each of its elements has the same
-    rank-r type there as in the full structure.  The blocks of merge and
-    recover meet only the host, and the witness sits in the full structure
-    as its host and first w blocks, with every atom kept.  Play the r-round
-    game from the same element on both sides.  The second player answers a
-    move into a block no placed element lies in with such a block of the
-    other side, and any other move with its counterpart, offset for offset
-    in the matched blocks; the placed elements then always carry the same
-    atoms.  Before
-    round j, the j placed elements lie in at most j <= r blocks, so a side
-    with r + 1 blocks always has a free one.  Like a rank-r type's
-    preimage counts, the number of blocks is seen only up to the cap
-    r + 1."""
+    The pipeline retypes an output element in a witness that holds the
+    host and only the first w = min(copies, r + 1) blocks; the element has
+    the same rank-r type there as in the full output.  The blocks meet
+    only the host, and the witness sits in the full output as its host and
+    first w blocks, with every atom kept.  Play the r-round game from the
+    same element on both sides.  The second player answers a move into a
+    block no placed element lies in with such a block of the other side,
+    and any other move with its counterpart, offset for offset in the
+    matched blocks; the placed elements then always carry the same atoms.
+    Before round j, the j placed elements lie in at most j <= r blocks, so
+    a side with r + 1 blocks always has a free one."""
     for v in range(host):
         yield v, 1
     for v in range(host, host + copy_size):
@@ -528,11 +534,30 @@ def pipeline(
     without approximation.  The report carries per-stage sizes and rank-r
     type histograms, the certificate digest, and the measured distance of
     the output to the input, which is checked against eps rather than
-    assumed.  The realized histogram is read off the product's, which
-    realize's own verify_upsilon makes exact.  The merged and output
-    statistics come from a witness of the host plus min(copies, r + 1)
-    copies, the first copy weighted by the number of copies; they equal a
-    full sweep's.  The full output is built only to be returned.
+    assumed.
+
+    Each histogram is summed from per-element rank-r values, and a stage
+    types only what it changes.  An r-round game from an element places
+    only elements within distance r of it, so an element keeps its type
+    when no mark or edge within distance r changes.
+      - input, residual and product: every element is typed.
+      - realized: read off the product's histogram, which realize's own
+        verify_upsilon makes exact: each element has the rank-r type of
+        its block's label.
+      - rewired: the label values with the layer and type marks that
+        rewire drops forgotten (TypeTable.forget), retyped within
+        distance r of an edge it moves.
+      - stripped copies: rewired's values, retyped within distance r of
+        a dropped B mark.
+      - merged: no typing; a disjoint union changes no type, so the host
+        has the residual's values and each copy the stripped ones.
+      - output: the merged values, retyped within distance r of what
+        recover changes (the A elements, their old images and the B
+        elements) in a witness of the host plus min(copies, r + 1) copies.
+    The merged and output histograms sweep the host and the first copy,
+    weighted by the number of copies (_sweep).  Canonical ids are handed
+    out in first-appearance order, as a full sweep hands them out.  The
+    full output is built only to be returned.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -556,20 +581,35 @@ def pipeline(
     table = TypeTable()
     stages: list[dict] = []
 
-    def record(name: str, structure: FiniteMapping, blocks=None) -> TypeMeasure:
+    def typed(structure: FiniteMapping) -> list[int]:
+        """The rank-r value of every element of `structure`."""
+        return [table.nv_value(structure, (v,), r) for v in structure.elements()]
+
+    def retyped(values: list[int], structure: FiniteMapping, elements) -> list[int]:
+        """`values` with each of `elements` retyped in `structure`."""
+        values = list(values)
+        for v in elements:
+            values[v] = table.nv_value(structure, (v,), r)
+        return values
+
+    def record(
+        name: str, structure: FiniteMapping, values: list[int], blocks=None
+    ) -> TypeMeasure:
         host, copy_size, copies = blocks or (structure.n, 0, 1)
         sweep = _sweep(host, copy_size, copies)
-        dist = _weighted_distribution(structure, r, table, sweep)
+        swept = ((v, weight, values[v]) for v, weight in sweep)
+        dist = _valued_distribution(structure, r, table, swept)
         size = host + copies * copy_size
         stages.append({"name": name, "size": size, "histogram": _histogram(dist)})
         return dist
 
-    input_dist = record("input", F)
+    input_dist = record("input", F, typed(F))
     residual, pairs = residualize(F, eps)
-    record("residual", residual)
+    residual_values = typed(residual)
+    record("residual", residual, residual_values)
 
     product = cycle_cut_product(residual, cut, clean, table=table)
-    product_dist = record("product", product)
+    product_dist = record("product", product, typed(product))
 
     nu = type_distribution(product, clean, table)
     certificate = restricted_fmtp_certificate(nu, rr)
@@ -591,11 +631,27 @@ def pipeline(
         {"name": "realized", "size": realized.n, "histogram": _histogram(product_dist)}
     )
 
+    # Each element of a realized block has the rank-r projection of the
+    # block's label as its type (verify_upsilon).  rewire drops the layer
+    # and type marks of every element, which forget drops from the value
+    # too, and changes only the images of the elements it jumps, near
+    # which elements are retyped.
     rewired = rewire(realized, cut, clean)
-    record("rewired", rewired)
+    unmarked = frozenset(realized.signature.predicates) - set(
+        rewired.signature.predicates
+    )
+    realized_values = []
+    for tau, elements in _blocks(nu, realized.n):
+        value = table.forget(table.lower_to(tau.nv, r), unmarked)
+        realized_values += [value] * len(elements)
+    jumped = [v for v in rewired.elements() if rewired.f[v] != realized.f[v]]
+    moved = {*jumped, *(realized.f[v] for v in jumped), *(rewired.f[v] for v in jumped)}
+    rewired_values = retyped(realized_values, rewired, near(rewired, moved, r))
+    record("rewired", rewired, rewired_values)
 
     # Copies must not duplicate the recovery targets, so the residual host
-    # keeps its B marks and the copies lose theirs.
+    # keeps its B marks and the copies lose theirs.  Only an element within
+    # distance r of a lost mark can change type.
     b_names = {b for _, b in pairs}
     stripped = FiniteMapping(
         f=rewired.f,
@@ -605,6 +661,8 @@ def pipeline(
         },
         signature=rewired.signature,
     )
+    lost = [v for name in b_names for v in rewired.marks[name]]
+    stripped_values = retyped(rewired_values, stripped, near(stripped, lost, r))
 
     n_away = N_AWAY_FACTOR * math.ceil(1 / eps)
     n_close = math.ceil(Fraction(residual.n, stripped.n) / eps)
@@ -622,9 +680,27 @@ def pipeline(
     copies = n_close * n_away
     blocks = (residual.n, stripped.n, copies)
     witness = merge(residual, stripped, min(copies, r + 1))
-    record("merged", witness, blocks)
+    # A disjoint union changes no type.
+    merged_values = residual_values + stripped_values
+    record("merged", witness, merged_values, blocks)
+    # recover drops the A and B marks and turns the edge a -> f(a) of each
+    # A-marked a into a -> b for the B-marked b, so every mark and both
+    # ends of every edge it changes lie in `changed`, and only the swept
+    # elements within distance r of `changed` are retyped.  Their distance
+    # to it is the same before and after recover, as a shortest path to
+    # `changed` meets it only at its end, and the same in the witness as
+    # in the full output, as before recover no copy meets the host.
+    changed = set()
+    for a_name, b_name in pairs:
+        for v in witness.marks[a_name]:
+            changed.update((v, witness.f[v]))
+        changed.update(witness.marks[b_name])
     witness = recover(witness, pairs)
-    output_dist = record("output", witness, blocks)
+    swept = len(merged_values)
+    output_values = retyped(
+        merged_values, witness, [v for v in near(witness, changed, r) if v < swept]
+    )
+    output_dist = record("output", witness, output_values, blocks)
 
     final = measure_tv(output_dist, input_dist)
     entry = {

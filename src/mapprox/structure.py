@@ -24,6 +24,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -45,6 +46,7 @@ __all__ = [
     "preimage",
     "distance",
     "ball",
+    "near",
     "connected_components",
     "cyclic_part",
     "cycle_orbits",
@@ -105,6 +107,12 @@ class FiniteMapping:
             undeclared = next(name for name in given if name not in predicates)
             raise UnknownPredicate(undeclared)
         object.__setattr__(self, "marks", marks)
+        # Only an int is an element: a bool or float member would be written
+        # out as JSON true or 0.0, which no reader takes back.  One pass over
+        # all members: a measure file's witnesses hold many small marks.
+        if not {*map(type, chain.from_iterable(given.values()))} <= {int}:
+            members = chain.from_iterable(given.values())
+            raise ElementOutOfRange(next(v for v in members if type(v) is not int), n)
         for elems in given.values():
             if elems and (min(elems) < 0 or max(elems) >= n):
                 raise ElementOutOfRange(
@@ -261,12 +269,19 @@ def distance(F: FiniteMapping, u: int, v: int) -> int | float:
 
 def ball(F: FiniteMapping, v: int, r: int) -> frozenset[int]:
     """Elements at Gaifman distance at most r from v."""
-    F.check_element(v)
+    return near(F, (v,), r)
+
+
+def near(F: FiniteMapping, seeds: Iterable[int], r: int) -> frozenset[int]:
+    """Elements at Gaifman distance at most r from some seed: one
+    breadth-first search from all seeds at once, not one per seed."""
+    seen = set(seeds)
+    for v in seen:
+        F.check_element(v)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     f, pre = F.f, F.pre
-    seen = {v}
-    frontier = [v]
+    frontier = list(seen)
     for _ in range(r):
         nxt = []
         for x in frontier:

@@ -23,6 +23,7 @@ __all__ = [
     "brute_ldist",
     "brute_fo_dist",
     "proximity",
+    "near",
     "tuple_histograms",
     "tv",
     "random_clean_formula",
@@ -169,6 +170,21 @@ def proximity(F: FiniteMapping, radius: int) -> Fraction:
                         queue.append(y)
         total += len(depth)
     return Fraction(total, F.n * F.n)
+
+
+def near(F: FiniteMapping, seeds, radius: int) -> frozenset:
+    """Elements within Gaifman distance radius of some seed: each of
+    radius passes over the edges v -- f(v) lowers either end's distance to
+    one more than the other's."""
+    depth = [radius + 1] * F.n
+    for s in seeds:
+        depth[s] = 0
+    for _ in range(radius):
+        for v in range(F.n):
+            w = F.f[v]
+            depth[v] = min(depth[v], depth[w] + 1)
+            depth[w] = min(depth[w], depth[v] + 1)
+    return frozenset(v for v in range(F.n) if depth[v] <= radius)
 
 
 def random_clean_formula(rng, predicates, free_vars, depth):

@@ -721,6 +721,31 @@ class TestLayerShift:
             project(transport(t), 0)
         assert not table._shifts
 
+    def test_forget_drops_marks_from_values(self):
+        # A value with marks forgotten is the value of the same root in the
+        # structure without them: V on seeded mappings, and every layer and
+        # type mark on a cut product, whose roots off layer 0 are pairs.
+        for seed in range(4):
+            F = random_mapping(14, seed, {"U": Fraction(1, 3), "V": Fraction(1, 2)})
+            G = FiniteMapping(f=F.f, marks={"U": F.marks["U"]})
+            table = TypeTable()
+            for r in (1, 2):
+                for v in F.elements():
+                    value = table.forget(table.nv_value(F, (v,), r), frozenset({"V"}))
+                    assert value == table.nv_value(G, (v,), r)
+        table = TypeTable()
+        P = cycle_cut_product(seeded(10, 3), 6, 3, table)
+        Q = FiniteMapping(f=P.f, marks={"U": P.marks["U"]})
+        names = frozenset(P.signature.predicates) - {"U"}
+        for r in (1, 2, 3):
+            values = [table.nv_value(P, (v,), r) for v in P.elements()]
+            forgotten = [table.forget(value, names) for value in values]
+            assert forgotten == [table.nv_value(Q, (v,), r) for v in Q.elements()]
+        assert len(set(forgotten)) < len(set(values))
+        # Left a layer mark, a pair would not forget like its layer-0 value.
+        with pytest.raises(ValueError):
+            table.forget(values[1], names - {"U1"})
+
     def test_layer_marks_seen_before_registration_block_it(self):
         # Root values with a layer mark handed out before any m is known
         # were not normalized; claiming an m afterwards would split their

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,9 @@ from mapprox.structure import (
     cycle_cut_product,
     cycle_lengths,
     recover,
+    residualize,
 )
+from oracles import near as oracle_near
 from oracles import proximity as oracle_proximity
 from oracles import realize_two_pass
 
@@ -54,6 +57,34 @@ TABLE = TypeTable()
 
 def marked_cycle(k=6):
     return cycle(k, {"U": frozenset({0})})
+
+
+def cyclic_input(seed, cycles, tails, leaves):
+    """Cycles of the given lengths, `tails` elements hung on them at random,
+    and a fixed hub with `leaves` preimages, which residualization cuts off
+    when there are more than eps * n of them.  U holds on the first
+    element of each 2-cycle and at random elsewhere."""
+    rng = random.Random(seed)
+    f, marked = [], set()
+    for length in cycles:
+        if length == 2:
+            marked.add(len(f))
+        f += [len(f) + (i + 1) % length for i in range(length)]
+    for _ in range(tails):
+        f.append(rng.randrange(len(f)))
+    f += [len(f)] * (leaves + 1)
+    marked |= {v for v in range(len(f)) if rng.random() < 0.25}
+    return FiniteMapping(f=tuple(f), marks={"U": frozenset(marked)})
+
+
+# Self-loops, 2- and 3-cycles that the residual keeps and rewire closes
+# again, and a hub whose cut makes a B element with preimages in every copy.
+CYCLIC_CASES = [
+    (cyclic_input(1, (1, 2, 3), 6, 8), 2, 1, Fraction(1, 4)),
+    (cyclic_input(2, (1, 2, 3), 6, 8), 1, 1, Fraction(1, 4)),
+    (cyclic_input(3, (1, 2, 3), 4, 6), 2, 2, Fraction(1, 3)),
+    (cyclic_input(1, (1, 2), 0, 3), 1, 3, Fraction(2, 7)),
+]
 
 
 class TestRealize:
@@ -355,6 +386,7 @@ class TestPipeline:
             # Two copies, fewer than r + 1 (eps >= 1 cuts nothing).
             (seeded(4, 1), 2, 2, Fraction(1)),
             (seeded(6, 42), 2, 3, Fraction(2)),
+            *CYCLIC_CASES,
         ]
         tables, built = [], []
 
@@ -371,24 +403,26 @@ class TestPipeline:
 
         monkeypatch.setattr(realize_module, "TypeTable", new_table)
         monkeypatch.setattr(realize_module, "realize", keeping(realize))
+        monkeypatch.setattr(realize_module, "rewire", keeping(rewire))
         monkeypatch.setattr(realize_module, "merge", keeping(merge))
         witness_smaller = set()
         for F, p, r, eps in cases:
             tables.clear()
             built.clear()
             out, report = pipeline(F, p, r, eps)
-            realized, merged = built[0], built[-1]
+            realized, rewired, merged = built[0], built[1], built[-1]
             table = tables[0]
             parameters = report["parameters"]
             copies = parameters["n_close"] * parameters["n_away"]
             host = out.n - copies * realized.n
-            assert len(built) == 3 and merged.n == out.n
-            assert built[1].n == host + min(copies, r + 1) * realized.n
+            assert len(built) == 4 and merged.n == out.n
+            assert built[2].n == host + min(copies, r + 1) * realized.n
             witness_smaller.add(copies > r + 1)
 
             stages = {stage["name"]: stage for stage in report["stages"]}
             for name, full in [
                 ("realized", realized),
+                ("rewired", rewired),
                 ("merged", merged),
                 ("output", out),
             ]:
@@ -405,6 +439,101 @@ class TestPipeline:
                 assert proximity == oracle_proximity(out, 2 * r)
                 assert Fraction(entry["proximity_input"]) == oracle_proximity(F, 2 * r)
         assert witness_smaller == {True, False}
+
+    def test_rewired_read_off_realized_blocks(self):
+        # Every element of a realized block has the rank-r type of the
+        # block's label (verify_upsilon).  rewire drops the layer and type
+        # marks and moves the images of the elements it jumps, so each
+        # element farther than r from a moved edge has the label's value
+        # with those marks forgotten.
+        some_far = some_near = False
+        for F, _, r, eps in [(seeded(20, 6), 2, 1, Fraction(1, 6)), *CYCLIC_CASES]:
+            _, clean, cut = realize_module._schedule(r, False)
+            table = TypeTable()
+            residual, _ = residualize(F, eps)
+            product = cycle_cut_product(residual, cut, clean, table=table)
+            nu = type_distribution(product, clean, table)
+            realized = realize(nu, r)
+            rewired = rewire(realized, cut, clean)
+            unmarked = frozenset(realized.signature.predicates) - set(
+                rewired.signature.predicates
+            )
+            jumped = [v for v in rewired.elements() if rewired.f[v] != realized.f[v]]
+            moved = {*jumped, *(realized.f[v] for v in jumped)}
+            moved.update(rewired.f[v] for v in jumped)
+            near = oracle_near(rewired, moved, r)
+            for tau, elements in realize_module._blocks(nu, realized.n):
+                value = table.forget(table.lower_to(tau.nv, r), unmarked)
+                for v in elements:
+                    if v not in near:
+                        assert table.nv_value(rewired, (v,), r) == value
+            some_far |= len(near) < rewired.n
+            some_near |= bool(near)
+        assert some_far and some_near
+
+    def test_root_games_only_where_a_stage_changes(self, monkeypatch):
+        # The merged witness is a disjoint union of the residual and
+        # stripped copies, so none of its elements is typed.  Rewired,
+        # stripped and the output witness type exactly the swept elements
+        # within distance r of what they change: the edges rewire moves,
+        # the lost B marks, and the A elements, their old images and the B
+        # elements that recover rewires.
+        games = []
+        nv_value = TypeTable.nv_value
+
+        def counting(table, F, tup, *args, **kwargs):
+            if len(tup) == 1:
+                games.append((F, tup[0]))
+            return nv_value(table, F, tup, *args, **kwargs)
+
+        built = {}
+
+        def keeping(name, build):
+            def kept(*args):
+                result = build(*args)
+                built.setdefault(name, (args, result))
+                return result
+
+            return kept
+
+        monkeypatch.setattr(TypeTable, "nv_value", counting)
+        monkeypatch.setattr(realize_module, "realize", keeping("realize", realize))
+        monkeypatch.setattr(realize_module, "rewire", keeping("rewire", rewire))
+        monkeypatch.setattr(realize_module, "merge", keeping("merge", merge))
+        monkeypatch.setattr(realize_module, "recover", keeping("recover", recover))
+        cases = [(seeded(20, 6), 2, 1, Fraction(1, 6)), *CYCLIC_CASES]
+        retyped = set()
+        for F, p, r, eps in cases:
+            games.clear()
+            built.clear()
+            pipeline(F, p, r, eps)
+            realized, rewired = built["realize"][1], built["rewire"][1]
+            (residual, stripped, _), merged = built["merge"]
+            (_, pairs), output = built["recover"]
+            swept = residual.n + stripped.n
+
+            def played(structure):
+                elements = [v for G, v in games if G is structure]
+                assert len(elements) == len(set(elements))
+                return set(elements)
+
+            jumped = [v for v in rewired.elements() if rewired.f[v] != realized.f[v]]
+            moved = {*jumped, *(realized.f[v] for v in jumped)}
+            moved.update(rewired.f[v] for v in jumped)
+            lost = {v for _, b in pairs for v in rewired.marks[b]}
+            changed = {v for _, b in pairs for v in merged.marks[b]}
+            for a, _ in pairs:
+                changed.update(merged.marks[a])
+                changed.update(merged.f[v] for v in merged.marks[a])
+            assert played(realized) == set()
+            assert played(rewired) == oracle_near(rewired, moved, r)
+            assert played(merged) == set()
+            assert played(stripped) == oracle_near(stripped, lost, r)
+            assert played(output) == {
+                v for v in oracle_near(output, changed, r) if v < swept
+            }
+            retyped.add((bool(moved), bool(lost), bool(changed)))
+        assert retyped == {(True, True, True)}
 
     def test_witness_types_like_every_copy(self):
         # A hub whose preimages all lie in the copies, one per copy: its

@@ -47,12 +47,14 @@ from mapprox.structure import (
     disjoint_union,
     distance,
     mark_element,
+    near,
     preimage,
     recover,
     residualize,
     restrict,
     validate,
 )
+from oracles import near as oracle_near
 from oracles import restrict_by_scan, strict_iterated_preimages
 
 
@@ -75,6 +77,11 @@ class TestConstruction:
         for members in ([True], [False, 1], [1, True], ["0"], [0.0]):
             with pytest.raises(ElementOutOfRange):
                 validate({"f": [1, 0], "marks": {"U": members}})
+        # The constructor refuses them too, so a structure built in Python
+        # cannot write a member that no reader takes back.
+        for members in ({True}, {False, 1}, {"0"}, {0.0}, {0, 1.0}):
+            with pytest.raises(ElementOutOfRange):
+                FiniteMapping(f=(1, 0), marks={"U": members})
 
     def test_marked_three_cycle(self):
         F = FiniteMapping(f=(1, 2, 0), marks={"M1": frozenset({0})})
@@ -166,6 +173,24 @@ class TestDistanceAndBall:
 
     def test_star_center_ball(self):
         assert ball(star(3), 0, 1) == frozenset({0, 1, 2, 3})
+
+    def test_near_is_the_union_of_balls(self):
+        # One search from every seed at once finds what one search per
+        # seed finds; a ball is its one-seed case.
+        rng = random.Random(5)
+        for seed in range(6):
+            F = seeded(40, seed)
+            for radius in range(4):
+                for size in (0, 1, 3, 12):
+                    seeds = rng.sample(range(F.n), size)
+                    assert near(F, seeds, radius) == oracle_near(F, seeds, radius)
+                for v in F.elements():
+                    assert ball(F, v, radius) == near(F, [v], radius)
+        with pytest.raises(ValueError):
+            near(star(3), [0], -1)
+        for seeds in ([4], [0, -1]):
+            with pytest.raises(ElementOutOfRange):
+                near(star(3), seeds, 1)
 
 
 class TestComponentsAndCycles:
