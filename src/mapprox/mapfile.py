@@ -12,6 +12,14 @@ Three formats live here:
 Map files have a canonical form: fixed header, records ascending by id,
 marks sorted, one trailing newline.  The reader accepts only that form, so
 reading and writing are mutually inverse byte for byte.
+
+Type, measure and certificate JSON cost time linear in the marks that
+hold, not in witnesses times predicates.  A witness is written straight
+from its ball in the source structure, with no restricted structure
+built, and each empty member list in the returned data is the shared
+`()`, which `json` writes as `[]`.  A reader keeps only the non-empty
+member lists, and the witnesses of one file share one `Signature` per
+distinct predicate tuple.
 """
 
 from __future__ import annotations
@@ -19,13 +27,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, compress
 from pathlib import Path
 from typing import Optional
 
 from .errors import FormatError
 from .fmtp import CompanionCertificate
 from .localtypes import LocalType, TypeMeasure, TypeTable, local_type
-from .structure import FiniteMapping, Signature, ball, restrict
+from .structure import FiniteMapping, Signature, ball
 
 __all__ = [
     "MAP_VERSION",
@@ -57,11 +66,6 @@ CERTIFICATE_VERSION = 1
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMBER = re.compile(r"(?:0|[1-9][0-9]*)\Z")
 _RECORD = re.compile(r"(0|[1-9][0-9]*) -> (0|[1-9][0-9]*) \[([^\[\]]*)\]\Z")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: true and false load as bools, which are ints too."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -168,43 +172,71 @@ def write_map(F: FiniteMapping, path) -> None:
 # structures and types as JSON
 
 
-def structure_to_json(F: FiniteMapping) -> dict:
+def _structure_json(F: FiniteMapping, kept) -> dict:
+    """F restricted to the ascending elements `kept`, in structure JSON,
+    read straight from F: an image that leaves `kept` is redirected to the
+    element itself, as `restrict` does, and member lists come out ascending
+    because `kept` is.  No restricted structure is built, and every empty
+    member list is the shared `()`, so the work grows with the kept
+    elements and the marks they hold."""
+    index = {v: i for i, v in enumerate(kept)}
+    members: dict[str, list[int]] = {}
+    for i, v in enumerate(kept):
+        for name in F.mark_sets[v]:
+            members.setdefault(name, []).append(i)
     return {
-        "n": F.n,
+        "n": len(kept),
         "predicates": list(F.signature.predicates),
-        "f": list(F.f),
-        "marks": {
-            name: sorted(elems) if elems else [] for name, elems in F.marks.items()
-        },
+        "f": [index.get(F.f[v], i) for i, v in enumerate(kept)],
+        "marks": {**dict.fromkeys(F.signature.predicates, ()), **members},
     }
 
 
+def structure_to_json(F: FiniteMapping) -> dict:
+    return _structure_json(F, F.elements())
+
+
 def structure_from_json(data) -> FiniteMapping:
+    return _structure_from_json(data, {})
+
+
+def _structure_from_json(data, signatures: dict) -> FiniteMapping:
+    """The reader behind `structure_from_json`; `signatures` maps each
+    predicate tuple already read to its `Signature`, so that the witnesses
+    of one file share one."""
     if not isinstance(data, dict):
         raise FormatError(f"expected a structure object, got {type(data).__name__}")
+    predicates, f, raw_marks = (data.get(key) for key in ("predicates", "f", "marks"))
+    if not (type(predicates) is type(f) is list and isinstance(raw_marks, dict)):
+        raise FormatError("structure predicates and f must be arrays, its marks an object")
+    predicates, f = tuple(predicates), tuple(f)
     try:
-        predicates = tuple(data["predicates"])
-        f = tuple(data["f"])
-        raw_marks = data["marks"]
-        # Every predicate is listed, but a witness holds few of them: the
-        # empty ones are left for the constructor to fill in.
-        marks = {}
-        for name in predicates:
-            elems = raw_marks[name]
-            if elems != []:
-                marks[name] = frozenset(elems)
-        undeclared = sorted(set(raw_marks).difference(predicates))
-    except (KeyError, TypeError) as failure:
+        if raw_marks.keys() != set(predicates):
+            missing = [name for name in predicates if name not in raw_marks]
+            if missing:
+                raise FormatError(f"malformed structure: {KeyError(missing[0])!r}")
+            undeclared = sorted(raw_marks.keys() - set(predicates))
+            raise FormatError(f"marks name undeclared predicates {undeclared!r}")
+        # A witness holds few of its predicates: keep the non-empty member
+        # lists, picked in C, and leave the rest to the constructor.
+        values = raw_marks.values()
+        given = compress(raw_marks.items(), values)
+        marks = {name: frozenset(elems) for name, elems in given}
+        if not {*map(type, values)} <= {list, tuple}:
+            # JSON null, false and 0 are no member lists either: set() of
+            # one raises, as it does of a non-empty one such as 3 above.
+            list(map(frozenset, values))
+    except TypeError as failure:
         raise FormatError(f"malformed structure: {failure!r}") from None
-    if undeclared:
-        raise FormatError(f"marks name undeclared predicates {undeclared!r}")
-    if "n" in data and not (_is_int(data["n"]) and data["n"] == len(f)):
+    if "n" in data and not (type(data["n"]) is int and data["n"] == len(f)):
         raise FormatError(f"n is {data['n']!r} but f has {len(f)} values")
-    if not all(_is_int(w) for w in f):
+    if not {*map(type, f)} <= {int}:
         raise FormatError("function values must be integers")
-    if not all(_is_int(v) for elems in marks.values() for v in elems):
+    if not {*map(type, chain.from_iterable(marks.values()))} <= {int}:
         raise FormatError("mark members must be integers")
-    return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))
+    if predicates not in signatures:
+        signatures[predicates] = Signature(predicates)
+    return FiniteMapping(f=f, marks=marks, signature=signatures[predicates])
 
 
 def type_to_json(t: LocalType) -> dict:
@@ -212,15 +244,20 @@ def type_to_json(t: LocalType) -> dict:
     # inspect; radius rank alone would let the boundary redirection invent
     # fixed points visible in the final round.
     kept = sorted(ball(t.structure, t.element, t.rank + 1))
-    witness = restrict(t.structure, kept)
     return {
         "rank": t.rank,
         "root": kept.index(t.element),
-        "witness": structure_to_json(witness),
+        "witness": _structure_json(t.structure, kept),
     }
 
 
 def type_from_json(data, table: Optional[TypeTable] = None) -> LocalType:
+    return _type_from_json(data, table, {})
+
+
+def _type_from_json(data, table: Optional[TypeTable], signatures: dict) -> LocalType:
+    """The reader behind `type_from_json`; a file's readers pass one
+    `signatures` for all its types (see `_structure_from_json`)."""
     if not isinstance(data, dict):
         raise FormatError(f"expected a type object, got {type(data).__name__}")
     try:
@@ -228,11 +265,12 @@ def type_from_json(data, table: Optional[TypeTable] = None) -> LocalType:
         witness = data["witness"]
     except (KeyError, TypeError) as failure:
         raise FormatError(f"malformed type: {failure!r}") from None
-    if not _is_int(rank) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise FormatError(f"bad type rank {rank!r}")
-    if not _is_int(root):
+    if type(root) is not int:
         raise FormatError(f"bad type root {root!r}")
-    return local_type(structure_from_json(witness), root, rank, table=table)
+    witness = _structure_from_json(witness, signatures)
+    return local_type(witness, root, rank, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +293,21 @@ def measure_from_json(data, table: Optional[TypeTable] = None) -> TypeMeasure:
     if not isinstance(data, dict) or data.get("format") != "measure":
         raise FormatError("not a measure file")
     version = data.get("version")
-    if not _is_int(version) or version != MEASURE_VERSION:
+    if type(version) is not int or version != MEASURE_VERSION:
         raise FormatError(f"unsupported measure version {version!r}")
     rank = data.get("rank")
-    if not _is_int(rank) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise FormatError(f"bad measure rank {rank!r}")
     entries = data.get("entries")
     if not isinstance(entries, list):
         raise FormatError("measure entries must be a list")
     pairs = []
+    signatures: dict = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("measure entries must be objects")
         mass = fraction_from_text(entry.get("mass"))
-        pairs.append((type_from_json(entry.get("type"), table=table), mass))
+        pairs.append((_type_from_json(entry.get("type"), table, signatures), mass))
     return TypeMeasure.from_pairs(rank, pairs)
 
 
@@ -318,15 +357,16 @@ def certificate_from_json(data, table: Optional[TypeTable] = None) -> CompanionC
     if not isinstance(data, dict) or data.get("format") != "certificate":
         raise FormatError("not a certificate file")
     version = data.get("version")
-    if not _is_int(version) or version != CERTIFICATE_VERSION:
+    if type(version) is not int or version != CERTIFICATE_VERSION:
         raise FormatError(f"unsupported certificate version {version!r}")
     rank, r = data.get("rank"), data.get("r")
-    if not _is_int(rank) or not _is_int(r):
+    if type(rank) is not int or type(r) is not int:
         raise FormatError("certificate rank and r must be integers")
     raw_types = data.get("types")
     if not isinstance(raw_types, list):
         raise FormatError("certificate types must be a list")
-    types = [type_from_json(item, table=table) for item in raw_types]
+    signatures: dict = {}
+    types = [_type_from_json(item, table, signatures) for item in raw_types]
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         raise FormatError("certificate entries must be a list")
@@ -335,7 +375,7 @@ def certificate_from_json(data, table: Optional[TypeTable] = None) -> CompanionC
         if not isinstance(entry, dict):
             raise FormatError("certificate entries must be objects")
         refs = entry.get("tau"), entry.get("t")
-        if not all(_is_int(ref) and 0 <= ref < len(types) for ref in refs):
+        if not all(type(ref) is int and 0 <= ref < len(types) for ref in refs):
             raise FormatError(f"bad certificate entry {entry!r}")
         tau, t = (types[ref] for ref in refs)
         entries.append((tau, t, fraction_from_text(entry.get("s"))))

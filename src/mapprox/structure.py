@@ -24,7 +24,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -134,13 +134,14 @@ class FiniteMapping:
     def mark_sets(self) -> tuple[tuple[str, ...], ...]:
         """The predicate names holding at each element as a sorted tuple,
         indexed by element: two elements carry the same marks exactly when
-        their tuples are equal.  Built once by one pass over each
-        predicate's extension; elements with equal marks share one tuple.
+        their tuples are equal.  Built once by one pass over each non-empty
+        extension, picked in C (a witness declares hundreds of predicates
+        and holds a few); elements with equal marks share one tuple.
         A tuple, not a frozenset like the extensions, because the type
         kernel keeps these in its values, which the garbage collector must
         not have to scan."""
         names: list[tuple[str, ...]] = [()] * len(self.f)
-        for name, elems in self.marks.items():  # in signature order
+        for name, elems in compress(self.marks.items(), self.marks.values()):
             for v in elems:
                 names[v] += (name,)
         shared: dict[tuple[str, ...], tuple[str, ...]] = {}

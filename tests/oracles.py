@@ -2,19 +2,22 @@
 
 Everything here is deliberately naive and shares no code with the package
 internals, so the fast implementations can be cross-checked against it on
-small inputs.  The exception is realize_two_pass, realize's earlier
+small inputs.  The exceptions are realize_two_pass, realize's earlier
 assignment loop kept as the reference for its block-by-block rewrite: it
-reads types through the package's projection, transport and capacity.
+reads types through the package's projection, transport and capacity; and
+the structure JSON writer and reader as they were before witnesses were
+written straight from the ball, which build and read structures through
+the package's `restrict`, `Signature` and `FiniteMapping`.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from mapprox.errors import Stuck
+from mapprox.errors import FormatError, Stuck
 from mapprox.localtypes import adm_minus, project, transport
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
-from mapprox.structure import FiniteMapping
+from mapprox.structure import FiniteMapping, Signature, ball, restrict
 
 __all__ = [
     "local_game",
@@ -33,6 +36,9 @@ __all__ = [
     "brute_feasible_point",
     "realize_two_pass",
     "atom_row_scan",
+    "structure_to_json_by_extensions",
+    "type_to_json_by_restrict",
+    "structure_from_json_per_predicate",
 ]
 
 
@@ -526,3 +532,59 @@ def realize_two_pass(mu, r: int, multiplier: int = 1) -> FiniteMapping:
         marks={name: frozenset(v) for name, v in marks.items()},
         signature=signature,
     )
+
+
+def structure_to_json_by_extensions(F: FiniteMapping) -> dict:
+    """Structure JSON with one sorted member list per predicate, read off
+    its extension, and a fresh empty list for each empty one."""
+    return {
+        "n": F.n,
+        "predicates": list(F.signature.predicates),
+        "f": list(F.f),
+        "marks": {
+            name: sorted(elems) if elems else [] for name, elems in F.marks.items()
+        },
+    }
+
+
+def type_to_json_by_restrict(t) -> dict:
+    """Type JSON whose witness is built as a structure by `restrict` on the
+    sorted radius-(rank + 1) ball and then written out."""
+    kept = sorted(ball(t.structure, t.element, t.rank + 1))
+    return {
+        "rank": t.rank,
+        "root": kept.index(t.element),
+        "witness": structure_to_json_by_extensions(restrict(t.structure, kept)),
+    }
+
+
+def _json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def structure_from_json_per_predicate(data) -> FiniteMapping:
+    """Structure JSON read one predicate at a time, each value type-checked
+    on its own, with a fresh Signature per call."""
+    if not isinstance(data, dict):
+        raise FormatError(f"expected a structure object, got {type(data).__name__}")
+    try:
+        predicates = tuple(data["predicates"])
+        f = tuple(data["f"])
+        raw_marks = data["marks"]
+        marks = {}
+        for name in predicates:
+            elems = raw_marks[name]
+            if elems != []:
+                marks[name] = frozenset(elems)
+        undeclared = sorted(set(raw_marks).difference(predicates))
+    except (KeyError, TypeError) as failure:
+        raise FormatError(f"malformed structure: {failure!r}") from None
+    if undeclared:
+        raise FormatError(f"marks name undeclared predicates {undeclared!r}")
+    if "n" in data and not (_json_int(data["n"]) and data["n"] == len(f)):
+        raise FormatError(f"n is {data['n']!r} but f has {len(f)} values")
+    if not all(_json_int(w) for w in f):
+        raise FormatError("function values must be integers")
+    if not all(_json_int(v) for elems in marks.values() for v in elems):
+        raise FormatError("mark members must be integers")
+    return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))

@@ -11,7 +11,11 @@ mark sets: measure format version 1 is byte-identical.  The certificate
 pins (the `certificate_digest`, or the `Violation` text, at r = 0, 1 and 2)
 and the repair pins (the masses `approximate_measure` returns, or its
 `Infeasible` text) were recorded before the certificate solver and the
-linear program read their balance equations from one builder.  Each case
+linear program read their balance equations from one builder.  The
+certificate JSON digests are the sha256 of
+`json.dumps(certificate_to_json(cert))` for the r = 1 certificate of each
+pinned measure, recorded before witnesses were written straight from the
+ball instead of through `restrict`.  Each case
 runs in a fresh type table, since canonical ids count the types a table has
 met.  Run this file as a script to print the digests of the current code.
 """
@@ -29,7 +33,7 @@ from mapprox.compress import standard_r_approximation
 from mapprox.errors import Infeasible
 from mapprox.fmtp import Violation, approximate_measure, restricted_fmtp_certificate
 from mapprox.localtypes import TypeMeasure, TypeTable, local_type, type_distribution
-from mapprox.mapfile import dump_map, measure_to_json
+from mapprox.mapfile import certificate_to_json, dump_map, measure_to_json
 from mapprox.realize import certificate_digest
 from mapprox.structure import FiniteMapping, cycle_cut_product, cycle_lengths
 
@@ -134,6 +138,18 @@ MEASURE_GOLDEN = {
         "b02a9ec2a09a6aba707920650962be7b9fc91b7164b17360db63dffa509b65e8",
     "seeded-60-5":
         "c99b46451389a9dc0143aaaf6225d768e94e88978cf4567502e615a885da30f1",
+}
+
+
+# source: sha256 of json.dumps(certificate_to_json(cert)), cert the r = 1
+# certificate of the measure MEASURE_GOLDEN pins for that source
+CERTIFICATE_JSON_GOLDEN = {
+    "seeded-12-2":
+        "ecbe5616cc8abff5806353c39a1ef0c2cea881bd44de9bab376370501ee058a3",
+    "cycles-30-4":
+        "ef3c3e5858947796b961f0fb339ac6273568f3f66dc30bde3ecff430177d3980",
+    "seeded-60-5":
+        "49a4b96903716776d039ac051b4de557ce5bd8a0481d0263c96d1feaeac84873",
 }
 
 
@@ -266,10 +282,19 @@ def digest(name: str) -> str:
     return hashlib.sha256(dump_map(build(name)).encode()).hexdigest()
 
 
-def measure_digest(source: str) -> str:
+def source_measure(source: str) -> TypeMeasure:
     table = TypeTable()
-    mu = type_distribution(cycle_cut_product(INPUTS[source](), 6, 3, table), 3, table)
+    return type_distribution(cycle_cut_product(INPUTS[source](), 6, 3, table), 3, table)
+
+
+def measure_digest(source: str) -> str:
+    mu = source_measure(source)
     return hashlib.sha256(json.dumps(measure_to_json(mu)).encode()).hexdigest()
+
+
+def certificate_json_digest(source: str) -> str:
+    cert = restricted_fmtp_certificate(source_measure(source), 1)
+    return hashlib.sha256(json.dumps(certificate_to_json(cert)).encode()).hexdigest()
 
 
 def test_inputs_have_several_cycles_and_fixed_points():
@@ -288,6 +313,11 @@ def test_measure_digest_pinned(source):
     assert measure_digest(source) == MEASURE_GOLDEN[source]
 
 
+@pytest.mark.parametrize("source", sorted(CERTIFICATE_JSON_GOLDEN))
+def test_certificate_json_digest_pinned(source):
+    assert certificate_json_digest(source) == CERTIFICATE_JSON_GOLDEN[source]
+
+
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_certificate_outcomes_pinned(name):
     assert certificate_outcomes(name) == CERTIFICATE_GOLDEN[name]
@@ -301,5 +331,8 @@ def test_repair_outcome_pinned(name):
 if __name__ == "__main__":
     print(json.dumps({name: digest(name) for name in sorted(CASES)}, indent=4))
     print(json.dumps({s: measure_digest(s) for s in sorted(MEASURE_GOLDEN)}, indent=4))
+    print(json.dumps(
+        {s: certificate_json_digest(s) for s in sorted(CERTIFICATE_JSON_GOLDEN)}, indent=4
+    ))
     print(json.dumps({name: certificate_outcomes(name) for name in sorted(MEASURES)}, indent=4))
     print(json.dumps({name: repair_outcome(name) for name in sorted(REPAIRS)}, indent=4))

@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, path, seeded, star, structurally_equal
-from mapprox.errors import FormatError
+from helpers import (
+    cycle,
+    every_marking,
+    functions_up_to_relabeling,
+    path,
+    seeded,
+    star,
+    structurally_equal,
+)
+from mapprox import mapfile, structure
+from mapprox.errors import FormatError, MapproxError
 from mapprox.fmtp import restricted_fmtp_certificate, verify_certificate
 from mapprox.localtypes import (
     TypeTable,
@@ -35,7 +44,12 @@ from mapprox.mapfile import (
     write_measure,
 )
 from mapprox.realize import realize
-from mapprox.structure import ball, cycle_cut_product
+from mapprox.structure import FiniteMapping, Signature, ball, cycle_cut_product
+from oracles import (
+    structure_from_json_per_predicate,
+    structure_to_json_by_extensions,
+    type_to_json_by_restrict,
+)
 
 TABLE = TypeTable()
 
@@ -178,6 +192,16 @@ class TestStructureJson:
             structure_from_json(
                 {"n": 2, "predicates": ["U"], "f": [0, 0], "marks": {"U": [], "V": [1]}}
             )
+        # predicates and f are JSON arrays, marks an object: a string or an
+        # object of names declares no predicates.
+        for data in (
+            {"predicates": "UV", "f": [0], "marks": {"U": [], "V": [0]}},
+            {"predicates": {"U": 5}, "f": [0], "marks": {"U": []}},
+            {"predicates": ["U"], "f": {0: 0}, "marks": {"U": []}},
+            {"predicates": [], "f": [0], "marks": []},
+        ):
+            with pytest.raises(FormatError, match="must be arrays, its marks an object"):
+                structure_from_json(data)
 
 
 class TestTypeJson:
@@ -305,6 +329,116 @@ class TestCertificateJson:
             entries = [{**first, **ref}, *good["entries"][1:]]
             with pytest.raises(FormatError, match="bad certificate entry"):
                 certificate_from_json({**good, "entries": entries})
+
+
+def json_texts(data) -> tuple[str, str]:
+    return json.dumps(data), json.dumps(data, indent=2)
+
+
+def read_outcome(read, data):
+    """The structure `read` builds from `data`, or the class and text of
+    the error it raises."""
+    try:
+        return read(data)
+    except MapproxError as failure:
+        return type(failure), str(failure)
+
+
+def assert_readers_agree(data):
+    got = read_outcome(structure_from_json, data)
+    expected = read_outcome(structure_from_json_per_predicate, data)
+    if isinstance(expected, tuple):
+        assert got == expected, data
+    else:
+        assert structurally_equal(got, expected), data
+
+
+class TestJsonOracles:
+    """The writer against `restrict` plus a per-predicate writer, and the
+    reader against a per-predicate reader (tests/oracles.py)."""
+
+    def test_exhaustive_small(self):
+        # Every mapping with n <= 4 up to relabeling, under every marking
+        # by one predicate, every element at ranks 0-3.
+        table = TypeTable()
+        for n in (1, 2, 3, 4):
+            for f in functions_up_to_relabeling(n):
+                for F in every_marking(f, ("U",)):
+                    texts = json_texts(structure_to_json(F))
+                    assert texts == json_texts(structure_to_json_by_extensions(F))
+                    assert_readers_agree(json.loads(texts[0]))
+                    for v in F.elements():
+                        for rank in (0, 1, 2, 3):
+                            t = local_type(F, v, rank, table)
+                            texts = json_texts(type_to_json(t))
+                            assert texts == json_texts(type_to_json_by_restrict(t))
+                            assert_readers_agree(json.loads(texts[0])["witness"])
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (10, 2), (12, 3)])
+    def test_cut_measure_entries(self, n, seed):
+        table = TypeTable()
+        mu = type_distribution(cycle_cut_product(seeded(n, seed), 6, 3, table), 3, table)
+        written = measure_to_json(mu)["entries"]
+        assert len(written) == len(mu.entries)
+        for (t, _), entry in zip(mu.entries, written):
+            texts = json_texts(entry["type"])
+            assert texts == json_texts(type_to_json_by_restrict(t))
+            assert_readers_agree(json.loads(texts[0])["witness"])
+
+    def test_malformed_same_error(self):
+        def with_marks(marks):
+            return {"n": 2, "predicates": ["U", "V"], "f": [1, 0], "marks": marks}
+
+        cases = [
+            with_marks({"U": [0]}),  # V missing
+            with_marks({"U": [0], "V": [], "W": [1]}),  # W undeclared
+        ]
+        for member in (0, None, 3, "a", True, 0.5):
+            for members in (member, [member]):
+                cases.append(with_marks({"U": members, "V": []}))
+                cases.append(with_marks({"U": [0], "V": members}))
+        errors = 0
+        for data in cases:
+            assert_readers_agree(data)
+            errors += isinstance(read_outcome(structure_from_json, data), tuple)
+        assert errors == len(cases) - 2  # only [0] is a valid member list
+
+
+class TestWitnessCost:
+    def cut_measure_and_certificate(self):
+        table = TypeTable()
+        mu = type_distribution(cycle_cut_product(seeded(10, 2), 6, 3, table), 3, table)
+        return mu, restricted_fmtp_certificate(mu, 1)
+
+    def test_readers_share_one_signature(self, monkeypatch):
+        mu, cert = self.cut_measure_and_certificate()
+        measure = json.loads(json.dumps(measure_to_json(mu)))
+        certificate = json.loads(json.dumps(certificate_to_json(cert)))
+        built = []
+        post_init = Signature.__post_init__
+
+        def counted(self):
+            built.append(self.predicates)
+            post_init(self)
+
+        monkeypatch.setattr(Signature, "__post_init__", counted)
+        measure_from_json(measure, table=TypeTable())
+        assert len(built) == 1
+        certificate_from_json(certificate, table=TypeTable())
+        assert len(built) == 2
+
+    def test_writers_build_no_structure(self, monkeypatch):
+        mu, cert = self.cut_measure_and_certificate()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a witness structure was built")
+
+        monkeypatch.setattr(structure, "restrict", refuse)
+        # and the writer's own name for it, where it imports one
+        monkeypatch.setattr(mapfile, "restrict", refuse, raising=False)
+        monkeypatch.setattr(FiniteMapping, "__post_init__", refuse)
+        measure_to_json(mu)
+        certificate_to_json(cert)
 
 
 class TestJsonable:
