@@ -27,6 +27,7 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -151,7 +152,8 @@ class CompanionCertificate:
 def _support_universe(mu: TypeMeasure, r: int):
     """Rank-r types under the support plus the transport images, keyed,
     and (tau, its rank-r projection, its image's rank-r type, mass) per
-    support type."""
+    support type.  Each measure derives them once per r, in
+    _balance_equations, which keeps them."""
     reps: dict[tuple[int, int], LocalType] = {}
     proj: list[tuple[LocalType, LocalType, LocalType, Fraction]] = []
     images: dict[tuple[int, int], LocalType] = {}
@@ -176,9 +178,9 @@ def restricted_fmtp_certificate(
     later call, so the pipeline's report and realize's preconditions share
     one solve.
     """
-    found = mu._certificates.get(r)
+    found = mu._per_rank.get(("certificate", r))
     if found is None:
-        found = mu._certificates[r] = _solve_certificate(mu, r)
+        found = mu._per_rank["certificate", r] = _solve_certificate(mu, r)
     return found
 
 
@@ -186,7 +188,9 @@ def _balance_equations(mu: TypeMeasure, r: int):
     """The balance equations of mu at rank r, as the solver and the LP read
     them: (universe, support rows as _support_universe gives them, number
     of free unknowns, equations), the equations keyed (j1, j2) by universe
-    index in ascending order.
+    index in ascending order.  They are built once per measure and r and
+    kept on mu, so the solver, verify_certificate, the LP repair and
+    realize read one derivation; no caller may change them.
 
     Only the equations a flow or a preimage count touches are listed; any
     other holds as 0 = 0.  Each is (flow, forced, free): the support
@@ -197,6 +201,9 @@ def _balance_equations(mu: TypeMeasure, r: int):
     At r = 0 every universe type is an unknown of every support type, with
     count 0, so no preimage is typed.
     """
+    found = mu._per_rank.get(("equations", r))
+    if found is not None:
+        return found
     universe, proj = _support_universe(mu, r)
     order = {t.key: index for index, t in enumerate(universe)}
     equations: dict[tuple[int, int], tuple[list, list, list]] = {}
@@ -216,7 +223,9 @@ def _balance_equations(mu: TypeMeasure, r: int):
             else:
                 free.append((i, num_free))
                 num_free += 1
-    return universe, proj, num_free, dict(sorted(equations.items()))
+    found = universe, proj, num_free, dict(sorted(equations.items()))
+    mu._per_rank["equations", r] = found
+    return found
 
 
 def _solve_certificate(
@@ -228,22 +237,29 @@ def _solve_certificate(
     overshoot the left side and the free weight can absorb the remainder
     at values >= r.  The head free unknown takes the remainder, the others
     r, and zero values are left out of the entries.
+
+    Sums are taken in integers: each mass is its numerator over the common
+    denominator D = lcm of the masses' denominators, and a Fraction is
+    built only for a companion value, once per value up to r, and for a
+    violation's two sides.
     """
     if mu.rank < 2 * r + 1:
         raise RankTooLow(f"certificates need measure rank >= {2 * r + 1}")
     universe, proj, _, equations = _balance_equations(mu, r)
     taus = [tau for tau, *_ in proj]
-    masses = [mass for *_, mass in proj]
-    zero = Fraction(0)
+    D = math.lcm(*(mass.denominator for *_, mass in proj))
+    units = [mass.numerator * (D // mass.denominator) for *_, mass in proj]
+    whole = [Fraction(k) for k in range(r + 1)]
     entries: list[tuple[LocalType, LocalType, Fraction]] = []
     for (j1, j2), (flow, forced, free) in equations.items():
         t1, t2 = universe[j1], universe[j2]
-        lhs = sum((masses[i] for i in flow), zero)
-        pinned = sum((count * masses[i] for i, count in forced), zero)
-        entries.extend((taus[i], t1, Fraction(count)) for i, count in forced)
+        lhs = sum(units[i] for i in flow)
+        pinned = sum(count * units[i] for i, count in forced)
+        entries.extend((taus[i], t1, whole[count]) for i, count in forced)
         remainder = lhs - pinned
         if not free:
             if remainder != 0:
+                lhs, pinned = Fraction(lhs, D), Fraction(pinned, D)
                 return Violation(
                     check="balance",
                     detail=(
@@ -256,28 +272,33 @@ def _solve_certificate(
                     rhs=pinned,
                 )
             continue
-        floor = r * sum(masses[i] for i, _ in free)
+        floor = r * sum(units[i] for i, _ in free)
         if remainder < floor:
+            lhs, least = Fraction(lhs, D), Fraction(pinned + floor, D)
             return Violation(
                 check="balance",
                 detail=(
                     f"flow into {t1!r} from {t2!r}-typed mass is at "
-                    f"least {pinned + floor}, but the left side is {lhs}"
+                    f"least {least}, but the left side is {lhs}"
                 ),
                 t1=t1,
                 t2=t2,
                 lhs=lhs,
-                rhs=pinned + floor,
+                rhs=least,
             )
-        head = Fraction(r) + (remainder - floor) / masses[free[0][0]]
-        values = [head] + [Fraction(r)] * (len(free) - 1)
+        unit = units[free[0][0]]
+        head = Fraction(r * unit + remainder - floor, unit)
+        values = [head] + [whole[r]] * (len(free) - 1)
         entries.extend((taus[i], t1, s) for (i, _), s in zip(free, values) if s)
     return CompanionCertificate(R=mu.rank, r=r, entries=tuple(entries))
 
 
 def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
-    """Re-evaluate both certificate conditions from scratch.
+    """Re-evaluate both certificate conditions.
 
+    The universe and support rows are the ones the solver read, shared
+    through _balance_equations; the sums are this function's own, in
+    Fractions, so the solver's integer arithmetic is checked, not reused.
     Certificates are sparse: a (tau, t) pair without an entry claims
     s(tau, t) = 0.  Pairs outside the support-and-images universe are not
     part of the restricted principle and are ignored.
@@ -285,7 +306,7 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
     r = cert.r
     if cert.R != mu.rank:
         return False
-    universe, proj = _support_universe(mu, r)
+    universe, proj, _, _ = _balance_equations(mu, r)
     universe_keys = {t.key for t in universe}
     zero = Fraction(0)
     s_by_tau: dict[tuple, dict[tuple, Fraction]] = {}

@@ -218,6 +218,8 @@ class TypeTable:
             weakref.WeakKeyDictionary()
         )
         self._adm_tables: dict[tuple[int, int], dict] = {}
+        # rank-R value -> the rank-(R - 1) value of its witness's image.
+        self._images: dict[int, int] = {}
         # shift -> (layer renaming, renamed rows, shifted values), and the
         # same for each set of forgotten names.
         self._shifts: dict[int, tuple[dict, dict, dict]] = {}
@@ -662,10 +664,23 @@ def project(t: LocalType, r: int) -> LocalType:
 
 
 def transport(t: LocalType) -> LocalType:
-    """The rank-(r-1) type of the image of the witness element."""
+    """The rank-(r-1) type of the image of the witness element.
+
+    The first player may open t's r-round game by placing the image, and
+    r - 1 rounds are left, so t's type fixes the image's rank-(r-1) type:
+    transport is a function of the type, which one value t.nv names in t's
+    table.  The table keeps the image's value per t.nv, as
+    adm_minus_table keeps preimage counts, so a repeated call is one dict
+    hit; the witness returned is t's own image.
+    """
     if t.rank == 0:
         raise RankZero("transport needs rank >= 1")
-    return local_type(t.structure, t.structure.f[t.element], t.rank - 1, t.table)
+    table, F = t.table, t.structure
+    image = F.f[t.element]
+    nv = table._images.get(t.nv)
+    if nv is None:
+        nv = table._images[t.nv] = table.nv_value(F, (image,), t.rank - 1)
+    return LocalType(t.rank - 1, F, image, nv, table.canonical_id(nv), table)
 
 
 def adm_plus(tau: LocalType, t: LocalType) -> int:
@@ -770,9 +785,10 @@ class TypeMeasure:
         return {t.key: mass for t, mass in self.entries}
 
     @cached_property
-    def _certificates(self) -> dict[int, object]:
-        """Restricted certificates (or violations) of this measure by rank
-        r, each solved once by fmtp.restricted_fmtp_certificate."""
+    def _per_rank(self) -> dict[tuple[str, int], object]:
+        """What fmtp derives from this measure at rank r, each built once:
+        its balance equations, keyed ("equations", r), and its restricted
+        certificate or violation, keyed ("certificate", r)."""
         return {}
 
     @property

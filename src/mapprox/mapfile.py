@@ -222,7 +222,8 @@ def _structure_from_json(data, signatures: dict) -> FiniteMapping:
         values = raw_marks.values()
         given = compress(raw_marks.items(), values)
         marks = {name: frozenset(elems) for name, elems in given}
-        if not {*map(type, values)} <= {list, tuple}:
+        arrays = {*map(type, values)} <= {list, tuple}
+        if not arrays:
             # JSON null, false and 0 are no member lists either: set() of
             # one raises, as it does of a non-empty one such as 3 above.
             list(map(frozenset, values))
@@ -234,6 +235,10 @@ def _structure_from_json(data, signatures: dict) -> FiniteMapping:
         raise FormatError("function values must be integers")
     if not {*map(type, chain.from_iterable(marks.values()))} <= {int}:
         raise FormatError("mark members must be integers")
+    # Checked last, so that a string such as "a" keeps the text above; an
+    # empty string or object is no empty member list.
+    if not arrays:
+        raise FormatError("mark member lists must be arrays")
     if predicates not in signatures:
         signatures[predicates] = Signature(predicates)
     return FiniteMapping(f=f, marks=marks, signature=signatures[predicates])

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .fmtp import (
     Violation,
+    _balance_equations,
     check_realizability_preconditions,
     restricted_fmtp_certificate,
 )
@@ -46,7 +47,6 @@ from .localtypes import (
     _valued_distribution,
     adm_minus,
     adm_minus_table,
-    adm_plus,
     measure_tv,
     project,
     transport,
@@ -153,15 +153,15 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
 
     # One contiguous block of elements per support type, in support order,
     # as (type, rank-r projection, elements), and the blocks of each
-    # projection.  Every projection is taken before any image type, as
-    # canonical ids are handed out on first use.
+    # projection.  Projections and image types are the certificate's
+    # support rows, derived once per measure.
+    _, rows, _, _ = _balance_equations(mu, r)
     blocks: list[tuple[LocalType, LocalType, range]] = []
     by_projection: dict[tuple, list] = {}
-    for tau, elements in _blocks(mu, n_elements):
-        t1 = project(tau, r)
+    for (tau, elements), (_, t1, _, _) in zip(_blocks(mu, n_elements), rows):
         blocks.append((tau, t1, elements))
         by_projection.setdefault(t1.key, []).append(blocks[-1])
-    image_keys = [project(transport(tau), r).key for tau, _, _ in blocks]
+    image_keys = [img.key for _, _, img, _ in rows]
 
     # The targets for a (t1, t2) pair: the blocks projecting to t2, grouped
     # by capacity for t1-typed preimages, ascending, each group with a
@@ -222,10 +222,12 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
 
 def _blocks(mu: TypeMeasure, n: int) -> list[tuple[LocalType, range]]:
     """The contiguous block of elements each support type of mu labels in
-    its realization on n elements, in support order."""
+    its realization on n elements, in support order.  n is a multiple of
+    every mass's denominator, so each block size is an exact integer."""
     blocks, start = [], 0
     for tau, mass in mu:
-        blocks.append((tau, range(start, start + int(n * mass))))
+        size = n * mass.numerator // mass.denominator
+        blocks.append((tau, range(start, start + size)))
         start = blocks[-1][1].stop
     assert start == n
     return blocks
@@ -294,28 +296,24 @@ def verify_upsilon(F: FiniteMapping, upsilon: dict, r: int) -> bool:
         if F.mark_sets[v] != witness_structure.mark_sets[w]:
             return False
 
-    plus_cache: dict[tuple, bool] = {}
+    # Each distinct label's rank-r key and its image type's rank-r key,
+    # read through transport's memo; both conditions below use them.
+    # adm_plus(tau, t) = 1 exactly when tau's image type projects to t.
+    keys: dict[tuple, tuple] = {}
+    for tau in map(upsilon.__getitem__, F.elements()):
+        if tau.key not in keys:
+            keys[tau.key] = (project(tau, r).key, project(transport(tau), r).key)
     for v in F.elements():
-        tau = upsilon[v]
-        image_t = project(upsilon[F.f[v]], r)
-        key = (tau.key, image_t.key)
-        ok = plus_cache.get(key)
-        if ok is None:
-            ok = adm_plus(tau, image_t) == 1
-            plus_cache[key] = ok
-        if not ok:
+        if keys[upsilon[v].key][1] != keys[upsilon[F.f[v]].key][0]:
             return False
 
     # adm_minus(tau, t) = min(r + 1, count in adm_minus_table(tau, r)), and
     # min(r, min(r + 1, x)) = min(r, x), so the table gives condition (4).
     pre = F.pre
-    low_cache: dict[tuple, tuple] = {}
     for v in F.elements():
         actual: dict[tuple, int] = {}
         for u in pre[v]:
-            low = low_cache.get(upsilon[u].key)
-            if low is None:
-                low = low_cache[upsilon[u].key] = project(upsilon[u], r).key
+            low = keys[upsilon[u].key][0]
             actual[low] = actual.get(low, 0) + 1
         forced = adm_minus_table(upsilon[v], r)
         for t_key in forced.keys() | actual.keys():

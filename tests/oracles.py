@@ -4,20 +4,24 @@ Everything here is deliberately naive and shares no code with the package
 internals, so the fast implementations can be cross-checked against it on
 small inputs.  The exceptions are realize_two_pass, realize's earlier
 assignment loop kept as the reference for its block-by-block rewrite: it
-reads types through the package's projection, transport and capacity; and
+reads types through the package's projection, transport and capacity;
 the structure JSON writer and reader as they were before witnesses were
 written straight from the ball, which build and read structures through
-the package's `restrict`, `Signature` and `FiniteMapping`.
+the package's `restrict`, `Signature` and `FiniteMapping`; and the
+certificate solver and label check as they were before each support type
+was derived once per measure, which read the package's balance equations
+and types and keep their own Fraction sums and per-element image types.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from mapprox.errors import FormatError, Stuck
-from mapprox.localtypes import adm_minus, project, transport
+from mapprox.errors import FormatError, RankTooLow, Stuck
+from mapprox.fmtp import CompanionCertificate, Violation, _balance_equations
+from mapprox.localtypes import adm_minus, adm_minus_table, local_type, project, transport
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
-from mapprox.structure import FiniteMapping, Signature, ball, restrict
+from mapprox.structure import FiniteMapping, Signature, ball, cycle_lengths, restrict
 
 __all__ = [
     "local_game",
@@ -39,6 +43,8 @@ __all__ = [
     "structure_to_json_by_extensions",
     "type_to_json_by_restrict",
     "structure_from_json_per_predicate",
+    "solve_certificate_by_fractions",
+    "verify_upsilon_per_element",
 ]
 
 
@@ -588,3 +594,101 @@ def structure_from_json_per_predicate(data) -> FiniteMapping:
     if not all(_json_int(v) for elems in marks.values() for v in elems):
         raise FormatError("mark members must be integers")
     return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))
+
+
+def solve_certificate_by_fractions(mu, r: int):
+    """The certificate solver with every sum taken in Fractions, on the
+    balance equations `_balance_equations` builds: the same entries in the
+    same order, or the same Violation."""
+    if mu.rank < 2 * r + 1:
+        raise RankTooLow(f"certificates need measure rank >= {2 * r + 1}")
+    universe, proj, _, equations = _balance_equations(mu, r)
+    taus = [tau for tau, *_ in proj]
+    masses = [mass for *_, mass in proj]
+    zero = Fraction(0)
+    entries = []
+    for (j1, j2), (flow, forced, free) in equations.items():
+        t1, t2 = universe[j1], universe[j2]
+        lhs = sum((masses[i] for i in flow), zero)
+        pinned = sum((count * masses[i] for i, count in forced), zero)
+        entries.extend((taus[i], t1, Fraction(count)) for i, count in forced)
+        remainder = lhs - pinned
+        if not free:
+            if remainder != 0:
+                return Violation(
+                    check="balance",
+                    detail=(
+                        f"flow into {t1!r} from {t2!r}-typed mass is "
+                        f"forced to {pinned}, needed {lhs}"
+                    ),
+                    t1=t1,
+                    t2=t2,
+                    lhs=lhs,
+                    rhs=pinned,
+                )
+            continue
+        floor = r * sum(masses[i] for i, _ in free)
+        if remainder < floor:
+            return Violation(
+                check="balance",
+                detail=(
+                    f"flow into {t1!r} from {t2!r}-typed mass is at "
+                    f"least {pinned + floor}, but the left side is {lhs}"
+                ),
+                t1=t1,
+                t2=t2,
+                lhs=lhs,
+                rhs=pinned + floor,
+            )
+        head = Fraction(r) + (remainder - floor) / masses[free[0][0]]
+        values = [head] + [Fraction(r)] * (len(free) - 1)
+        entries.extend((taus[i], t1, s) for (i, _), s in zip(free, values) if s)
+    return CompanionCertificate(R=mu.rank, r=r, entries=tuple(entries))
+
+
+def verify_upsilon_per_element(F: FiniteMapping, upsilon: dict, r: int) -> bool:
+    """verify_upsilon with each element's image check made on its own: the
+    label's image type typed afresh from its witness (no transport memo)
+    and compared with the image's label projected, per (label, image
+    projection) pair."""
+    for v in F.elements():
+        if v not in upsilon:
+            raise ValueError(f"upsilon must be total; element {v} is missing")
+        if upsilon[v].rank < 2 * r + 1:
+            raise RankTooLow(
+                f"labels must have rank >= {2 * r + 1}, got {upsilon[v].rank}"
+            )
+
+    for length in cycle_lengths(F):
+        if 1 < length <= r + 1:
+            return False
+
+    for v in F.elements():
+        witness_structure, w = upsilon[v].witness
+        if F.mark_sets[v] != witness_structure.mark_sets[w]:
+            return False
+
+    plus_cache = {}
+    for v in F.elements():
+        tau = upsilon[v]
+        image_t = project(upsilon[F.f[v]], r)
+        key = (tau.key, image_t.key)
+        ok = plus_cache.get(key)
+        if ok is None:
+            W, w = tau.witness
+            image = local_type(W, W.f[w], tau.rank - 1, tau.table)
+            ok = plus_cache[key] = project(image, r).key == image_t.key
+        if not ok:
+            return False
+
+    pre = F.pre
+    for v in F.elements():
+        actual = {}
+        for u in pre[v]:
+            low = project(upsilon[u], r).key
+            actual[low] = actual.get(low, 0) + 1
+        forced = adm_minus_table(upsilon[v], r)
+        for t_key in forced.keys() | actual.keys():
+            if min(r, forced.get(t_key, 0)) != min(r, actual.get(t_key, 0)):
+                return False
+    return True

@@ -172,7 +172,8 @@ class TestStructureJson:
             structure_from_json(
                 {"n": 1, "predicates": [], "f": ["0"], "marks": {}}
             )
-        for members in (["a"], [0.5], [None], 3, [False], [True]):
+        # An empty string or object, or a Python set, is no member list.
+        for members in (["a"], [0.5], [None], 3, [False], [True], "", {}, {0}):
             with pytest.raises(FormatError):
                 structure_from_json(
                     {"n": 1, "predicates": ["U"], "f": [0], "marks": {"U": members}}
