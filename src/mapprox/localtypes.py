@@ -104,6 +104,7 @@ a list stored there brings those rescans back.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -743,7 +744,6 @@ class TypeMeasure:
     entries: tuple[tuple[LocalType, Fraction], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
         seen: set[tuple[int, int]] = set()
         table = None
         for t, mass in self.entries:
@@ -760,9 +760,12 @@ class TypeMeasure:
             seen.add(t.key)
             if mass <= 0:
                 raise MeasureError(f"mass of {t!r} must be positive, got {mass}")
-            total += mass
-        if total != 1:
-            raise MeasureError(f"masses sum to {total}, expected 1")
+        # In integers: each mass is its numerator over the masses' common
+        # denominator, not one Fraction addition per entry.
+        common = math.lcm(*(mass.denominator for _, mass in self.entries))
+        units = sum(m.numerator * (common // m.denominator) for _, m in self.entries)
+        if units != common:
+            raise MeasureError(f"masses sum to {Fraction(units, common)}, expected 1")
 
     @staticmethod
     def from_pairs(rank: int, pairs) -> "TypeMeasure":

@@ -18,8 +18,12 @@ hold, not in witnesses times predicates.  A witness is written straight
 from its ball in the source structure, with no restricted structure
 built, and each empty member list in the returned data is the shared
 `()`, which `json` writes as `[]`.  A reader keeps only the non-empty
-member lists, and the witnesses of one file share one `Signature` per
-distinct predicate tuple.
+member lists.  It checks each witness on its own, then reads the
+witnesses of one file that declare one predicate tuple into one disjoint
+union and types each root there, offset by the elements before its
+witness: one `FiniteMapping` per tuple, not per witness.  A type read
+back has that union as its structure, so one kept type keeps the whole
+union alive; `type_to_json` writes it back byte for byte all the same.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from itertools import chain, compress
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError
+from .errors import ElementOutOfRange, FormatError
 from .fmtp import CompanionCertificate
 from .localtypes import LocalType, TypeMeasure, TypeTable, local_type
-from .structure import FiniteMapping, Signature, ball
+from .structure import FiniteMapping, Signature, _check_domain, ball, _side_by_side
 
 __all__ = [
     "MAP_VERSION",
@@ -65,6 +69,7 @@ CERTIFICATE_VERSION = 1
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMBER = re.compile(r"(?:0|[1-9][0-9]*)\Z")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?\Z")
 _RECORD = re.compile(r"(0|[1-9][0-9]*) -> (0|[1-9][0-9]*) \[([^\[\]]*)\]\Z")
 
 
@@ -79,12 +84,13 @@ def fraction_to_text(value) -> str:
 
 
 def fraction_from_text(text, line: Optional[int] = None) -> Fraction:
+    """The rational "p/q" or "p" (docs/formats.md): an optional minus sign,
+    decimal digits, then optionally "/" and a positive denominator."""
     if not isinstance(text, str):
         raise FormatError(f"expected a rational written as 'p/q', got {text!r}", line)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"not a rational: {text!r}", line) from None
+    if not _RATIONAL.match(text):
+        raise FormatError(f"not a rational: {text!r}", line)
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +203,14 @@ def structure_to_json(F: FiniteMapping) -> dict:
 
 
 def structure_from_json(data) -> FiniteMapping:
-    return _structure_from_json(data, {})
+    predicates, f, marks = _structure_from_json(data)
+    return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))
 
 
-def _structure_from_json(data, signatures: dict) -> FiniteMapping:
-    """The reader behind `structure_from_json`; `signatures` maps each
-    predicate tuple already read to its `Signature`, so that the witnesses
-    of one file share one."""
+def _structure_from_json(data) -> tuple:
+    """The predicates, f and non-empty marks of structure JSON, after every
+    check of `structure_from_json` up to the domain's, which the
+    `FiniteMapping` built from them makes; no structure is built."""
     if not isinstance(data, dict):
         raise FormatError(f"expected a structure object, got {type(data).__name__}")
     predicates, f, raw_marks = (data.get(key) for key in ("predicates", "f", "marks"))
@@ -218,10 +225,12 @@ def _structure_from_json(data, signatures: dict) -> FiniteMapping:
             undeclared = sorted(raw_marks.keys() - set(predicates))
             raise FormatError(f"marks name undeclared predicates {undeclared!r}")
         # A witness holds few of its predicates: keep the non-empty member
-        # lists, picked in C, and leave the rest to the constructor.
+        # lists of `data`, picked in C, and leave the rest to the
+        # constructor.  set() of all their members raises what set() of
+        # each would, for a member list such as 3 or one holding a list.
         values = raw_marks.values()
-        given = compress(raw_marks.items(), values)
-        marks = {name: frozenset(elems) for name, elems in given}
+        marks = dict(compress(raw_marks.items(), values))
+        frozenset(chain.from_iterable(marks.values()))
         arrays = {*map(type, values)} <= {list, tuple}
         if not arrays:
             # JSON null, false and 0 are no member lists either: set() of
@@ -233,15 +242,16 @@ def _structure_from_json(data, signatures: dict) -> FiniteMapping:
         raise FormatError(f"n is {data['n']!r} but f has {len(f)} values")
     if not {*map(type, f)} <= {int}:
         raise FormatError("function values must be integers")
+    # Of the members as written: a set of 0 and false keeps one of them.
     if not {*map(type, chain.from_iterable(marks.values()))} <= {int}:
         raise FormatError("mark members must be integers")
     # Checked last, so that a string such as "a" keeps the text above; an
     # empty string or object is no empty member list.
     if not arrays:
         raise FormatError("mark member lists must be arrays")
-    if predicates not in signatures:
-        signatures[predicates] = Signature(predicates)
-    return FiniteMapping(f=f, marks=marks, signature=signatures[predicates])
+    if len(raw_marks) < len(predicates):
+        Signature(predicates)  # raises DuplicatePredicate for the first twin
+    return predicates, f, marks
 
 
 def type_to_json(t: LocalType) -> dict:
@@ -257,12 +267,13 @@ def type_to_json(t: LocalType) -> dict:
 
 
 def type_from_json(data, table: Optional[TypeTable] = None) -> LocalType:
-    return _type_from_json(data, table, {})
+    return _local_types([_type_from_json(data)], table)[0]
 
 
-def _type_from_json(data, table: Optional[TypeTable], signatures: dict) -> LocalType:
-    """The reader behind `type_from_json`; a file's readers pass one
-    `signatures` for all its types (see `_structure_from_json`)."""
+def _type_from_json(data) -> tuple:
+    """The rank, root, predicates, f and marks of type JSON, after every
+    check of `type_from_json`, its witness's domain and root included; no
+    structure is built (see `_local_types`)."""
     if not isinstance(data, dict):
         raise FormatError(f"expected a type object, got {type(data).__name__}")
     try:
@@ -274,8 +285,33 @@ def _type_from_json(data, table: Optional[TypeTable], signatures: dict) -> Local
         raise FormatError(f"bad type rank {rank!r}")
     if type(root) is not int:
         raise FormatError(f"bad type root {root!r}")
-    witness = _structure_from_json(witness, signatures)
-    return local_type(witness, root, rank, table=table)
+    predicates, f, marks = _structure_from_json(witness)
+    _check_domain(f, marks)
+    if not 0 <= root < len(f):
+        raise ElementOutOfRange(root, len(f))
+    return rank, root, predicates, f, marks
+
+
+def _local_types(parts, table: Optional[TypeTable]) -> list[LocalType]:
+    """The types of checked type JSON parts (`_type_from_json`), in order.
+
+    The witnesses that declare one predicate tuple are read into one
+    structure side by side, each shifted by the elements before it, and
+    each root is typed there: one structure, and one mark, preimage and
+    cycle table and type-table cache, per tuple rather than per witness.
+    A local game moves only to neighbours, so a root has the same type in
+    the union as in its own witness, and its radius-(rank + 1) ball, which
+    `type_to_json` writes, is the same ball."""
+    groups: dict[tuple, list] = {}
+    sizes: dict[tuple, int] = {}
+    roots = []
+    for rank, root, predicates, f, marks in parts:
+        offset = sizes.get(predicates, 0)
+        sizes[predicates] = offset + len(f)
+        groups.setdefault(predicates, []).append((f, marks))
+        roots.append((predicates, offset + root, rank))
+    unions = {p: _side_by_side(group, Signature(p)) for p, group in groups.items()}
+    return [local_type(unions[p], v, rank, table) for p, v, rank in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +342,13 @@ def measure_from_json(data, table: Optional[TypeTable] = None) -> TypeMeasure:
     entries = data.get("entries")
     if not isinstance(entries, list):
         raise FormatError("measure entries must be a list")
-    pairs = []
-    signatures: dict = {}
+    masses, parts = [], []
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError("measure entries must be objects")
-        mass = fraction_from_text(entry.get("mass"))
-        pairs.append((_type_from_json(entry.get("type"), table, signatures), mass))
-    return TypeMeasure.from_pairs(rank, pairs)
+        masses.append(fraction_from_text(entry.get("mass")))
+        parts.append(_type_from_json(entry.get("type")))
+    return TypeMeasure.from_pairs(rank, zip(_local_types(parts, table), masses))
 
 
 def read_measure(path, table: Optional[TypeTable] = None) -> TypeMeasure:
@@ -370,8 +405,7 @@ def certificate_from_json(data, table: Optional[TypeTable] = None) -> CompanionC
     raw_types = data.get("types")
     if not isinstance(raw_types, list):
         raise FormatError("certificate types must be a list")
-    signatures: dict = {}
-    types = [_type_from_json(item, table, signatures) for item in raw_types]
+    types = _local_types(list(map(_type_from_json, raw_types)), table)
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         raise FormatError("certificate entries must be a list")

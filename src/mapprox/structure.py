@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -88,13 +88,8 @@ class FiniteMapping:
     signature: Signature = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        n = len(self.f)
-        if n == 0:
-            raise EmptyDomain("a mapping needs at least one element")
-        for v, w in enumerate(self.f):
-            if type(w) is not int or not 0 <= w < n:
-                raise OutOfRangeImage(v, w, n)
         given = {name: frozenset(elems) for name, elems in self.marks.items()}
+        _check_domain(self.f, given)
         if self.signature is None:
             object.__setattr__(self, "signature", Signature(tuple(sorted(given))))
         # Linear in the given marks plus one C-level pass over the names, not
@@ -107,17 +102,6 @@ class FiniteMapping:
             undeclared = next(name for name in given if name not in predicates)
             raise UnknownPredicate(undeclared)
         object.__setattr__(self, "marks", marks)
-        # Only an int is an element: a bool or float member would be written
-        # out as JSON true or 0.0, which no reader takes back.  One pass over
-        # all members: a measure file's witnesses hold many small marks.
-        if not {*map(type, chain.from_iterable(given.values()))} <= {int}:
-            members = chain.from_iterable(given.values())
-            raise ElementOutOfRange(next(v for v in members if type(v) is not int), n)
-        for elems in given.values():
-            if elems and (min(elems) < 0 or max(elems) >= n):
-                raise ElementOutOfRange(
-                    next(v for v in sorted(elems) if not 0 <= v < n), n
-                )
 
     @property
     def n(self) -> int:
@@ -210,6 +194,31 @@ class FiniteMapping:
 
     def __repr__(self):
         return f"FiniteMapping(n={self.n}, predicates={self.signature.predicates})"
+
+
+def _check_domain(f: Sequence[int], marks: Mapping[str, Collection[int]]) -> None:
+    """Raise what keeps images f and `marks` from being a mapping on
+    0..len(f)-1, as `FiniteMapping` does: EmptyDomain, then OutOfRangeImage
+    for the first image that is no element, then ElementOutOfRange for the
+    first member that is no int, else for the least member outside the
+    domain of the first mark that holds one."""
+    n = len(f)
+    if n == 0:
+        raise EmptyDomain("a mapping needs at least one element")
+    if not {*map(type, f)} <= {int} or min(f) < 0 or max(f) >= n:
+        v = next(v for v, w in enumerate(f) if type(w) is not int or not 0 <= w < n)
+        raise OutOfRangeImage(v, f[v], n)
+    # Only an int is an element: a bool or float member would be written
+    # out as JSON true or 0.0, which no reader takes back.  One pass over
+    # all members: a measure file's witnesses hold many small marks.
+    if not {*map(type, chain.from_iterable(marks.values()))} <= {int}:
+        members = chain.from_iterable(marks.values())
+        raise ElementOutOfRange(next(v for v in members if type(v) is not int), n)
+    for elems in marks.values():
+        if elems and (min(elems) < 0 or max(elems) >= n):
+            raise ElementOutOfRange(
+                next(v for v in sorted(elems) if not 0 <= v < n), n
+            )
 
 
 def validate(raw: Mapping) -> FiniteMapping:
@@ -357,14 +366,20 @@ def disjoint_union(first: FiniteMapping, *rest: FiniteMapping) -> FiniteMapping:
             raise SignatureMismatch(
                 f"cannot union {first.signature.predicates} with {B.signature.predicates}"
             )
-    f = list(first.f)
-    marks = {name: set(elems) for name, elems in first.marks.items()}
-    for B in rest:
+    return _side_by_side([(B.f, B.marks) for B in (first, *rest)], first.signature)
+
+
+def _side_by_side(parts, signature: Signature) -> FiniteMapping:
+    """The mapping of (f, marks) parts side by side, each part's elements
+    shifted by the sizes of the parts before it."""
+    f: list[int] = []
+    marks: dict[str, list[int]] = {}
+    for images, extensions in parts:
         shift = len(f)
-        f.extend(w + shift for w in B.f)
-        for name, elems in B.marks.items():
-            marks[name].update(v + shift for v in elems)
-    return FiniteMapping(f=tuple(f), marks=marks, signature=first.signature)
+        f += [w + shift for w in images]
+        for name, elems in extensions.items():
+            marks.setdefault(name, []).extend([v + shift for v in elems])
+    return FiniteMapping(f=tuple(f), marks=marks, signature=signature)
 
 
 def restrict(F: FiniteMapping, X: Iterable[int]) -> FiniteMapping:

@@ -7,7 +7,11 @@ assignment loop kept as the reference for its block-by-block rewrite: it
 reads types through the package's projection, transport and capacity;
 the structure JSON writer and reader as they were before witnesses were
 written straight from the ball, which build and read structures through
-the package's `restrict`, `Signature` and `FiniteMapping`; and the
+the package's `restrict`, `Signature` and `FiniteMapping`; the measure
+and certificate readers as they were before a file's witnesses were read
+into one union per predicate tuple, which build one `FiniteMapping` per
+witness and type each root there through the package's `local_type` and
+read rationals with its `fraction_from_text`; and the
 certificate solver and label check as they were before each support type
 was derived once per measure, which read the package's balance equations
 and types and keep their own Fraction sums and per-element image types.
@@ -19,8 +23,16 @@ from itertools import combinations, product
 
 from mapprox.errors import FormatError, RankTooLow, Stuck
 from mapprox.fmtp import CompanionCertificate, Violation, _balance_equations
-from mapprox.localtypes import adm_minus, adm_minus_table, local_type, project, transport
+from mapprox.localtypes import (
+    TypeMeasure,
+    adm_minus,
+    adm_minus_table,
+    local_type,
+    project,
+    transport,
+)
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
+from mapprox.mapfile import fraction_from_text
 from mapprox.structure import FiniteMapping, Signature, ball, cycle_lengths, restrict
 
 __all__ = [
@@ -43,6 +55,8 @@ __all__ = [
     "structure_to_json_by_extensions",
     "type_to_json_by_restrict",
     "structure_from_json_per_predicate",
+    "measure_from_json_per_witness",
+    "certificate_from_json_per_witness",
     "solve_certificate_by_fractions",
     "verify_upsilon_per_element",
 ]
@@ -594,6 +608,113 @@ def structure_from_json_per_predicate(data) -> FiniteMapping:
     if not all(_json_int(v) for elems in marks.values() for v in elems):
         raise FormatError("mark members must be integers")
     return FiniteMapping(f=f, marks=marks, signature=Signature(predicates))
+
+
+def _structure_per_witness(data, signatures: dict) -> FiniteMapping:
+    """One witness read into its own FiniteMapping, the witnesses of one
+    file sharing one Signature per predicate tuple through `signatures`."""
+    if not isinstance(data, dict):
+        raise FormatError(f"expected a structure object, got {type(data).__name__}")
+    predicates, f, raw_marks = (data.get(key) for key in ("predicates", "f", "marks"))
+    if not (type(predicates) is type(f) is list and isinstance(raw_marks, dict)):
+        raise FormatError("structure predicates and f must be arrays, its marks an object")
+    predicates, f = tuple(predicates), tuple(f)
+    try:
+        if raw_marks.keys() != set(predicates):
+            missing = [name for name in predicates if name not in raw_marks]
+            if missing:
+                raise FormatError(f"malformed structure: {KeyError(missing[0])!r}")
+            undeclared = sorted(raw_marks.keys() - set(predicates))
+            raise FormatError(f"marks name undeclared predicates {undeclared!r}")
+        values = raw_marks.values()
+        marks = {name: frozenset(elems) for name, elems in raw_marks.items() if elems}
+        arrays = {*map(type, values)} <= {list, tuple}
+        if not arrays:
+            list(map(frozenset, values))
+    except TypeError as failure:
+        raise FormatError(f"malformed structure: {failure!r}") from None
+    if "n" in data and not (type(data["n"]) is int and data["n"] == len(f)):
+        raise FormatError(f"n is {data['n']!r} but f has {len(f)} values")
+    if not {*map(type, f)} <= {int}:
+        raise FormatError("function values must be integers")
+    if not {type(v) for elems in marks.values() for v in elems} <= {int}:
+        raise FormatError("mark members must be integers")
+    if not arrays:
+        raise FormatError("mark member lists must be arrays")
+    if predicates not in signatures:
+        signatures[predicates] = Signature(predicates)
+    return FiniteMapping(f=f, marks=marks, signature=signatures[predicates])
+
+
+def _type_per_witness(data, table, signatures: dict):
+    if not isinstance(data, dict):
+        raise FormatError(f"expected a type object, got {type(data).__name__}")
+    try:
+        rank, root = data["rank"], data["root"]
+        witness = data["witness"]
+    except (KeyError, TypeError) as failure:
+        raise FormatError(f"malformed type: {failure!r}") from None
+    if type(rank) is not int or rank < 0:
+        raise FormatError(f"bad type rank {rank!r}")
+    if type(root) is not int:
+        raise FormatError(f"bad type root {root!r}")
+    witness = _structure_per_witness(witness, signatures)
+    return local_type(witness, root, rank, table=table)
+
+
+def measure_from_json_per_witness(data, table=None) -> TypeMeasure:
+    """Measure JSON read one entry at a time, each witness into its own
+    FiniteMapping and each root typed there."""
+    if not isinstance(data, dict) or data.get("format") != "measure":
+        raise FormatError("not a measure file")
+    version = data.get("version")
+    if type(version) is not int or version != 1:
+        raise FormatError(f"unsupported measure version {version!r}")
+    rank = data.get("rank")
+    if type(rank) is not int or rank < 0:
+        raise FormatError(f"bad measure rank {rank!r}")
+    entries = data.get("entries")
+    if not isinstance(entries, list):
+        raise FormatError("measure entries must be a list")
+    pairs = []
+    signatures: dict = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError("measure entries must be objects")
+        mass = fraction_from_text(entry.get("mass"))
+        pairs.append((_type_per_witness(entry.get("type"), table, signatures), mass))
+    return TypeMeasure.from_pairs(rank, pairs)
+
+
+def certificate_from_json_per_witness(data, table=None) -> CompanionCertificate:
+    """Certificate JSON whose types are read one witness at a time, as
+    measure_from_json_per_witness reads them."""
+    if not isinstance(data, dict) or data.get("format") != "certificate":
+        raise FormatError("not a certificate file")
+    version = data.get("version")
+    if type(version) is not int or version != 1:
+        raise FormatError(f"unsupported certificate version {version!r}")
+    rank, r = data.get("rank"), data.get("r")
+    if type(rank) is not int or type(r) is not int:
+        raise FormatError("certificate rank and r must be integers")
+    raw_types = data.get("types")
+    if not isinstance(raw_types, list):
+        raise FormatError("certificate types must be a list")
+    signatures: dict = {}
+    types = [_type_per_witness(item, table, signatures) for item in raw_types]
+    raw_entries = data.get("entries")
+    if not isinstance(raw_entries, list):
+        raise FormatError("certificate entries must be a list")
+    entries = []
+    for entry in raw_entries:
+        if not isinstance(entry, dict):
+            raise FormatError("certificate entries must be objects")
+        refs = entry.get("tau"), entry.get("t")
+        if not all(type(ref) is int and 0 <= ref < len(types) for ref in refs):
+            raise FormatError(f"bad certificate entry {entry!r}")
+        tau, t = (types[ref] for ref in refs)
+        entries.append((tau, t, fraction_from_text(entry.get("s"))))
+    return CompanionCertificate(R=rank, r=r, entries=tuple(entries))
 
 
 def solve_certificate_by_fractions(mu, r: int):

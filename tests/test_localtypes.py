@@ -348,6 +348,31 @@ class TestTypeDistribution:
         with pytest.raises(MeasureError):
             TypeMeasure(rank=1, entries=((t, Fraction(1, 2)),))
 
+    def test_mass_sum_matches_fraction_sum(self):
+        # The sum is taken in integers over the common denominator: the
+        # same verdict and text as a sum of Fractions.
+        table = TypeTable()
+        types = type_distribution(seeded(40, 5), 2, table).types()
+        rng = random.Random(11)
+        verdicts = set()
+        for trial in range(200):
+            k = rng.randint(1, len(types))
+            masses = [Fraction(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(k)]
+            if trial % 2:
+                masses[-1] = 1 - sum(masses[:-1], Fraction(0))
+                if masses[-1] <= 0:
+                    continue
+            total = sum(masses, Fraction(0))
+            pairs = list(zip(types, masses))
+            verdicts.add(total == 1)
+            if total == 1:
+                assert TypeMeasure.from_pairs(2, pairs).rank == 2
+            else:
+                with pytest.raises(MeasureError) as raised:
+                    TypeMeasure.from_pairs(2, pairs)
+                assert str(raised.value) == f"masses sum to {total}, expected 1"
+        assert verdicts == {True, False}
+
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError, match="rank must be nonnegative"):
             type_distribution(cycle(3), -1, TypeTable())

@@ -16,7 +16,11 @@ from helpers import (
 )
 from mapprox import mapfile, structure
 from mapprox.errors import FormatError, MapproxError
-from mapprox.fmtp import restricted_fmtp_certificate, verify_certificate
+from mapprox.fmtp import (
+    CompanionCertificate,
+    restricted_fmtp_certificate,
+    verify_certificate,
+)
 from mapprox.localtypes import (
     TypeTable,
     local_type,
@@ -43,9 +47,11 @@ from mapprox.mapfile import (
     write_map,
     write_measure,
 )
-from mapprox.realize import realize
+from mapprox.realize import certificate_digest, realize
 from mapprox.structure import FiniteMapping, Signature, ball, cycle_cut_product
 from oracles import (
+    certificate_from_json_per_witness,
+    measure_from_json_per_witness,
     structure_from_json_per_predicate,
     structure_to_json_by_extensions,
     type_to_json_by_restrict,
@@ -155,6 +161,13 @@ class TestFractions:
         assert caught.value.line == 7
         with pytest.raises(FormatError):
             fraction_from_text(0.5)
+        # Only an optional minus sign, decimal digits and "/denominator".
+        for text in ("0.5", "1e-1", " 1/2", "1/2 ", "+1/2", "1_0/3", "1/-2", "1/00", ""):
+            with pytest.raises(FormatError, match="not a rational") as caught:
+                fraction_from_text(text, line=3)
+            assert caught.value.line == 3
+        assert fraction_from_text("-6") == -6
+        assert fraction_from_text("-03/06") == Fraction(-1, 2)
 
 
 class TestStructureJson:
@@ -177,6 +190,13 @@ class TestStructureJson:
             with pytest.raises(FormatError):
                 structure_from_json(
                     {"n": 1, "predicates": ["U"], "f": [0], "marks": {"U": members}}
+                )
+        # A member is checked as written, before a set merges false into 0
+        # or 1.0 into 1.
+        for members in ([0, False], [1, 1.0], [True, 1]):
+            with pytest.raises(FormatError, match="mark members must be integers"):
+                structure_from_json(
+                    {"n": 2, "predicates": ["U"], "f": [0, 0], "marks": {"U": members}}
                 )
         # JSON true and false load as bools, which Python counts as ints.
         for f in ([True, 0], [0, False]):
@@ -405,6 +425,194 @@ class TestJsonOracles:
         assert errors == len(cases) - 2  # only [0] is a valid member list
 
 
+def measure_outcome(read, data, table):
+    """What `read` makes of measure JSON in `table`: each entry's canonical
+    id and mass, the measure written back, each entry's key, and at rank 3
+    and up its rank-1 certificate digest and realized maps; or the class
+    and text of the error it raises."""
+    try:
+        mu = read(data, table)
+    except MapproxError as failure:
+        return type(failure), str(failure)
+    outcome = [
+        [(t.canonical_id, mass) for t, mass in mu.entries],
+        json_texts(measure_to_json(mu)),
+        [t.key for t, _ in mu.entries],
+    ]
+    if mu.rank >= 3:
+        cert = restricted_fmtp_certificate(mu, 1)
+        valid = isinstance(cert, CompanionCertificate)
+        outcome.append(certificate_digest(cert) if valid else str(cert))
+        for multiplier in (1, 2):
+            outcome.append(read_outcome(lambda m: dump_map(realize(m, 1, multiplier)), mu))
+    return outcome
+
+
+def certificate_outcome(read, data, table):
+    """What `read` makes of certificate JSON in `table`: its digest, the
+    JSON written back and each entry's keys; or the error's class and
+    text."""
+    try:
+        cert = read(data, table)
+    except MapproxError as failure:
+        return type(failure), str(failure)
+    keys = [(tau.key, t.key, s) for tau, t, s in cert.entries]
+    return [certificate_digest(cert), json_texts(certificate_to_json(cert)), keys]
+
+
+READERS = {
+    measure_outcome: (measure_from_json, measure_from_json_per_witness),
+    certificate_outcome: (certificate_from_json, certificate_from_json_per_witness),
+}
+
+
+def assert_readers_outcome(outcome, data, table=None, keys=True):
+    """`outcome` of the union reader and of the per-witness reader of one
+    file, each in a fresh table or both in `table`, which must agree, keys
+    included when `keys` is set.  Returns the union reader's."""
+    got, expected = (outcome(read, data, table or TypeTable()) for read in READERS[outcome])
+    if not keys and isinstance(got, list) and isinstance(expected, list):
+        del got[2], expected[2]
+    assert got == expected, data
+    return got
+
+
+def assert_file_readers_agree(data, table=None, keys=True):
+    """Both readers on `data` as a measure file and on its types as a
+    certificate file; returns the union reader's measure outcome."""
+    measure = {"format": "measure", "version": 1, **data}
+    types = [entry.get("type") if isinstance(entry, dict) else entry for entry in data["entries"]]
+    certificate = {"format": "certificate", "version": 1, "rank": data["rank"], "r": 0}
+    certificate = {**certificate, "types": types, "entries": []}
+    assert_readers_outcome(certificate_outcome, certificate, table, keys)
+    return assert_readers_outcome(measure_outcome, measure, table, keys)
+
+
+class TestUnionReader:
+    """measure_from_json and certificate_from_json, which type a file's
+    witnesses in one union per predicate tuple, against the per-witness
+    readers of tests/oracles.py."""
+
+    def test_exhaustive_small(self):
+        # Every mapping with n <= 4 up to relabeling, under every marking
+        # by one predicate, as its type distribution at ranks 1-3.
+        realized = 0
+        for n in (1, 2, 3, 4):
+            for f in functions_up_to_relabeling(n):
+                for F in every_marking(f, ("U",)):
+                    for rank in (1, 2, 3):
+                        mu = type_distribution(F, rank, TypeTable())
+                        data = json.loads(json.dumps(measure_to_json(mu)))
+                        outcome = assert_file_readers_agree(data)
+                        assert outcome[1][0] == json.dumps(data)
+                        realized += rank == 3 and isinstance(outcome[-1], str)
+        assert realized > 50
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (10, 2), (12, 3)])
+    def test_cut_measures_and_certificates(self, n, seed):
+        table = TypeTable()
+        mu = type_distribution(cycle_cut_product(seeded(n, seed), 6, 3, table), 3, table)
+        data = json.loads(json.dumps(measure_to_json(mu)))
+        cert = restricted_fmtp_certificate(mu, 1)
+        certificate = json.loads(json.dumps(certificate_to_json(cert)))
+        # A witness that is a whole cut-product component is a cut product
+        # itself, and a fresh table claims its m from it (localtypes), so
+        # the per-witness reader can intern other value numbers than the
+        # union reader: ids are compared in fresh tables, keys in the
+        # source table, where both must give back the source's keys.
+        outcome = assert_file_readers_agree(data, keys=False)
+        assert outcome[1][0] == json.dumps(data)
+        assert [mass for _, mass in outcome[0]] == [mass for _, mass in mu.entries]
+        assert all(isinstance(maps, str) for maps in outcome[4:])
+        got = assert_readers_outcome(certificate_outcome, certificate, keys=False)
+        assert json.loads(got[1][0]) == certificate
+        outcome = assert_file_readers_agree(data, table)
+        assert outcome[2] == [t.key for t, _ in mu.entries]
+        assert outcome[3] == certificate_digest(cert)
+        got = assert_readers_outcome(certificate_outcome, certificate, table)
+        assert got[0] == certificate_digest(cert)
+        assert got[2] == [(tau.key, t.key, s) for tau, t, s in cert.entries]
+
+    def test_two_predicate_tuples(self, monkeypatch):
+        table = TypeTable()
+        marked = FiniteMapping(f=(0, 0, 1), marks={"V": {1}})
+        types = [local_type(cycle(3), 0, 1, table), local_type(marked, 2, 1, table)]
+        types.append(local_type(marked, 1, 1, table))
+        masses = ("1/2", "1/4", "1/4")
+        entries = [{"mass": m, "type": type_to_json(t)} for m, t in zip(masses, types)]
+        outcome = assert_file_readers_agree({"rank": 1, "entries": entries})
+        assert json.loads(outcome[1][0])["entries"] == entries
+        # One structure per predicate tuple: () and ("V",).
+        built = []
+        post_init = FiniteMapping.__post_init__
+        monkeypatch.setattr(
+            FiniteMapping, "__post_init__", lambda F: built.append(post_init(F))
+        )
+        data = {"format": "measure", "version": 1, "rank": 1, "entries": entries}
+        measure_from_json(data, table=TypeTable())
+        assert len(built) == 2
+
+    def test_malformed_same_error(self):
+        good = type_to_json(local_type(cycle(2), 0, 1, TypeTable()))
+        pair = {"n": 2, "predicates": ["U", "V"], "f": [1, 0]}
+        witnesses = [
+            {**pair, "marks": {"U": [0]}},  # V missing
+            {**pair, "marks": {"U": [0], "V": [], "W": [1]}},  # W undeclared
+            {**pair, "predicates": ["U", "U"], "marks": {"U": [0]}},
+            {"predicates": ["U", "V"], "f": [], "marks": {"U": [], "V": []}},
+            {**pair, "f": [1, -1], "marks": {"U": [], "V": []}},
+            {**pair, "marks": {"U": [-1], "V": []}},
+            {**pair, "marks": {"U": [[0]], "V": []}},
+            {**pair, "marks": {"U": None, "V": [[0]]}},
+            {**pair, "marks": {"U": [0], "V": {"a": 1}}},
+        ]
+        for member in (0, None, 3, "a", True, 0.5):
+            for members in (member, [member]):
+                witnesses.append({**pair, "marks": {"U": members, "V": []}})
+                witnesses.append({**pair, "marks": {"U": [0], "V": members}})
+        types = [{"rank": 1, "root": 0, "witness": w} for w in witnesses]
+        types += [
+            {**good, "root": 2},
+            {**good, "root": -1},
+            {**good, "rank": -1},
+            {**good, "root": "0"},
+            {"rank": 1, "root": 0},
+            7,
+        ]
+        # In range for the union of all three witnesses, not for the first:
+        # an image, a mark member and the root.
+        narrow = {"n": 2, "predicates": ["U"], "f": [1, 0], "marks": {"U": [1]}}
+        wide = {"n": 4, "predicates": ["U"], "f": [1, 2, 3, 0], "marks": {"U": []}}
+        for first in (
+            {"rank": 1, "root": 0, "witness": {**narrow, "f": [1, 3]}},
+            {"rank": 1, "root": 0, "witness": {**narrow, "marks": {"U": [3]}}},
+            {"rank": 1, "root": 4, "witness": narrow},
+        ):
+            second = {"rank": 1, "root": 1, "witness": wide}
+            types.append(first)
+            errors = []
+            for masses in (("1/3", "1/3", "1/3"), ("0.5", "1/3", "1/3")):
+                entries = [{"mass": m, "type": t} for m, t in zip(masses, (second, first, second))]
+                errors.append(assert_file_readers_agree({"rank": 1, "entries": entries}))
+            assert errors[0][1].startswith(("f(1) = 3", "element 3", "element 4"))
+            assert errors[1][1] == "not a rational: '0.5'"  # in file order
+        errors = 0
+        for bad in types:
+            entries = [{"mass": "1/2", "type": good}, {"mass": "1/2", "type": bad}]
+            outcome = assert_file_readers_agree({"rank": 1, "entries": entries})
+            errors += isinstance(outcome, tuple)
+            # A fault of an entry comes before one of the entry after it.
+            entries = [{"mass": "1/2", "type": bad}, {"mass": "x", "type": good}]
+            later = assert_file_readers_agree({"rank": 1, "entries": entries})
+            assert later == outcome if isinstance(outcome, tuple) else later[1].endswith("'x'")
+        assert errors == len(types) - 2  # only [0] is a valid member list
+        # Whole-file faults after every entry was read.
+        for masses in (("1/2", "1/4"), ("1/2", "1/2")):
+            entries = [{"mass": m, "type": good} for m in masses]
+            outcome = assert_file_readers_agree({"rank": 1, "entries": entries})
+            assert isinstance(outcome, tuple)
+
+
 class TestWitnessCost:
     def cut_measure_and_certificate(self):
         table = TypeTable()
@@ -425,6 +633,26 @@ class TestWitnessCost:
         monkeypatch.setattr(Signature, "__post_init__", counted)
         measure_from_json(measure, table=TypeTable())
         assert len(built) == 1
+        certificate_from_json(certificate, table=TypeTable())
+        assert len(built) == 2
+
+    def test_readers_build_one_structure_per_predicate_tuple(self, monkeypatch):
+        mu, cert = self.cut_measure_and_certificate()
+        measure = json.loads(json.dumps(measure_to_json(mu)))
+        certificate = json.loads(json.dumps(certificate_to_json(cert)))
+        assert len(mu.entries) > 50 and len(certificate["types"]) > 50
+        built = []
+        post_init = FiniteMapping.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(FiniteMapping, "__post_init__", counted)
+        back = measure_from_json(measure, table=TypeTable())
+        assert len(built) == 1
+        assert built[0] == sum(entry["type"]["witness"]["n"] for entry in measure["entries"])
+        assert {t.structure for t, _ in back.entries} == {back.entries[0][0].structure}
         certificate_from_json(certificate, table=TypeTable())
         assert len(built) == 2
 
