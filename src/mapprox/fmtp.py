@@ -152,8 +152,8 @@ class CompanionCertificate:
 def _support_universe(mu: TypeMeasure, r: int):
     """Rank-r types under the support plus the transport images, keyed,
     and (tau, its rank-r projection, its image's rank-r type, mass) per
-    support type.  Each measure derives them once per r, in
-    _balance_equations, which keeps them."""
+    support type.  Each measure derives them once per r, through
+    _support_rows, which keeps them."""
     reps: dict[tuple[int, int], LocalType] = {}
     proj: list[tuple[LocalType, LocalType, LocalType, Fraction]] = []
     images: dict[tuple[int, int], LocalType] = {}
@@ -184,13 +184,24 @@ def restricted_fmtp_certificate(
     return found
 
 
+def _support_rows(mu: TypeMeasure, r: int):
+    """_support_universe of mu at rank r, derived once per measure and r and
+    kept on mu, so the equations, verify_certificate and realize read one
+    derivation; no caller may change them."""
+    found = mu._per_rank.get(("rows", r))
+    if found is None:
+        found = mu._per_rank["rows", r] = _support_universe(mu, r)
+    return found
+
+
 def _balance_equations(mu: TypeMeasure, r: int):
     """The balance equations of mu at rank r, as the solver and the LP read
-    them: (universe, support rows as _support_universe gives them, number
-    of free unknowns, equations), the equations keyed (j1, j2) by universe
-    index in ascending order.  They are built once per measure and r and
-    kept on mu, so the solver, verify_certificate, the LP repair and
-    realize read one derivation; no caller may change them.
+    them: (universe, support rows as _support_rows gives them, number of
+    free unknowns, equations), the equations keyed (j1, j2) by universe
+    index in ascending order.  Only the rows are kept on mu: the solver
+    builds the equations once per measure and r, since its certificate is
+    kept, and the LP repair once more for a measure that fails it, so
+    they are not held for as long as the measure lives.
 
     Only the equations a flow or a preimage count touches are listed; any
     other holds as 0 = 0.  Each is (flow, forced, free): the support
@@ -201,10 +212,7 @@ def _balance_equations(mu: TypeMeasure, r: int):
     At r = 0 every universe type is an unknown of every support type, with
     count 0, so no preimage is typed.
     """
-    found = mu._per_rank.get(("equations", r))
-    if found is not None:
-        return found
-    universe, proj = _support_universe(mu, r)
+    universe, proj = _support_rows(mu, r)
     order = {t.key: index for index, t in enumerate(universe)}
     equations: dict[tuple[int, int], tuple[list, list, list]] = {}
     num_free = 0
@@ -223,9 +231,7 @@ def _balance_equations(mu: TypeMeasure, r: int):
             else:
                 free.append((i, num_free))
                 num_free += 1
-    found = universe, proj, num_free, dict(sorted(equations.items()))
-    mu._per_rank["equations", r] = found
-    return found
+    return universe, proj, num_free, dict(sorted(equations.items()))
 
 
 def _solve_certificate(
@@ -297,7 +303,7 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
     """Re-evaluate both certificate conditions.
 
     The universe and support rows are the ones the solver read, shared
-    through _balance_equations; the sums are this function's own, in
+    through _support_rows; the sums are this function's own, in
     Fractions, so the solver's integer arithmetic is checked, not reused.
     Certificates are sparse: a (tau, t) pair without an entry claims
     s(tau, t) = 0.  Pairs outside the support-and-images universe are not
@@ -306,7 +312,7 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
     r = cert.r
     if cert.R != mu.rank:
         return False
-    universe, proj, _, _ = _balance_equations(mu, r)
+    universe, proj = _support_rows(mu, r)
     universe_keys = {t.key for t in universe}
     zero = Fraction(0)
     s_by_tau: dict[tuple, dict[tuple, Fraction]] = {}

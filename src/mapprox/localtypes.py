@@ -790,8 +790,8 @@ class TypeMeasure:
     @cached_property
     def _per_rank(self) -> dict[tuple[str, int], object]:
         """What fmtp derives from this measure at rank r, each built once:
-        its balance equations, keyed ("equations", r), and its restricted
-        certificate or violation, keyed ("certificate", r)."""
+        its support rows, keyed ("rows", r), and its restricted certificate
+        or violation, keyed ("certificate", r)."""
         return {}
 
     @property

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fmtp import (
     Violation,
-    _balance_equations,
+    _support_rows,
     check_realizability_preconditions,
     restricted_fmtp_certificate,
 )
@@ -155,7 +155,7 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
     # as (type, rank-r projection, elements), and the blocks of each
     # projection.  Projections and image types are the certificate's
     # support rows, derived once per measure.
-    _, rows, _, _ = _balance_equations(mu, r)
+    _, rows = _support_rows(mu, r)
     blocks: list[tuple[LocalType, LocalType, range]] = []
     by_projection: dict[tuple, list] = {}
     for (tau, elements), (_, t1, _, _) in zip(_blocks(mu, n_elements), rows):

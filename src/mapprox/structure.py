@@ -306,25 +306,15 @@ def near(F: FiniteMapping, seeds: Iterable[int], r: int) -> frozenset[int]:
 
 
 def connected_components(F: FiniteMapping) -> list[frozenset[int]]:
-    """Components of the Gaifman graph, each reported sorted by least element."""
-    f, pre = F.f, F.pre
+    """Components of the Gaifman graph, ordered by least element: one
+    search by `near` from each element no earlier component holds."""
     seen = [False] * F.n
     components = []
-    for start in F.elements():
-        if seen[start]:
-            continue
-        comp = []
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in (f[x], *pre[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-        components.append(frozenset(comp))
-    components.sort(key=min)
+    for v in F.elements():
+        if not seen[v]:
+            components.append(near(F, (v,), F.n))
+            for x in components[-1]:
+                seen[x] = True
     return components
 
 

@@ -1,6 +1,7 @@
 """Builders shared across the test suite."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from mapprox.localtypes import TypeMeasure, TypeTable, project, type_distribution
@@ -20,6 +21,9 @@ __all__ = [
     "mirrored",
     "perturbed",
     "perturbed_product",
+    "marked_path",
+    "marked_fan",
+    "bushy",
 ]
 
 
@@ -133,3 +137,45 @@ def perturbed_product(n, seed):
     table = TypeTable()
     H = cycle_cut_product(seeded(n, seed), 6, 3, table)
     return perturbed(type_distribution(H, 3, table))
+
+
+def marked_path(seed: int, n: int = 20_000) -> FiniteMapping:
+    """0 -> 1 -> ... -> n - 1, the last element fixed, marked at random: a
+    tree as deep as the mapping is large, so a recursive walk would fail."""
+    rng = random.Random(seed)
+    marked = frozenset(v for v in range(n) if rng.random() < 0.3)
+    return FiniteMapping(f=tuple(min(v + 1, n - 1) for v in range(n)), marks={"U": marked})
+
+
+def marked_fan(seed: int, leaves: int = 20_000) -> FiniteMapping:
+    """A fixed point with `leaves` preimages, marked at random: one sibling
+    group as wide as the mapping is large."""
+    rng = random.Random(seed)
+    marked = frozenset(v for v in range(leaves + 1) if rng.random() < 0.3)
+    return FiniteMapping(f=(0,) * (leaves + 1), marks={"U": marked})
+
+
+def bushy(seed: int) -> FiniteMapping:
+    """Up to 60 elements: a few short cycles, every other element mapped
+    onto one of the first few, sparse marks, relabelled at random.  Wide
+    sibling groups of equal subtrees and repeated components, so that
+    pruning by exact counts takes more than one pass."""
+    rng = random.Random(seed)
+    f: list[int] = []
+    for _ in range(rng.randrange(1, 5)):
+        length = rng.choice((1, 1, 2, 3))
+        base = len(f)
+        f.extend(base + (i + 1) % length for i in range(length))
+    hubs = rng.randrange(1, 8)
+    for _ in range(rng.randrange(60 - len(f))):
+        f.append(rng.randrange(min(len(f), hubs + len(f) // 4)))
+    n = len(f)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = [0] * n
+    for v in range(n):
+        g[perm[v]] = perm[f[v]]
+    density = rng.choice((0, 0.1, 0.3))
+    return FiniteMapping(
+        f=tuple(g), marks={"U": frozenset(v for v in range(n) if rng.random() < density)}
+    )

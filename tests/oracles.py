@@ -14,10 +14,14 @@ witness and type each root there through the package's `local_type` and
 read rationals with its `fraction_from_text`; and the
 certificate solver and label check as they were before each support type
 was derived once per measure, which read the package's balance equations
-and types and keep their own Fraction sums and per-element image types.
+and types and keep their own Fraction sums and per-element image types; and
+compression as it was before it ran in one pass, which repeats a pass of
+exact-count sibling classes and nested component forms until a pass drops
+nothing, and reads the package's cycle table, heights and `restrict`.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -33,7 +37,15 @@ from mapprox.localtypes import (
 )
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
 from mapprox.mapfile import fraction_from_text
-from mapprox.structure import FiniteMapping, Signature, ball, cycle_lengths, restrict
+from mapprox.structure import (
+    FiniteMapping,
+    Signature,
+    ball,
+    cycle_lengths,
+    cycle_orbits,
+    cyclic_part,
+    restrict,
+)
 
 __all__ = [
     "local_game",
@@ -59,6 +71,7 @@ __all__ = [
     "certificate_from_json_per_witness",
     "solve_certificate_by_fractions",
     "verify_upsilon_per_element",
+    "compress_until_stable",
 ]
 
 
@@ -813,3 +826,116 @@ def verify_upsilon_per_element(F: FiniteMapping, upsilon: dict, r: int) -> bool:
             if min(r, forced.get(t_key, 0)) != min(r, actual.get(t_key, 0)):
                 return False
     return True
+
+
+def _sibling_classes(F: FiniteMapping, pre, layers: list) -> dict:
+    """Equivalence class of every tree element, refined layer by layer.
+
+    Deepest layer first: two elements are equivalent when they carry the
+    same marks and their preimages realize each deeper class with exactly
+    the same multiplicities.  Classes are interned as integers.
+    """
+    interned: dict = {}
+    cls: dict = {}
+    for layer in reversed(layers[1:]):
+        for z in layer:
+            children = tuple(sorted(Counter(cls[x] for x in pre[z]).items()))
+            key = (F.mark_sets[z], children)
+            code = interned.get(key)
+            if code is None:
+                code = len(interned)
+                interned[key] = code
+            cls[z] = code
+    return cls
+
+
+def _component_form(F: FiniteMapping, heights: dict, kept: set, cycle, members) -> tuple:
+    """Canonical value of one component restricted to the kept elements,
+    given as its cycle and its kept members.
+
+    Trees are canonicalized bottom-up with sorted child forms; the cycle
+    contributes the lexicographically minimal rotation of its per-vertex
+    forms, read along the function.  Equal forms mean isomorphic kept
+    components.
+    """
+    pre = F.pre
+    form: dict = {}
+    for x in sorted(members, key=lambda v: -heights[v]):
+        if heights[x] == 0:
+            continue
+        child_forms = sorted(
+            form[c] for c in pre[x] if c in kept and heights[c] == heights[x] + 1
+        )
+        form[x] = (F.mark_sets[x], tuple(child_forms))
+    ring = []
+    for z in cycle:
+        child_forms = sorted(
+            form[c] for c in pre[z] if c in kept and heights.get(c) == 1
+        )
+        ring.append((F.mark_sets[z], tuple(child_forms)))
+    doubled = ring + ring
+    size = len(ring)
+    return min(tuple(doubled[i : i + size]) for i in range(size))
+
+
+def _prune_once(F: FiniteMapping, r: int) -> FiniteMapping:
+    orbits = cycle_orbits(F)
+    if r == 0:
+        return restrict(F, orbits[0])
+    Z, heights = cyclic_part(F)
+    pre = F.pre
+
+    depth = max(heights.values())
+    layers: list = [[] for _ in range(depth + 1)]
+    for v in F.elements():
+        layers[heights[v]].append(v)
+    for layer in layers:
+        layer.sort()
+
+    cls = _sibling_classes(F, pre, layers)
+
+    kept = set(Z)
+    for i in range(1, depth + 1):
+        for y in layers[i - 1]:
+            if y not in kept:
+                continue
+            groups: dict = {}
+            for x in pre[y]:
+                if heights[x] == i:
+                    groups.setdefault(cls[x], []).append(x)
+            for members in groups.values():
+                members.sort()
+                kept.update(members[:r])
+
+    # The least element of the cycle below each element, layer by layer.
+    anchor_of = {z: orbit[0] for orbit in orbits for z in orbit}
+    for layer in layers[1:]:
+        for x in layer:
+            anchor_of[x] = anchor_of[F.f[x]]
+    members: dict = {orbit[0]: [] for orbit in orbits}
+    for x in kept:
+        members[anchor_of[x]].append(x)
+
+    by_form: dict = {}
+    for orbit in orbits:
+        shape = _component_form(F, heights, kept, orbit, members[orbit[0]])
+        by_form.setdefault(shape, []).append(orbit[0])
+
+    final = [x for anchors in by_form.values() for a in anchors[:r] for x in members[a]]
+    return restrict(F, final)
+
+
+def compress_until_stable(F: FiniteMapping, r: int) -> FiniteMapping:
+    """`standard_r_approximation` by repeated passes: each keeps the whole
+    cyclic part of a kept component, the r lowest-id preimages of each
+    exact-count sibling class under a kept element, and the r components
+    with the least cycle element per nested component form.  Pruning deep
+    multiplicities can merge sibling classes that exact counts kept apart,
+    so the pass repeats until nothing is dropped."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    while True:
+        reduced = _prune_once(F, r)
+        if reduced.n == F.n:
+            return reduced
+        F = reduced

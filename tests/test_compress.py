@@ -1,14 +1,30 @@
 """Bounded-size cores preserving the rank-r theory."""
 
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, seeded, star, structurally_equal
+from helpers import (
+    bushy,
+    cycle,
+    every_marking,
+    fixed_point,
+    marked_fan,
+    marked_path,
+    seeded,
+    star,
+    structurally_equal,
+)
 from mapprox.compress import standard_r_approximation
 from mapprox.equivalence import ef_equivalent
+from mapprox.randgen import random_mapping
 from mapprox.structure import FiniteMapping, disjoint_union
+from oracles import compress_until_stable
+
+compress_module = importlib.import_module("mapprox.compress")
 
 
 def copies(F, k):
@@ -86,3 +102,48 @@ class TestInvariants:
         F = copies(star(9), 4)
         sizes = [standard_r_approximation(F, r).n for r in (1, 2, 3)]
         assert sizes == sorted(sizes)
+
+
+def assert_same_as_oracle(F, ranks):
+    for r in ranks:
+        assert structurally_equal(
+            standard_r_approximation(F, r), compress_until_stable(F, r)
+        ), (F.f, F.marks, r)
+
+
+class TestOnePass:
+    """One pass over capped sibling counts against the prune-until-stable
+    loop it replaced."""
+
+    def test_every_small_mapping(self):
+        # Every function, not one per isomorphism class: lowest ids win.
+        for n in range(1, 6):
+            for f in itertools.product(range(n), repeat=n):
+                markings = every_marking(f, ("U",)) if n <= 4 else [FiniteMapping(f=f)]
+                for F in markings:
+                    assert_same_as_oracle(F, range(4))
+
+    def test_seeded_random_inputs(self):
+        # Bushy inputs take the loop 2 to 4 passes at r = 1 and 2.
+        rng = random.Random(25)
+        for seed in range(1500):
+            assert_same_as_oracle(bushy(seed), (rng.randrange(4),))
+            F = random_mapping(rng.randrange(1, 120), seed, {"U": Fraction(1, 4)})
+            assert_same_as_oracle(F, (rng.randrange(4),))
+
+    @pytest.mark.parametrize("build", [marked_path, marked_fan])
+    def test_deep_and_wide(self, build):
+        assert_same_as_oracle(build(9), (1, 2, 3))
+
+    @pytest.mark.parametrize("F,r", [(star(100), 2), (seeded(60, 5), 1)])
+    def test_one_restrict_per_call(self, monkeypatch, F, r):
+        calls = []
+        real = compress_module.restrict
+
+        def counted(G, X):
+            calls.append(G)
+            return real(G, X)
+
+        monkeypatch.setattr(compress_module, "restrict", counted)
+        standard_r_approximation(F, r)
+        assert calls == [F]

@@ -4,8 +4,11 @@ pinned measure-file digests.
 The sha256 of `dump_map` output for fixed inputs, recorded before the orbit
 walks in `compress` and `structure` were folded into one helper; the
 `leafy-900-6` cases were recorded before `compress` grouped kept elements
-by component in one pass.  The measure digests are the sha256 of
-`json.dumps(measure_to_json(mu))` for the rank-3 measure of a cut product,
+by component in one pass; the r = 3 cases and the 20,000-element path and
+fan were recorded before `compress` replaced its prune-until-stable loop
+with one pass over sibling counts capped at r.  The measure digests are
+the sha256 of `json.dumps(measure_to_json(mu))` for the rank-3 measure of
+a cut product,
 recorded before `restrict` built witness marks from the kept elements'
 mark sets: measure format version 1 is byte-identical.  The certificate
 pins (the `certificate_digest`, or the `Violation` text, at r = 0, 1 and 2)
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import perturbed, seeded, star
+from helpers import marked_fan, marked_path, perturbed, seeded, star
 from mapprox.compress import standard_r_approximation
 from mapprox.errors import Infeasible
 from mapprox.fmtp import Violation, approximate_measure, restricted_fmtp_certificate
@@ -84,13 +87,20 @@ INPUTS = {
     "seeded-12-2": lambda: seeded(12, 2),
     "cycles-30-4": lambda: several_cycles(4, 30),
     "leafy-900-6": lambda: leafy_two_cycles(6),
+    "path-20000-7": lambda: marked_path(7),
+    "fan-20000-8": lambda: marked_fan(8),
 }
 
 CASES = {
     **{
         f"compress-r{r}-{name}": (name, r)
         for name in ("seeded-40-1", "seeded-60-5", "cycles-60-3")
-        for r in (0, 1, 2)
+        for r in (0, 1, 2, 3)
+    },
+    **{
+        f"compress-r{r}-{name}": (name, r)
+        for name in ("path-20000-7", "fan-20000-8")
+        for r in (1, 2, 3)
     },
     "compress-r1-leafy-900-6": ("leafy-900-6", 1),
     "compress-r2-leafy-900-6": ("leafy-900-6", 2),
@@ -122,6 +132,25 @@ GOLDEN = {
         "4e2e5f25006d4b8b858e9454fa1c7c0bf2292ea91c867b3bf879213e7784bbf3",
     "compress-r2-seeded-60-5":
         "21ab33a39c8fbfd45429f44c4f2798a964274d537dfe1c8c064c20dad7d3bb06",
+    # recorded before compress classified elements in one pass
+    "compress-r1-fan-20000-8":
+        "5bb0565e8aebd2b7ad7456228a03f3751103b4233ef5057cd5ca8bda6bacd0a3",
+    "compress-r1-path-20000-7":
+        "30db5f6874719b2371bbce768d16cc95307f3e928a09d0e3f2576f701bc13763",
+    "compress-r2-fan-20000-8":
+        "3ca76f07bf8d9670b8d02409b0330621172c18d6f20b6ed710d2d22977cd832b",
+    "compress-r2-path-20000-7":
+        "30db5f6874719b2371bbce768d16cc95307f3e928a09d0e3f2576f701bc13763",
+    "compress-r3-cycles-60-3":
+        "fad7341c393f432498739d6607bf0364a461ed2b8d51fb46222ddddd31d0e5af",
+    "compress-r3-fan-20000-8":
+        "9c6e5c07012f20ff42acf2aa4b4e434ed6bb3b034af73239c0862d719a21b638",
+    "compress-r3-path-20000-7":
+        "30db5f6874719b2371bbce768d16cc95307f3e928a09d0e3f2576f701bc13763",
+    "compress-r3-seeded-40-1":
+        "4e2e5f25006d4b8b858e9454fa1c7c0bf2292ea91c867b3bf879213e7784bbf3",
+    "compress-r3-seeded-60-5":
+        "585d05abff7c6ba5fd912f8a2384ec273859e3b3714cb3589c536dcd4e6b2188",
     "cut-6-3-cycles-30-4":
         "0cf77f1b9cb63994263aee86ca781c27bb2fa8c9baf91a914c4e32f3c7eaf9a7",
     "cut-6-3-seeded-12-2":

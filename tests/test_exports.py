@@ -1,6 +1,7 @@
 """Every exported and re-exported name of the package resolves, every
-function reads each of its parameters, and every function the traced
-benchmark wraps still exists with the parameters its counters bind."""
+function reads each of its parameters, every function the traced
+benchmark wraps still exists with the parameters its counters bind, and
+every module parses under the grammar of the oldest declared Python."""
 
 import ast
 import importlib
@@ -35,6 +36,15 @@ def test_package_imports_resolve():
                 assert hasattr(mapprox, alias.asname or alias.name)
                 checked += 1
     assert checked > 0
+
+
+def test_modules_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.  This checks the
+    # grammar only, not library calls new since 3.10.
+    files = sorted(Path(mapprox.__file__).parent.glob("*.py"))
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    assert len(files) > 1
 
 
 def test_every_parameter_is_read():

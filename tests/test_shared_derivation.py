@@ -257,3 +257,23 @@ class TestDerivedOnce:
         realize(repaired, 1, 2)
         assert verify_certificate(repaired, cert)
         assert builds == {(id(mu), 1): 1, (id(repaired), 1): 1}
+
+    def test_measure_keeps_rows_not_equations(self):
+        # The solver builds the balance equations and the LP repair builds
+        # them again; neither leaves them on the measure, which keeps only
+        # its universe and support rows next to the certificate.
+        def held_dicts(value):
+            if isinstance(value, dict):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from held_dicts(item)
+
+        table = TypeTable()
+        mu = type_distribution(cycle_cut_product(seeded(6, 1), 6, 3, table), 3, table)
+        failing = perturbed_product(3, 1)
+        realize(mu, 1)
+        realize(approximate_measure(failing, Fraction(1, 100), 1), 1)
+        for measure in (mu, failing):
+            assert measure._per_rank
+            assert not list(held_dicts(list(measure._per_rank.values())))
