@@ -11,7 +11,10 @@ Three formats live here:
 
 Map files have a canonical form: fixed header, records ascending by id,
 marks sorted, one trailing newline.  The reader accepts only that form, so
-reading and writing are mutually inverse byte for byte.
+reading and writing are mutually inverse byte for byte.  The writer works
+in chunks of 4,096 records, each formatted by one `%` over one format
+string, with each distinct mark set joined once, so a large map costs no
+string per record.
 
 Type, measure and certificate JSON cost time linear in the marks that
 hold, not in witnesses times predicates.  A witness is written straight
@@ -97,19 +100,31 @@ def fraction_from_text(text, line: Optional[int] = None) -> Fraction:
 # map files
 
 
+_CHUNK = 4096
+_ROW = "%d -> %d [%s]\n"
+
+
 def dump_map(F: FiniteMapping) -> str:
-    """Canonical text form: header, then one record per element, ascending."""
+    """Canonical text form: header, then one record per element, ascending.
+
+    Records are formatted _CHUNK at a time, and each distinct mark tuple is
+    joined once: no string per record is built."""
     for name in F.signature.predicates:
         if not _NAME.match(name):
             raise FormatError(f"predicate name {name!r} is not writable")
-    rows = [
-        f"mapfile {MAP_VERSION}",
-        f"n {F.n}",
+    parts = [
+        f"mapfile {MAP_VERSION}\nn {F.n}\n",
         " ".join(["predicates", *F.signature.predicates]),
+        "\n",
     ]
-    for v, (image, marks) in enumerate(zip(F.f, F.mark_sets)):
-        rows.append(f"{v} -> {image} [{' '.join(marks)}]")
-    return "\n".join(rows) + "\n"
+    sets = F.mark_sets
+    joined = {marks: " ".join(marks) for marks in set(sets)}
+    for start in range(0, F.n, _CHUNK):
+        stop = min(start + _CHUNK, F.n)
+        texts = map(joined.__getitem__, sets[start:stop])
+        rows = chain.from_iterable(zip(range(start, stop), F.f[start:stop], texts))
+        parts.append((_ROW * (stop - start)) % tuple(rows))
+    return "".join(parts)
 
 
 def parse_map(text: str) -> FiniteMapping:

@@ -57,6 +57,7 @@ from .structure import (
     TYPE_MARK,
     FiniteMapping,
     Signature,
+    _tile,
     ball,
     cycle_cut_product,
     cycle_lengths,
@@ -503,6 +504,20 @@ def certificate_digest(cert) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _certificate_entry(nu: TypeMeasure, rr: int) -> dict:
+    """The report's entry for the certificate of nu at rank rr, which is
+    dropped once the entry is read off; a violation raises Infeasible."""
+    certificate = restricted_fmtp_certificate(nu, rr)
+    if isinstance(certificate, Violation):
+        raise Infeasible(str(certificate))
+    return {
+        "digest": certificate_digest(certificate),
+        "rank": certificate.R,
+        "r": certificate.r,
+        "entries": len(certificate.entries),
+    }
+
+
 def pipeline(
     F: FiniteMapping,
     p: int,
@@ -554,9 +569,35 @@ def pipeline(
         elements) in a witness of the host plus min(copies, r + 1) copies.
     The merged and output histograms sweep the host and the first copy,
     weighted by the number of copies (_sweep).  Canonical ids are handed
-    out in first-appearance order, as a full sweep hands them out.  The
-    full output is built only to be returned.
+    out in first-appearance order, as a full sweep hands them out.
+
+    The merged structure is never built in full, and the output is built
+    once, from the witness, after every stage's state is gone.  The output
+    is recover(merge(residual, stripped, copies), pairs): the residual
+    host, whose B marks recover reads, followed by the stripped copies,
+    which carry no B mark.  So recover sends each A element, in the host
+    or in any copy, to the one host element that carries its pair's B
+    mark, keeps every other image, and changes each copy alike.  The
+    witness holds the host and the first copy, both recovered; the output
+    is that host followed by `copies` copies of that first copy, each
+    image inside the copy shifted with it and each image into the host,
+    a recovered A edge, kept (structure._tile).
     """
+    report, witness, blocks = _stages(F, p, r, eps, multiplier, factorial_schedule)
+    return _tile(witness, *blocks), report
+
+
+def _stages(
+    F: FiniteMapping,
+    p: int,
+    r: int,
+    eps,
+    multiplier: int,
+    factorial_schedule: bool,
+) -> tuple[dict, FiniteMapping, tuple[int, int, int]]:
+    """pipeline's report, its recovered witness (the host followed by the
+    first min(copies, r + 1) copies) and (host size, copy size, copies).
+    Nothing else a stage built outlives this call."""
     if p < 1:
         raise ValueError("p must be at least 1")
     if r < 1:
@@ -610,9 +651,7 @@ def pipeline(
     product_dist = record("product", product, typed(product))
 
     nu = type_distribution(product, clean, table)
-    certificate = restricted_fmtp_certificate(nu, rr)
-    if isinstance(certificate, Violation):
-        raise Infeasible(str(certificate))
+    certified = _certificate_entry(nu, rr)
 
     estimated = multiplier * math.lcm(*(mass.denominator for _, mass in nu))
     if estimated > MAX_REALIZE_SIZE:
@@ -732,13 +771,8 @@ def pipeline(
             "schedule": schedule_info,
         },
         "cut_pairs": [list(pair) for pair in pairs],
-        "certificate": {
-            "digest": certificate_digest(certificate),
-            "rank": certificate.R,
-            "r": certificate.r,
-            "entries": len(certificate.entries),
-        },
+        "certificate": certified,
         "stages": stages,
         "ldist": entry,
     }
-    return recover(merge(residual, stripped, copies), pairs), report
+    return report, witness, blocks

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
+from operator import add
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -370,6 +371,33 @@ def _side_by_side(parts, signature: Signature) -> FiniteMapping:
         for name, elems in extensions.items():
             marks.setdefault(name, []).extend([v + shift for v in elems])
     return FiniteMapping(f=tuple(f), marks=marks, signature=signature)
+
+
+def _tile(G: FiniteMapping, host: int, size: int, copies: int) -> FiniteMapping:
+    """G's first `host` elements followed by `copies` copies of its block
+    host .. host + size - 1, the first copy being the block itself.
+
+    An image inside the block moves with its copy, and an image into the
+    host is kept: the block must have no image in G's later elements.  The
+    result's mark_sets are seeded from G's, so copies share G's tuples."""
+    f = G.f
+    block = list(f[host:host + size])
+    step = [size if host <= w else 0 for w in block]
+    images = [f[:host], block]
+    for _ in range(copies - 1):
+        images.append(list(map(add, images[-1], step)))
+    marks = {}
+    for name, elems in compress(G.marks.items(), G.marks.values()):
+        inside = [v for v in elems if host <= v < host + size]
+        marks[name] = [v for v in elems if v < host] + [
+            v + k * size for k in range(copies) for v in inside
+        ]
+    tiled = FiniteMapping(
+        f=tuple(chain.from_iterable(images)), marks=marks, signature=G.signature
+    )
+    sets = G.mark_sets
+    tiled.__dict__["mark_sets"] = sets[:host] + sets[host:host + size] * copies
+    return tiled
 
 
 def restrict(F: FiniteMapping, X: Iterable[int]) -> FiniteMapping:

@@ -17,7 +17,10 @@ was derived once per measure, which read the package's balance equations
 and types and keep their own Fraction sums and per-element image types; and
 compression as it was before it ran in one pass, which repeats a pass of
 exact-count sibling classes and nested component forms until a pass drops
-nothing, and reads the package's cycle table, heights and `restrict`.
+nothing, and reads the package's cycle table, heights and `restrict`; the
+pipeline's output as it was built before it was tiled from its witness,
+through the package's `merge` and `recover`; and the map writer as it was
+before it worked in chunks, one string per record.
 """
 
 import math
@@ -36,7 +39,8 @@ from mapprox.localtypes import (
     transport,
 )
 from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
-from mapprox.mapfile import fraction_from_text
+from mapprox.mapfile import _NAME, MAP_VERSION, fraction_from_text
+from mapprox.realize import merge
 from mapprox.structure import (
     FiniteMapping,
     Signature,
@@ -44,6 +48,7 @@ from mapprox.structure import (
     cycle_lengths,
     cycle_orbits,
     cyclic_part,
+    recover,
     restrict,
 )
 
@@ -72,6 +77,8 @@ __all__ = [
     "solve_certificate_by_fractions",
     "verify_upsilon_per_element",
     "compress_until_stable",
+    "output_by_merge",
+    "dump_map_by_rows",
 ]
 
 
@@ -939,3 +946,24 @@ def compress_until_stable(F: FiniteMapping, r: int) -> FiniteMapping:
         if reduced.n == F.n:
             return reduced
         F = reduced
+
+
+def output_by_merge(residual, stripped, copies: int, pairs) -> FiniteMapping:
+    """The pipeline's output built in full: the residual host and `copies`
+    stripped copies merged, then recovered."""
+    return recover(merge(residual, stripped, copies), pairs)
+
+
+def dump_map_by_rows(F: FiniteMapping) -> str:
+    """The map file text built one record string at a time, then joined."""
+    for name in F.signature.predicates:
+        if not _NAME.match(name):
+            raise FormatError(f"predicate name {name!r} is not writable")
+    rows = [
+        f"mapfile {MAP_VERSION}",
+        f"n {F.n}",
+        " ".join(["predicates", *F.signature.predicates]),
+    ]
+    for v, (image, marks) in enumerate(zip(F.f, F.mark_sets)):
+        rows.append(f"{v} -> {image} [{' '.join(marks)}]")
+    return "\n".join(rows) + "\n"

@@ -1,6 +1,7 @@
 """Serialization: map files, measure and certificate JSON, report dumps."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import (
     cycle,
     every_marking,
+    fixed_point,
     functions_up_to_relabeling,
     path,
     seeded,
@@ -51,6 +53,7 @@ from mapprox.realize import certificate_digest, realize
 from mapprox.structure import FiniteMapping, Signature, ball, cycle_cut_product
 from oracles import (
     certificate_from_json_per_witness,
+    dump_map_by_rows,
     measure_from_json_per_witness,
     structure_from_json_per_predicate,
     structure_to_json_by_extensions,
@@ -83,11 +86,43 @@ class TestMapText:
             F = seeded(10 + seed, seed)
             assert structurally_equal(parse_map(dump_map(F)), F)
 
+    def test_chunked_writer_matches_rows(self):
+        sizes, counts = set(), set()
+        for F in writer_inputs():
+            text = dump_map(F)
+            assert text == dump_map_by_rows(F)
+            assert structurally_equal(parse_map(text), F)
+            sizes.add(F.n)
+            counts.update(map(len, F.mark_sets))
+        assert {1, 4095, 4096, 4097, 8192} <= sizes
+        assert {0, 1, 2, 3} <= counts
+
     def test_file_round_trip(self, tmp_path):
         F = seeded(12, 3)
         target = tmp_path / "f.map"
         write_map(F, target)
         assert structurally_equal(read_map(target), F)
+
+
+def writer_inputs():
+    """Structures on each side of the writer's chunk edges, with elements
+    holding no, one and several marks and a predicate that holds nowhere,
+    and the map-file fixtures above."""
+    yield fixed_point()
+    yield FiniteMapping(f=(0,), marks={"V": {0}}, signature=Signature(("U", "V")))
+    rng = random.Random(7)
+    names = ("A", "B", "C_2", "never")
+    for n in (4095, 4096, 4097, 8192):
+        marks = {
+            name: frozenset(v for v in range(n) if rng.random() < 0.3)
+            for name in names[:3]
+        }
+        f = tuple(rng.randrange(n) for _ in range(n))
+        yield FiniteMapping(f=f, marks=marks, signature=Signature(names))
+    yield cycle(3, {"U": frozenset({0})})
+    yield parse_map(CANONICAL)
+    for seed in range(5):
+        yield seeded(10 + seed, seed)
 
 
 def expect_error(text, fragment, line):

@@ -44,7 +44,9 @@ from mapprox.structure import (
     recover,
     residualize,
 )
+from mapprox.mapfile import dump_map
 from oracles import near as oracle_near
+from oracles import output_by_merge
 from oracles import proximity as oracle_proximity
 from oracles import realize_two_pass
 
@@ -84,6 +86,22 @@ CYCLIC_CASES = [
     (cyclic_input(2, (1, 2, 3), 6, 8), 1, 1, Fraction(1, 4)),
     (cyclic_input(3, (1, 2, 3), 4, 6), 2, 2, Fraction(1, 3)),
     (cyclic_input(1, (1, 2), 0, 3), 1, 3, Fraction(2, 7)),
+]
+
+
+# (F, p, r, eps) for the pipeline's full-structure checks.
+SWEEP_CASES = [
+    (seeded(20, 6), 2, 1, Fraction(1, 6)),
+    (seeded(30, 3), 2, 1, Fraction(1, 10)),
+    (seeded(24, 9, Fraction(1, 2)), 2, 1, Fraction(1, 5)),
+    # Six copies at p = 2: a first-copy ball counts one other copy, not
+    # every other copy the witness holds.
+    (seeded(4, 2), 2, 2, Fraction(1, 3)),
+    (seeded(6, 42), 1, 3, Fraction(1, 4)),
+    # Two copies, fewer than r + 1 (eps >= 1 cuts nothing).
+    (seeded(4, 1), 2, 2, Fraction(1)),
+    (seeded(6, 42), 2, 3, Fraction(2)),
+    *CYCLIC_CASES,
 ]
 
 
@@ -375,20 +393,7 @@ class TestPipeline:
         # min(copies, r + 1) copies.  Each is checked against the full
         # structure, typed in the pipeline's own table, ids and order
         # included.
-        cases = [
-            (seeded(20, 6), 2, 1, Fraction(1, 6)),
-            (seeded(30, 3), 2, 1, Fraction(1, 10)),
-            (seeded(24, 9, Fraction(1, 2)), 2, 1, Fraction(1, 5)),
-            # Six copies at p = 2: a first-copy ball counts one other copy,
-            # not every other copy the witness holds.
-            (seeded(4, 2), 2, 2, Fraction(1, 3)),
-            (seeded(6, 42), 1, 3, Fraction(1, 4)),
-            # Two copies, fewer than r + 1 (eps >= 1 cuts nothing).
-            (seeded(4, 1), 2, 2, Fraction(1)),
-            (seeded(6, 42), 2, 3, Fraction(2)),
-            *CYCLIC_CASES,
-        ]
-        tables, built = [], []
+        tables, built, merges = [], [], []
 
         def new_table():
             tables.append(TypeTable())
@@ -401,21 +406,31 @@ class TestPipeline:
 
             return kept
 
+        def merging(E, F2, copies):
+            merges.append((E, F2))
+            return keeping(merge)(E, F2, copies)
+
         monkeypatch.setattr(realize_module, "TypeTable", new_table)
         monkeypatch.setattr(realize_module, "realize", keeping(realize))
         monkeypatch.setattr(realize_module, "rewire", keeping(rewire))
-        monkeypatch.setattr(realize_module, "merge", keeping(merge))
+        monkeypatch.setattr(realize_module, "merge", merging)
         witness_smaller = set()
-        for F, p, r, eps in cases:
+        for F, p, r, eps in SWEEP_CASES:
             tables.clear()
             built.clear()
+            merges.clear()
             out, report = pipeline(F, p, r, eps)
-            realized, rewired, merged = built[0], built[1], built[-1]
+            realized, rewired = built[0], built[1]
             table = tables[0]
             parameters = report["parameters"]
             copies = parameters["n_close"] * parameters["n_away"]
             host = out.n - copies * realized.n
-            assert len(built) == 4 and merged.n == out.n
+            # The pipeline merges only its witness; the full merged
+            # structure is built here, from the parts it merged.
+            assert len(built) == 3 and len(merges) == 1
+            residual, stripped = merges[0]
+            merged = merge(residual, stripped, copies)
+            assert merged.n == out.n
             assert built[2].n == host + min(copies, r + 1) * realized.n
             witness_smaller.add(copies > r + 1)
 
@@ -439,6 +454,80 @@ class TestPipeline:
                 assert proximity == oracle_proximity(out, 2 * r)
                 assert Fraction(entry["proximity_input"]) == oracle_proximity(F, 2 * r)
         assert witness_smaller == {True, False}
+
+    def test_output_tiled_like_full_merge(self, monkeypatch):
+        # The output, tiled from the witness, is the merged and recovered
+        # structure byte for byte, and its seeded mark sets are the ones
+        # the constructor's own pass gives.
+        merges = []
+
+        def merging(E, F2, copies):
+            merges.append((E, F2))
+            return merge(E, F2, copies)
+
+        monkeypatch.setattr(realize_module, "merge", merging)
+        cases = [
+            (F, p, r, eps, 1)
+            for F, p, r, eps in [
+                *SWEEP_CASES,
+                (seeded(24, 5), 1, 1, Fraction(1, 8)),
+                (seeded(10, 0), 1, 1, Fraction(1, 4)),
+            ]
+        ]
+        cases += [(F, p, r, eps, 2) for F, p, r, eps in SWEEP_CASES[:2]]
+        for seed in range(200):
+            rng = random.Random(seed)
+            r = 1 + seed % 2
+            F = seeded(rng.randint(1, 10 if r == 1 else 6), seed)
+            eps = Fraction(1, rng.choice([2, 3, 4, 6]))
+            cases.append((F, 1 + seed % 3 // 2, r, eps, 1))
+        seen = set()
+        for F, p, r, eps, multiplier in cases:
+            merges.clear()
+            out, report = pipeline(F, p, r, eps, multiplier=multiplier)
+            (residual, stripped), = merges
+            parameters = report["parameters"]
+            copies = parameters["n_close"] * parameters["n_away"]
+            pairs = [tuple(pair) for pair in report["cut_pairs"]]
+            expected = output_by_merge(residual, stripped, copies, pairs)
+            assert dump_map(out) == dump_map(expected)
+            fresh = FiniteMapping(f=out.f, marks=out.marks, signature=out.signature)
+            assert out.mark_sets == fresh.mark_sets
+            seen.add(("whole witness", copies <= r + 1))
+            seen.add(("cut", bool(pairs)))
+            seen.add(("multiplier", multiplier))
+        assert seen == {
+            (kind, value)
+            for kind, values in [
+                ("whole witness", (True, False)),
+                ("cut", (True, False)),
+                ("multiplier", (1, 2)),
+            ]
+            for value in values
+        }
+
+    def test_output_built_once(self, monkeypatch):
+        # One structure of the output's size is built, by tiling, and the
+        # merge runs once, on the witness.
+        sizes, merges = [], []
+        post_init = FiniteMapping.__post_init__
+
+        def counting(F):
+            sizes.append(len(F.f))
+            post_init(F)
+
+        def merging(E, F2, copies):
+            merges.append(copies)
+            return merge(E, F2, copies)
+
+        monkeypatch.setattr(FiniteMapping, "__post_init__", counting)
+        monkeypatch.setattr(realize_module, "merge", merging)
+        for F, p, r, eps in SWEEP_CASES[:3]:
+            sizes.clear()
+            merges.clear()
+            out, _ = pipeline(F, p, r, eps)
+            assert sizes.count(out.n) == 1 and max(sizes) == out.n
+            assert merges == [r + 1]
 
     def test_rewired_read_off_realized_blocks(self):
         # Every element of a realized block has the rank-r type of the
