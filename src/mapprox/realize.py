@@ -18,6 +18,7 @@ end-to-end pipeline itself.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -582,9 +583,24 @@ def pipeline(
     is that host followed by `copies` copies of that first copy, each
     image inside the copy shifted with it and each image into the host,
     a recovered A edge, kept (structure._tile).
+
+    The call pauses the cyclic garbage collector and restores its state on
+    return, also when it raises, so a caller that paused it finds it
+    paused.  This is safe because no stage builds a reference cycle:
+    everything the call allocates is freed by reference counting, which
+    the pause leaves alone (tests/test_realize.py checks that a collection
+    after the call finds nothing).  With the collector on, its hundreds of
+    collections over the stages' live types, fractions and measure entries
+    free nothing.
     """
-    report, witness, blocks = _stages(F, p, r, eps, multiplier, factorial_schedule)
-    return _tile(witness, *blocks), report
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report, witness, blocks = _stages(F, p, r, eps, multiplier, factorial_schedule)
+        return _tile(witness, *blocks), report
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _stages(
@@ -605,6 +621,8 @@ def _stages(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if multiplier < 1:
+        raise ValueError("multiplier must be at least 1")
     rr, clean, cut = _schedule(r, factorial_schedule)
     schedule_info = {"r": r, "rr": rr, "clean_rank": clean, "cut_length": cut}
 

@@ -352,6 +352,13 @@ class TestPipelineCommand:
         assert out == ""
         assert "r must be at least 1" in err
 
+    def test_multiplier_zero_exits_1(self, capsys, random_map):
+        argv = ["pipeline", random_map, "--p", "1", "--r", "1", "--eps", "1/8"]
+        code, out, err = run(capsys, [*argv, "--multiplier", "0"])
+        assert code == 1
+        assert out == ""
+        assert "multiplier must be at least 1" in err
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):

@@ -1,6 +1,7 @@
 """Realization, label verification, rewiring, merging, and the pipeline."""
 
 import functools
+import gc
 import importlib
 import math
 import random
@@ -38,9 +39,11 @@ from mapprox.realize import (
     verify_upsilon,
 )
 from mapprox.structure import (
+    TYPE_MARK,
     FiniteMapping,
     cycle_cut_product,
     cycle_lengths,
+    cycle_orbits,
     recover,
     residualize,
 )
@@ -319,6 +322,39 @@ class TestRewire:
     def test_requires_cut_marks(self):
         with pytest.raises(MissingCutPredicates):
             rewire(cycle(6), 6, 3)
+
+    def test_realized_orbits_close_after_their_length(self):
+        # rewire's closure claim on realized structures, where realize's
+        # ordered target search, not the cut product, fixes each orbit:
+        # every element marked T<k>_cyc<l> of a class rewire closes lies on
+        # an l-cycle.  Seeded inputs, not a proof.
+        inputs = [(F, eps) for F, _, _, eps in CYCLIC_CASES]
+        for n, seed in [(8, 1), (12, 3), (20, 6)]:
+            inputs.append((seeded(n, seed), Fraction(1, 4)))
+        lengths = set()
+        for F, eps in inputs:
+            residual, _ = residualize(F, eps)
+            for r in (1, 2):
+                _, clean, cut = realize_module._schedule(r, False)
+                table = TypeTable()
+                product = cycle_cut_product(residual, cut, clean, table=table)
+                nu = type_distribution(product, clean, table)
+                for multiplier in (1, 2):
+                    realized = realize(nu, r, multiplier)
+                    rewired = rewire(realized, cut, clean)
+                    orbits = cycle_orbits(rewired)
+                    on_cycle = {v: len(orbit) for orbit in orbits for v in orbit}
+                    for name in realized.signature.predicates:
+                        matched = TYPE_MARK.fullmatch(name)
+                        if not (matched and matched.group(1)):
+                            continue
+                        length = int(matched.group(1))
+                        if length > clean + 1 or cut % length:
+                            continue
+                        for v in realized.marks[name]:
+                            assert on_cycle.get(v) == length, (F, r, multiplier, name, v)
+                            lengths.add(length)
+        assert lengths == {1, 2, 3}
 
 
 class TestTerminalsHubsMerge:
@@ -683,11 +719,17 @@ class TestPipeline:
         assert "cut = clean! =" in str(caught.value)
         assert caught.value.schedule["cut_length"] == math.factorial(33)
 
-    def test_parameters_validated(self):
+    def test_parameters_validated(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("no stage may run on a bad parameter")
+
+        monkeypatch.setattr(realize_module, "residualize", unreachable)
         with pytest.raises(ValueError):
             pipeline(seeded(10, 0), 0, 1, Fraction(1, 4))
         with pytest.raises(ValueError):
             pipeline(seeded(10, 0), 1, 1, 0)
+        with pytest.raises(ValueError, match="multiplier must be at least 1"):
+            pipeline(seeded(10, 0), 1, 1, Fraction(1, 4), multiplier=0)
 
     @pytest.mark.parametrize("factorial", [False, True])
     @pytest.mark.parametrize("r", [0, -1])
@@ -713,6 +755,71 @@ class TestPipeline:
             "clean_rank": 3,
             "cut_length": 6,
         }
+
+    def test_no_collection_during_call(self):
+        # Every allocation the call makes is freed by reference counting,
+        # so the cyclic collector is paused for it.
+        starts = []
+
+        def counting(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        for F, p, r, eps in SWEEP_CASES:
+            gc.collect()  # no allocation count left over to trigger one
+            gc.callbacks.append(counting)
+            try:
+                pipeline(F, p, r, eps)
+            finally:
+                gc.callbacks.remove(counting)
+        assert starts == []
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_collector_state_restored(self, monkeypatch, enabled):
+        F = seeded(10, 0)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            pipeline(F, 1, 1, Fraction(1, 4))
+            assert gc.isenabled() == enabled
+            with pytest.raises(ValueError, match="p must be at least 1"):
+                pipeline(F, 0, 1, Fraction(1, 4))
+            assert gc.isenabled() == enabled
+            monkeypatch.setattr(realize_module, "MAX_OUTPUT_SIZE", 10)
+            with pytest.raises(ScheduleInfeasible, match="merging would need"):
+                pipeline(F, 1, 1, Fraction(1, 4))
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+    def test_no_cyclic_garbage(self, monkeypatch):
+        # With the collector off, a collection after the call finds nothing
+        # unreachable: the call built no reference cycle, which is what
+        # makes pausing the collector for it safe.
+        def garbage(F, p, r, eps, raises=False, **options):
+            gc.collect()
+            gc.disable()
+            try:
+                try:
+                    pipeline(F, p, r, eps, **options)
+                except ScheduleInfeasible:
+                    assert raises
+                else:
+                    assert not raises
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        for F, p, r, eps in SWEEP_CASES:
+            assert garbage(F, p, r, eps) == 0, (F, p, r, eps)
+        for F, p, r, eps in SWEEP_CASES[:2] + CYCLIC_CASES[2:3]:
+            assert garbage(F, p, r, eps, multiplier=2) == 0, (F, p, r, eps)
+        F = seeded(20, 7)
+        assert garbage(F, 1, 2, Fraction(1, 10), True, factorial_schedule=True) == 0
+        for budget in ("MAX_REALIZE_SIZE", "MAX_OUTPUT_SIZE"):
+            with monkeypatch.context() as patched:
+                patched.setattr(realize_module, budget, 10)
+                assert garbage(seeded(10, 0), 1, 1, Fraction(1, 4), True) == 0
 
     def test_certificate_computed_once(self, monkeypatch):
         # The pipeline's report and realize's preconditions share one solve.
