@@ -15,6 +15,8 @@ by field), which also lets type tables cache per-structure computations.
 
 Residualization cuts oversized components and records every cut with a pair
 of fresh predicates; `recover` undoes the cuts from those predicates alone.
+It makes its cuts in one pass from the leaves up, once each oversized
+component's cycle is opened.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from operator import add
@@ -443,30 +446,6 @@ def mark_element(F: FiniteMapping, name: str, elements: Iterable[int]) -> Finite
 # residualization
 
 
-def _strict_preimage_counts(F: FiniteMapping) -> list[int]:
-    """|E(u)| for every u, where E(u) holds the elements with some forward
-    iterate equal to u, u itself excluded.  One bottom-up pass sums every
-    tree into its root, peeling elements whose preimages are all peeled;
-    on a cycle, E(u) is the rest of u's component."""
-    f, pre = F.f, F.pre
-    size = [1] * F.n  # elements of the in-tree, the element itself included
-    waiting = [len(p) for p in pre]
-    ready = [u for u in F.elements() if not waiting[u]]
-    while ready:
-        x = ready.pop()
-        y = f[x]
-        size[y] += size[x]
-        waiting[y] -= 1
-        if not waiting[y]:
-            ready.append(y)
-    counts = [s - 1 for s in size]
-    for orbit in cycle_orbits(F):
-        component = sum(size[z] for z in orbit)
-        for z in orbit:
-            counts[z] = component - 1
-    return counts
-
-
 def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, str]]]:
     """Cut every oversized component into pieces of at most ceil(eps*n)+1 elements.
 
@@ -476,17 +455,34 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
     * each oversized component whose cycle is non-trivial is opened at its
       lowest-id cycle vertex v: mark v with A_k, mark f(v) with B_k, set
       f(v) := v;
-    * then, while some u has more than eps*n strict iterated preimages but
-      each of its direct preimages other than u itself does not, every direct
-      preimage w != u is marked A_j and redirected to itself, and u is marked
-      B_j.  Fixed points are skipped as sources: their image is unchanged, so
-      no record is needed.
+    * then, in one pass from the leaves up, every u whose in-tree, after the
+      cuts below it, holds more than eps*n elements besides u is cut below:
+      every direct preimage w != u is marked A_j and redirected to itself,
+      and u is marked B_j.  Fixed points are skipped as sources: their
+      image is unchanged, so no record is needed.
 
     Returns the residual mapping together with the cut pairs, in cut order;
     recover(residual, pairs) restores the input exactly.
-    """
-    from fractions import Fraction
 
+    The pass makes the cuts of the loop it replaced (tests/oracles.py),
+    which recounted after every cut and cut below the lowest-id candidate:
+    a u with more than eps*n strict iterated preimages none of whose
+    direct preimages w != u has that many.  No candidate is an ancestor of
+    another (the preimage on the path between them would have too many),
+    and a cut below u lowers counts only, at u and its forward iterates.
+    So a cut leaves every other candidate a candidate, two cuts commute,
+    and every run of candidate cuts until none is left makes the same cuts
+    in some order.  The pass is such a run: it reaches u with every cut
+    below u made, so size[u] - 1 is u's count and its children are within
+    the bound, and it leaves every count within the bound.
+
+    Only the numbering can differ from the loop's: pairs are numbered in
+    pass order.  Renaming fresh pairs is a bijection on predicate names,
+    which leaves every type partition unchanged, and with it every
+    canonical id (first appearance by element), the cut product's T marks,
+    realize's blocks, recover's targets and the output; `cut_pairs` lists
+    the same names.
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -527,21 +523,21 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
         if F.f[v] != v:
             cut([v], F.f[v])
 
-    # Repeatedly cut below elements with oversized iterated preimage sets.
-    while True:
-        current = FiniteMapping(f=tuple(f), marks={}, signature=Signature())
-        pre = current.pre
-        big = _strict_preimage_counts(current)
-        candidate = None
-        for u in current.elements():
-            if big[u] <= threshold:
-                continue
-            if all(big[x] <= threshold for x in pre[u] if x != u):
-                candidate = u
-                break
-        if candidate is None:
-            break
-        cut(sorted(w for w in pre[candidate] if w != candidate), candidate)
+    # Top-down from the cycles of the opened structure; sized in reverse,
+    # children first.  size[y] counts y's in-tree after the cuts below y.
+    opened = FiniteMapping(f=tuple(f), marks={}, signature=Signature())
+    orbits, on_cycle = opened.cycle_table
+    pre = opened.pre
+    order = [z for orbit in orbits for z in orbit]
+    for y in order:  # grows as it is read
+        order.extend(x for x in pre[y] if not on_cycle[x])
+    size = [1] * n
+    for y in reversed(order):
+        if size[y] - 1 > threshold:
+            cut([x for x in pre[y] if not on_cycle[x]], y)
+            size[y] = 1
+        if not on_cycle[y]:
+            size[opened.f[y]] += size[y]
 
     signature = Signature(
         F.signature.predicates + tuple(name for pair in pairs for name in pair)

@@ -42,6 +42,24 @@ def path(k: int) -> FiniteMapping:
     return FiniteMapping(f=tuple(min(i + 1, k - 1) for i in range(k)))
 
 
+def cyclic_input(seed, cycles, tails, leaves):
+    """Cycles of the given lengths, `tails` elements hung on them at random,
+    and a fixed hub with `leaves` preimages, which residualization cuts off
+    when there are more than eps * n of them.  U holds on the first
+    element of each 2-cycle and at random elsewhere."""
+    rng = random.Random(seed)
+    f, marked = [], set()
+    for length in cycles:
+        if length == 2:
+            marked.add(len(f))
+        f += [len(f) + (i + 1) % length for i in range(length)]
+    for _ in range(tails):
+        f.append(rng.randrange(len(f)))
+    f += [len(f)] * (leaves + 1)
+    marked |= {v for v in range(len(f)) if rng.random() < 0.25}
+    return FiniteMapping(f=tuple(f), marks={"U": frozenset(marked)})
+
+
 def fixed_point(marks=None) -> FiniteMapping:
     return FiniteMapping(f=(0,), marks=marks or {})
 

@@ -19,8 +19,11 @@ compression as it was before it ran in one pass, which repeats a pass of
 exact-count sibling classes and nested component forms until a pass drops
 nothing, and reads the package's cycle table, heights and `restrict`; the
 pipeline's output as it was built before it was tiled from its witness,
-through the package's `merge` and `recover`; and the map writer as it was
-before it worked in chunks, one string per record.
+through the package's `merge` and `recover`; the map writer as it was
+before it worked in chunks, one string per record; and residualization as
+it was before it cut in one pass, which recounts with
+`strict_iterated_preimages` after every cut and reads the package's
+components and cycle table.
 """
 
 import math
@@ -45,6 +48,7 @@ from mapprox.structure import (
     FiniteMapping,
     Signature,
     ball,
+    connected_components,
     cycle_lengths,
     cycle_orbits,
     cyclic_part,
@@ -63,6 +67,7 @@ __all__ = [
     "tuple_histograms",
     "tv",
     "random_clean_formula",
+    "residualize_until_stable",
     "restrict_by_scan",
     "pairwise_measure_tv",
     "column_rank",
@@ -355,6 +360,63 @@ def strict_iterated_preimages(F: FiniteMapping) -> list:
         seen.discard(u)
         out.append(seen)
     return out
+
+
+def residualize_until_stable(F: FiniteMapping, eps):
+    """`residualize` as a loop: open each oversized component at its
+    lowest-id cycle vertex, then, recounting every element's strict
+    iterated preimages after each cut, cut below the lowest-id u with more
+    than eps*n of them none of whose direct preimages w != u has that many,
+    until no such u is left.  Pairs are numbered in cut order."""
+    eps = Fraction(eps)
+    threshold = eps * F.n
+    existing = set(F.signature.predicates)
+    f = list(F.f)
+    new_marks: dict = {}
+    pairs: list = []
+    index = 1
+
+    def cut(sources, target):
+        nonlocal index
+        while f"A{index}" in existing or f"B{index}" in existing:
+            index += 1
+        a, b = f"A{index}", f"B{index}"
+        index += 1
+        pairs.append((a, b))
+        new_marks[a] = frozenset(sources)
+        new_marks[b] = frozenset({target})
+        for w in sources:
+            f[w] = w
+
+    length = F.cycle_length
+    for comp in connected_components(F):
+        if len(comp) > threshold:
+            v = min(x for x in comp if length[x])
+            if F.f[v] != v:
+                cut([v], F.f[v])
+
+    while True:
+        current = FiniteMapping(f=tuple(f))
+        pre = current.pre
+        big = [len(e) for e in strict_iterated_preimages(current)]
+        candidate = next(
+            (
+                u
+                for u in range(F.n)
+                if big[u] > threshold
+                and all(big[x] <= threshold for x in pre[u] if x != u)
+            ),
+            None,
+        )
+        if candidate is None:
+            break
+        cut(sorted(w for w in pre[candidate] if w != candidate), candidate)
+
+    signature = Signature(
+        F.signature.predicates + tuple(name for pair in pairs for name in pair)
+    )
+    marks = {**F.marks, **new_marks}
+    return FiniteMapping(f=tuple(f), marks=marks, signature=signature), pairs
 
 
 def restrict_by_scan(F: FiniteMapping, X) -> FiniteMapping:

@@ -3,13 +3,22 @@
 import functools
 import gc
 import importlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, path, perturbed_product, seeded, star
+from helpers import (
+    cycle,
+    cyclic_input,
+    fixed_point,
+    path,
+    perturbed_product,
+    seeded,
+    star,
+)
 from mapprox.equivalence import ldist
 from mapprox.errors import (
     BudgetExceeded,
@@ -47,7 +56,7 @@ from mapprox.structure import (
     recover,
     residualize,
 )
-from mapprox.mapfile import dump_map
+from mapprox.mapfile import dump_map, jsonable
 from oracles import near as oracle_near
 from oracles import output_by_merge
 from oracles import proximity as oracle_proximity
@@ -62,24 +71,6 @@ TABLE = TypeTable()
 
 def marked_cycle(k=6):
     return cycle(k, {"U": frozenset({0})})
-
-
-def cyclic_input(seed, cycles, tails, leaves):
-    """Cycles of the given lengths, `tails` elements hung on them at random,
-    and a fixed hub with `leaves` preimages, which residualization cuts off
-    when there are more than eps * n of them.  U holds on the first
-    element of each 2-cycle and at random elsewhere."""
-    rng = random.Random(seed)
-    f, marked = [], set()
-    for length in cycles:
-        if length == 2:
-            marked.add(len(f))
-        f += [len(f) + (i + 1) % length for i in range(length)]
-    for _ in range(tails):
-        f.append(rng.randrange(len(f)))
-    f += [len(f)] * (leaves + 1)
-    marked |= {v for v in range(len(f)) if rng.random() < 0.25}
-    return FiniteMapping(f=tuple(f), marks={"U": frozenset(marked)})
 
 
 # Self-loops, 2- and 3-cycles that the residual keeps and rewire closes
@@ -820,6 +811,34 @@ class TestPipeline:
             with monkeypatch.context() as patched:
                 patched.setattr(realize_module, budget, 10)
                 assert garbage(seeded(10, 0), 1, 1, Fraction(1, 4), True) == 0
+
+    def test_pair_numbering_reaches_no_output(self, monkeypatch):
+        # residualize numbers its pairs in cut order; renumbering them in
+        # reverse changes no map byte and no report byte.
+        def renumbered(F, eps):
+            residual, pairs = residualize(F, eps)
+            marks = dict(residual.marks)
+            for (a, b), (a_old, b_old) in zip(pairs, reversed(pairs)):
+                marks[a], marks[b] = residual.marks[a_old], residual.marks[b_old]
+            return (
+                FiniteMapping(f=residual.f, marks=marks, signature=residual.signature),
+                pairs,
+            )
+
+        def written(F, p, r, eps):
+            out, report = pipeline(F, p, r, eps)
+            return dump_map(out), json.dumps(jsonable(report), indent=2)
+
+        # Reversing fewer than two pairs renames nothing.
+        cases = [
+            (F, p, r, eps)
+            for F, p, r, eps in SWEEP_CASES
+            if len(residualize(F, eps)[1]) >= 2
+        ]
+        assert cases
+        before = [written(*case) for case in cases]
+        monkeypatch.setattr(realize_module, "residualize", renumbered)
+        assert [written(*case) for case in cases] == before
 
     def test_certificate_computed_once(self, monkeypatch):
         # The pipeline's report and realize's preconditions share one solve.

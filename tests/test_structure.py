@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     broken_cut_products,
     cycle,
+    cyclic_input,
     every_marking,
     fixed_point,
     functions_up_to_relabeling,
@@ -55,7 +56,7 @@ from mapprox.structure import (
     validate,
 )
 from oracles import near as oracle_near
-from oracles import restrict_by_scan, strict_iterated_preimages
+from oracles import residualize_until_stable, restrict_by_scan
 
 
 class TestConstruction:
@@ -502,12 +503,13 @@ class TestResidualize:
                 assert structurally_equal(back, F)
         assert pairs[0] == ("A2", "B2")
 
-    def test_preimage_counts_match_bfs_oracle(self, monkeypatch):
-        # Every mapping with n <= 5, then seeded ones: the same counts, and
-        # residualize cuts the same pairs in the same order when it reads
-        # the oracle's counts instead.
-        def bfs_counts(F):
-            return [len(e) for e in strict_iterated_preimages(F)]
+    def test_matches_until_stable_oracle(self):
+        # Every mapping with n <= 5, seeded ones, a path, a star and inputs
+        # with several non-trivial cycles: the one pass makes the loop's
+        # cuts and names the same pairs; which pair records which cut may
+        # differ.
+        def cuts(R, pairs):
+            return {(R.marks[a], *R.marks[b]) for a, b in pairs}
 
         cases = [
             FiniteMapping(f=f)
@@ -516,16 +518,33 @@ class TestResidualize:
         ]
         cases += [seeded(n, seed) for n in (20, 60) for seed in range(6)]
         cases += [path(40), star(30)]
-        epsilons = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))
-        fast = []
+        cases += [cyclic_input(seed, (1, 2, 3), 6, 8) for seed in (1, 2, 3)]
+        cases += [cyclic_input(seed, (2, 3, 4, 5), 40, 12) for seed in (1, 2, 3)]
         for F in cases:
-            assert structure_module._strict_preimage_counts(F) == bfs_counts(F)
-            fast.extend(residualize(F, eps) for eps in epsilons)
-        monkeypatch.setattr(structure_module, "_strict_preimage_counts", bfs_counts)
-        slow = [residualize(F, eps) for F in cases for eps in epsilons]
-        for (R1, pairs1), (R2, pairs2) in zip(fast, slow):
-            assert pairs1 == pairs2
-            assert structurally_equal(R1, R2)
+            for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
+                R, pairs = residualize(F, eps)
+                S, loop_pairs = residualize_until_stable(F, eps)
+                assert R.f == S.f
+                for name in F.signature.predicates:
+                    assert R.marks[name] == S.marks[name]
+                assert cuts(R, pairs) == cuts(S, loop_pairs)
+                assert pairs == loop_pairs
+                assert structurally_equal(recover(R, pairs), F)
+
+    def test_no_structure_built_per_cut(self, monkeypatch):
+        # The opened structure and the result, however many cuts.
+        built = []
+        post_init = FiniteMapping.__post_init__
+
+        def counting(F):
+            built.append(F)
+            post_init(F)
+
+        F = path(40)
+        monkeypatch.setattr(FiniteMapping, "__post_init__", counting)
+        _, pairs = residualize(F, Fraction(1, 10))
+        assert len(pairs) > 2
+        assert len(built) == 2
 
     def test_recover_rejects_two_targets(self):
         R = FiniteMapping(
