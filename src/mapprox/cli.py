@@ -17,12 +17,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import mapfile
+from . import equivalence, mapfile
 from .compress import standard_r_approximation
 from .equivalence import ef_equivalent, fo_dist, ldist
 from .errors import DuplicatePredicate, MapproxError
 from .fmtp import CompanionCertificate, check_fmtp, exhaustive_fmtp_check, restricted_fmtp_certificate
-from .localtypes import global_table, type_distribution
+from .localtypes import Meter, global_table, type_distribution
 from .randgen import SplitMix64, cycle_statistics, random_mapping
 from .realize import certificate_digest, pipeline, realize, rewire
 from .structure import cycle_cut_product
@@ -57,12 +57,26 @@ def _density(text: str) -> tuple[str, Fraction]:
     return name, _fraction(value)
 
 
+def _play_roots(F, rank: int) -> None:
+    """Play the rank-`rank` game of every element of F in the global
+    table, each under its own Meter(GAME_BUDGET), so a rank too high for F
+    exits 1 with the budget message instead of running for hours.  The
+    library call that follows reads each root off the table's memo and
+    plays nothing again.  A negative rank is left to that call's check."""
+    if rank < 0:
+        return
+    table = global_table()
+    for v in F.elements():
+        table.nv_value(F, (v,), rank, Meter(equivalence.GAME_BUDGET))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_types(args) -> None:
     F = mapfile.read_map(args.file)
+    _play_roots(F, args.rank)
     mu = type_distribution(F, args.rank, global_table())
     if args.table:
         sys.stdout.write("type\tmass\tmass_float\n")
@@ -118,6 +132,7 @@ def _cmd_fmtp(args) -> None:
 
 def _cmd_certificate(args) -> None:
     F = mapfile.read_map(args.file)
+    _play_roots(F, args.rank)
     mu = type_distribution(F, args.rank, global_table())
     result = restricted_fmtp_certificate(mu, args.r)
     if not isinstance(result, CompanionCertificate):
@@ -129,6 +144,7 @@ def _cmd_certificate(args) -> None:
 
 def _cmd_cut(args) -> None:
     F = mapfile.read_map(args.file)
+    _play_roots(F, args.type_rank)
     _emit_structure(cycle_cut_product(F, args.m, args.type_rank, global_table()), args.out)
 
 

@@ -107,8 +107,10 @@ class BudgetExceeded(MapproxError):
 
 
 class GameTooDeep(BudgetExceeded):
-    """A game has more rounds than Python's recursion limit lets it play;
-    the budget is that limit."""
+    """A game has more rounds than Python's recursion limit lets it play:
+    a game of k rounds is refused before it starts when 2k, two frames per
+    round, passes the limit, or when it runs out of stack anyway.  The
+    budget is that limit."""
 
     def __init__(self, rank: int):
         super().__init__(sys.getrecursionlimit())

@@ -72,8 +72,27 @@ the top of a game is reached only from (tup[:-1], k + 1), which is played
 once, so a memo below the top would never be hit; only the top-level
 tuples of nv_value and global_value are memoized, and asking for one again
 plays and spends nothing.  A Meter passed down counts the positions a call
-plays, one each.  In the local game the leaves of the last round are read
-off their atom rows in place, and each still spends one.
+plays, one each.  In the local game only a top-level tuple's atom row is
+scanned off the tuple.  A fresh y equals no placed element, so its row
+over a placed tuple is its marks, whether it is fixed, the first index of
+f(y) in the tuple, and the indices whose image is y.  A position reads the
+first off the set of its elements and the last off the tuple of their
+images, which it hands each kid along with the kid's row.  The leaves of
+the last round are interned in place from such rows, and the Meter is
+charged for a position's leaves at once, one each; a batch that does not
+fit raises with the same budget and spend as one charge per leaf would, so
+the positions counted are unchanged.
+
+A game of k rounds is refused with GameTooDeep, before any position is
+played, when 2k passes Python's recursion limit.  Two frames per round is
+what the game took when each position gathered its kids in a set
+comprehension, a frame of its own up to Python 3.11, so the ranks refused
+are the ones that ran out of stack there.  The rule is written out because
+how many frames a round takes depends on the interpreter and the code:
+Python 3.12 inlines comprehensions (PEP 709), and a 600-round game on a
+1000-cycle, which ran out of stack at once on 3.10 and 3.11, then fit on
+3.12 and 3.13 and searched some 2^600 positions.  A game the rule lets
+through that still runs out of stack raises GameTooDeep too.
 
 The whole-domain game's last round is read off atom rows, not played.
 With one round left, the kids of a tuple are the rank-0 values of its
@@ -105,6 +124,7 @@ a list stored there brings those rescans back.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -452,36 +472,42 @@ class TypeTable:
     def _play(self, F, memo, moves, tup, k, meter) -> int:
         """The value of `tup` with k rounds left, memoized in `memo` by
         (tup, k): only top-level tuples are memoized, since every position
-        below one is reached once (_nv).  A game recurses once per round,
-        and one past Python's recursion limit raises GameTooDeep, a
-        BudgetExceeded."""
+        below one is reached once (_nv).  A game of more rounds than half
+        Python's recursion limit raises GameTooDeep, a BudgetExceeded,
+        before it is played (module docstring); one that still runs out of
+        stack raises it too."""
         key = (tup, k)
         found = memo.get(key)
         if found is None:
+            if 2 * k > sys.getrecursionlimit():
+                raise GameTooDeep(k)
             try:
                 found = memo[key] = self._nv(F, moves, tup, k, meter)
             except RecursionError:
                 raise GameTooDeep(k) from None
         return found
 
-    def _nv(self, F, moves, tup, k, meter) -> int:
+    def _nv(self, F, moves, tup, k, meter, row=None, images=None) -> int:
         """The value of `tup` with k rounds left, played with no memo: a
         position (tup, k) below the top is reached only from (tup[:-1],
         k + 1), which plays it once, so each position is played once and
         spends one.  Fresh moves are the neighbors in moves[k - 1] (singles
         and one per twin class), or every element if `moves` is None; that
-        rule's last round is read off atom rows (_last_round).  With one
-        local round left each kid is a leaf, its value read off its atom
-        row in place, spending one per leaf."""
+        rule's last round is read off atom rows (_last_round).  `row` and
+        `images` are tup's atom row and the images of its elements, handed
+        down by the parent position, or None at the top.  With one local
+        round left each kid is a leaf, interned here from its row, and the
+        leaves spend one each, charged at once."""
         if meter is not None:
             meter.spend()
         f, marks = F.f, F.mark_sets
-        intern = self._intern_value
-        row = atom_row(f, marks, tup)
+        if row is None:
+            row = atom_row(f, marks, tup)
+            images = tuple(map(f.__getitem__, tup))
         if k == 0:
-            return intern((0, row, None))
+            return self._intern_value((0, row, None))
         if moves is None and k == 1:
-            return intern((1, row, self._last_round(F, tup)))
+            return self._intern_value((1, row, self._last_round(F, tup)))
         placed = set(tup)
         if moves is None:
             ext = set(range(F.n))
@@ -497,16 +523,42 @@ class TypeTable:
                             ext.add(y)
                             break
         ext -= placed
-        if k > 1:
-            kids = {self._nv(F, moves, tup + (y,), k - 1, meter) for y in ext}
-        elif meter is None:
-            kids = {intern((0, atom_row(f, marks, tup + (y,)), None)) for y in ext}
-        else:
-            kids = set()
-            for y in ext:
-                meter.spend()
-                kids.add(intern((0, atom_row(f, marks, tup + (y,)), None)))
-        return intern((k, row, tuple(sorted(kids))))
+        if k == 1 and meter is not None:
+            # One charge for the leaves; a batch that does not fit raises
+            # where its first leaf past the budget would.
+            meter.spend(min(len(ext), meter.budget + 1 - meter.spent))
+        # A fresh y equals no placed element, so its row over tup is its
+        # marks, whether it is fixed, the first index of f(y) in tup and the
+        # indices whose image is y, with no pass over tup unless y is an
+        # image.  A leaf is interned here (_intern_value inlined: the same
+        # keys in the same order), as is this position's own value.
+        index, nv = tup.index, self._nv
+        table, meta = self._intern, self._meta
+        kids = set()
+        for y in ext:
+            image = f[y]
+            if y not in images:
+                bits = 0
+            elif images.count(y) == 1:
+                bits = 1 << images.index(y)
+            else:
+                bits = sum(1 << i for i, z in enumerate(images) if z == y)
+            y_row = (marks[y], image == y, None, index(image) if image in placed else None, bits)
+            if k > 1:
+                kids.add(nv(F, moves, tup + (y,), k - 1, meter, y_row, images + (image,)))
+                continue
+            key = (0, y_row, None)
+            found = table.get(key)
+            if found is None:
+                found = table[key] = len(meta)
+                meta.append(key)
+            kids.add(found)
+        key = (k, row, tuple(sorted(kids)))
+        found = table.get(key)
+        if found is None:
+            found = table[key] = len(meta)
+            meta.append(key)
+        return found
 
     def _last_round(self, F: FiniteMapping, tup: tuple[int, ...]) -> tuple[int, ...]:
         """The kid values of `tup` with one whole-domain round left, read

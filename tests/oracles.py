@@ -74,6 +74,7 @@ __all__ = [
     "brute_feasible_point",
     "realize_two_pass",
     "atom_row_scan",
+    "hintikka_formula",
     "structure_to_json_by_extensions",
     "type_to_json_by_restrict",
     "structure_from_json_per_predicate",
@@ -271,6 +272,60 @@ def random_clean_formula(rng, predicates, free_vars, depth):
     phi = build(scope, depth)
     for name in scope:
         phi = And(phi, Eq(Term(name), Term(name)))
+    return phi
+
+
+def hintikka_formula(value_of, predicates, nv, m=1):
+    """The clean guarded formula of the game value `nv` of a tuple
+    x1..xm, true of a tuple exactly when the tuple has that value (the
+    Ehrenfeucht-Fraisse theorem; Hintikka formulas as in Libkin, Elements
+    of Finite Model Theory, ch. 3).  `value_of(nv)` gives (rank, atom row,
+    kid values), the row as (marks, fixed, first equal index, first image
+    index, preimage bitmask) over the earlier elements.  The formula is the
+    conjunction of the row's atoms, each one or its negation; for each kid,
+    some x_i has a neighbour y with the kid's formula; and for each i, every
+    neighbour y of x_i is some x_j or has some kid's formula.  Its local
+    rank is at most the value's rank."""
+    _, row, kids = value_of(nv)
+    names, fixed, eq, img, pre = row
+    x = Term(f"x{m}")
+    earlier = [Term(f"x{j}") for j in range(1, m)]
+    parts = [
+        Pred(name, x) if name in names else Not(Pred(name, x)) for name in predicates
+    ]
+    loop = Eq(Term(x.var, 1), x)
+    parts.append(loop if fixed else Not(loop))
+    # The first equal and first image index fix the atoms with every
+    # earlier element: those past the first follow from the earlier rows.
+    for j, xj in enumerate(earlier):
+        if eq is None or j <= eq:
+            same = Eq(x, xj)
+            parts.append(same if j == eq else Not(same))
+        if img is None or j <= img:
+            image = Eq(Term(x.var, 1), xj)
+            parts.append(image if j == img else Not(image))
+        preimage = Eq(Term(xj.var, 1), x)
+        parts.append(preimage if pre >> j & 1 else Not(preimage))
+    if kids is not None:
+        y = f"x{m + 1}"
+        placed = earlier + [x]
+        kid_formulas = [hintikka_formula(value_of, predicates, c, m + 1) for c in kids]
+        for phi in kid_formulas:
+            parts.append(_any(Exists(y, xi, phi) for xi in placed))
+        for xi in placed:
+            known = [Eq(Term(y), xj) for xj in placed]
+            parts.append(Forall(y, xi, _any(known + kid_formulas)))
+    phi = parts[0]
+    for part in parts[1:]:
+        phi = And(phi, part)
+    return phi
+
+
+def _any(formulas):
+    formulas = list(formulas)
+    phi = formulas[0]
+    for other in formulas[1:]:
+        phi = Or(phi, other)
     return phi
 
 

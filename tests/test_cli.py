@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import broken_cut_products, cycle, star, structurally_equal
+from mapprox import equivalence
 from mapprox.cli import main
-from mapprox.localtypes import TypeTable, type_distribution
+from mapprox.localtypes import Meter, TypeTable, type_distribution
 from mapprox.mapfile import (
     dump_map,
     jsonable,
@@ -524,6 +525,59 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: a rank-600 game recurses deeper")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["types", "{c}", "--rank", "30"],
+            ["certificate", "{c}", "--rank", "30", "--r", "1"],
+            ["cut", "{c}", "--m", "2", "--type-rank", "30"],
+        ],
+        ids=["types", "certificate", "cut"],
+    )
+    def test_root_game_over_budget_exits_1(self, capsys, tmp_path, monkeypatch, argv):
+        # A rank-30 game from one element of a 1000-cycle fits the stack but
+        # plays about 2^31 positions.  Each root game has its own budget,
+        # lowered here to keep the test fast.
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", 10_000)
+        path = tmp_path / "c.map"
+        write_map(cycle(1000), path)
+        code, out, err = run(capsys, [arg.format(c=path) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: work budget 10000 exceeded (needed >= 10001)")
+        assert "Traceback" not in err
+
+    def test_each_root_game_has_its_own_budget(self, capsys, tmp_path, monkeypatch):
+        # A budget of the largest root game's positions is enough for every
+        # root, and the histogram after them plays nothing again; one less
+        # exits 1.
+        F = random_mapping(40, 3, {"U": Fraction(1, 4)})
+        path = tmp_path / "r.map"
+        write_map(F, path)
+        spent = []
+        for v in F.elements():
+            meter = Meter(10**9)
+            TypeTable().nv_value(F, (v,), 3, meter)
+            spent.append(meter.spent)
+        assert sum(spent) > 2 * max(spent)
+        played = []
+        play = TypeTable._play
+
+        def counting(self, G, *rest):
+            played.append(G)
+            return play(self, G, *rest)
+
+        monkeypatch.setattr(TypeTable, "_play", counting)
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", max(spent))
+        code, out, _ = run(capsys, ["types", str(path), "--rank", "3"])
+        assert code == 0
+        assert json.loads(out) == jsonable(measure_to_json(type_distribution(F, 3, TypeTable())))
+        assert len(played) == 2 * F.n  # F.n from the command, F.n from the check
+        monkeypatch.setattr(equivalence, "GAME_BUDGET", max(spent) - 1)
+        code, _, err = run(capsys, ["types", str(path), "--rank", "3"])
+        assert code == 1
+        assert err.startswith(f"error: work budget {max(spent) - 1} exceeded")
 
     def test_usage_error(self, capsys, c3):
         with pytest.raises(SystemExit) as caught:

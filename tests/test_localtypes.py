@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from helpers import (
     seeded,
     star,
 )
+from mapprox import localtypes
 from mapprox.errors import (
     BudgetExceeded,
+    GameTooDeep,
     MeasureError,
     RankIncrease,
     RankMismatch,
@@ -40,13 +43,14 @@ from mapprox.localtypes import (
     type_distribution,
     types_equal,
 )
-from mapprox.logic import evaluate
+from mapprox.logic import evaluate, rank, stone_pairing
 from mapprox.mapfile import dump_map, parse_map
 from mapprox.structure import FiniteMapping, cycle_cut_product, disjoint_union
 from mapprox.randgen import random_mapping
 from oracles import (
     UnprunedValues,
     atom_row_scan,
+    hintikka_formula,
     local_game,
     pairwise_measure_tv,
     random_clean_formula,
@@ -104,14 +108,15 @@ def value_pairs(table, oracle, F, tuples, ranks):
 
 def played_tuples(monkeypatch, F):
     """A list that gains every tuple the kernel plays in F from now on,
-    recorded by wrapping TypeTable._nv, which plays each position once."""
+    recorded by wrapping TypeTable._nv, which plays each position once;
+    every argument after the tuple is passed through as it came."""
     played = []
     nv = TypeTable._nv
 
-    def recording(self, G, moves, tup, k, meter):
+    def recording(self, G, moves, tup, *rest):
         if G is F:
             played.append(tup)
-        return nv(self, G, moves, tup, k, meter)
+        return nv(self, G, moves, tup, *rest)
 
     monkeypatch.setattr(TypeTable, "_nv", recording)
     return played
@@ -183,6 +188,124 @@ class TestPositionCount:
                 TypeTable().nv_value(F, (1,), 3, Meter(budget))
             assert caught.value.needed == budget + 1
         TypeTable().nv_value(F, (1,), 3, Meter(positions))
+
+    def test_batch_charge_raises_like_one_per_leaf(self):
+        # The leaves of a last-round position are charged at once.  A
+        # budget one short of the positions still raises with the spend
+        # one charge per leaf reaches, and the full count passes.
+        games = [(seeded(30, s), (v,), 3) for s in range(4) for v in (0, 7)]
+        games += [(star(12), (0, 3), 1), (hub_heavy(40, 5), (0, 1), 2)]
+        for F, tup, k in games:
+            meter = Meter(10**6)
+            TypeTable().nv_value(F, tup, k, meter)
+            positions = meter.spent
+            with pytest.raises(BudgetExceeded) as caught:
+                TypeTable().nv_value(F, tup, k, Meter(positions - 1))
+            assert (caught.value.budget, caught.value.needed) == (positions - 1, positions)
+            meter = Meter(positions)
+            TypeTable().nv_value(F, tup, k, meter)
+            assert meter.spent == positions
+
+    def test_game_too_deep_is_refused_before_play(self, monkeypatch):
+        # The rule is two frames per round, whatever the interpreter: a
+        # game of more rounds than half the recursion limit plays nothing.
+        F = cycle(1000)
+        played = played_tuples(monkeypatch, F)
+        deepest = sys.getrecursionlimit() // 2
+        for call in (
+            lambda k: TypeTable().nv_value(F, (0,), k),
+            lambda k: TypeTable().nv_value(F, (0, 1), k),
+            lambda k: TypeTable().global_value(F, (), k, None),
+        ):
+            with pytest.raises(GameTooDeep) as caught:
+                call(deepest + 1)
+            assert caught.value.rank == deepest + 1
+            assert caught.value.budget == sys.getrecursionlimit()
+        assert played == []
+
+
+class TestHandedRows:
+    """Each position below the top gets its atom row from its parent, and
+    last-round leaves are interned from rows built in place."""
+
+    def test_rows_match_scan_exhaustive(self, monkeypatch):
+        # Every played position's row, and every last-round kid row, equals
+        # the scan of the full tuple: every mapping with n <= 4 up to
+        # relabeling (rows commute with relabeling), every marking by one
+        # predicate, ranks 0-3, 1- and 2-tuples, local and whole-domain
+        # rules.  The local game calls atom_row for top-level tuples only.
+        played, scanned = [], []
+        nv, row_of = TypeTable._nv, localtypes.atom_row
+
+        def recording(self, G, moves, tup, k, *rest):
+            value = nv(self, G, moves, tup, k, *rest)
+            played.append((moves is None, tup, k, value))
+            return value
+
+        def counting(f, marks, tup):
+            scanned.append(tup)
+            return row_of(f, marks, tup)
+
+        monkeypatch.setattr(TypeTable, "_nv", recording)
+        monkeypatch.setattr(localtypes, "atom_row", counting)
+        positions = 0
+        for n in (1, 2, 3, 4):
+            tuples = [(v,) for v in range(n)]
+            tuples += list(itertools.product(range(n), repeat=2))
+            for f in functions_up_to_relabeling(n):
+                for F in every_marking(f, ("U",)):
+                    table, marks = TypeTable(), F.mark_sets
+                    played.clear()
+                    scanned.clear()
+                    for k in (0, 1, 2, 3):
+                        for tup in tuples:
+                            table.nv_value(F, tup, k)
+                    assert set(scanned) <= set(tuples)
+                    for k in (0, 1, 2, 3):
+                        for tup in tuples:
+                            table.global_value(F, tup, k, None)
+                    for whole, tup, k, value in played:
+                        _, row, kids = table._meta[value]
+                        assert row == atom_row_scan(F.f, marks, tup), (F, tup, k)
+                        if k != 1:
+                            continue
+                        fresh = set(range(n)) if whole else {F.f[a] for a in tup}
+                        if not whole:
+                            fresh.update(u for u in range(n) if F.f[u] in tup)
+                        fresh -= set(tup)
+                        want = {atom_row_scan(F.f, marks, tup + (y,)) for y in fresh}
+                        assert {table._meta[c][1] for c in kids} == want, (F, tup)
+                    positions += len(played)
+        assert positions > 100_000
+
+
+class TestHintikka:
+    def test_formulas_pair_to_type_masses(self):
+        # The Hintikka formula of each type holds of exactly that type's
+        # elements, so its Stone pairing is the type's mass: the kernel
+        # checked against the evaluator, with no code shared.  k = 0, 1 on
+        # every mapping with n <= 4 under every third marking by U; k = 2,
+        # whose formulas are the slow ones to evaluate, on one mapping per
+        # relabeling class under every marking.
+        def cases(k):
+            for n in (1, 2, 3, 4):
+                if k < 2:
+                    for f in itertools.product(range(n), repeat=n):
+                        yield from itertools.islice(every_marking(f, ("U",)), 0, None, 3)
+                else:
+                    for f in functions_up_to_relabeling(n):
+                        yield from every_marking(f, ("U",))
+
+        pairs = 0
+        for k in (0, 1, 2):
+            for F in cases(k):
+                table = TypeTable()
+                for t, mass in type_distribution(F, k, table):
+                    phi = hintikka_formula(table._meta.__getitem__, ("U",), t.nv)
+                    assert rank(phi, "local") <= k
+                    assert stone_pairing(F, phi) == mass, (F, k)
+                    pairs += 1
+        assert pairs == 9580 + 1214
 
 
 class TestLocalType:
