@@ -50,13 +50,10 @@ def standard_r_approximation(F: FiniteMapping, r: int) -> FiniteMapping:
         return restrict(F, orbits[0])
     pre, mark_sets = F.pre, F.mark_sets
 
-    # Top-down from the cycles; classified in reverse, children first.
-    order = [z for orbit in orbits for z in orbit]
-    for y in order:  # grows as it is read
-        order.extend(x for x in pre[y] if not on_cycle[x])
+    # Classified bottom-up, children first.
     interned: dict[tuple, int] = {}
     cls = [0] * F.n
-    for y in reversed(order):
+    for y in reversed(F.forest[0]):
         kids = [cls[x] for x in pre[y] if not on_cycle[x]]
         if kids:
             counts = sorted(Counter(kids).items())

@@ -872,30 +872,23 @@ class TypeMeasure:
 def type_distribution(
     F: FiniteMapping, r: int, table: Optional[TypeTable] = None
 ) -> TypeMeasure:
-    """Group elements of F by rank-r type; mass of a type = count / n."""
+    """Group elements of F by rank-r type; mass of a type = count / n.
+    Canonical ids are assigned in order of first appearance."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    weighted = ((v, 1) for v in F.elements())
-    return _weighted_distribution(F, r, table or _GLOBAL_TABLE, weighted)
-
-
-def _weighted_distribution(
-    F: FiniteMapping, r: int, table: TypeTable, weighted: Iterable[tuple[int, int]]
-) -> TypeMeasure:
-    """type_distribution from (element, weight) pairs, each standing for
-    `weight` elements of the element's type, with masses divided by the
-    total weight: F.n when every element has weight 1, the size of the
-    structure F stands for when F is a witness.  Canonical ids are assigned
-    in order of first appearance."""
-    valued = ((v, weight, table.nv_value(F, (v,), r)) for v, weight in weighted)
+    table = table or _GLOBAL_TABLE
+    valued = ((v, 1, table.nv_value(F, (v,), r)) for v in F.elements())
     return _valued_distribution(F, r, table, valued)
 
 
 def _valued_distribution(
     F: FiniteMapping, r: int, table: TypeTable, valued: Iterable[tuple[int, int, int]]
 ) -> TypeMeasure:
-    """_weighted_distribution from (element, weight, value) triples, where
-    value is the element's rank-r value in `table`, of its type in F."""
+    """type_distribution from (element, weight, value) triples, where value
+    is the element's rank-r value in `table`, of its type in F, and each
+    triple stands for `weight` elements of that type.  Masses are divided
+    by the total weight: the size of the structure F stands for when F is
+    a witness."""
     groups: dict[int, list[int]] = {}
     total = 0
     for v, weight, nv in valued:

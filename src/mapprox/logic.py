@@ -656,21 +656,3 @@ def translate(I: Interpretation, phi: Formula) -> Formula:
         raise TypeError(f"not a formula node: {node!r}")
 
     return walk(phi)
-
-
-def recovery_interpretation(pairs: list[tuple[str, str]]) -> Interpretation:
-    """Interpretation undoing residual cuts: elements marked A_k regain the
-    B_k element as image, everything else keeps f; cut predicates dropped.
-    structure.recover computes the same map in linear time."""
-    x1, x2 = Term("x1"), Term("x2")
-    keep: Formula = Eq(Term("x1", 1), x2)
-    if not pairs:
-        return Interpretation(eta=keep)
-    any_cut: Formula = Pred(pairs[0][0], x1)
-    for a, _ in pairs[1:]:
-        any_cut = Or(any_cut, Pred(a, x1))
-    eta: Formula = And(keep, Not(any_cut))
-    for a, b in pairs:
-        eta = Or(eta, And(Pred(a, x1), Pred(b, x2)))
-    dropped = frozenset(name for pair in pairs for name in pair)
-    return Interpretation(eta=eta, kappa={}, dropped=dropped)

@@ -13,7 +13,6 @@ rather than through floating point.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -85,7 +84,9 @@ def cycle_statistics(
     """Rows (r, empirical mean count of r-cycles, exact mean) for r <= r_max.
 
     The exact mean number of length-r cycles of a uniform random mapping
-    on n elements is n(n-1)...(n-r+1) / (r n^r).  Per-sample seeds are
+    on n elements is n(n-1)...(n-r+1) / (r n^r), which is 0 once r > n;
+    the falling factorial is kept running, and no power is built for a
+    zero mean.  Per-sample seeds are
     drawn up front from their own stream, so samples can be evaluated in
     any order (or in parallel) without changing the result.
     """
@@ -101,7 +102,9 @@ def cycle_statistics(
             if length <= r_max:
                 counts[length] += 1
     rows = []
+    falling = 1
     for r in range(1, r_max + 1):
-        exact = Fraction(math.prod(range(n - r + 1, n + 1)), r * n**r)
+        falling *= n - r + 1
+        exact = Fraction(falling, r * n**r) if falling else Fraction(0)
         rows.append((r, Fraction(counts[r], samples), exact))
     return rows

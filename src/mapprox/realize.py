@@ -465,6 +465,13 @@ def _sweep(host: int, copy_size: int, copies: int):
         yield v, copies
 
 
+def _moved(before: FiniteMapping, after: FiniteMapping) -> set[int]:
+    """Every element whose image differs in two mappings of one domain,
+    with its image in each: both ends of every edge that changed."""
+    jumped = [v for v in before.elements() if before.f[v] != after.f[v]]
+    return {*jumped, *(before.f[v] for v in jumped), *(after.f[v] for v in jumped)}
+
+
 def _proximity(
     F: FiniteMapping, radius: int, host: int, copy_size: int, copies: int
 ) -> Fraction:
@@ -699,8 +706,7 @@ def _stages(
     for tau, elements in _blocks(nu, realized.n):
         value = table.forget(table.lower_to(tau.nv, r), unmarked)
         realized_values += [value] * len(elements)
-    jumped = [v for v in rewired.elements() if rewired.f[v] != realized.f[v]]
-    moved = {*jumped, *(realized.f[v] for v in jumped), *(rewired.f[v] for v in jumped)}
+    moved = _moved(realized, rewired)
     rewired_values = retyped(realized_values, rewired, near(rewired, moved, r))
     record("rewired", rewired, rewired_values)
 
@@ -738,19 +744,16 @@ def _stages(
     # A disjoint union changes no type.
     merged_values = residual_values + stripped_values
     record("merged", witness, merged_values, blocks)
-    # recover drops the A and B marks and turns the edge a -> f(a) of each
-    # A-marked a into a -> b for the B-marked b, so every mark and both
-    # ends of every edge it changes lie in `changed`, and only the swept
-    # elements within distance r of `changed` are retyped.  Their distance
-    # to it is the same before and after recover, as a shortest path to
-    # `changed` meets it only at its end, and the same in the witness as
-    # in the full output, as before recover no copy meets the host.
-    changed = set()
-    for a_name, b_name in pairs:
-        for v in witness.marks[a_name]:
-            changed.update((v, witness.f[v]))
-        changed.update(witness.marks[b_name])
-    witness = recover(witness, pairs)
+    # Only the swept elements within distance r of a changed mark or edge
+    # end are retyped.  Their distance to `changed` is the same before and
+    # after recover, as a shortest path to it meets it only at its end,
+    # and the same in the witness as in the full output, as before recover
+    # no copy meets the host.
+    recovered = recover(witness, pairs)
+    changed = _moved(witness, recovered)
+    for name, elems in witness.marks.items():
+        changed.update(elems ^ recovered.marks.get(name, frozenset()))
+    witness = recovered
     swept = len(merged_values)
     output_values = retyped(
         merged_values, witness, [v for v in near(witness, changed, r) if v < swept]

@@ -7,7 +7,11 @@ derived notions (Gaifman distance, balls, components, the cyclic part) treat
 the structure as the undirected functional graph with edges v -- f(v), and
 read the preimage table each structure builds once (``FiniteMapping.pre``).
 Cycles are found by one walk per structure, into the cycle table every
-reader of cycles reads (``FiniteMapping.cycle_table``).
+reader of cycles reads (``FiniteMapping.cycle_table``).  The in-trees
+hanging off the cycles are walked once per structure too, into the
+top-down order and component roots every reader of in-trees reads
+(``FiniteMapping.forest``): components, heights, residualization and
+compression.
 
 Structures are immutable; every operation returns a new mapping.  Equality is
 identity (structures are compared through their derived invariants, not field
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import add
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -177,6 +181,28 @@ class FiniteMapping:
         orbits.sort()
         return tuple(orbits), tuple(length)
 
+    @cached_property
+    def forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, root): every element top-down, the cycles as
+        `cycle_table` lists them and then each listed element's non-cycle
+        preimages in `pre` order, so that f(y) comes before each y off a
+        cycle; and the least cycle element of each element's component.
+        Built once per structure by one walk down the in-trees; kept apart
+        from `cycle_table`, which the type kernel reads alone."""
+        orbits, on_cycle = self.cycle_table
+        pre, f = self.pre, self.f
+        order = [z for orbit in orbits for z in orbit]
+        root = [0] * len(f)
+        for orbit in orbits:
+            for z in orbit:
+                root[z] = orbit[0]
+        cyclic = len(order)
+        for y in order:  # grows as it is read
+            order.extend(x for x in pre[y] if not on_cycle[x])
+        for y in islice(order, cyclic, None):
+            root[y] = root[f[y]]
+        return tuple(order), tuple(root)
+
     @property
     def cycle_length(self) -> tuple[int, ...]:
         """The length of each element's cycle, 0 off every cycle."""
@@ -310,34 +336,26 @@ def near(F: FiniteMapping, seeds: Iterable[int], r: int) -> frozenset[int]:
 
 
 def connected_components(F: FiniteMapping) -> list[frozenset[int]]:
-    """Components of the Gaifman graph, ordered by least element: one
-    search by `near` from each element no earlier component holds."""
-    seen = [False] * F.n
-    components = []
-    for v in F.elements():
-        if not seen[v]:
-            components.append(near(F, (v,), F.n))
-            for x in components[-1]:
-                seen[x] = True
-    return components
+    """Components of the Gaifman graph, ordered by least element: the
+    elements grouped by the root `FiniteMapping.forest` gives them."""
+    groups: dict[int, list[int]] = {}
+    for v, z in enumerate(F.forest[1]):
+        groups.setdefault(z, []).append(v)
+    return list(map(frozenset, groups.values()))
 
 
 def cyclic_part(F: FiniteMapping) -> tuple[frozenset[int], dict[int, int]]:
     """The set Z of cyclic elements and the height of every element.
 
     An element is cyclic iff some forward iterate returns to it.  The height
-    of x is its tree distance to Z (0 exactly on Z).
+    of x is its tree distance to Z (0 exactly on Z), one more than f(x)'s
+    off Z: one pass down `FiniteMapping.forest`'s order.
     """
     Z = frozenset(v for orbit in F.cycle_table[0] for v in orbit)
-    heights = {v: 0 for v in Z}
-    pre = F.pre
-    queue = deque(sorted(Z))
-    while queue:
-        x = queue.popleft()
-        for y in pre[x]:
-            if y not in heights:
-                heights[y] = heights[x] + 1
-                queue.append(y)
+    heights = dict.fromkeys(Z, 0)
+    f = F.f
+    for y in islice(F.forest[0], len(Z), None):
+        heights[y] = heights[f[y]] + 1
     return Z, heights
 
 
@@ -514,25 +532,18 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
         for w in sources:
             f[w] = w
 
-    # Open every oversized component at a non-trivial cycle.
-    length = F.cycle_length
-    for comp in connected_components(F):
-        if len(comp) <= threshold:
-            continue
-        v = min(x for x in comp if length[x])
-        if F.f[v] != v:
+    # Open every oversized component at its least cycle element, its
+    # root; counted in element order, the roots come by least element.
+    for v, count in Counter(F.forest[1]).items():
+        if count > threshold and F.f[v] != v:
             cut([v], F.f[v])
 
-    # Top-down from the cycles of the opened structure; sized in reverse,
-    # children first.  size[y] counts y's in-tree after the cuts below y.
+    # Sized bottom-up over the opened structure, children first.  size[y]
+    # counts y's in-tree after the cuts below y.
     opened = FiniteMapping(f=tuple(f), marks={}, signature=Signature())
-    orbits, on_cycle = opened.cycle_table
-    pre = opened.pre
-    order = [z for orbit in orbits for z in orbit]
-    for y in order:  # grows as it is read
-        order.extend(x for x in pre[y] if not on_cycle[x])
+    on_cycle, pre = opened.cycle_length, opened.pre
     size = [1] * n
-    for y in reversed(order):
+    for y in reversed(opened.forest[0]):
         if size[y] - 1 > threshold:
             cut([x for x in pre[y] if not on_cycle[x]], y)
             size[y] = 1
@@ -547,10 +558,10 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
         marks[name] = frozenset(elems)
     F1 = FiniteMapping(f=tuple(f), marks=marks, signature=signature)
 
-    for comp in connected_components(F1):
-        if len(comp) > math.ceil(threshold) + 1:
+    for count in Counter(F1.forest[1]).values():
+        if count > math.ceil(threshold) + 1:
             raise NotResidual(
-                f"internal error: component of size {len(comp)} remains after cuts"
+                f"internal error: component of size {count} remains after cuts"
             )
 
     return F1, pairs
@@ -559,9 +570,10 @@ def residualize(F: FiniteMapping, eps) -> tuple[FiniteMapping, list[tuple[str, s
 def recover(F: FiniteMapping, pairs: Sequence[tuple[str, str]]) -> FiniteMapping:
     """Undo residual cuts in linear time: every element marked A_k points at
     the unique B_k element, everything else keeps its image, and the cut
-    predicates are dropped.  The same map as evaluating
-    logic.recovery_interpretation on F, which raises the same error when
-    some A_k is non-empty and B_k does not hold exactly one element.
+    predicates are dropped.  The same map as evaluating the oracle
+    tests/oracles.py:recovery_interpretation on F, which raises the same
+    error when some A_k is non-empty and B_k does not hold exactly one
+    element.
     """
     target_of: dict[int, int] = {}
     redirect: dict[int, int] = {}

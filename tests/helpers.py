@@ -12,6 +12,8 @@ __all__ = [
     "cycle",
     "star",
     "path",
+    "cyclic_input",
+    "many_cycles",
     "fixed_point",
     "seeded",
     "structurally_equal",
@@ -58,6 +60,12 @@ def cyclic_input(seed, cycles, tails, leaves):
     f += [len(f)] * (leaves + 1)
     marked |= {v for v in range(len(f)) if rng.random() < 0.25}
     return FiniteMapping(f=tuple(f), marks={"U": frozenset(marked)})
+
+
+def many_cycles(seed: int) -> FiniteMapping:
+    """300 cycles of lengths 1 to 3 with 300 tail elements hung on them at
+    random, beside a fixed hub with 400 preimages."""
+    return cyclic_input(seed, (1, 2, 3) * 100, 300, 400)
 
 
 def fixed_point(marks=None) -> FiniteMapping:

@@ -20,14 +20,18 @@ exact-count sibling classes and nested component forms until a pass drops
 nothing, and reads the package's cycle table, heights and `restrict`; the
 pipeline's output as it was built before it was tiled from its witness,
 through the package's `merge` and `recover`; the map writer as it was
-before it worked in chunks, one string per record; and residualization as
-it was before it cut in one pass, which recounts with
-`strict_iterated_preimages` after every cut and reads the package's
-components and cycle table.
+before it worked in chunks, one string per record; residualization as it
+was before it cut in one pass, which recounts with
+`strict_iterated_preimages` after every cut and reads the package's cycle
+table; components and heights as they were before they read the
+structure's forest, by the package's `near` search from each element and
+a breadth-first search up from the cycle table's cycles; and the
+interpretation that defines `recover`'s map by formulas, built from the
+package's formula classes for its `apply_interpretation`.
 """
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -41,17 +45,28 @@ from mapprox.localtypes import (
     project,
     transport,
 )
-from mapprox.logic import And, Eq, Exists, Forall, Implies, Not, Or, Pred, Term
+from mapprox.logic import (
+    And,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    Interpretation,
+    Not,
+    Or,
+    Pred,
+    Term,
+)
 from mapprox.mapfile import _NAME, MAP_VERSION, fraction_from_text
 from mapprox.realize import merge
+from mapprox.structure import near as search_near
 from mapprox.structure import (
     FiniteMapping,
     Signature,
     ball,
-    connected_components,
     cycle_lengths,
     cycle_orbits,
-    cyclic_part,
     recover,
     restrict,
 )
@@ -68,6 +83,9 @@ __all__ = [
     "tv",
     "random_clean_formula",
     "residualize_until_stable",
+    "components_by_search",
+    "cyclic_part_by_bfs",
+    "recovery_interpretation",
     "restrict_by_scan",
     "pairwise_measure_tv",
     "column_rank",
@@ -417,6 +435,53 @@ def strict_iterated_preimages(F: FiniteMapping) -> list:
     return out
 
 
+def components_by_search(F: FiniteMapping) -> list:
+    """`connected_components` by one search with the package's `near` from
+    each element no earlier component holds, ordered by least element."""
+    seen = [False] * F.n
+    components = []
+    for v in range(F.n):
+        if not seen[v]:
+            components.append(search_near(F, (v,), F.n))
+            for x in components[-1]:
+                seen[x] = True
+    return components
+
+
+def cyclic_part_by_bfs(F: FiniteMapping) -> tuple:
+    """`cyclic_part` by breadth-first search up the preimages from the
+    cycle table's cycles."""
+    Z = frozenset(v for orbit in F.cycle_table[0] for v in orbit)
+    heights = {v: 0 for v in Z}
+    pre = F.pre
+    queue = deque(sorted(Z))
+    while queue:
+        x = queue.popleft()
+        for y in pre[x]:
+            if y not in heights:
+                heights[y] = heights[x] + 1
+                queue.append(y)
+    return Z, heights
+
+
+def recovery_interpretation(pairs) -> Interpretation:
+    """Interpretation undoing residual cuts: elements marked A_k regain the
+    B_k element as image, everything else keeps f; cut predicates dropped.
+    structure.recover computes the same map in linear time."""
+    x1, x2 = Term("x1"), Term("x2")
+    keep: Formula = Eq(Term("x1", 1), x2)
+    if not pairs:
+        return Interpretation(eta=keep)
+    any_cut: Formula = Pred(pairs[0][0], x1)
+    for a, _ in pairs[1:]:
+        any_cut = Or(any_cut, Pred(a, x1))
+    eta: Formula = And(keep, Not(any_cut))
+    for a, b in pairs:
+        eta = Or(eta, And(Pred(a, x1), Pred(b, x2)))
+    dropped = frozenset(name for pair in pairs for name in pair)
+    return Interpretation(eta=eta, kappa={}, dropped=dropped)
+
+
 def residualize_until_stable(F: FiniteMapping, eps):
     """`residualize` as a loop: open each oversized component at its
     lowest-id cycle vertex, then, recounting every element's strict
@@ -444,7 +509,7 @@ def residualize_until_stable(F: FiniteMapping, eps):
             f[w] = w
 
     length = F.cycle_length
-    for comp in connected_components(F):
+    for comp in components_by_search(F):
         if len(comp) > threshold:
             v = min(x for x in comp if length[x])
             if F.f[v] != v:
@@ -1006,7 +1071,7 @@ def _prune_once(F: FiniteMapping, r: int) -> FiniteMapping:
     orbits = cycle_orbits(F)
     if r == 0:
         return restrict(F, orbits[0])
-    Z, heights = cyclic_part(F)
+    Z, heights = cyclic_part_by_bfs(F)
     pre = F.pre
 
     depth = max(heights.values())

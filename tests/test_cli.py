@@ -470,6 +470,33 @@ class TestErrorHandling:
         assert out == ""
         assert "predicate 'T7_acyc' declared or generated twice" in err
 
+    @pytest.mark.parametrize(
+        "marks, m, clean, message",
+        [
+            ({"U0": {0, 1}, "U1": {0}}, 2, 1, "element 0 carries two layer marks"),
+            ({"T1_cyc2": {1}}, 2, 1, "element 1 carries two type marks"),
+            ({"U1": set()}, 2, 1, "element 1 has no layer mark"),
+            ({"T0_acyc": {0}}, 2, 1, "element 1 has no type mark"),
+            ({"T0_acyc": None}, 2, 1, "no type predicates of the form T<k>_cyc<l> or T<k>_acyc"),
+            ({}, 1, 1, "cut_length must be at least 2"),
+            ({}, 2, -1, "clean_rank must be nonnegative"),
+        ],
+        ids=["two-layers", "two-types", "no-layer", "no-type", "no-type-name", "m-1", "clean-1"],
+    )
+    def test_rewire_refuses_unreadable_cut_marks(
+        self, capsys, tmp_path, marks, m, clean, message
+    ):
+        # A 2-cycle cut at m = 2, one mark changed (None: not declared).
+        marks = {**{"U0": {0}, "U1": {1}, "T0_acyc": {0, 1}}, **marks}
+        marks = {name: elems for name, elems in marks.items() if elems is not None}
+        target = tmp_path / "cut.map"
+        write_map(FiniteMapping(f=(1, 0), marks=marks), target)
+        argv = ["rewire", str(target), "--m", str(m), "--clean", str(clean)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_domain_error(self, capsys, c3):
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])
         assert code == 1

@@ -12,8 +12,10 @@ from helpers import (
     cycle,
     every_marking,
     fixed_point,
+    many_cycles,
     marked_fan,
     marked_path,
+    path,
     seeded,
     star,
     structurally_equal,
@@ -134,6 +136,10 @@ class TestOnePass:
     @pytest.mark.parametrize("build", [marked_path, marked_fan])
     def test_deep_and_wide(self, build):
         assert_same_as_oracle(build(9), (1, 2, 3))
+
+    def test_long_path_large_star_and_many_cycles(self):
+        for F in (path(4000), star(20_000), many_cycles(1), many_cycles(2)):
+            assert_same_as_oracle(F, (1, 2, 3))
 
     @pytest.mark.parametrize("F,r", [(star(100), 2), (seeded(60, 5), 1)])
     def test_one_restrict_per_call(self, monkeypatch, F, r):

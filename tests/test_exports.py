@@ -1,13 +1,15 @@
 """Every exported and re-exported name of the package resolves, every
-function reads each of its parameters, every function the traced
-benchmark wraps still exists with the parameters its counters bind, and
-every module parses under the grammar of the oldest declared Python."""
+function reads each of its parameters, every private module-level name
+is used, every function the traced benchmark wraps still exists with the
+parameters its counters bind, and every module parses under the grammar
+of the oldest declared Python."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -69,6 +71,37 @@ def test_every_parameter_is_read():
                 if a.arg != "self" and a.arg not in read
             ]
     assert unread == []
+
+
+def test_every_private_name_is_used():
+    # A private helper that a simplification left behind: defined at
+    # module level, named nowhere else in the package.
+    texts = {
+        path: path.read_text()
+        for path in sorted(Path(mapprox.__file__).parent.glob("*.py"))
+    }
+    defined = []
+    for path, text in texts.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                (path.name, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    unused = [
+        f"{module}:{name}"
+        for module, name in defined
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts.values()) < 2
+    ]
+    assert defined
+    assert unused == []
 
 
 def test_traced_benchmark_names_resolve(monkeypatch):

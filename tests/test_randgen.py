@@ -1,5 +1,7 @@
 """Seeded generation: the generator itself, mappings, cycle statistics."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,23 @@ class TestCycleStatistics:
         rows = cycle_statistics(60, 400, 2, seed=9)
         for _, empirical, exact in rows:
             assert abs(empirical - exact) <= exact / 4
+
+    def test_exact_column_is_the_falling_factorial_formula(self):
+        for n in (5, 30):
+            rows = cycle_statistics(n, 3, 40, seed=2)
+            assert [r for r, _, _ in rows] == list(range(1, 41))
+            for r, _, exact in rows:
+                assert exact == Fraction(math.prod(range(n - r + 1, n + 1)), r * n**r)
+
+    def test_lengths_far_past_n_cost_no_powers(self):
+        # Past r = n the exact mean is 0; the product formula multiplied
+        # r - n - 1 large negative factors and built n**r for it, which
+        # took minutes here.
+        start = time.perf_counter()
+        rows = cycle_statistics(5, 1, 20_000)
+        assert time.perf_counter() - start < 5
+        assert len(rows) == 20_000
+        assert all(exact == 0 for _, _, exact in rows[5:])
 
     def test_r_max_does_not_shift_samples(self):
         one = cycle_statistics(25, 50, 1, seed=4)

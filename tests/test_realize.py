@@ -34,7 +34,7 @@ from mapprox.fmtp import approximate_measure
 from mapprox.localtypes import (
     TypeMeasure,
     TypeTable,
-    _weighted_distribution,
+    _valued_distribution,
     local_type,
     measure_tv,
     type_distribution,
@@ -651,6 +651,43 @@ class TestPipeline:
             retyped.add((bool(moved), bool(lost), bool(changed)))
         assert retyped == {(True, True, True)}
 
+    def test_changed_by_recover_read_off_its_output(self, monkeypatch):
+        # The pipeline finds what recover changed by comparing the merged
+        # witness with its recovered form.  That is the set recover's rule
+        # names: the A elements, their images before recover and the B
+        # elements.
+        built, searches = {}, []
+        search = realize_module.near
+
+        def keeping(name, build):
+            def kept(*args):
+                built[name] = (args, build(*args))
+                return built[name][1]
+
+            return kept
+
+        def searching(F, seeds, radius):
+            searches.append((F, set(seeds)))
+            return search(F, seeds, radius)
+
+        monkeypatch.setattr(realize_module, "merge", keeping("merge", merge))
+        monkeypatch.setattr(realize_module, "recover", keeping("recover", recover))
+        monkeypatch.setattr(realize_module, "near", searching)
+        some_cut = False
+        for F, p, r, eps in SWEEP_CASES:
+            searches.clear()
+            pipeline(F, p, r, eps)
+            merged = built["merge"][1]
+            (_, pairs), output = built["recover"]
+            expected = {v for _, b in pairs for v in merged.marks[b]}
+            for a, _ in pairs:
+                expected.update(merged.marks[a])
+                expected.update(merged.f[v] for v in merged.marks[a])
+            (changed,) = [seeds for G, seeds in searches if G is output]
+            assert changed == expected
+            some_cut = some_cut or bool(pairs)
+        assert some_cut
+
     def test_witness_types_like_every_copy(self):
         # A hub whose preimages all lie in the copies, one per copy: its
         # rank-r type counts them up to r, so the witness's
@@ -667,7 +704,11 @@ class TestPipeline:
                 for w in range(1, copies + 1):
                     witness = recover(merge(host, block, w), pairs)
                     sweep = realize_module._sweep(1, 1, copies)
-                    got = _weighted_distribution(witness, r, table, sweep)
+                    valued = (
+                        (v, weight, table.nv_value(witness, (v,), r))
+                        for v, weight in sweep
+                    )
+                    got = _valued_distribution(witness, r, table, valued)
                     assert (got == expected) == (w >= min(copies, r))
 
     def test_preimage_table_built_once_per_structure(self, monkeypatch):

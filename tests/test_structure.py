@@ -15,6 +15,7 @@ from helpers import (
     every_marking,
     fixed_point,
     functions_up_to_relabeling,
+    many_cycles,
     path,
     seeded,
     star,
@@ -34,7 +35,7 @@ from mapprox.fmtp import check_fmtp, check_realizability_preconditions
 from mapprox import structure as structure_module
 from mapprox import localtypes
 from mapprox.localtypes import TypeTable, type_distribution
-from mapprox.logic import apply_interpretation, recovery_interpretation
+from mapprox.logic import apply_interpretation
 from mapprox.structure import (
     FiniteMapping,
     Signature,
@@ -56,7 +57,30 @@ from mapprox.structure import (
     validate,
 )
 from oracles import near as oracle_near
-from oracles import residualize_until_stable, restrict_by_scan
+from oracles import (
+    components_by_search,
+    cyclic_part_by_bfs,
+    recovery_interpretation,
+    residualize_until_stable,
+    restrict_by_scan,
+)
+
+
+def assert_residualize_matches_loop(F: FiniteMapping, eps) -> None:
+    """The one pass makes the loop's cuts and names the same pairs, and
+    its pairs recover F; which pair records which cut may differ."""
+
+    def cuts(R, pairs):
+        return {(R.marks[a], *R.marks[b]) for a, b in pairs}
+
+    R, pairs = residualize(F, eps)
+    S, loop_pairs = residualize_until_stable(F, eps)
+    assert R.f == S.f
+    for name in F.signature.predicates:
+        assert R.marks[name] == S.marks[name]
+    assert cuts(R, pairs) == cuts(S, loop_pairs)
+    assert pairs == loop_pairs
+    assert structurally_equal(recover(R, pairs), F)
 
 
 class TestConstruction:
@@ -285,6 +309,43 @@ class TestComponentsAndCycles:
         assert walks == [F]
 
 
+class TestForest:
+    """The one walk down the in-trees against the searches it replaced:
+    every mapping with n <= 5, seeded mappings, a long path, a large star
+    and inputs with many cycles."""
+
+    @staticmethod
+    def cases():
+        for n in range(1, 6):
+            for f in itertools.product(range(n), repeat=n):
+                yield FiniteMapping(f=f)
+        for n in (50, 300, 3000):
+            for seed in range(3):
+                yield seeded(n, seed)
+        yield path(4000)
+        yield star(20_000)
+        yield many_cycles(1)
+        yield FiniteMapping(f=tuple(v ^ 1 for v in range(4000)))
+
+    def test_components_and_heights_match_search_oracles(self):
+        for F in self.cases():
+            assert connected_components(F) == components_by_search(F)
+            assert cyclic_part(F) == cyclic_part_by_bfs(F)
+
+    def test_order_is_top_down_and_roots_are_least_cycle_elements(self):
+        for F in self.cases():
+            order, root = F.forest
+            assert sorted(order) == list(F.elements())
+            position = {y: i for i, y in enumerate(order)}
+            on_cycle = F.cycle_length
+            cyclic = [z for orbit in F.cycle_table[0] for z in orbit]
+            assert list(order[: len(cyclic)]) == cyclic
+            assert all(position[F.f[y]] < position[y] for y in order[len(cyclic):])
+            for component in components_by_search(F):
+                least = min(v for v in component if on_cycle[v])
+                assert {root[v] for v in component} == {least}
+
+
 class TestUnionRestrictMark:
     def test_union_sizes(self):
         assert disjoint_union(cycle(3), fixed_point()).n == 4
@@ -508,9 +569,6 @@ class TestResidualize:
         # with several non-trivial cycles: the one pass makes the loop's
         # cuts and names the same pairs; which pair records which cut may
         # differ.
-        def cuts(R, pairs):
-            return {(R.marks[a], *R.marks[b]) for a, b in pairs}
-
         cases = [
             FiniteMapping(f=f)
             for n in range(1, 6)
@@ -522,14 +580,17 @@ class TestResidualize:
         cases += [cyclic_input(seed, (2, 3, 4, 5), 40, 12) for seed in (1, 2, 3)]
         for F in cases:
             for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
-                R, pairs = residualize(F, eps)
-                S, loop_pairs = residualize_until_stable(F, eps)
-                assert R.f == S.f
-                for name in F.signature.predicates:
-                    assert R.marks[name] == S.marks[name]
-                assert cuts(R, pairs) == cuts(S, loop_pairs)
-                assert pairs == loop_pairs
-                assert structurally_equal(recover(R, pairs), F)
+                assert_residualize_matches_loop(F, eps)
+
+    def test_matches_until_stable_oracle_on_large_inputs(self):
+        # The loop recounts every in-tree after each cut, so each input
+        # gets one eps: a 4000-element path cut once, a star cut below its
+        # center, seeded mappings, and many small cycles beside a hub.
+        cases = [(path(4000), Fraction(1, 2)), (star(20_000), Fraction(1, 10))]
+        cases += [(seeded(3000, seed), Fraction(1, 10)) for seed in range(3)]
+        cases += [(many_cycles(seed), Fraction(1, 10)) for seed in (1, 2)]
+        for F, eps in cases:
+            assert_residualize_matches_loop(F, eps)
 
     def test_no_structure_built_per_cut(self, monkeypatch):
         # The opened structure and the result, however many cuts.
@@ -545,6 +606,29 @@ class TestResidualize:
         _, pairs = residualize(F, Fraction(1, 10))
         assert len(pairs) > 2
         assert len(built) == 2
+
+    def test_recover_skips_an_empty_cut(self):
+        R = FiniteMapping(
+            f=(0, 1, 1),
+            marks={"A1": frozenset(), "B1": frozenset({0, 1}), "A2": {2}, "B2": {0}},
+        )
+        # B1 holds two elements, which no source of A1 has to choose from.
+        pairs = [("A1", "B1"), ("A2", "B2")]
+        back = recover(R, pairs)
+        assert back.f == (0, 1, 0)
+        assert back.signature.predicates == ()
+        oracle = apply_interpretation(recovery_interpretation(pairs), R)
+        assert structurally_equal(back, oracle)
+
+    def test_recover_rejects_a_source_of_two_cuts(self):
+        R = FiniteMapping(
+            f=(0, 1, 2, 3),
+            marks={"A1": {0}, "B1": {2}, "A2": {0, 3}, "B2": {1}},
+        )
+        with pytest.raises(EtaNotFunctional) as raised:
+            recover(R, [("A1", "B1"), ("A2", "B2")])
+        assert (raised.value.element, raised.value.images) == (0, (1, 2))
+        assert str(raised.value).endswith("element 0: (1, 2)")
 
     def test_recover_rejects_two_targets(self):
         R = FiniteMapping(
