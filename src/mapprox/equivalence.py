@@ -34,13 +34,18 @@ At p = 2, ldist splits the pairs by Gaifman distance (Gaifman 1982; Hanf
 ldist therefore takes each element's root value, plays the pair game only
 for b in the radius-(r+1) ball of a (a itself included), and counts the far
 pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
-those roots.  Every call has one work budget, the module constant
-GAME_BUDGET, read when the call runs; no call takes a budget of its own.
-Before any game is played, ldist at p = 2 checks n plus the ball sizes of
-each structure against the budget, summed as the balls are built.  At
-p = 1 and p >= 3, and in dist_p^r, whose unrestricted moves reach past any
-ball, every p-tuple is enumerated and the budget bounds n^p.
-dist_p^r is 1 when a sentence of rank r separates the structures, and then
+those roots.  Root values are memoized in the table, as every top-level
+value of nv_value is.  A near pair is asked for once per call, so its game
+is played once, straight on the engine with the structure's move rule
+looked up once, and is not kept: a second call on the same table plays and
+spends it again.  When B is A, B's pair classes are A's, played once.
+
+Every call has one work budget, the module constant GAME_BUDGET, read
+when the call runs; no call takes a budget of its own.  Before any game is
+played, ldist at p = 2 checks n plus the ball sizes of each structure
+against the budget, summed as the balls are built.  At p = 1 and p >= 3,
+and in dist_p^r, whose unrestricted moves reach past any ball, every
+p-tuple is enumerated and the budget bounds n^p.  dist_p^r is 1 when a sentence of rank r separates the structures, and then
 no tuple is enumerated.  Either distance also spends every game position it
 plays (each is played once) on one meter per call, and raises
 BudgetExceeded once the positions pass the budget.  In dist_p^r a position
@@ -52,12 +57,13 @@ they are neither played nor counted.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .errors import BudgetExceeded, SignatureMismatch
+from .errors import BudgetExceeded, GameTooDeep, SignatureMismatch
 from .localtypes import Meter, TypeTable, atom_row, global_table
 from .structure import FiniteMapping, ball
 
@@ -100,23 +106,37 @@ def _near_balls(F: FiniteMapping, radius: int) -> list[frozenset[int]]:
     return balls
 
 
-def _pair_classes(F: FiniteMapping, value, balls: list[frozenset[int]]) -> Counter:
-    """Counts of the local classes of all ordered pairs of F, `value(F, tup)`
-    giving a tuple's game value: near pairs (b in the radius-(r+1) ball of
-    a) play their game, far pairs are counted from the roots' classes."""
+def _pair_classes(
+    F: FiniteMapping, table: TypeTable, r: int, meter: Meter, balls: list[frozenset[int]]
+) -> dict:
+    """Counts of the local classes of all ordered pairs of F at rank r in
+    `table`, every position spent on `meter`: near pairs (b in the
+    radius-(r+1) ball of a) play their game, far pairs are counted from the
+    roots' classes.  Each near pair is asked for once, so its game is played
+    straight on the engine and not kept; like every game, it is refused with
+    GameTooDeep before any position is played when 2r passes Python's
+    recursion limit, and raises it if it runs out of stack anyway."""
+    if 2 * r > sys.getrecursionlimit():
+        raise GameTooDeep(r)
     f, marks = F.f, F.mark_sets
-    roots = [value(F, (a,)) for a in F.elements()]
-    counts: Counter = Counter()
-    near_roots: Counter = Counter()
-    for a, near in enumerate(balls):
-        row, s = atom_row(f, marks, (a,)), roots[a]
-        for b in near:
-            counts["near", row, value(F, (a, b))] += 1
-            near_roots[s, roots[b]] += 1
+    roots = [table.nv_value(F, (a,), r, meter) for a in F.elements()]
+    moves, nv = table._structure_cache(F)["all_moves"], table._nv
+    counts: dict = {}
+    near_roots: dict = {}
+    try:
+        for a, near in enumerate(balls):
+            row, s = atom_row(f, marks, (a,)), roots[a]
+            for b in near:
+                key = "near", row, nv(F, moves, (a, b), r, meter)
+                counts[key] = counts.get(key, 0) + 1
+                key = s, roots[b]
+                near_roots[key] = near_roots.get(key, 0) + 1
+    except RecursionError:
+        raise GameTooDeep(r) from None
     root_counts = Counter(roots)
     for s, count_s in root_counts.items():
         for t, count_t in root_counts.items():
-            far = count_s * count_t - near_roots[s, t]
+            far = count_s * count_t - near_roots.get((s, t), 0)
             if far:
                 counts["far", s, t] = far
     return counts
@@ -147,12 +167,14 @@ def ldist(
     if r < 0:
         raise ValueError("rank must be nonnegative")
     table = table or global_table()
-    value = partial(table.nv_value, k=r, meter=Meter(GAME_BUDGET))
+    meter = Meter(GAME_BUDGET)
     if p == 2:
         balls = [_near_balls(F, r + 1) for F in (A, B)]
-        counts = [_pair_classes(F, value, near) for F, near in zip((A, B), balls)]
+        counts = [_pair_classes(A, table, r, meter, balls[0])]
+        # B's pairs are A's when B is A; their games are not played twice.
+        counts.append(counts[0] if B is A else _pair_classes(B, table, r, meter, balls[1]))
     else:
-        counts = _tuple_classes(A, B, p, value)
+        counts = _tuple_classes(A, B, p, partial(table.nv_value, k=r, meter=meter))
     return _tv(counts[0], A.n**p, counts[1], B.n**p)
 
 

@@ -71,9 +71,12 @@ A position is played once and counted once.  A position (tup, k) below
 the top of a game is reached only from (tup[:-1], k + 1), which is played
 once, so a memo below the top would never be hit; only the top-level
 tuples of nv_value and global_value are memoized, and asking for one again
-plays and spends nothing.  A Meter passed down counts the positions a call
-plays, one each.  In the local game only a top-level tuple's atom row is
-scanned off the tuple.  A fresh y equals no placed element, so its row
+plays and spends nothing.  equivalence.ldist's near-pair games are not
+asked for through nv_value: a call asks for each pair once, so it plays
+each pair's game once, straight on the engine (_nv), and keeps none; a
+second call plays and spends them again.  A Meter passed down counts the
+positions a call plays, one each.  In the local game only a top-level
+tuple's atom row is scanned off the tuple.  A fresh y equals no placed element, so its row
 over a placed tuple is its marks, whether it is fixed, the first index of
 f(y) in the tuple, and the indices whose image is y.  A position reads the
 first off the set of its elements and the last off the tuple of their

@@ -145,10 +145,13 @@ def realize(mu: TypeMeasure, r: int, multiplier: int = 1) -> FiniteMapping:
         failure = report.failures()[0]
         raise PreconditionFailed(failure.name, failure.detail)
 
+    # A pipeline measure's entries share one Signature object, so only the
+    # predicates of a signature that is not the first entry's are compared.
     entries = mu.entries
     signature = entries[0][0].structure.signature
     for tau, _ in entries:
-        if tau.structure.signature.predicates != signature.predicates:
+        other = tau.structure.signature
+        if other is not signature and other.predicates != signature.predicates:
             raise SignatureMismatch(
                 "witness structures of the measure disagree on predicates"
             )
@@ -352,7 +355,8 @@ def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
         raise ValueError("clean_rank must be nonnegative")
     predicates = F.signature.predicates
     layer_names = [f"U{i}" for i in range(cut_length)]
-    missing = [name for name in layer_names if name not in predicates]
+    declared = set(predicates)
+    missing = [name for name in layer_names if name not in declared]
     if missing:
         raise MissingCutPredicates(f"missing layer predicates: {missing}")
 

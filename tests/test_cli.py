@@ -20,6 +20,7 @@ from mapprox.mapfile import (
 )
 from mapprox.randgen import random_mapping
 from mapprox.structure import FiniteMapping, cycle_cut_product
+from oracles import brute_ldist
 
 
 @pytest.fixture
@@ -88,6 +89,20 @@ class TestDistances:
         )
         assert code == 0
         assert json.loads(out)["distance"] == "3/4"
+
+    def test_dist_local_pairs_match_oracle(self, capsys, tmp_path):
+        # Near pairs play their game and far pairs are counted from roots.
+        paths = []
+        for n, seed in ((9, 5), (11, 6)):
+            paths.append(str(tmp_path / f"{seed}.map"))
+            write_map(random_mapping(n, seed, {"U": Fraction(1, 2)}), paths[-1])
+        code, out, _ = run(
+            capsys, ["dist", *paths, "--p", "2", "--r", "1", "--kind", "local"]
+        )
+        assert code == 0
+        expected = brute_ldist(*map(read_map, paths), 2, 1)
+        assert 0 < expected < 1
+        assert json.loads(out)["distance"] == f"{expected.numerator}/{expected.denominator}"
 
     def test_ef(self, capsys, c3):
         code, out, _ = run(capsys, ["ef", c3, c3, "--r", "3"])

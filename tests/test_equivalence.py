@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -23,10 +24,10 @@ from mapprox.equivalence import (
     fo_dist,
     ldist,
 )
-from mapprox.errors import BudgetExceeded, SignatureMismatch
+from mapprox.errors import BudgetExceeded, GameTooDeep, SignatureMismatch
 from mapprox.localtypes import Meter, TypeTable, global_table
 from mapprox.randgen import random_mapping
-from mapprox.structure import FiniteMapping
+from mapprox.structure import FiniteMapping, ball
 from oracles import (
     brute_fo_dist,
     brute_ldist,
@@ -79,11 +80,39 @@ def grown(rng, F: FiniteMapping) -> FiniteMapping:
     return FiniteMapping(f=f, marks=marks, signature=F.signature)
 
 
-def pair_games(table, F, r):
-    """How many pair games ldist played in F at rank r: the table's memo
-    entries for 2-tuples with r rounds left.  A root game reaches 2-tuples
-    only with fewer rounds left."""
-    return sum(1 for tup, k in table._caches[F]["nv"] if len(tup) == 2 and k == r)
+def played_positions(monkeypatch) -> list:
+    """A list that gains every position the kernel plays from now on, as
+    (structure, tuple, rounds left), recorded by wrapping TypeTable._nv,
+    which plays each position once."""
+    played = []
+    nv = TypeTable._nv
+
+    def recording(self, F, moves, tup, k, *rest):
+        played.append((F, tup, k))
+        return nv(self, F, moves, tup, k, *rest)
+
+    monkeypatch.setattr(TypeTable, "_nv", recording)
+    return played
+
+
+def pair_games(played, F, r) -> int:
+    """How many pair games of F at rank r are among the `played` positions:
+    a root game reaches 2-tuples only with fewer rounds left."""
+    return sum(1 for G, tup, k in played if G is F and len(tup) == 2 and k == r)
+
+
+def game_meters(monkeypatch) -> list:
+    """A list that gains every Meter equivalence makes from now on: the
+    ball meter of each structure, then the call's game meter."""
+    meters = []
+
+    class Recorded(Meter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            meters.append(self)
+
+    monkeypatch.setattr(equivalence, "Meter", Recorded)
+    return meters
 
 
 def small_structures() -> list[FiniteMapping]:
@@ -230,26 +259,66 @@ class TestLdist:
             for r in ranks:
                 assert ldist(A, B, p, r) == brute_ldist(A, B, p, r), (trial, r)
 
-    def test_plays_only_near_pair_games(self):
+    def test_plays_only_near_pair_games(self, monkeypatch):
         # A count guard: at r = 1 a pair game is played only for b in the
         # radius-2 ball of a, about 2% of the n^2 ordered pairs here.
         A, B = seeded(300, 0, Fraction(1, 2)), seeded(300, 1, Fraction(1, 2))
-        table = TypeTable()
-        ldist(A, B, 2, 1, table)
+        played = played_positions(monkeypatch)
+        ldist(A, B, 2, 1, TypeTable())
         for F in (A, B):
-            assert 0 < pair_games(table, F, 1) <= F.n**2 // 25
+            assert 0 < pair_games(played, F, 1) <= F.n**2 // 25
 
-    def test_pair_budget_counts_ball_sizes(self):
+    def test_pair_budget_counts_ball_sizes(self, monkeypatch):
         # Every radius-2 ball of a star holds all of it, so the ball sizes
         # pass the budget after about a third of the leaves, before any
-        # game is played.
-        table = TypeTable()
+        # position is played.
+        played = played_positions(monkeypatch)
         started = time.perf_counter()
         with pytest.raises(BudgetExceeded) as caught:
-            ldist(star(3000), star(2999), 2, 1, table)
+            ldist(star(3000), star(2999), 2, 1, TypeTable())
         assert time.perf_counter() - started < 10
         assert 1_000_000 < caught.value.needed < 1_010_000
-        assert all(not cache["nv"] for cache in table._caches.values())
+        assert played == []
+
+    def test_shared_table_plays_pairs_again(self, monkeypatch):
+        # Pair games are not kept, so a second call on one table plays and
+        # spends what the first did.  Roots are kept: a p = 1 call plays
+        # them first, so neither p = 2 call spends anything on them.
+        A, B = seeded(12, 2, Fraction(1, 2)), seeded(14, 3, Fraction(1, 2))
+        table = TypeTable()
+        ldist(A, B, 1, 1, table)
+        played, meters = played_positions(monkeypatch), game_meters(monkeypatch)
+        first = ldist(A, B, 2, 1, table)
+        spent_first, played_first = meters[-1].spent, len(played)
+        second = ldist(A, B, 2, 1, table)
+        assert first == second == brute_ldist(A, B, 2, 1)
+        assert len(meters) == 6
+        assert meters[-1].spent == spent_first > 0
+        assert len(played) == 2 * played_first > 0
+
+    def test_same_structure_plays_its_pairs_once(self, monkeypatch):
+        # ldist(F, F) reads B's pair classes off A's, so each pair game is
+        # played, and spent, once.
+        F = seeded(40, 4, Fraction(1, 2))
+        played = played_positions(monkeypatch)
+        assert ldist(F, F, 2, 1, TypeTable()) == 0
+        assert pair_games(played, F, 1) == sum(len(ball(F, a, 2)) for a in F.elements())
+
+    def test_pair_game_too_deep_is_refused_before_play(self, monkeypatch):
+        # The depth rule of every game (two frames per round) holds for
+        # pair games, under a recursion limit patched low: in a fresh table,
+        # and in one that keeps the roots, so that no root game is played.
+        A, B = cycle(4), cycle(5)
+        kept = TypeTable()
+        ldist(A, B, 1, 3, kept)
+        played = played_positions(monkeypatch)
+        monkeypatch.setattr(sys, "getrecursionlimit", lambda: 5)
+        for table in (TypeTable(), kept):
+            with pytest.raises(GameTooDeep) as caught:
+                ldist(A, B, 2, 3, table)
+            assert caught.value.rank == 3
+            assert caught.value.budget == 5
+        assert played == []
 
     def test_budget_counts_game_positions(self, monkeypatch):
         # The ball sizes of two 100-leaf stars (10,302 each) fit in a budget

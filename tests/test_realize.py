@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,7 @@ from mapprox.realize import (
 from mapprox.structure import (
     TYPE_MARK,
     FiniteMapping,
+    Signature,
     cycle_cut_product,
     cycle_lengths,
     cycle_orbits,
@@ -175,6 +177,52 @@ class TestRealize:
         with pytest.raises(BudgetExceeded) as caught:
             realize(mu, 1, multiplier)
         assert (caught.value.budget, caught.value.needed) == (6 * multiplier - 1, 6 * multiplier)
+
+    def rewitnessed(self, mu, extra=()):
+        """mu with each entry's witness a copy of its structure holding a
+        Signature object of its own, the last one declaring `extra` too."""
+        pairs = []
+        for i, (tau, mass) in enumerate(mu):
+            F = tau.structure
+            names = F.signature.predicates + (extra if i == len(mu.entries) - 1 else ())
+            copy = FiniteMapping(f=F.f, marks=F.marks, signature=Signature(names))
+            pairs.append((local_type(copy, tau.element, mu.rank, TABLE), mass))
+        return TypeMeasure.from_pairs(mu.rank, pairs)
+
+    def test_equal_signatures_in_distinct_objects(self):
+        mu = type_distribution(marked_cycle(), 3, TABLE)
+        out = realize(self.rewitnessed(mu), 1)
+        assert out.f == realize(mu, 1).f
+        assert measure_tv(type_distribution(out, 1, TABLE), mu.project(1)) == 0
+
+    def test_shared_signature_not_compared(self):
+        # A count guard: entries that hold the first entry's Signature
+        # object compare no predicate tuples.
+        class Counted(tuple):
+            compared = 0
+
+            def __eq__(self, other):
+                Counted.compared += 1
+                return tuple.__eq__(self, other)
+
+            def __ne__(self, other):
+                Counted.compared += 1
+                return tuple.__ne__(self, other)
+
+            __hash__ = tuple.__hash__
+
+        F = marked_cycle()
+        F = FiniteMapping(f=F.f, marks=F.marks, signature=Signature(Counted(("U",))))
+        mu = type_distribution(F, 3, TypeTable())
+        assert all(tau.structure.signature is F.signature for tau, _ in mu)
+        realize(mu, 1)
+        assert Counted.compared == 0
+
+    def test_witness_predicates_checked(self):
+        mu = self.rewitnessed(type_distribution(marked_cycle(), 3, TABLE), ("V",))
+        with pytest.raises(SignatureMismatch) as caught:
+            realize(mu, 1)
+        assert str(caught.value) == "witness structures of the measure disagree on predicates"
 
 
 class TestRealizeAgainstTwoPass:
@@ -313,6 +361,14 @@ class TestRewire:
     def test_requires_cut_marks(self):
         with pytest.raises(MissingCutPredicates):
             rewire(cycle(6), 6, 3)
+
+    def test_missing_layer_named(self):
+        H = cycle_cut_product(cycle(3), 6, 1, TABLE)
+        kept = tuple(name for name in H.signature.predicates if name != "U4")
+        marks = {name: H.marks[name] for name in kept}
+        G = FiniteMapping(f=H.f, marks=marks, signature=Signature(kept))
+        with pytest.raises(MissingCutPredicates, match=re.escape("missing layer predicates: ['U4']")):
+            rewire(G, 6, 1)
 
     def test_realized_orbits_close_after_their_length(self):
         # rewire's closure claim on realized structures, where realize's
