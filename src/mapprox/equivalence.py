@@ -34,24 +34,28 @@ At p = 2, ldist splits the pairs by Gaifman distance (Gaifman 1982; Hanf
 ldist therefore takes each element's root value, plays the pair game only
 for b in the radius-(r+1) ball of a (a itself included), and counts the far
 pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
-those roots.  Root values are memoized in the table, as every top-level
-value of nv_value is.  A near pair is asked for once per call, so its game
-is played once, straight on the engine with the structure's move rule
-looked up once, and is not kept: a second call on the same table plays and
-spends it again.  When B is A, B's pair classes are A's, played once.
+those roots.  Root values are kept in the table, the only game values it
+keeps.  A near pair is asked for once per call, so its game is played
+once, straight on the engine with the structure's move rule looked up
+once, and is not kept: a second call on the same table plays and spends it
+again.  Nor are the tuples of ldist at p >= 3, or of dist_p^r, kept.
+
+Each call counts each structure's classes once: when B is A, at every p,
+B's counts are A's, and dist_p^r plays A's sentence game for both.  At
+p = 0, dist_p^r is the comparison of the two sentence values.
 
 Every call has one work budget, the module constant GAME_BUDGET, read
 when the call runs; no call takes a budget of its own.  Before any game is
 played, ldist at p = 2 checks n plus the ball sizes of each structure
 against the budget, summed as the balls are built.  At p = 1 and p >= 3,
 and in dist_p^r, whose unrestricted moves reach past any ball, every
-p-tuple is enumerated and the budget bounds n^p.  dist_p^r is 1 when a sentence of rank r separates the structures, and then
-no tuple is enumerated.  Either distance also spends every game position it
-plays (each is played once) on one meter per call, and raises
-BudgetExceeded once the positions pass the budget.  In dist_p^r a position
-with one round left is played and spent, but its extensions by the n
-elements are not: the engine reads their values off atom-row classes, so
-they are neither played nor counted.
+p-tuple is enumerated and the budget bounds n^p.  dist_p^r is 1 when a
+sentence of rank r separates the structures, and then no tuple is
+enumerated.  Either distance also spends every game position it plays on
+one meter per call, and raises BudgetExceeded once the positions pass the
+budget.  In dist_p^r a position with one round left is played and spent,
+but its extensions by the n elements are not: the engine reads their
+values off atom-row classes, so they are neither played nor counted.
 """
 
 from __future__ import annotations
@@ -75,15 +79,15 @@ def ef_equivalent(A: FiniteMapping, B: FiniteMapping, r: int) -> bool:
     return fo_dist(A, B, 0, r) == 0
 
 
-def _tuple_classes(A: FiniteMapping, B: FiniteMapping, p: int, value) -> list[Counter]:
-    """Counts of the classes of all p-tuples of A and of B, each keyed by the
-    atom rows of its proper prefixes and its game value `value(F, tup)`.
-    BudgetExceeded when either structure has more than GAME_BUDGET p-tuples."""
-    needed = max(A.n, B.n) ** p
+def _tuple_classes(structures: tuple, p: int, value) -> list[Counter]:
+    """Counts of the classes of all p-tuples of each structure, each keyed by
+    the atom rows of its proper prefixes and its game value `value(F, tup)`.
+    BudgetExceeded when any structure has more than GAME_BUDGET p-tuples."""
+    needed = max(F.n for F in structures) ** p
     if needed > GAME_BUDGET:
         raise BudgetExceeded(GAME_BUDGET, needed)
     counts = []
-    for F in (A, B):
+    for F in structures:
         f, marks = F.f, F.mark_sets
         counts.append(
             Counter(
@@ -112,8 +116,9 @@ def _pair_classes(
     """Counts of the local classes of all ordered pairs of F at rank r in
     `table`, every position spent on `meter`: near pairs (b in the
     radius-(r+1) ball of a) play their game, far pairs are counted from the
-    roots' classes.  Each near pair is asked for once, so its game is played
-    straight on the engine and not kept; like every game, it is refused with
+    roots' classes, which the table keeps.  Each near pair is asked for
+    once, so its game is played straight on the engine, with no pass
+    through TypeTable._play; like every game, it is refused with
     GameTooDeep before any position is played when 2r passes Python's
     recursion limit, and raises it if it runs out of stack anyway."""
     if 2 * r > sys.getrecursionlimit():
@@ -168,14 +173,13 @@ def ldist(
         raise ValueError("rank must be nonnegative")
     table = table or global_table()
     meter = Meter(GAME_BUDGET)
+    structures = (A,) if B is A else (A, B)
     if p == 2:
-        balls = [_near_balls(F, r + 1) for F in (A, B)]
-        counts = [_pair_classes(A, table, r, meter, balls[0])]
-        # B's pairs are A's when B is A; their games are not played twice.
-        counts.append(counts[0] if B is A else _pair_classes(B, table, r, meter, balls[1]))
+        balls = [_near_balls(F, r + 1) for F in structures]
+        counts = [_pair_classes(F, table, r, meter, near) for F, near in zip(structures, balls)]
     else:
-        counts = _tuple_classes(A, B, p, partial(table.nv_value, k=r, meter=meter))
-    return _tv(counts[0], A.n**p, counts[1], B.n**p)
+        counts = _tuple_classes(structures, p, partial(table.nv_value, k=r, meter=meter))
+    return _tv(counts[0], A.n**p, counts[-1], B.n**p)
 
 
 def fo_dist(A: FiniteMapping, B: FiniteMapping, p: int, r: int) -> Fraction:
@@ -190,10 +194,14 @@ def fo_dist(A: FiniteMapping, B: FiniteMapping, p: int, r: int) -> Fraction:
     if r < 0:
         raise ValueError("rank must be nonnegative")
     value = partial(TypeTable().global_value, k=r, meter=Meter(GAME_BUDGET))
-    if value(A, ()) != value(B, ()):
+    structures = (A,) if B is A else (A, B)
+    sentences = [value(F, ()) for F in structures]
+    if sentences[0] != sentences[-1]:
         return Fraction(1)
-    counts = _tuple_classes(A, B, p, value)
-    return _tv(counts[0], A.n**p, counts[1], B.n**p)
+    if p == 0:
+        return Fraction(0)
+    counts = _tuple_classes(structures, p, value)
+    return _tv(counts[0], A.n**p, counts[-1], B.n**p)
 
 
 def dist_fo_truncated(

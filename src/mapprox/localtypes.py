@@ -61,30 +61,29 @@ once a root value with a mark U_j, j >= 1, was handed out before any m was
 known, since that value was not normalized.
 
 The same engine plays the FO game of equivalence.fo_dist, whose moves range
-over the whole domain.  Its values share the intern registry but have their
-own memo per structure, since one (tuple, rounds) has a different value
-under each rule; values are compared only within one rule.  Lowering holds
-for both rules, as the set of kid values does not depend on the rounds
-left.
+over the whole domain.  Its values share the intern registry; one (tuple,
+rounds) has a different value under each rule, so values are compared only
+within one rule.  Lowering holds for both rules, as the set of kid values
+does not depend on the rounds left.
 
-A position is played once and counted once.  A position (tup, k) below
-the top of a game is reached only from (tup[:-1], k + 1), which is played
-once, so a memo below the top would never be hit; only the top-level
-tuples of nv_value and global_value are memoized, and asking for one again
-plays and spends nothing.  equivalence.ldist's near-pair games are not
-asked for through nv_value: a call asks for each pair once, so it plays
-each pair's game once, straight on the engine (_nv), and keeps none; a
-second call plays and spends them again.  A Meter passed down counts the
-positions a call plays, one each.  In the local game only a top-level
-tuple's atom row is scanned off the tuple.  A fresh y equals no placed element, so its row
-over a placed tuple is its marks, whether it is fixed, the first index of
-f(y) in the tuple, and the indices whose image is y.  A position reads the
-first off the set of its elements and the last off the tuple of their
-images, which it hands each kid along with the kid's row.  The leaves of
-the last round are interned in place from such rows, and the Meter is
-charged for a position's leaves at once, one each; a batch that does not
-fit raises with the same budget and spend as one charge per leaf would, so
-the positions counted are unchanged.
+Game values are kept for roots only.  A position (tup, k) below the top of
+a game is reached only from (tup[:-1], k + 1), which is played once, so a
+memo below the top would never be hit.  Roots are asked for again and
+again, by histograms, transport and lower ranks, so nv_value keeps each
+root's value in layer-0 normal form, and asking for it again plays and
+spends nothing.  Any other top-level tuple, such as a sentence or p-tuple
+of equivalence's distances, is played and spent each time it is asked
+for; equivalence asks for each once per call.  A Meter passed down counts
+the positions a call plays, one each.  In the local game only a top-level
+tuple's atom row is scanned off the tuple.  A fresh y equals no placed
+element, so its row over a placed tuple is its marks, whether it is fixed,
+the first index of f(y) in the tuple, and the indices whose image is y.  A
+position reads the first off the set of its elements and the last off the
+tuple of their images, which it hands each kid along with the kid's row.
+The leaves of the last round are interned in place from such rows, and the
+Meter is charged for a position's leaves at once, one each; a batch that
+does not fit raises with the same budget and spend as one charge per leaf
+would, so the positions counted are unchanged.
 
 A game of k rounds is refused with GameTooDeep, before any position is
 played, when 2k passes Python's recursion limit.  Two frames per round is
@@ -119,9 +118,9 @@ ids, an atom row holds its element's marks as a sorted tuple of names and
 its preimage indices as a bitmask, and move lists are tuples.  The cyclic
 garbage collector untracks such a tuple once what it holds is untracked,
 and a full collection then untracks the dicts keyed by them, so the
-millions of values a histogram leaves, and the memo entries of its
-top-level tuples, are not rescanned by every later collection.  A set or
-a list stored there brings those rescans back.
+millions of values a histogram leaves, and the root values it keeps, are
+not rescanned by every later collection.  A set or a list stored there
+brings those rescans back.
 """
 
 from __future__ import annotations
@@ -216,8 +215,8 @@ class _InTreeCodes(dict):
 class Meter:
     """The work one call may do: BudgetExceeded(budget, spent) is raised
     once what it spends passes the budget.  A game spends one per position
-    it plays; each position is played once, and a top-level tuple asked for
-    again is read off the memo and spends nothing."""
+    it plays, each time it is played; a root asked for again is read off
+    its kept value and spends nothing."""
 
     __slots__ = ("budget", "spent")
 
@@ -329,11 +328,6 @@ class TypeTable:
                 ),
                 # The same for the rule with no twin classes.
                 "all_moves": _PerElement(lambda d: plain),
-                # (tuple, rounds) -> local value, for top-level tuples only:
-                # a position below the top is played once, so it is not kept.
-                "nv": {},
-                # The same for the whole-domain game, apart from local values.
-                "fo": {},
                 # (marks, fixed) -> how many elements of F share them, for
                 # the whole-domain game's last round (_last_round).
                 "classes": None,
@@ -369,7 +363,7 @@ class TypeTable:
         spending every position it plays on `meter`."""
         cache = self._structure_cache(F)
         if len(tup) != 1:
-            return self._play(F, cache["nv"], cache["all_moves"], tup, k, meter)
+            return self._play(F, cache["all_moves"], tup, k, meter)
         # A root's value at a lower rank is read off its highest-rank value
         # already solved; only roots are recorded, to keep the table small.
         roots = cache["roots"]
@@ -382,7 +376,7 @@ class TypeTable:
             layer = v % m
             value = self._pair(self.nv_value(F, (v - layer,), k, meter), layer)
         else:
-            value = self._normal(self._play(F, cache["nv"], cache["moves"], tup, k, meter))
+            value = self._normal(self._play(F, cache["moves"], tup, k, meter))
         roots[v] = value
         return value
 
@@ -417,7 +411,7 @@ class TypeTable:
     ) -> int:
         """The value of `tup` in F's game whose moves range over the whole
         domain, with k rounds left, spending every position on `meter`."""
-        return self._play(F, self._structure_cache(F)["fo"], None, tup, k, meter)
+        return self._play(F, None, tup, k, meter)
 
     def _shifted(self, nv: int, s: int) -> int:
         """nv with U_j renamed U_{j+s mod m} in every row, kids included,
@@ -472,23 +466,17 @@ class TypeTable:
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
-    def _play(self, F, memo, moves, tup, k, meter) -> int:
-        """The value of `tup` with k rounds left, memoized in `memo` by
-        (tup, k): only top-level tuples are memoized, since every position
-        below one is reached once (_nv).  A game of more rounds than half
-        Python's recursion limit raises GameTooDeep, a BudgetExceeded,
-        before it is played (module docstring); one that still runs out of
-        stack raises it too."""
-        key = (tup, k)
-        found = memo.get(key)
-        if found is None:
-            if 2 * k > sys.getrecursionlimit():
-                raise GameTooDeep(k)
-            try:
-                found = memo[key] = self._nv(F, moves, tup, k, meter)
-            except RecursionError:
-                raise GameTooDeep(k) from None
-        return found
+    def _play(self, F, moves, tup, k, meter) -> int:
+        """The value of `tup` with k rounds left, played on _nv and not
+        kept.  A game of more rounds than half Python's recursion limit
+        raises GameTooDeep, a BudgetExceeded, before it is played (module
+        docstring); one that still runs out of stack raises it too."""
+        if 2 * k > sys.getrecursionlimit():
+            raise GameTooDeep(k)
+        try:
+            return self._nv(F, moves, tup, k, meter)
+        except RecursionError:
+            raise GameTooDeep(k) from None
 
     def _nv(self, F, moves, tup, k, meter, row=None, images=None) -> int:
         """The value of `tup` with k rounds left, played with no memo: a

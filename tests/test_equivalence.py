@@ -103,7 +103,7 @@ def pair_games(played, F, r) -> int:
 
 def game_meters(monkeypatch) -> list:
     """A list that gains every Meter equivalence makes from now on: the
-    ball meter of each structure, then the call's game meter."""
+    call's game meter, then at p = 2 the ball meter of each structure."""
     meters = []
 
     class Recorded(Meter):
@@ -113,6 +113,12 @@ def game_meters(monkeypatch) -> list:
 
     monkeypatch.setattr(equivalence, "Meter", Recorded)
     return meters
+
+
+def cache_entries(cache: dict) -> int:
+    """How many entries the dicts in a table's structure cache hold, nested
+    dicts included."""
+    return sum(len(d) + cache_entries(d) for d in cache.values() if isinstance(d, dict))
 
 
 def small_structures() -> list[FiniteMapping]:
@@ -188,6 +194,18 @@ class TestEfEquivalent:
         with pytest.raises(BudgetExceeded) as caught:
             ef_equivalent(cycle(30), cycle(30), 3)
         assert caught.value.needed == 1001
+
+    def test_plays_each_sentence_game_once(self, monkeypatch):
+        # Each structure's sentence game is played once per call, and once
+        # in all when B is A.
+        A, B = cycle(6), relabel(cycle(6), (5, 3, 1, 0, 2, 4))
+        played = played_positions(monkeypatch)
+        for r in (0, 1, 2, 3):
+            for pair in ((A, B), (A, A)):
+                played.clear()
+                assert ef_equivalent(*pair, r)
+                sentences = [F for F, tup, k in played if tup == ()]
+                assert sentences == list(dict.fromkeys(pair)), r
 
     def test_keeps_nothing(self):
         # Each call plays in a table of its own: the shared table gains no
@@ -289,11 +307,28 @@ class TestLdist:
         ldist(A, B, 1, 1, table)
         played, meters = played_positions(monkeypatch), game_meters(monkeypatch)
         first = ldist(A, B, 2, 1, table)
-        spent_first, played_first = meters[-1].spent, len(played)
+        spent_first, played_first = meters[0].spent, len(played)
         second = ldist(A, B, 2, 1, table)
         assert first == second == brute_ldist(A, B, 2, 1)
         assert len(meters) == 6
-        assert meters[-1].spent == spent_first > 0
+        assert meters[3].spent == spent_first > 0
+        assert len(played) == 2 * played_first > 0
+
+    def test_shared_table_keeps_no_triple(self, monkeypatch):
+        # At p = 3 no triple's value is kept: each structure's cache holds
+        # about one entry per element, not one per triple, and a second
+        # call on the same table plays and spends what the first did.
+        A, B = seeded(5, 2, Fraction(1, 2)), seeded(6, 3, Fraction(1, 2))
+        table = TypeTable()
+        played, meters = played_positions(monkeypatch), game_meters(monkeypatch)
+        first = ldist(A, B, 3, 1, table)
+        spent_first, played_first = meters[0].spent, len(played)
+        for F in (A, B):
+            assert cache_entries(table._structure_cache(F)) <= 2 * F.n
+        second = ldist(A, B, 3, 1, table)
+        assert first == second == brute_ldist(A, B, 3, 1)
+        assert len(meters) == 2
+        assert meters[1].spent == spent_first > 0
         assert len(played) == 2 * played_first > 0
 
     def test_same_structure_plays_its_pairs_once(self, monkeypatch):
@@ -342,6 +377,36 @@ class TestLdist:
             B = seeded(rng.randrange(2, 6), 55 + trial, Fraction(1, 2))
             for p, r in ((1, 0), (1, 1), (1, 2), (2, 1)):
                 assert ldist(A, B, p, r) == brute_ldist(A, B, p, r), (trial, p, r)
+
+
+class TestSameStructure:
+    """When B is A, a distance counts A's classes, and plays A's sentence
+    game, once: its spend is one structure's, half of what a copy of A as
+    B costs.  Spends on F = seeded(40, 3); at p = 2 B's balls are not
+    built either."""
+
+    @pytest.mark.parametrize(
+        "distance, spent, meters",
+        [
+            pytest.param(lambda A, B: ldist(A, B, 1, 1, TypeTable()), 107, 1, id="ldist-p1"),
+            pytest.param(lambda A, B: ldist(A, B, 2, 1, TypeTable()), 927, 2, id="ldist-p2"),
+            pytest.param(
+                lambda A, B: ldist(A, B, 3, 1, TypeTable()), 382_014, 1, id="ldist-p3"
+            ),
+            pytest.param(lambda A, B: fo_dist(A, B, 2, 2), 62_481, 1, id="fo_dist-p2"),
+            pytest.param(lambda A, B: fo_dist(A, B, 0, 3), 1_601, 1, id="fo_dist-p0"),
+            pytest.param(lambda A, B: not ef_equivalent(A, B, 3), 1_601, 1, id="ef"),
+        ],
+    )
+    def test_counted_once(self, monkeypatch, distance, spent, meters):
+        F = seeded(40, 3)
+        copy = FiniteMapping(f=F.f, marks=F.marks, signature=F.signature)
+        made = game_meters(monkeypatch)
+        assert distance(F, F) == 0
+        assert (made[0].spent, len(made)) == (spent, meters)
+        made.clear()
+        assert distance(F, copy) == 0
+        assert made[0].spent == 2 * spent
 
 
 class TestFoDist:

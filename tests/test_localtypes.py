@@ -160,16 +160,28 @@ class TestAtomRow:
 
 
 class TestPositionCount:
-    def test_top_level_tuples_are_memoized(self):
-        # Asking for a top-level tuple again plays nothing and spends
-        # nothing.
+    def test_roots_asked_again_spend_nothing(self, monkeypatch):
+        # A table keeps the values of roots only: a root asked for again, at
+        # its rank or a lower one, plays and spends nothing, and any other
+        # top-level tuple is played and spent again.
         F = seeded(8, 2)
         table, meter = TypeTable(), Meter(10**6)
-        value = table.global_value(F, (), 3, meter)
+        values = [table.nv_value(F, (v,), 3, meter) for v in F.elements()]
         spent = meter.spent
-        assert spent > 1
-        assert table.global_value(F, (), 3, meter) == value
-        assert meter.spent == spent
+        assert spent > F.n
+        played = played_tuples(monkeypatch, F)
+        assert [table.nv_value(F, (v,), 3, meter) for v in F.elements()] == values
+        for r in (0, 1, 2):
+            assert [table.nv_value(F, (v,), r, meter) for v in F.elements()] == [
+                table.lower_to(value, r) for value in values
+            ]
+        assert meter.spent == spent and played == []
+        for tup, game in (((0, 1), table.nv_value), ((), table.global_value)):
+            value = game(F, tup, 3, meter)
+            once = meter.spent - spent
+            assert game(F, tup, 3, meter) == value
+            assert meter.spent - spent == 2 * once > 0
+            spent = meter.spent
 
     def test_budget_overrun_is_one_position(self):
         # A rooted game with twin pruning spends one per position, leaves
@@ -750,7 +762,7 @@ class TestLayerShift:
             F = seeded(n, 700 + trial, Fraction(1, 2))
             assert_layers_match_direct_kernel(F, 60, rank, (rank,))
 
-    def test_unregistered_table_gives_same_canonical_ids(self):
+    def test_unregistered_table_gives_same_canonical_ids(self, monkeypatch):
         # A table that plays every layer, of a mirrored copy typed at the
         # mirrored elements, assigns the same canonical ids given the same
         # history.
@@ -760,6 +772,7 @@ class TestLayerShift:
         for v in F.elements():
             local_type(F, v, 3, other)
         Q, last = mirrored(P), P.n - 1
+        played = played_tuples(monkeypatch, Q)
         ids = [
             [local_type(P, v, 3, home).canonical_id for v in P.elements()],
             [local_type(Q, last - v, 3, other).canonical_id for v in P.elements()],
@@ -767,7 +780,7 @@ class TestLayerShift:
         assert ids[0] == ids[1]
         assert home._structure_cache(P)["layers"] == 6
         assert other._structure_cache(Q)["layers"] is None
-        assert any(tup[0] % 6 for tup, _ in other._structure_cache(Q)["nv"])
+        assert any(len(tup) == 1 and tup[0] % 6 for tup in played)
 
     def test_plays_root_games_in_layer_zero_only(self, monkeypatch):
         # A count guard: every tuple the kernel plays in a product starts
@@ -851,7 +864,7 @@ class TestLayerShift:
         assert cache["layers"] is None
         for x in range(0, Q.n // m, 2):
             played = [
-                table._play(Q, cache["nv"], cache["moves"], (x * m + s,), k, None)
+                table._play(Q, cache["moves"], (x * m + s,), k, None)
                 for s in range(m)
             ]
             assert [table._shifted(played[0], s) for s in range(m)] == played
@@ -918,10 +931,10 @@ class TestLayerShift:
 
 class TestUntrackedValues:
     def test_collector_untracks_what_a_table_keeps(self):
-        # Values, rows, memo keys and move lists hold only ints, strings,
-        # None and tuples, so full collections untrack them and the dicts
-        # keyed by them, and no later collection rescans them.  A set or a
-        # list kept there would stay tracked.
+        # Values, rows, kept root values and move lists hold only ints,
+        # strings, None and tuples, so full collections untrack them and the
+        # dicts keyed by them, and no later collection rescans them.  A set
+        # or a list kept there would stay tracked.
         table = TypeTable()
         F = seeded(10, 1)
         P = cycle_cut_product(F, 6, 3, table)
@@ -939,6 +952,6 @@ class TestUntrackedValues:
         assert not gc.is_tracked(table._intern)
         assert not gc.is_tracked(table._layer_of)
         cache = table._structure_cache(F)
-        assert not gc.is_tracked(cache["nv"]) and not gc.is_tracked(cache["fo"])
+        assert len(cache["roots"]) == F.n and not gc.is_tracked(cache["roots"])
         moves = [m for d in cache["moves"].values() for m in d.values()]
         assert moves and not any(map(gc.is_tracked, moves))

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -58,7 +59,7 @@ from mapprox.structure import (
     recover,
     residualize,
 )
-from mapprox.mapfile import dump_map, jsonable
+from mapprox.mapfile import dump_map, jsonable, measure_from_json, measure_to_json
 from oracles import near as oracle_near
 from oracles import output_by_merge
 from oracles import proximity as oracle_proximity
@@ -611,6 +612,34 @@ class TestPipeline:
             out, _ = pipeline(F, p, r, eps)
             assert sizes.count(out.n) == 1 and max(sizes) == out.n
             assert merges == [r + 1]
+
+    def test_no_root_game_played_twice(self, monkeypatch):
+        # A count guard: the kept root values are the only memo of game
+        # values, and they are enough.  One pipeline call on each input,
+        # and a cut product, its measure, the measure read back into a
+        # fresh table and realize of both, play no game twice, each keyed
+        # by (structure, tuple, rounds).
+        games = Counter()
+        play = TypeTable._play
+
+        def counting(table, F, moves, tup, k, meter):
+            games[F, tup, k] += 1
+            return play(table, F, moves, tup, k, meter)
+
+        monkeypatch.setattr(TypeTable, "_play", counting)
+        for F, p, r, eps in SWEEP_CASES:
+            games.clear()
+            pipeline(F, p, r, eps)
+            assert games and max(games.values()) == 1, (F.n, p, r)
+            assert all(len(tup) == 1 for _, tup, _ in games)
+        games.clear()
+        table = TypeTable()
+        mu = type_distribution(cycle_cut_product(seeded(12, 9), 6, 3, table), 3, table)
+        read_back = measure_from_json(measure_to_json(mu), TypeTable())
+        for measure in (mu, read_back):
+            for multiplier in (1, 2):
+                realize(measure, 1, multiplier)
+        assert games and max(games.values()) == 1
 
     def test_rewired_read_off_realized_blocks(self):
         # Every element of a realized block has the rank-r type of the
