@@ -25,7 +25,7 @@ from .fmtp import CompanionCertificate, check_fmtp, exhaustive_fmtp_check, restr
 from .localtypes import Meter, global_table, type_distribution
 from .randgen import SplitMix64, cycle_statistics, random_mapping
 from .realize import certificate_digest, pipeline, realize, rewire
-from .structure import cycle_cut_product
+from .structure import _check_cut, cycle_cut_product
 
 __all__ = ["main"]
 
@@ -144,6 +144,7 @@ def _cmd_certificate(args) -> None:
 
 def _cmd_cut(args) -> None:
     F = mapfile.read_map(args.file)
+    _check_cut(F, args.m, args.type_rank)
     _play_roots(F, args.type_rank)
     _emit_structure(cycle_cut_product(F, args.m, args.type_rank, global_table()), args.out)
 

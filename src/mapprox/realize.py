@@ -469,13 +469,6 @@ def _sweep(host: int, copy_size: int, copies: int):
         yield v, copies
 
 
-def _moved(before: FiniteMapping, after: FiniteMapping) -> set[int]:
-    """Every element whose image differs in two mappings of one domain,
-    with its image in each: both ends of every edge that changed."""
-    jumped = [v for v in before.elements() if before.f[v] != after.f[v]]
-    return {*jumped, *(before.f[v] for v in jumped), *(after.f[v] for v in jumped)}
-
-
 def _proximity(
     F: FiniteMapping, radius: int, host: int, copy_size: int, copies: int
 ) -> Fraction:
@@ -564,21 +557,19 @@ def pipeline(
     Each histogram is summed from per-element rank-r values, and a stage
     types only what it changes.  An r-round game from an element places
     only elements within distance r of it, so an element keeps its type
-    when no mark or edge within distance r changes.
-      - input, residual and product: every element is typed.
-      - realized: read off the product's histogram, which realize's own
-        verify_upsilon makes exact: each element has the rank-r type of
-        its block's label.
-      - rewired: the label values with the layer and type marks that
-        rewire drops forgotten (TypeTable.forget), retyped within
-        distance r of an edge it moves.
-      - stripped copies: rewired's values, retyped within distance r of
-        a dropped B mark.
-      - merged: no typing; a disjoint union changes no type, so the host
-        has the residual's values and each copy the stripped ones.
-      - output: the merged values, retyped within distance r of what
-        recover changes (the A elements, their old images and the B
-        elements) in a witness of the host plus min(copies, r + 1) copies.
+    when no mark or edge within distance r changes.  So each stage's
+    values follow from the stage before: its values forget the predicates
+    the stage drops (TypeTable.forget), and the elements within distance
+    r of a changed edge end or mark are retyped.  The residual, rewired,
+    the stripped copies and the output follow this one rule, except:
+      - input and product are typed in full;
+      - realized is read off the product's histogram, which realize's
+        own verify_upsilon makes exact: each element has the rank-r type
+        of its block's label;
+      - merged is the union's values, the residual's followed by the
+        stripped ones, as a disjoint union changes no type.
+    The output follows the merged witness of the host and min(copies,
+    r + 1) copies and retypes only the host and the first copy.
     The merged and output histograms sweep the host and the first copy,
     weighted by the number of copies (_sweep).  Canonical ids are handed
     out in first-appearance order, as a full sweep hands them out.
@@ -653,11 +644,31 @@ def _stages(
         """The rank-r value of every element of `structure`."""
         return [table.nv_value(structure, (v,), r) for v in structure.elements()]
 
-    def retyped(values: list[int], structure: FiniteMapping, elements) -> list[int]:
-        """`values` with each of `elements` retyped in `structure`."""
+    def follow(
+        values: list[int], before: FiniteMapping, after: FiniteMapping
+    ) -> list[int]:
+        """The rank-r values in `after` of the first len(values) elements,
+        given their values in `before`, a structure over the same domain.
+        Each distinct value forgets the predicates `after` no longer
+        declares, together with the layer marks, which forget needs once
+        the table has claimed the product's m.  Then every element within
+        distance r of either end of a changed edge, or of a changed mark
+        that `after` declares, is retyped; further away its r-ball is the
+        same in both.  A shortest path to a changed element meets the
+        changes only at its end, so that distance is the same in both."""
         values = list(values)
-        for v in elements:
-            values[v] = table.nv_value(structure, (v,), r)
+        dropped = set(before.signature.predicates) - set(after.signature.predicates)
+        if dropped:
+            names = frozenset(dropped).union(f"U{j}" for j in range(cut))
+            forgotten = {nv: table.forget(nv, names) for nv in dict.fromkeys(values)}
+            values = [forgotten[nv] for nv in values]
+        moved = [v for v in before.elements() if before.f[v] != after.f[v]]
+        changed = {x for v in moved for x in (v, before.f[v], after.f[v])}
+        for name, elems in after.marks.items():
+            changed.update(elems.symmetric_difference(before.marks.get(name, ())))
+        for v in near(after, changed, r):
+            if v < len(values):
+                values[v] = table.nv_value(after, (v,), r)
         return values
 
     def record(
@@ -671,9 +682,10 @@ def _stages(
         stages.append({"name": name, "size": size, "histogram": _histogram(dist)})
         return dist
 
-    input_dist = record("input", F, typed(F))
+    input_values = typed(F)
+    input_dist = record("input", F, input_values)
     residual, pairs = residualize(F, eps)
-    residual_values = typed(residual)
+    residual_values = follow(input_values, F, residual)
     record("residual", residual, residual_values)
 
     product = cycle_cut_product(residual, cut, clean, table=table)
@@ -696,27 +708,16 @@ def _stages(
     stages.append(
         {"name": "realized", "size": realized.n, "histogram": _histogram(product_dist)}
     )
-
-    # Each element of a realized block has the rank-r projection of the
-    # block's label as its type (verify_upsilon).  rewire drops the layer
-    # and type marks of every element, which forget drops from the value
-    # too, and changes only the images of the elements it jumps, near
-    # which elements are retyped.
-    rewired = rewire(realized, cut, clean)
-    unmarked = frozenset(realized.signature.predicates) - set(
-        rewired.signature.predicates
-    )
     realized_values = []
     for tau, elements in _blocks(nu, realized.n):
-        value = table.forget(table.lower_to(tau.nv, r), unmarked)
-        realized_values += [value] * len(elements)
-    moved = _moved(realized, rewired)
-    rewired_values = retyped(realized_values, rewired, near(rewired, moved, r))
+        realized_values += [table.lower_to(tau.nv, r)] * len(elements)
+
+    rewired = rewire(realized, cut, clean)
+    rewired_values = follow(realized_values, realized, rewired)
     record("rewired", rewired, rewired_values)
 
     # Copies must not duplicate the recovery targets, so the residual host
-    # keeps its B marks and the copies lose theirs.  Only an element within
-    # distance r of a lost mark can change type.
+    # keeps its B marks and the copies lose theirs.
     b_names = {b for _, b in pairs}
     stripped = FiniteMapping(
         f=rewired.f,
@@ -726,8 +727,7 @@ def _stages(
         },
         signature=rewired.signature,
     )
-    lost = [v for name in b_names for v in rewired.marks[name]]
-    stripped_values = retyped(rewired_values, stripped, near(stripped, lost, r))
+    stripped_values = follow(rewired_values, rewired, stripped)
 
     n_away = N_AWAY_FACTOR * math.ceil(1 / eps)
     n_close = math.ceil(Fraction(residual.n, stripped.n) / eps)
@@ -748,20 +748,12 @@ def _stages(
     # A disjoint union changes no type.
     merged_values = residual_values + stripped_values
     record("merged", witness, merged_values, blocks)
-    # Only the swept elements within distance r of a changed mark or edge
-    # end are retyped.  Their distance to `changed` is the same before and
-    # after recover, as a shortest path to it meets it only at its end,
-    # and the same in the witness as in the full output, as before recover
-    # no copy meets the host.
+    # A swept element's distance to what recover changes is the same in
+    # the witness as in the full output, as before recover no copy meets
+    # the host.
     recovered = recover(witness, pairs)
-    changed = _moved(witness, recovered)
-    for name, elems in witness.marks.items():
-        changed.update(elems ^ recovered.marks.get(name, frozenset()))
+    output_values = follow(merged_values, witness, recovered)
     witness = recovered
-    swept = len(merged_values)
-    output_values = retyped(
-        merged_values, witness, [v for v in near(witness, changed, r) if v < swept]
-    )
     output_dist = record("output", witness, output_values, blocks)
 
     final = measure_tv(output_dist, input_dist)

@@ -616,6 +616,22 @@ MAX_PRODUCT_SIZE = 2_000_000
 TYPE_MARK = re.compile(r"T\d+_(?:cyc(\d+)|acyc)\Z")
 
 
+def _check_cut(F: FiniteMapping, m: int, type_rank: int) -> None:
+    """The checks cycle_cut_product(F, m, type_rank) makes before it plays
+    any game: m and the type rank in range, the product within
+    MAX_PRODUCT_SIZE, and no input predicate named like a mark it adds."""
+    if m < 2:
+        raise ValueError("cycle length m must be at least 2")
+    if type_rank < 0:
+        raise ValueError("type rank must be nonnegative")
+    if F.n * m > MAX_PRODUCT_SIZE:
+        raise BudgetExceeded(MAX_PRODUCT_SIZE, F.n * m)
+    clashes = [f"U{i}" for i in range(m) if f"U{i}" in F.marks]
+    clashes += filter(TYPE_MARK.fullmatch, F.signature.predicates)
+    if clashes:
+        raise DuplicatePredicate(clashes[0])
+
+
 def cycle_cut_product(
     F: FiniteMapping, m: int, type_rank: int, table=None
 ) -> FiniteMapping:
@@ -641,17 +657,7 @@ def cycle_cut_product(
     """
     from . import localtypes
 
-    if m < 2:
-        raise ValueError("cycle length m must be at least 2")
-    if type_rank < 0:
-        raise ValueError("type rank must be nonnegative")
-    if F.n * m > MAX_PRODUCT_SIZE:
-        raise BudgetExceeded(MAX_PRODUCT_SIZE, F.n * m)
-    clashes = [f"U{i}" for i in range(m) if f"U{i}" in F.marks]
-    clashes += filter(TYPE_MARK.fullmatch, F.signature.predicates)
-    if clashes:
-        raise DuplicatePredicate(clashes[0])
-
+    _check_cut(F, m, type_rank)
     types = [localtypes.local_type(F, v, type_rank, table=table) for v in F.elements()]
     order: dict[object, int] = {}
     for t in types:

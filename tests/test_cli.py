@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import broken_cut_products, cycle, star, structurally_equal
-from mapprox import equivalence
+from mapprox import equivalence, structure
 from mapprox.cli import main
 from mapprox.localtypes import Meter, TypeTable, type_distribution
 from mapprox.mapfile import (
@@ -589,6 +589,38 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: work budget 10000 exceeded (needed >= 10001)")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "m, marks, message",
+        [
+            (1, {}, "cycle length m must be at least 2"),
+            (10, {}, "work budget 9999 exceeded (needed >= 10000)"),
+            (2, {"U1": {0}}, "predicate 'U1' declared or generated twice"),
+            (2, {"T0_acyc": {0}}, "predicate 'T0_acyc' declared or generated twice"),
+        ],
+        ids=["m", "size", "layer-clash", "type-clash"],
+    )
+    def test_cut_checks_before_any_root_game(
+        self, capsys, tmp_path, monkeypatch, m, marks, message
+    ):
+        # cut checks the product's arguments before it plays the root
+        # games, so a bad one exits 1 at once, even at a type rank whose
+        # games on a 1000-cycle would run out of budget.
+        monkeypatch.setattr(structure, "MAX_PRODUCT_SIZE", 9_999)
+        played = []
+        play = TypeTable._play
+
+        def counting(self, G, *rest):
+            played.append(G)
+            return play(self, G, *rest)
+
+        monkeypatch.setattr(TypeTable, "_play", counting)
+        path = tmp_path / "c.map"
+        write_map(cycle(1000, marks), path)
+        argv = ["cut", str(path), "--m", str(m), "--type-rank", "30"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert played == []
 
     def test_each_root_game_has_its_own_budget(self, capsys, tmp_path, monkeypatch):
         # A budget of the largest root game's positions is enough for every

@@ -674,18 +674,20 @@ class TestPipeline:
 
     def test_root_games_only_where_a_stage_changes(self, monkeypatch):
         # The merged witness is a disjoint union of the residual and
-        # stripped copies, so none of its elements is typed.  Rewired,
-        # stripped and the output witness type exactly the swept elements
-        # within distance r of what they change: the edges rewire moves,
-        # the lost B marks, and the A elements, their old images and the B
-        # elements that recover rewires.
+        # stripped copies, so none of its elements is typed.  The residual,
+        # rewired, stripped and the output witness type at rank r exactly
+        # the swept elements within distance r of what they change: the cut
+        # edges and the A/B marks, the edges rewire moves, the lost B marks,
+        # and the A elements, their old images and the B elements that
+        # recover rewires.  cycle_cut_product types every residual element
+        # again, at the clean rank 2r + 1.
         games = []
         nv_value = TypeTable.nv_value
 
-        def counting(table, F, tup, *args, **kwargs):
+        def counting(table, F, tup, k, *args, **kwargs):
             if len(tup) == 1:
-                games.append((F, tup[0]))
-            return nv_value(table, F, tup, *args, **kwargs)
+                games.append((F, tup[0], k))
+            return nv_value(table, F, tup, k, *args, **kwargs)
 
         built = {}
 
@@ -698,26 +700,33 @@ class TestPipeline:
             return kept
 
         monkeypatch.setattr(TypeTable, "nv_value", counting)
+        monkeypatch.setattr(
+            realize_module, "residualize", keeping("residualize", residualize)
+        )
         monkeypatch.setattr(realize_module, "realize", keeping("realize", realize))
         monkeypatch.setattr(realize_module, "rewire", keeping("rewire", rewire))
         monkeypatch.setattr(realize_module, "merge", keeping("merge", merge))
         monkeypatch.setattr(realize_module, "recover", keeping("recover", recover))
         cases = [(seeded(20, 6), 2, 1, Fraction(1, 6)), *CYCLIC_CASES]
-        retyped = set()
+        retyped, some_far = set(), False
         for F, p, r, eps in cases:
             games.clear()
             built.clear()
             pipeline(F, p, r, eps)
+            residual, pairs = built["residualize"][1]
             realized, rewired = built["realize"][1], built["rewire"][1]
-            (residual, stripped, _), merged = built["merge"]
-            (_, pairs), output = built["recover"]
+            (_, stripped, _), merged = built["merge"]
+            output = built["recover"][1]
             swept = residual.n + stripped.n
 
-            def played(structure):
-                elements = [v for G, v in games if G is structure]
+            def played(structure, rank=r):
+                elements = [v for G, v, k in games if G is structure and k == rank]
                 assert len(elements) == len(set(elements))
                 return set(elements)
 
+            cuts = {v for pair in pairs for name in pair for v in residual.marks[name]}
+            cut = [v for v in F.elements() if F.f[v] != residual.f[v]]
+            cuts.update(cut, (F.f[v] for v in cut))
             jumped = [v for v in rewired.elements() if rewired.f[v] != realized.f[v]]
             moved = {*jumped, *(realized.f[v] for v in jumped)}
             moved.update(rewired.f[v] for v in jumped)
@@ -726,15 +735,19 @@ class TestPipeline:
             for a, _ in pairs:
                 changed.update(merged.marks[a])
                 changed.update(merged.f[v] for v in merged.marks[a])
-            assert played(realized) == set()
+            assert played(residual) == oracle_near(residual, cuts, r)
+            assert played(residual, 2 * r + 1) == set(residual.elements())
+            assert {k for G, _, k in games if G is residual} == {r, 2 * r + 1}
+            assert not any(G is realized or G is merged for G, _, _ in games)
             assert played(rewired) == oracle_near(rewired, moved, r)
-            assert played(merged) == set()
             assert played(stripped) == oracle_near(stripped, lost, r)
             assert played(output) == {
                 v for v in oracle_near(output, changed, r) if v < swept
             }
-            retyped.add((bool(moved), bool(lost), bool(changed)))
-        assert retyped == {(True, True, True)}
+            some_far = some_far or len(played(residual)) < residual.n
+            retyped.add((bool(cuts), bool(moved), bool(lost), bool(changed)))
+        assert retyped == {(True, True, True, True)}
+        assert some_far
 
     def test_changed_by_recover_read_off_its_output(self, monkeypatch):
         # The pipeline finds what recover changed by comparing the merged
