@@ -36,9 +36,12 @@ for b in the radius-(r+1) ball of a (a itself included), and counts the far
 pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
 those roots.  Root values are kept in the table, the only game values it
 keeps.  A near pair is asked for once per call, so its game is played
-once, straight on the engine with the structure's move rule looked up
-once, and is not kept: a second call on the same table plays and spends it
-again.  Nor are the tuples of ldist at p >= 3, or of dist_p^r, kept.
+once, straight on the engine: each element's near pairs go through
+TypeTable.tuple_values, which keeps nothing, so a second call on the same
+table plays and spends them again.  Nor are the tuples of ldist at
+p >= 3, or of dist_p^r, kept.  Every game of this module enters the
+kernel through a TypeTable method, whose one depth guard refuses a game
+too deep for the stack with GameTooDeep.
 
 Each call counts each structure's classes once: when B is A, at every p,
 B's counts are A's, and dist_p^r plays A's sentence game for both.  At
@@ -61,13 +64,12 @@ values off atom-row classes, so they are neither played nor counted.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .errors import BudgetExceeded, GameTooDeep, SignatureMismatch
+from .errors import BudgetExceeded, SignatureMismatch
 from .localtypes import Meter, TypeTable, atom_row, global_table
 from .structure import FiniteMapping, ball
 
@@ -117,27 +119,21 @@ def _pair_classes(
     `table`, every position spent on `meter`: near pairs (b in the
     radius-(r+1) ball of a) play their game, far pairs are counted from the
     roots' classes, which the table keeps.  Each near pair is asked for
-    once, so its game is played straight on the engine, with no pass
-    through TypeTable._play; like every game, it is refused with
-    GameTooDeep before any position is played when 2r passes Python's
-    recursion limit, and raises it if it runs out of stack anyway."""
-    if 2 * r > sys.getrecursionlimit():
-        raise GameTooDeep(r)
+    once, so it is played straight on the engine: a's near pairs are
+    streamed through TypeTable.tuple_values, one call per element, and
+    none is kept."""
     f, marks = F.f, F.mark_sets
     roots = [table.nv_value(F, (a,), r, meter) for a in F.elements()]
-    moves, nv = table._structure_cache(F)["all_moves"], table._nv
     counts: dict = {}
     near_roots: dict = {}
-    try:
-        for a, near in enumerate(balls):
-            row, s = atom_row(f, marks, (a,)), roots[a]
-            for b in near:
-                key = "near", row, nv(F, moves, (a, b), r, meter)
-                counts[key] = counts.get(key, 0) + 1
-                key = s, roots[b]
-                near_roots[key] = near_roots.get(key, 0) + 1
-    except RecursionError:
-        raise GameTooDeep(r) from None
+    for a, near in enumerate(balls):
+        row, s = atom_row(f, marks, (a,)), roots[a]
+        for value in table.tuple_values(F, zip(itertools.repeat(a), near), r, meter):
+            key = "near", row, value
+            counts[key] = counts.get(key, 0) + 1
+        for b in near:
+            key = s, roots[b]
+            near_roots[key] = near_roots.get(key, 0) + 1
     root_counts = Counter(roots)
     for s, count_s in root_counts.items():
         for t, count_t in root_counts.items():

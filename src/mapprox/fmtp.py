@@ -329,8 +329,6 @@ def verify_certificate(mu: TypeMeasure, cert: CompanionCertificate) -> bool:
             s = claimed.get(k, zero)
             if min(r, a) != min(r, s):
                 return False
-            if a < r and s != a:
-                return False
 
     lhs: dict[tuple, Fraction] = {}
     rhs: dict[tuple, Fraction] = {}

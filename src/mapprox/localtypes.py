@@ -72,18 +72,19 @@ memo below the top would never be hit.  Roots are asked for again and
 again, by histograms, transport and lower ranks, so nv_value keeps each
 root's value in layer-0 normal form, and asking for it again plays and
 spends nothing.  Any other top-level tuple, such as a sentence or p-tuple
-of equivalence's distances, is played and spent each time it is asked
-for; equivalence asks for each once per call.  A Meter passed down counts
-the positions a call plays, one each.  In the local game only a top-level
-tuple's atom row is scanned off the tuple.  A fresh y equals no placed
-element, so its row over a placed tuple is its marks, whether it is fixed,
-the first index of f(y) in the tuple, and the indices whose image is y.  A
-position reads the first off the set of its elements and the last off the
-tuple of their images, which it hands each kid along with the kid's row.
-The leaves of the last round are interned in place from such rows, and the
-Meter is charged for a position's leaves at once, one each; a batch that
-does not fit raises with the same budget and spend as one charge per leaf
-would, so the positions counted are unchanged.
+of equivalence's distances (global_value, tuple_values), is played and
+spent each time it is asked for; equivalence asks for each once per call.
+A Meter passed down counts the positions a call plays, one each.  In the
+local game only a top-level tuple's atom row is scanned off the tuple.  A
+fresh y equals no placed element, so its row over a placed tuple is its
+marks, whether it is fixed, the first index of f(y) in the tuple, and the
+indices whose image is y.  A position reads the first off the set of its
+elements and the last off the tuple of their images, which it hands each
+kid along with the kid's row.  The leaves of the last round are interned
+in place from such rows, and the Meter is charged for a position's leaves
+at once, one each; a batch that does not fit raises with the same budget
+and spend as one charge per leaf would, so the positions counted are
+unchanged.
 
 A game of k rounds is refused with GameTooDeep, before any position is
 played, when 2k passes Python's recursion limit.  Two frames per round is
@@ -94,7 +95,9 @@ how many frames a round takes depends on the interpreter and the code:
 Python 3.12 inlines comprehensions (PEP 709), and a 600-round game on a
 1000-cycle, which ran out of stack at once on 3.10 and 3.11, then fit on
 3.12 and 3.13 and searched some 2^600 positions.  A game the rule lets
-through that still runs out of stack raises GameTooDeep too.
+through that still runs out of stack raises GameTooDeep too.  One guard
+does both, in TypeTable._play, the door by which every game enters the
+engine: roots, sentences and the tuples of tuple_values alike.
 
 The whole-domain game's last round is read off atom rows, not played.
 With one round left, the kids of a tuple are the rank-0 values of its
@@ -143,7 +146,7 @@ from .errors import (
     RankTooLow,
     RankZero,
 )
-from .structure import FiniteMapping, cut_product_layers
+from .structure import FiniteMapping, cut_product_layers, layer_index, layer_mark
 
 
 def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
@@ -165,14 +168,6 @@ def atom_row(f, marks, tup: tuple[int, ...]) -> Optional[tuple]:
             pre |= bit
         bit <<= 1
     return (marks[x], fx == x, eq, img, pre)
-
-
-def _layer_index(name: str) -> Optional[int]:
-    """j when `name` is the layer mark U_j, else None."""
-    digits = name[1:]
-    if name[:1] == "U" and digits.isdecimal() and name == f"U{int(digits)}":
-        return int(digits)
-    return None
 
 
 class _PerElement(dict):
@@ -361,11 +356,11 @@ class TypeTable:
     ) -> int:
         """The value of `tup` in F's local game with k rounds left,
         spending every position it plays on `meter`."""
-        cache = self._structure_cache(F)
         if len(tup) != 1:
-            return self._play(F, cache["all_moves"], tup, k, meter)
+            return self.tuple_values(F, (tup,), k, meter)[0]
         # A root's value at a lower rank is read off its highest-rank value
         # already solved; only roots are recorded, to keep the table small.
+        cache = self._structure_cache(F)
         roots = cache["roots"]
         v = tup[0]
         best = roots.get(v)
@@ -376,7 +371,7 @@ class TypeTable:
             layer = v % m
             value = self._pair(self.nv_value(F, (v - layer,), k, meter), layer)
         else:
-            value = self._normal(self._play(F, cache["moves"], tup, k, meter))
+            value = self._normal(self._play(F, cache["moves"], (tup,), k, meter)[0])
         roots[v] = value
         return value
 
@@ -398,7 +393,7 @@ class TypeTable:
         return self._pair(self._shifted(nv, self._layers - layer), layer)
 
     def _root_layer(self, marks: tuple[str, ...]) -> int:
-        indices = [j for j in map(_layer_index, marks) if j is not None]
+        indices = [j for j in map(layer_index, marks) if j is not None]
         m = self._layers
         if m is None:
             self._early_layer_marks |= any(indices)
@@ -411,7 +406,17 @@ class TypeTable:
     ) -> int:
         """The value of `tup` in F's game whose moves range over the whole
         domain, with k rounds left, spending every position on `meter`."""
-        return self._play(F, None, tup, k, meter)
+        return self._play(F, None, (tup,), k, meter)[0]
+
+    def tuple_values(
+        self, F: FiniteMapping, tuples: Iterable[tuple], k: int, meter: Optional[Meter]
+    ) -> list[int]:
+        """The values of `tuples`, in order, in F's local game with k rounds
+        left, spending every position on `meter`.  Each game explores every
+        fresh neighbor, with no twin classes, since a game from two or more
+        elements may start inside a twin's in-tree; none is kept, so a
+        tuple asked for again is played and spent again."""
+        return self._play(F, self._structure_cache(F)["all_moves"], tuples, k, meter)
 
     def _shifted(self, nv: int, s: int) -> int:
         """nv with U_j renamed U_{j+s mod m} in every row, kids included,
@@ -420,7 +425,7 @@ class TypeTable:
         state = self._shifts.get(s)
         if state is None:
             m = self._layers
-            rename = {f"U{j}": f"U{(j + s) % m}" for j in range(m)}
+            rename = {layer_mark(j): layer_mark((j + s) % m) for j in range(m)}
             state = self._shifts[s] = (rename, {}, {})
         return self._rename(nv, *state)
 
@@ -436,7 +441,7 @@ class TypeTable:
         key = (names, self._layers)
         state = self._forgets.get(key)
         if state is None:
-            if self._layers and not names >= {f"U{j}" for j in range(self._layers)}:
+            if self._layers and not names >= set(map(layer_mark, range(self._layers))):
                 raise ValueError("forget must drop every layer mark")
             state = self._forgets[key] = (dict.fromkeys(names), {}, {})
         row = self._meta[nv][1]
@@ -466,17 +471,24 @@ class TypeTable:
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
-    def _play(self, F, moves, tup, k, meter) -> int:
-        """The value of `tup` with k rounds left, played on _nv and not
-        kept.  A game of more rounds than half Python's recursion limit
-        raises GameTooDeep, a BudgetExceeded, before it is played (module
-        docstring); one that still runs out of stack raises it too."""
+    def _play(self, F, moves, tuples, k, meter) -> list[int]:
+        """The values of `tuples` with k rounds left, in order, each played
+        on _nv under the move table `moves` and none kept: every game
+        enters the engine here, its caller having looked the table up once
+        per call (F's twin-class "moves" for roots, "all_moves" for other
+        local tuples, None for the whole domain).  A game of more rounds
+        than half Python's recursion limit raises GameTooDeep, a
+        BudgetExceeded, before any tuple is played (module docstring); one
+        that still runs out of stack raises it too."""
         if 2 * k > sys.getrecursionlimit():
             raise GameTooDeep(k)
+        values = []
         try:
-            return self._nv(F, moves, tup, k, meter)
+            for tup in tuples:
+                values.append(self._nv(F, moves, tup, k, meter))
         except RecursionError:
             raise GameTooDeep(k) from None
+        return values
 
     def _nv(self, F, moves, tup, k, meter, row=None, images=None) -> int:
         """The value of `tup` with k rounds left, played with no memo: a

@@ -63,6 +63,7 @@ from .structure import (
     cycle_cut_product,
     cycle_lengths,
     disjoint_union,
+    layer_mark,
     near,
     recover,
     residualize,
@@ -354,7 +355,7 @@ def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
     if clean_rank < 0:
         raise ValueError("clean_rank must be nonnegative")
     predicates = F.signature.predicates
-    layer_names = [f"U{i}" for i in range(cut_length)]
+    layer_names = list(map(layer_mark, range(cut_length)))
     declared = set(predicates)
     missing = [name for name in layer_names if name not in declared]
     if missing:
@@ -659,7 +660,7 @@ def _stages(
         values = list(values)
         dropped = set(before.signature.predicates) - set(after.signature.predicates)
         if dropped:
-            names = frozenset(dropped).union(f"U{j}" for j in range(cut))
+            names = frozenset(dropped).union(map(layer_mark, range(cut)))
             forgotten = {nv: table.forget(nv, names) for nv in dict.fromkeys(values)}
             values = [forgotten[nv] for nv in values]
         moved = [v for v in before.elements() if before.f[v] != after.f[v]]

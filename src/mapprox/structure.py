@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, islice
 from operator import add
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -616,6 +616,18 @@ MAX_PRODUCT_SIZE = 2_000_000
 TYPE_MARK = re.compile(r"T\d+_(?:cyc(\d+)|acyc)\Z")
 
 
+def layer_mark(j: int) -> str:
+    """U<j>, the mark cycle_cut_product gives layer j of a product."""
+    return f"U{j}"
+
+
+def layer_index(name: str) -> Optional[int]:
+    """j when `name` is the layer mark U<j>, j written as layer_mark writes
+    it, else None."""
+    matched = re.fullmatch(r"U(0|[1-9][0-9]*)", name)
+    return int(matched[1]) if matched else None
+
+
 def _check_cut(F: FiniteMapping, m: int, type_rank: int) -> None:
     """The checks cycle_cut_product(F, m, type_rank) makes before it plays
     any game: m and the type rank in range, the product within
@@ -626,7 +638,7 @@ def _check_cut(F: FiniteMapping, m: int, type_rank: int) -> None:
         raise ValueError("type rank must be nonnegative")
     if F.n * m > MAX_PRODUCT_SIZE:
         raise BudgetExceeded(MAX_PRODUCT_SIZE, F.n * m)
-    clashes = [f"U{i}" for i in range(m) if f"U{i}" in F.marks]
+    clashes = [name for name in map(layer_mark, range(m)) if name in F.marks]
     clashes += filter(TYPE_MARK.fullmatch, F.signature.predicates)
     if clashes:
         raise DuplicatePredicate(clashes[0])
@@ -680,7 +692,7 @@ def cycle_cut_product(
     for name in F.signature.predicates:
         marks[name] = {x * m + i for x in F.marks[name] for i in range(m)}
     for i in range(m):
-        marks[f"U{i}"] = {x * m + i for x in range(n)}
+        marks[layer_mark(i)] = {x * m + i for x in range(n)}
     for x in F.elements():
         marks.setdefault(names[x], set()).update(x * m + i for i in range(m))
 
@@ -688,7 +700,7 @@ def cycle_cut_product(
     # cycle class, so names in first-appearance order are in index order.
     signature = Signature(
         F.signature.predicates
-        + tuple(f"U{i}" for i in range(m))
+        + tuple(map(layer_mark, range(m)))
         + tuple(dict.fromkeys(names))
     )
     return FiniteMapping(
@@ -712,12 +724,12 @@ def cut_product_layers(F: FiniteMapping) -> int:
     """
     marks = F.marks
     m = 0
-    while f"U{m}" in marks:
+    while layer_mark(m) in marks:
         m += 1
     n = F.n
     if m < 2 or n % m:
         return 0
-    layers = {f"U{j}": j for j in range(m)}
+    layers = {layer_mark(j): j for j in range(m)}
     f = F.f
     for start in range(0, n, m):
         # g(x)*m for the block x*m = start, from the image of its layer 0.

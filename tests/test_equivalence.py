@@ -508,3 +508,50 @@ class TestNegativeArguments:
     def test_fo_dist_rejects_negative_p(self):
         with pytest.raises(ValueError, match="p must be nonnegative"):
             fo_dist(cycle(3), cycle(3), -1, 1)
+
+
+
+def frame_depth() -> int:
+    """How many Python frames are on the caller's stack, itself included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def under_frames(frames: int, call):
+    """call() with `frames` more frames on the stack."""
+    return under_frames(frames - 1, call) if frames else call()
+
+
+class TestOutOfStack:
+    def test_game_out_of_stack_raises_game_too_deep(self):
+        # With d frames on the stack here, a rank-k game, k = d + 20,
+        # passes the two-frames-per-round rule under a recursion limit of
+        # 2k.  Called under 30 more frames, it finds fewer than k frames
+        # left and runs out of stack, while the calls around it fit with d
+        # frames to spare.  Each door into the kernel raises GameTooDeep,
+        # not RecursionError: a root, a near pair and a sentence.  A
+        # star's root games are linear (its leaves are one twin class), so
+        # the roots are kept before the limit is lowered, and ldist
+        # reaches its pair games.
+        k = frame_depth() + 20
+        F = star(k + 5)
+        kept, fresh = TypeTable(), TypeTable()
+        for v in F.elements():
+            kept.nv_value(F, (v,), k)
+        fresh.nv_value(F, (0,), 0)  # F's structure cache is warm
+        doors = {
+            "root": lambda: fresh.nv_value(F, (0,), k),
+            "near pair": lambda: ldist(F, F, 2, k, kept),
+            "sentence": lambda: fo_dist(F, F, 0, k),
+        }
+        limit = sys.getrecursionlimit()
+        for door, call in doors.items():
+            sys.setrecursionlimit(2 * k)
+            try:
+                with pytest.raises(GameTooDeep) as caught:
+                    under_frames(30, call)
+            finally:
+                sys.setrecursionlimit(limit)
+            assert (caught.value.rank, caught.value.budget) == (k, 2 * k), door

@@ -1,6 +1,7 @@
 """Every exported and re-exported name of the package resolves, every
 function reads each of its parameters, every private module-level name
-is used, every function the traced benchmark wraps still exists with the
+is used, no module but localtypes names the type kernel's engine, every
+function the traced benchmark wraps still exists with the
 parameters its counters bind, and every module parses under the grammar
 of the oldest declared Python."""
 
@@ -103,6 +104,31 @@ def test_every_private_name_is_used():
     assert defined
     assert unused == []
 
+
+
+def test_only_localtypes_names_the_engine():
+    # Every game enters the type kernel through a public TypeTable method,
+    # behind the one depth guard in TypeTable._play: no other module names
+    # the guard, the engine or the per-structure cache they read.
+    private = {"_nv", "_play", "_structure_cache"}
+    named = []
+    for path in sorted(Path(mapprox.__file__).parent.glob("*.py")):
+        if path.name == "localtypes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in private:
+                named.append(f"{path.name}:{node.lineno} {name}")
+    assert named == []
 
 def test_traced_benchmark_names_resolve(monkeypatch):
     # perfbench/spans.py wraps functions by name and its counter hooks read

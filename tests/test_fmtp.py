@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle, fixed_point, path, perturbed_product, seeded, star
+from helpers import cycle, fixed_point, path, perturbed, perturbed_product, seeded, star
 from mapprox import fmtp, simplex
 from mapprox.errors import BudgetExceeded, ElementOutOfRange, Infeasible, RankTooLow
 from mapprox.fmtp import (
@@ -28,7 +28,7 @@ from mapprox.localtypes import (
     type_distribution,
 )
 from mapprox.realize import realize
-from mapprox.structure import cycle_cut_product
+from mapprox.structure import FiniteMapping, cycle_cut_product
 
 TABLE = TypeTable()
 
@@ -224,6 +224,24 @@ class TestApproximateMeasure:
         realized = realize(out, 1)
         table = out.entries[0][0].table
         assert measure_tv(type_distribution(realized, 1, table), out.project(1)) == 0
+
+    def test_repair_with_forced_unknowns(self):
+        # At r = 2 an unknown s(tau, t) is forced when tau's witness has one
+        # t-typed preimage, as do the 5-cycle's vertices 2, 3 and 4, whose
+        # only preimage is their cycle predecessor.  At r = 1 every listed
+        # count is >= r, so the cut-product repairs above have none.
+        F = FiniteMapping(f=(1, 2, 3, 4, 0, 0, 0, 1))
+        mu = perturbed(type_distribution(F, 5, TypeTable()))
+        assert isinstance(restricted_fmtp_certificate(mu, 2), Violation)
+        equations = fmtp._balance_equations(mu, 2)[3]
+        assert any(count == 1 for _, forced, _ in equations.values() for _, count in forced)
+        eps = Fraction(1, 100)
+        out = approximate_measure(mu, eps, 2)
+        assert [t.key for t, _ in out] == [t.key for t, _ in mu]
+        assert measure_tv(mu, out) < eps
+        cert = restricted_fmtp_certificate(out, 2)
+        assert isinstance(cert, CompanionCertificate)
+        assert verify_certificate(out, cert)
 
     def test_repair_is_a_pinned_lp_vertex(self):
         # The rows and the variable order decide which vertex the simplex

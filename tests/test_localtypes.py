@@ -863,10 +863,7 @@ class TestLayerShift:
         cache = table._structure_cache(Q)
         assert cache["layers"] is None
         for x in range(0, Q.n // m, 2):
-            played = [
-                table._play(Q, cache["moves"], (x * m + s,), k, None)
-                for s in range(m)
-            ]
+            played = table._play(Q, cache["moves"], [(x * m + s,) for s in range(m)], k, None)
             assert [table._shifted(played[0], s) for s in range(m)] == played
 
     def test_lower_ranks_and_transport_build_no_shifted_tree(self):

@@ -1,5 +1,7 @@
-"""Formula parsing, evaluation, Stone pairings, ranks, interpretations."""
+"""Formula parsing, evaluation, Stone pairings, ranks, substitution,
+interpretations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +21,10 @@ from mapprox.logic import (
     And,
     Eq,
     Exists,
+    Forall,
     Interpretation,
     Not,
+    Or,
     Pred,
     Term,
     apply_interpretation,
@@ -32,6 +36,7 @@ from mapprox.logic import (
     parse,
     rank,
     stone_pairing,
+    substitute,
     translate,
     trivial_interpretation,
 )
@@ -162,6 +167,27 @@ class TestBuildDelta:
                 for v in F.elements():
                     want = distance(F, u, v) <= r
                     assert evaluate(F, delta, {"x1": u, "x2": v}) == want
+
+
+class TestSubstitute:
+    def test_bound_variable_is_renamed_to_avoid_capture(self):
+        # Substituting a term in y for x under a quantifier that binds y
+        # renames the bound y to the first v<i> the formula does not use
+        # (v2, as v1 is taken), so the result holds exactly where the
+        # original does with x set to the term's value.
+        phis = [
+            Exists("y", None, And(Eq(Term("y", 1), Term("x")), Pred("U", Term("v1")))),
+            Forall("y", Term("x"), Or(Eq(Term("y"), Term("x", 1)), Pred("U", Term("v1")))),
+        ]
+        for phi in phis:
+            for term in (Term("y"), Term("y", 1)):
+                psi = substitute(phi, {"x": term})
+                assert psi.var == "v2"
+                for seed in range(6):
+                    F = seeded(7, seed, Fraction(1, 2))
+                    for a, c in itertools.product(F.elements(), repeat=2):
+                        want = evaluate(F, phi, {"x": F.iterate(a, term.depth), "v1": c})
+                        assert evaluate(F, psi, {"y": a, "v1": c}) == want, (phi, term, seed)
 
 
 class TestInterpretation:

@@ -622,9 +622,10 @@ class TestPipeline:
         games = Counter()
         play = TypeTable._play
 
-        def counting(table, F, moves, tup, k, meter):
-            games[F, tup, k] += 1
-            return play(table, F, moves, tup, k, meter)
+        def counting(table, F, moves, tuples, k, meter):
+            tuples = list(tuples)
+            games.update((F, tup, k) for tup in tuples)
+            return play(table, F, moves, tuples, k, meter)
 
         monkeypatch.setattr(TypeTable, "_play", counting)
         for F, p, r, eps in SWEEP_CASES:
