@@ -36,9 +36,9 @@ for b in the radius-(r+1) ball of a (a itself included), and counts the far
 pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
 those roots.  Root values are kept in the table, the only game values it
 keeps.  A near pair is asked for once per call, so its game is played
-once, straight on the engine: each element's near pairs go through
-TypeTable.tuple_values, which keeps nothing, so a second call on the same
-table plays and spends them again.  Nor are the tuples of ldist at
+once, straight on the engine: a structure's near pairs stream through one
+TypeTable.tuple_values call, which keeps nothing, so a second call on the
+same table plays and spends them again.  Nor are the tuples of ldist at
 p >= 3, or of dist_p^r, kept.  Every game of this module enters the
 kernel through a TypeTable method, whose one depth guard refuses a game
 too deep for the stack with GameTooDeep.
@@ -119,19 +119,21 @@ def _pair_classes(
     `table`, every position spent on `meter`: near pairs (b in the
     radius-(r+1) ball of a) play their game, far pairs are counted from the
     roots' classes, which the table keeps.  Each near pair is asked for
-    once, so it is played straight on the engine: a's near pairs are
-    streamed through TypeTable.tuple_values, one call per element, and
-    none is kept."""
-    f, marks = F.f, F.mark_sets
+    once, so it is played straight on the engine: all of F's near pairs
+    are streamed through one TypeTable.tuple_values call, which plays each
+    as its value is read, a second pass over the balls pairs each value
+    with its a, and none is kept."""
     roots = [table.nv_value(F, (a,), r, meter) for a in F.elements()]
     counts: dict = {}
     near_roots: dict = {}
+    pairs = ((a, b) for a, near in enumerate(balls) for b in near)
+    values = table.tuple_values(F, pairs, r, meter)
     for a, near in enumerate(balls):
-        row, s = atom_row(f, marks, (a,)), roots[a]
-        for value in table.tuple_values(F, zip(itertools.repeat(a), near), r, meter):
+        row, s = atom_row(F.f, F.mark_sets, (a,)), roots[a]
+        # zip reads b first, so it stops at a's last pair.
+        for b, value in zip(near, values):
             key = "near", row, value
             counts[key] = counts.get(key, 0) + 1
-        for b in near:
             key = s, roots[b]
             near_roots[key] = near_roots.get(key, 0) + 1
     root_counts = Counter(roots)

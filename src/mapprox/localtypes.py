@@ -78,13 +78,13 @@ A Meter passed down counts the positions a call plays, one each.  In the
 local game only a top-level tuple's atom row is scanned off the tuple.  A
 fresh y equals no placed element, so its row over a placed tuple is its
 marks, whether it is fixed, the first index of f(y) in the tuple, and the
-indices whose image is y.  A position reads the first off the set of its
-elements and the last off the tuple of their images, which it hands each
-kid along with the kid's row.  The leaves of the last round are interned
-in place from such rows, and the Meter is charged for a position's leaves
-at once, one each; a batch that does not fit raises with the same budget
-and spend as one charge per leaf would, so the positions counted are
-unchanged.
+indices whose image is y.  A position reads the first off its tuple, which
+holds at most k + 1 elements, and the last off the tuple of their images,
+which it hands each kid along with the kid's row.  The leaves of the last
+round are interned in place from such rows, and the Meter is charged for a
+position's leaves at once, one each; a batch that does not fit raises with
+the same budget and spend as one charge per leaf would, so the positions
+counted are unchanged.
 
 A game of k rounds is refused with GameTooDeep, before any position is
 played, when 2k passes Python's recursion limit.  Two frames per round is
@@ -112,8 +112,14 @@ hold.  Class sizes are counted once per structure.  The position is still
 played, and spends one; its n leaf positions are neither played nor
 counted, so a game of rank r spends about n^(r-1) positions, not n^r.
 
-The TypeTable assigns session-stable canonical ids on first sight and caches
-everything per structure; it is shared process-wide by default.
+The TypeTable assigns session-stable canonical ids on first sight; it is
+shared process-wide by default.  What depends on a structure alone lives
+per structure and is built once for every table: its in-tree codes, its
+move tables with and without twin classes, and its (marks, fixed) class
+counts (_structure_tables), each freed with the structure.  What depends
+on the table lives per table and structure: the kept root values and the
+table's claim on the structure's layers; the values themselves are
+interned per table.
 
 What a table keeps holds only ints, strings, None and tuples of these: a
 value is (rank, atom row, kids) with its kid set as a sorted tuple of value
@@ -207,6 +213,63 @@ class _InTreeCodes(dict):
         return value
 
 
+def _twin_moves(F: FiniteMapping, code: _InTreeCodes, plain: dict, x: int, d: int) -> tuple:
+    """The neighbors of x as (singles, twin classes) for a game with d
+    rounds left once one of them is placed: a twin class holds two or more
+    preimages off every cycle whose in-trees agree to depth d, and singles
+    are the other neighbors; plain[x] when there is no twin class.  Twins
+    share their marks, so only preimages that share their marks with a
+    sibling are checked further, and F's cycle table is read only then."""
+    pre, marks = F.pre, F.mark_sets
+    by_marks: dict[tuple[str, ...], list[int]] = {}
+    for y in pre[x]:
+        by_marks.setdefault(marks[y], []).append(y)
+    twins = []
+    for group in by_marks.values():
+        if len(group) < 2:
+            continue
+        classes: dict[int, list[int]] = {}
+        for y in group:
+            if not F.cycle_length[y]:
+                classes.setdefault(code[y, d], []).append(y)
+        twins += (tuple(c) for c in classes.values() if len(c) > 1)
+    if not twins:
+        return plain[x]
+    paired = {y for members in twins for y in members}
+    singles = tuple(y for y in pre[x] if y not in paired) + (F.f[x],)
+    return singles, tuple(twins)
+
+
+# Each structure's move tables and class counts, shared by every table.
+_STRUCTURE_TABLES: "weakref.WeakKeyDictionary[FiniteMapping, dict]" = weakref.WeakKeyDictionary()
+
+
+def _structure_tables(F: FiniteMapping) -> dict:
+    """What the kernel reads off F alone, built once per structure for
+    every TypeTable: "moves"[d][x], x's neighbors with twin classes
+    (_twin_moves) for a game with d rounds left once one is placed;
+    "all_moves"[d][x], every neighbor of x (x too if it is a fixed point)
+    with no twin classes; and "classes", how many elements share each
+    (marks, fixed), for the whole-domain game's last round, added on first
+    use.  Entries are built per element on first lookup: a pipeline-r1
+    job types six structures of 1,000 to 13,000 elements, but a cut
+    product plays only its layer-0 roots, and an eager pass over every
+    orbit made the realize-roundtrip benchmark 2-3 % slower.  The builders
+    hold F weakly, or the tables would keep their own weak key alive."""
+    tables = _STRUCTURE_TABLES.get(F)
+    if tables is None:
+        f, pre, structure = F.f, F.pre, weakref.ref(F)
+        code = _InTreeCodes(pre, F.mark_sets)
+        plain = _PerElement(lambda x: (pre[x] + (f[x],), ()))
+        tables = _STRUCTURE_TABLES[F] = {
+            "moves": _PerElement(
+                lambda d: _PerElement(lambda x: _twin_moves(structure(), code, plain, x, d))
+            ),
+            "all_moves": _PerElement(lambda d: plain),
+        }
+    return tables
+
+
 class Meter:
     """The work one call may do: BudgetExceeded(budget, spent) is raised
     once what it spends passes the budget.  A game spends one per position
@@ -232,9 +295,7 @@ class TypeTable:
         self._meta: list[tuple] = []
         self._lower: dict[int, int] = {}
         self._canonical: dict[int, int] = {}
-        self._caches: "weakref.WeakKeyDictionary[FiniteMapping, dict]" = (
-            weakref.WeakKeyDictionary()
-        )
+        self._caches: "weakref.WeakKeyDictionary[FiniteMapping, dict]" = weakref.WeakKeyDictionary()
         self._adm_tables: dict[tuple[int, int], dict] = {}
         # rank-R value -> the rank-(R - 1) value of its witness's image.
         self._images: dict[int, int] = {}
@@ -275,62 +336,16 @@ class TypeTable:
     def _structure_cache(self, F: FiniteMapping) -> dict:
         cache = self._caches.get(F)
         if cache is None:
-            # Twin codes and moves are built per element on first use, and
-            # F's cycle table is read when a twin group first needs it.  A
-            # pipeline-r1 job types six structures of 1,000 to 13,000
-            # elements, but a cut product plays only its layer-0 roots, and
-            # an eager pass over every orbit made the realize-roundtrip
-            # benchmark 2-3 % slower.  The builders hold F weakly, or the
-            # cache would keep its own weak key alive.
-            f, pre, marks = F.f, F.pre, F.mark_sets
-            structure = weakref.ref(F)
-            code = _InTreeCodes(pre, marks)
-
-            # Every neighbor of x (x too if it is a fixed point), with no
-            # twin classes.
-            plain = _PerElement(lambda x: (pre[x] + (f[x],), ()))
-
-            def build_moves(x: int, d: int) -> tuple[tuple, tuple]:
-                # The neighbors of x as (singles, twin classes): a twin class
-                # holds two or more preimages off every cycle whose in-trees
-                # agree to depth d, and singles are the other neighbors.
-                # Twins share their marks, so only preimages that share
-                # their marks with a sibling are checked further.
-                by_marks: dict[tuple[str, ...], list[int]] = {}
-                for y in pre[x]:
-                    by_marks.setdefault(marks[y], []).append(y)
-                twins = []
-                for group in by_marks.values():
-                    if len(group) < 2:
-                        continue
-                    cycle_length = structure().cycle_length
-                    classes: dict[int, list[int]] = {}
-                    for y in group:
-                        if not cycle_length[y]:
-                            classes.setdefault(code[y, d], []).append(y)
-                    twins += (tuple(c) for c in classes.values() if len(c) > 1)
-                if not twins:
-                    return plain[x]
-                paired = {y for members in twins for y in members}
-                singles = tuple(y for y in pre[x] if y not in paired) + (f[x],)
-                return singles, tuple(twins)
-
-            cache = {
-                # moves[d][x]: the neighbors of x for a game with d rounds
-                # left once one of them is placed.
-                "moves": _PerElement(
-                    lambda d: _PerElement(lambda x: build_moves(x, d))
-                ),
-                # The same for the rule with no twin classes.
-                "all_moves": _PerElement(lambda d: plain),
-                # (marks, fixed) -> how many elements of F share them, for
-                # the whole-domain game's last round (_last_round).
-                "classes": None,
+            # F's move tables are F's alone and shared by every table
+            # (_structure_tables); this table keeps its roots and its claim.
+            tables = _structure_tables(F)
+            cache = self._caches[F] = {
+                "moves": tables["moves"],
+                "all_moves": tables["all_moves"],
                 "roots": {},
                 # m when this table plays F as an m-layer cut product.
                 "layers": self._claim_layers(F),
             }
-            self._caches[F] = cache
         return cache
 
     def _claim_layers(self, F: FiniteMapping) -> Optional[int]:
@@ -357,7 +372,7 @@ class TypeTable:
         """The value of `tup` in F's local game with k rounds left,
         spending every position it plays on `meter`."""
         if len(tup) != 1:
-            return self.tuple_values(F, (tup,), k, meter)[0]
+            return next(self.tuple_values(F, (tup,), k, meter))
         # A root's value at a lower rank is read off its highest-rank value
         # already solved; only roots are recorded, to keep the table small.
         cache = self._structure_cache(F)
@@ -371,7 +386,7 @@ class TypeTable:
             layer = v % m
             value = self._pair(self.nv_value(F, (v - layer,), k, meter), layer)
         else:
-            value = self._normal(self._play(F, cache["moves"], (tup,), k, meter)[0])
+            value = self._normal(next(self._play(F, cache["moves"], (tup,), k, meter)))
         roots[v] = value
         return value
 
@@ -406,16 +421,17 @@ class TypeTable:
     ) -> int:
         """The value of `tup` in F's game whose moves range over the whole
         domain, with k rounds left, spending every position on `meter`."""
-        return self._play(F, None, (tup,), k, meter)[0]
+        return next(self._play(F, None, (tup,), k, meter))
 
     def tuple_values(
         self, F: FiniteMapping, tuples: Iterable[tuple], k: int, meter: Optional[Meter]
-    ) -> list[int]:
+    ) -> Iterator[int]:
         """The values of `tuples`, in order, in F's local game with k rounds
-        left, spending every position on `meter`.  Each game explores every
-        fresh neighbor, with no twin classes, since a game from two or more
-        elements may start inside a twin's in-tree; none is kept, so a
-        tuple asked for again is played and spent again."""
+        left, each played as it is asked for and spent on `meter`.  Each
+        game explores every fresh neighbor, with no twin classes, since a
+        game from two or more elements may start inside a twin's in-tree;
+        none is kept, so a tuple asked for again is played and spent
+        again."""
         return self._play(F, self._structure_cache(F)["all_moves"], tuples, k, meter)
 
     def _shifted(self, nv: int, s: int) -> int:
@@ -471,24 +487,22 @@ class TypeTable:
         value = memo[nv] = self._intern_value((rank, moved, kids))
         return value
 
-    def _play(self, F, moves, tuples, k, meter) -> list[int]:
+    def _play(self, F, moves, tuples, k, meter) -> Iterator[int]:
         """The values of `tuples` with k rounds left, in order, each played
-        on _nv under the move table `moves` and none kept: every game
-        enters the engine here, its caller having looked the table up once
-        per call (F's twin-class "moves" for roots, "all_moves" for other
-        local tuples, None for the whole domain).  A game of more rounds
-        than half Python's recursion limit raises GameTooDeep, a
-        BudgetExceeded, before any tuple is played (module docstring); one
-        that still runs out of stack raises it too."""
+        on _nv under the move table `moves` when it is asked for, and none
+        kept: every game enters the engine here, its caller having looked
+        the table up once per call (F's twin-class "moves" for roots,
+        "all_moves" for other local tuples, None for the whole domain).  A
+        game of more rounds than half Python's recursion limit raises
+        GameTooDeep, a BudgetExceeded, before any tuple is played (module
+        docstring); one that still runs out of stack raises it too."""
         if 2 * k > sys.getrecursionlimit():
             raise GameTooDeep(k)
-        values = []
         try:
             for tup in tuples:
-                values.append(self._nv(F, moves, tup, k, meter))
+                yield self._nv(F, moves, tup, k, meter)
         except RecursionError:
             raise GameTooDeep(k) from None
-        return values
 
     def _nv(self, F, moves, tup, k, meter, row=None, images=None) -> int:
         """The value of `tup` with k rounds left, played with no memo: a
@@ -511,7 +525,6 @@ class TypeTable:
             return self._intern_value((0, row, None))
         if moves is None and k == 1:
             return self._intern_value((1, row, self._last_round(F, tup)))
-        placed = set(tup)
         if moves is None:
             ext = set(range(F.n))
         else:
@@ -522,10 +535,10 @@ class TypeTable:
                 ext.update(singles)
                 for members in twins:
                     for y in members:
-                        if y not in placed:
+                        if y not in tup:
                             ext.add(y)
                             break
-        ext -= placed
+        ext.difference_update(tup)
         if k == 1 and meter is not None:
             # One charge for the leaves; a batch that does not fit raises
             # where its first leaf past the budget would.
@@ -546,7 +559,7 @@ class TypeTable:
                 bits = 1 << images.index(y)
             else:
                 bits = sum(1 << i for i, z in enumerate(images) if z == y)
-            y_row = (marks[y], image == y, None, index(image) if image in placed else None, bits)
+            y_row = (marks[y], image == y, None, index(image) if image in tup else None, bits)
             if k > 1:
                 kids.add(nv(F, moves, tup + (y,), k - 1, meter, y_row, images + (image,)))
                 continue
@@ -570,12 +583,10 @@ class TypeTable:
         element outside those and the tuple gives one shared row (module
         docstring)."""
         f, marks = F.f, F.mark_sets
-        cache = self._structure_cache(F)
-        classes = cache["classes"]
+        tables = _structure_tables(F)
+        classes = tables.get("classes")
         if classes is None:
-            classes = cache["classes"] = Counter(
-                (marks[x], f[x] == x) for x in range(F.n)
-            )
+            classes = tables["classes"] = Counter((marks[x], f[x] == x) for x in range(F.n))
         placed = set(tup)
         related = {f[t] for t in tup}
         for t in tup:

@@ -92,6 +92,7 @@ __all__ = [
     "brute_feasible_point",
     "realize_two_pass",
     "atom_row_scan",
+    "twin_moves_from_scratch",
     "hintikka_formula",
     "structure_to_json_by_extensions",
     "type_to_json_by_restrict",
@@ -362,6 +363,46 @@ def atom_row_scan(f, marks, tup):
     img = next((j for j in range(last) if tup[j] == fx), None)
     pre = sum(1 << j for j in range(last) if f[tup[j]] == x)
     return (marks[x], fx == x, eq, img, pre)
+
+
+def twin_moves_from_scratch(F: FiniteMapping, x: int, d: int) -> tuple:
+    """The type kernel's move entry for x with d rounds left once a
+    neighbor is placed, (singles, twin classes), as each table built it for
+    itself before the entries were shared per structure, but from scratch
+    on every call.  A twin class holds two or more preimages of x off every
+    cycle with the same marks and in-trees equal to depth d, each in-tree
+    coded as the nested tuple of its marks and its children's sorted codes;
+    classes come in order of first preimage, grouped by marks first, and
+    the singles are the other preimages followed by f(x)."""
+    f, n = F.f, F.n
+    pre = [[u for u in range(n) if f[u] == v] for v in range(n)]
+    marks = [tuple(sorted(name for name, ext in F.marks.items() if v in ext)) for v in range(n)]
+
+    def on_cycle(y):
+        z = f[y]
+        for _ in range(n):
+            if z == y:
+                return True
+            z = f[z]
+        return False
+
+    def code(y, depth):
+        kids = tuple(sorted(code(c, depth - 1) for c in pre[y])) if depth else ()
+        return marks[y], kids
+
+    by_marks: dict = {}
+    for y in pre[x]:
+        by_marks.setdefault(marks[y], []).append(y)
+    twins = []
+    for group in by_marks.values():
+        classes: dict = {}
+        for y in group:
+            if not on_cycle(y):
+                classes.setdefault(code(y, d), []).append(y)
+        twins += [tuple(c) for c in classes.values() if len(c) > 1]
+    paired = {y for members in twins for y in members}
+    singles = tuple(y for y in pre[x] if y not in paired) + (f[x],)
+    return singles, tuple(twins)
 
 
 class UnprunedValues:

@@ -5,12 +5,14 @@ import itertools
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
     cycle,
+    cyclic_input,
     every_marking,
     fixed_point,
     functions_up_to_relabeling,
@@ -19,6 +21,7 @@ from helpers import (
     star,
 )
 from mapprox import localtypes
+from mapprox.equivalence import ldist
 from mapprox.errors import (
     BudgetExceeded,
     GameTooDeep,
@@ -54,6 +57,7 @@ from oracles import (
     local_game,
     pairwise_measure_tv,
     random_clean_formula,
+    twin_moves_from_scratch,
 )
 
 TABLE = TypeTable()
@@ -728,6 +732,88 @@ class TestTwinRule:
         assert oracle.positions(F) >= 10 * 2000
 
 
+class TestStructureTables:
+    """Move tables and class counts depend on the structure alone: they
+    are built once per structure, shared by every table, and freed with
+    the structure."""
+
+    def assert_moves_match_oracle(self, structures):
+        # Two tables read one structure's entries: depths 0 and 1 through
+        # the first, 2 and 3 through the second.
+        for F in structures:
+            first, second = TypeTable()._structure_cache(F), TypeTable()._structure_cache(F)
+            assert first["moves"] is second["moves"]
+            assert first["all_moves"] is second["all_moves"]
+            for d in range(4):
+                cache = first if d < 2 else second
+                for x in F.elements():
+                    want = twin_moves_from_scratch(F, x, d)
+                    assert cache["moves"][d][x] == want, (F, x, d)
+                    assert cache["all_moves"][d][x] == (F.pre[x] + (F.f[x],), ())
+
+    def test_moves_match_oracle_exhaustive(self):
+        # Every function up to relabeling with n <= 5, with no predicate
+        # and under every marking by one.
+        self.assert_moves_match_oracle(
+            G
+            for n in range(1, 6)
+            for f in functions_up_to_relabeling(n)
+            for G in (FiniteMapping(f=f), *every_marking(f, ("U",)))
+        )
+
+    def test_moves_match_oracle_on_seeded_stars_and_trees_on_cycles(self):
+        structures = [seeded(n, seed) for n in (20, 60) for seed in range(4)]
+        structures += [star(12), two_level_star(3, 6), hub_heavy(30, 2)]
+        structures += [cyclic_input(seed, (1, 2, 3, 4), 24, 9) for seed in range(3)]
+        self.assert_moves_match_oracle(structures)
+
+    def test_each_move_entry_built_once(self, monkeypatch):
+        # A count guard: one structure typed at ranks 1, 2 and 3 in three
+        # fresh tables, then an ldist in a fourth, build each (element,
+        # depth) entry once; a second round builds none.
+        built = Counter()
+        build = localtypes._twin_moves
+
+        def counting(F, code, plain, x, d):
+            built[F, x, d] += 1
+            return build(F, code, plain, x, d)
+
+        monkeypatch.setattr(localtypes, "_twin_moves", counting)
+        F, G = seeded(60, 11), seeded(50, 12)
+        for _ in range(2):
+            for r in (1, 2, 3):
+                type_distribution(F, r, TypeTable())
+            ldist(F, G, 2, 1, TypeTable())
+            assert set(built) == {(F, x, d) for x in F.elements() for d in range(3)} | {
+                (G, x, 0) for x in G.elements()
+            }
+            assert max(built.values()) == 1
+
+    def test_tables_die_with_their_structure(self):
+        # With the collector off and a table alive, dropping the last
+        # reference to a typed structure frees it and its shared tables:
+        # no structure's tables outlive it, and they build no cycle.
+        gc.collect()
+        gc.disable()
+        try:
+            table = TypeTable()
+            F = seeded(40, 5)
+            type_distribution(F, 3, table)
+            ldist(F, F, 2, 1, table)
+            table.global_value(F, (0,), 2, None)
+            assert localtypes._structure_tables(F)["classes"]
+            assert F in table._caches and F in localtypes._STRUCTURE_TABLES
+            held = len(localtypes._STRUCTURE_TABLES)
+            ref = weakref.ref(F)
+            del F
+            assert ref() is None
+            assert len(localtypes._STRUCTURE_TABLES) == held - 1
+            assert len(table._caches) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def assert_layers_match_direct_kernel(F, m, type_rank, ranks):
     """Root values of the product equal the direct kernel's on a mirrored
     copy, typed in the same table, for every element at every rank, ranks
@@ -863,7 +949,7 @@ class TestLayerShift:
         cache = table._structure_cache(Q)
         assert cache["layers"] is None
         for x in range(0, Q.n // m, 2):
-            played = table._play(Q, cache["moves"], [(x * m + s,) for s in range(m)], k, None)
+            played = list(table._play(Q, cache["moves"], [(x * m + s,) for s in range(m)], k, None))
             assert [table._shifted(played[0], s) for s in range(m)] == played
 
     def test_lower_ranks_and_transport_build_no_shifted_tree(self):
