@@ -433,16 +433,42 @@ MAX_OUTPUT_SIZE = 8_000_000
 N_AWAY_FACTOR = 2
 
 
-def _schedule(r: int, factorial_schedule: bool) -> tuple[int, int, int]:
-    """(rr, clean_rank, cut_length) for rank r: rr = r, clean = 2rr + 1 and
-    cut = lcm(1..clean); or, with factorial_schedule, rr = 4r^2 and
-    cut = clean!, which exceeds every budget beyond tiny radii."""
+def _schedule(
+    r: int, factorial_schedule: bool, residual: FiniteMapping
+) -> tuple[int, int, int]:
+    """(rr, clean_rank, cut_length) for rank r and the residual to be cut:
+    rr = r, clean = 2rr + 1 and cut = m, the least divisor of
+    M = lcm(1..clean) with m >= clean + 2 = 2r + 3 that every residual cycle
+    length in `closed` divides, where `closed` holds the lengths l with
+    2 <= l <= clean + 1 and l | M; or, with factorial_schedule, rr = 4r^2
+    and cut = clean!, which exceeds every budget beyond tiny radii.
+
+    Cutting at m serves the pipeline as cutting at M did:
+      (i) rewire closes the same classes as at M.  The cut's type marks
+          record the residual's cycle lengths l <= clean + 1, and rewire
+          closes a class when l | cut.  Each l in `closed` divides m, and
+          an l dividing m divides M, as m | M.
+      (ii) an l-cycle of the residual times the m-cycle splits into
+          cycles of length lcm(l, m), and a tree element lies on none, so
+          every cycle of the product has a length that is a multiple of
+          m >= clean + 2, longer than the clean + 1 that a rank-clean game
+          can see: the product still shows no cycle at rank clean.
+      (iii) realize's cycle band (1, rr + 1] and
+          check_realizability_preconditions never read m.
+      (iv) M = 6 at r = 1, and 6 is its only divisor >= 5, so every r = 1
+          call keeps m = 6.
+    The lengths in `closed` all divide d exactly when their lcm does, so m
+    is the first divisor of M >= clean + 2 among the multiples of that lcm,
+    which divides M.  The cycle lengths are read off the residual's cached
+    cycle table."""
     rr = 4 * r * r if factorial_schedule else r
     clean = 2 * rr + 1
     if factorial_schedule:
-        cut = math.factorial(clean)
-    else:
-        cut = math.lcm(*range(1, clean + 1))
+        return rr, clean, math.factorial(clean)
+    full = math.lcm(*range(1, clean + 1))
+    closed = {l for l in cycle_lengths(residual) if 2 <= l <= clean + 1 and full % l == 0}
+    step = math.lcm(*closed)
+    cut = next(d for d in range(step, full + 1, step) if d >= clean + 2 and full % d == 0)
     return rr, clean, cut
 
 
@@ -539,9 +565,11 @@ def pipeline(
     p >= 1 is the tuple size of the reported distance (p >= 2 adds a bound
     built from proximities), r >= 1 the rank, and eps > 0 both the
     residualization threshold and the target of the measured distance.
-    The schedule is rr = r, clean rank 2rr + 1 and cut length
-    lcm(1..clean), or with factorial_schedule rr = 4r^2 and cut length
-    clean!; multiplier scales the realized structure.  The product, the
+    The schedule is rr = r, clean rank 2rr + 1 and, read off the residual,
+    the least cut length m >= 2r + 3 dividing lcm(1..clean) that keeps every
+    short cycle class rewire closes at lcm(1..clean) (_schedule), so m = 6
+    at r = 1; or with factorial_schedule rr = 4r^2 and cut length clean!.
+    multiplier scales the realized structure.  The product, the
     realization and the output are each checked against their budget
     (MAX_PRODUCT_SIZE, MAX_REALIZE_SIZE, MAX_OUTPUT_SIZE) before they are
     built, and a miss raises ScheduleInfeasible.
@@ -626,10 +654,11 @@ def _stages(
         raise ValueError("eps must be positive")
     if multiplier < 1:
         raise ValueError("multiplier must be at least 1")
-    rr, clean, cut = _schedule(r, factorial_schedule)
+    residual, pairs = residualize(F, eps)
+    rr, clean, cut = _schedule(r, factorial_schedule, residual)
     schedule_info = {"r": r, "rr": rr, "clean_rank": clean, "cut_length": cut}
 
-    product_size = F.n * cut
+    product_size = residual.n * cut
     if product_size > MAX_PRODUCT_SIZE:
         origin = "cut = clean! = " if factorial_schedule else "cut = "
         raise ScheduleInfeasible(
@@ -685,7 +714,6 @@ def _stages(
 
     input_values = typed(F)
     input_dist = record("input", F, input_values)
-    residual, pairs = residualize(F, eps)
     residual_values = follow(input_values, F, residual)
     record("residual", residual, residual_values)
 

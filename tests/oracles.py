@@ -91,6 +91,7 @@ __all__ = [
     "column_rank",
     "brute_feasible_point",
     "realize_two_pass",
+    "cut_length_by_divisors",
     "atom_row_scan",
     "twin_moves_from_scratch",
     "hintikka_formula",
@@ -678,6 +679,29 @@ def _closes_short_cycle(g: list, i: int, j: int, cut: int) -> bool:
             return False
         cur = g[cur]
     return False
+
+
+def cut_length_by_divisors(F: FiniteMapping, r: int) -> int:
+    """The pipeline's cut length at rank r for the residual F, from its
+    definition: with M = lcm(1..2r + 1), the least divisor d of M with
+    d >= 2r + 3 that every cycle length l of F with 2 <= l <= 2r + 2 and
+    l | M divides.  Each element's cycle is found by walking n steps
+    forward, onto its cycle, and then once around it."""
+    M = math.lcm(*range(1, 2 * r + 2))
+    lengths = set()
+    for v in range(F.n):
+        x = v
+        for _ in range(F.n):
+            x = F.f[x]
+        length, y = 1, F.f[x]
+        while y != x:
+            length, y = length + 1, F.f[y]
+        lengths.add(length)
+    closed = [l for l in lengths if 2 <= l <= 2 * r + 2 and M % l == 0]
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    return min(
+        d for d in divisors if d >= 2 * r + 3 and all(d % l == 0 for l in closed)
+    )
 
 
 def realize_two_pass(mu, r: int, multiplier: int = 1) -> FiniteMapping:

@@ -32,7 +32,7 @@ CASES = {
     ),
     "r2-p1-n4": (4, 1, None, 1, 2, Fraction(1, 4)),
     "r2-p2-n4": (4, 2, None, 2, 2, Fraction(1, 3)),
-    # Cut length 420: typed in seconds because a product's layers share values.
+    # Its residual holds only fixed points, so it is cut at m = 10.
     "r3-p1-n6": (6, 42, {"U": Fraction(1, 4)}, 1, 3, Fraction(1, 4)),
 }
 
@@ -55,16 +55,16 @@ GOLDEN = {
         "1e17c21e33982967d414087383e4430f109167c2802f2e8dfb2e6f763abdbc39",
     ),
     "r2-p1-n4": (
-        "72536f8b43d752a6d064d0e4c26c17647bdfff9566b923214fb4b2fe533c2ab5",
-        "750a8ee7052c6eb51c766a7e4ad8936a8934ca2625b43a3c5269cf5849adf71a",
+        "4c939b27cb5c66d41e795ffda155db8490f5003f0ab5bf627270e9bd018d252f",
+        "20b2670c82bee6189d7f758bec2f616d1625de72e5b34527aed6cf5743189171",
     ),
     "r2-p2-n4": (
-        "79356a47d4d779259c717e755d5098b9f13871c347e225c357f26b84fcad7e8f",
-        "9547d3bb55d9941bb858095187b3695a80fdc969cd7920936e7d84fcf8e41ba6",
+        "66d1a2ec842ff5b1f77907b773f2b3c345bfef61979d408271570f98661c1789",
+        "38ada77ded5679b0da00c8c3e0377ef0785de5d2146564a846355c4598047106",
     ),
     "r3-p1-n6": (
-        "9c061d150145c42928d8b0ad3568f5ef465be824e8e209ac66ff061546c1af9c",
-        "97b9c85e16ec1ef4db61176d1108a4cb9a8ab03f154cc10e5df3073e2dd87286",
+        "d75745913f42b2e5e098c57b7d79048cdc3b82ff6523571b6d7ec3bbbcda6c8c",
+        "5733f3f81e5872a702cc83eb732cb3c840c7d8da9377988a79e2672b35ebaf9e",
     ),
 }
 

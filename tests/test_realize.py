@@ -3,6 +3,7 @@
 import functools
 import gc
 import importlib
+import itertools
 import json
 import math
 import random
@@ -20,11 +21,13 @@ from helpers import (
     perturbed_product,
     seeded,
     star,
+    structurally_equal,
 )
 from mapprox.equivalence import ldist
 from mapprox.errors import (
     BudgetExceeded,
     Infeasible,
+    MapproxError,
     MissingCutPredicates,
     PreconditionFailed,
     RankTooLow,
@@ -60,6 +63,7 @@ from mapprox.structure import (
     residualize,
 )
 from mapprox.mapfile import dump_map, jsonable, measure_from_json, measure_to_json
+from oracles import cut_length_by_divisors
 from oracles import near as oracle_near
 from oracles import output_by_merge
 from oracles import proximity as oracle_proximity
@@ -83,6 +87,19 @@ CYCLIC_CASES = [
     (cyclic_input(2, (1, 2, 3), 6, 8), 1, 1, Fraction(1, 4)),
     (cyclic_input(3, (1, 2, 3), 4, 6), 2, 2, Fraction(1, 3)),
     (cyclic_input(1, (1, 2), 0, 3), 1, 3, Fraction(2, 7)),
+]
+
+
+# (F, eps) whose residuals keep cycles of every length 2..8 between them:
+# cut lengths 12, 12, 20, 30 and 60 at r = 2, and at r = 3 a 7-cycle beside
+# an 8-cycle, which no divisor of lcm(1..7) = 420 closes.
+CUT_LENGTH_CASES = [
+    (seeded(20, 42), Fraction(1, 4)),
+    (cyclic_input(1, (3, 4), 2, 10), Fraction(1, 3)),
+    (cyclic_input(1, (2, 4, 5), 3, 14), Fraction(1, 4)),
+    (cyclic_input(1, (5, 6), 2, 12), Fraction(1, 3)),
+    (cyclic_input(1, (2, 3, 4, 5, 6), 4, 30), Fraction(1, 4)),
+    (cyclic_input(1, (7, 8), 2, 40), Fraction(1, 3)),
 ]
 
 
@@ -374,16 +391,17 @@ class TestRewire:
     def test_realized_orbits_close_after_their_length(self):
         # rewire's closure claim on realized structures, where realize's
         # ordered target search, not the cut product, fixes each orbit:
-        # every element marked T<k>_cyc<l> of a class rewire closes lies on
-        # an l-cycle.  Seeded inputs, not a proof.
-        inputs = [(F, eps) for F, _, _, eps in CYCLIC_CASES]
+        # at the pipeline's cut length, every element marked T<k>_cyc<l> of
+        # a class rewire closes lies on an l-cycle, and every element of a
+        # class it leaves open keeps its image.  Seeded inputs, not a proof.
+        inputs = [(F, eps) for F, _, _, eps in CYCLIC_CASES] + CUT_LENGTH_CASES
         for n, seed in [(8, 1), (12, 3), (20, 6)]:
             inputs.append((seeded(n, seed), Fraction(1, 4)))
         lengths = set()
         for F, eps in inputs:
             residual, _ = residualize(F, eps)
             for r in (1, 2):
-                _, clean, cut = realize_module._schedule(r, False)
+                _, clean, cut = realize_module._schedule(r, False, residual)
                 table = TypeTable()
                 product = cycle_cut_product(residual, cut, clean, table=table)
                 nu = type_distribution(product, clean, table)
@@ -397,12 +415,13 @@ class TestRewire:
                         if not (matched and matched.group(1)):
                             continue
                         length = int(matched.group(1))
-                        if length > clean + 1 or cut % length:
-                            continue
                         for v in realized.marks[name]:
+                            if length > clean + 1 or cut % length:
+                                assert rewired.f[v] == realized.f[v], (F, r, name, v)
+                                continue
                             assert on_cycle.get(v) == length, (F, r, multiplier, name, v)
                             lengths.add(length)
-        assert lengths == {1, 2, 3}
+        assert lengths == {1, 2, 3, 4, 5, 6}
 
 
 class TestTerminalsHubsMerge:
@@ -649,10 +668,12 @@ class TestPipeline:
         # element farther than r from a moved edge has the label's value
         # with those marks forgotten.
         some_far = some_near = False
-        for F, _, r, eps in [(seeded(20, 6), 2, 1, Fraction(1, 6)), *CYCLIC_CASES]:
-            _, clean, cut = realize_module._schedule(r, False)
-            table = TypeTable()
+        cases = [(seeded(20, 6), 2, 1, Fraction(1, 6)), *CYCLIC_CASES]
+        cases += [(F, 1, 2, eps) for F, eps in CUT_LENGTH_CASES[:4]]
+        for F, _, r, eps in cases:
             residual, _ = residualize(F, eps)
+            _, clean, cut = realize_module._schedule(r, False, residual)
+            table = TypeTable()
             product = cycle_cut_product(residual, cut, clean, table=table)
             nu = type_distribution(product, clean, table)
             realized = realize(nu, r)
@@ -1008,3 +1029,121 @@ class TestPipeline:
         mu = type_distribution(cycle_cut_product(seeded(10, 1), 6, 3, TABLE), 3, TABLE)
         cert = restricted_fmtp_certificate(mu, 1)
         assert certificate_digest(cert) == certificate_digest(cert)
+
+
+class TestCutLength:
+    """The pipeline cuts at the least divisor m >= 2r + 3 of lcm(1..2r + 1)
+    that every short cycle class of its residual which rewire closes at
+    lcm(1..2r + 1) divides (oracles.cut_length_by_divisors)."""
+
+    @staticmethod
+    def closed(residual: FiniteMapping, r: int) -> set:
+        full = math.lcm(*range(1, 2 * r + 2))
+        return {l for l in cycle_lengths(residual) if 2 <= l <= 2 * r + 2 and full % l == 0}
+
+    def test_rank_one_cuts_at_six(self):
+        for F, p, r, eps in SWEEP_CASES:
+            if r != 1:
+                continue
+            residual, _ = residualize(F, eps)
+            assert cut_length_by_divisors(residual, 1) == 6
+            _, report = pipeline(F, p, r, eps)
+            assert report["parameters"]["schedule"]["cut_length"] == 6
+
+    def test_cut_length_matches_oracle(self):
+        seen = {2: set(), 3: set()}
+        for F, eps in CUT_LENGTH_CASES:
+            residual, _ = residualize(F, eps)
+            for r in (2, 3):
+                _, report = pipeline(F, 1, r, eps)
+                m = report["parameters"]["schedule"]["cut_length"]
+                assert m == cut_length_by_divisors(residual, r), (F, r)
+                assert math.lcm(*range(1, 2 * r + 2)) % m == 0
+                assert m >= 2 * r + 3
+                assert all(m % l == 0 for l in self.closed(residual, r))
+                seen[r].update(l for l in cycle_lengths(residual) if l <= 2 * r + 2)
+        assert seen == {2: {1, 2, 3, 4, 5, 6}, 3: {1, 2, 3, 4, 5, 6, 7, 8}}
+        _, report = pipeline(seeded(20, 42), 1, 2, Fraction(1, 4))
+        assert report["parameters"]["schedule"]["cut_length"] == 12
+
+    def test_odd_rank_leaves_the_longest_class_open(self):
+        # At odd r, 2r + 2 does not divide lcm(1..2r + 1), so rewire leaves
+        # a (2r + 2)-cycle class open at every cut length, 420 as well as m:
+        # its elements keep their images, while the 7-cycle class closes.
+        F, eps = CUT_LENGTH_CASES[-1]
+        residual, _ = residualize(F, eps)
+        assert {7, 8} <= set(cycle_lengths(residual))
+        assert 420 % 8 != 0 and 8 not in self.closed(residual, 3)
+        _, clean, cut = realize_module._schedule(3, False, residual)
+        assert cut == 14
+        table = TypeTable()
+        product = cycle_cut_product(residual, cut, clean, table=table)
+        realized = realize(type_distribution(product, clean, table), 3)
+        rewired = rewire(realized, cut, clean)
+        on_cycle = {v: len(orbit) for orbit in cycle_orbits(rewired) for v in orbit}
+        classes = Counter()
+        for name in realized.signature.predicates:
+            matched = TYPE_MARK.fullmatch(name)
+            length = int(matched.group(1)) if matched and matched.group(1) else None
+            for v in realized.marks[name] if length in (7, 8) else ():
+                if length == 8:
+                    assert rewired.f[v] == realized.f[v]
+                else:
+                    assert on_cycle.get(v) == 7
+                classes[length] += 1
+        assert classes[7] and classes[8]
+
+    def test_product_budget_checked_at_the_residual_cut(self, monkeypatch):
+        # The one product-size check reads the rule's m off the residual,
+        # and a miss raises before any game is played or product built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no game or product past a missed budget")
+
+        monkeypatch.setattr(realize_module, "cycle_cut_product", unreachable)
+        F = seeded(20, 42)
+        m = cut_length_by_divisors(residualize(F, Fraction(1, 4))[0], 2)
+        assert m == 12
+        monkeypatch.setattr(realize_module, "MAX_PRODUCT_SIZE", F.n * m - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(TypeTable, "_play", unreachable)
+            with pytest.raises(ScheduleInfeasible) as caught:
+                pipeline(F, 1, 2, Fraction(1, 4))
+            assert str(caught.value) == (
+                f"cut = 12 yields a product of {F.n * m} elements, "
+                f"over the budget of {F.n * m - 1}"
+            )
+            assert caught.value.schedule == {"r": 2, "rr": 2, "clean_rank": 5, "cut_length": 12}
+            with pytest.raises(ScheduleInfeasible) as caught:
+                pipeline(F, 1, 1, Fraction(1, 4), factorial_schedule=True)
+            assert caught.value.schedule["cut_length"] == math.factorial(9)
+        # At the budget itself the check passes, so the product is cut.
+        monkeypatch.setattr(realize_module, "MAX_PRODUCT_SIZE", F.n * m)
+        with pytest.raises(AssertionError, match="no game or product"):
+            pipeline(F, 1, 2, Fraction(1, 4))
+
+    def test_every_small_mapping(self):
+        # Every function with n <= 4, each with one seeded U marking, at
+        # r = 1, 2, eps = 1/2, 1/4 and p = 1: each call returns or raises a
+        # named MapproxError, its residual recovers the input, the realized
+        # histogram is the product's, and the cut length is the oracle's.
+        calls = 0
+        for n in range(1, 5):
+            for f in itertools.product(range(n), repeat=n):
+                rng = random.Random(repr(f))
+                F = FiniteMapping(
+                    f=f, marks={"U": frozenset(v for v in range(n) if rng.random() < 0.5)}
+                )
+                for eps in (Fraction(1, 2), Fraction(1, 4)):
+                    residual, pairs = residualize(F, eps)
+                    assert structurally_equal(recover(residual, pairs), F), (f, eps)
+                    for r in (1, 2):
+                        calls += 1
+                        try:
+                            _, report = pipeline(F, 1, r, eps)
+                        except MapproxError:
+                            continue
+                        stages = {stage["name"]: stage for stage in report["stages"]}
+                        assert stages["realized"]["histogram"] == stages["product"]["histogram"]
+                        m = report["parameters"]["schedule"]["cut_length"]
+                        assert m == cut_length_by_divisors(residual, r), (f, r, eps)
+        assert calls == 1152
