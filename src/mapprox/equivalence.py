@@ -31,17 +31,40 @@ At p = 2, ldist splits the pairs by Gaifman distance (Gaifman 1982; Hanf
   moves: Spoiler places a shortest path from a to b, whose atoms no far
   pair can mirror.  So no near pair shares a class with a far one.
 
+Each tuple is played in one ordering.  The class of a tuple fixes the
+1-tuple class of each of its elements: Duplicator's strategy for the
+tuple, restricted to the moves Spoiler makes from one element, is a
+strategy for that element alone.  Every answer keeps the atoms, so in the
+local game a move next to a placed element is answered next to its image,
+and the answers stay within the element's own game.  Permuting a tuple's
+positions carries classes to classes bijectively.  So let sigma be the
+stable sort of a tuple's positions by its elements' 1-tuple values: the
+key (sigma, class of the sorted tuple) is exact, and only a tuple whose
+values already run in order needs a game.  The class of a sorted tuple
+fixes the run lengths m_v of its values, so in both structures it meets
+the same p!/prod(m_v!) orderings sigma, each with the class's own count.
+The distance is a sum over keys, so each sorted tuple is counted once for
+every ordering whose stable sort it is, under its own class, and sigma
+need not be spelled in the key.
+
 ldist therefore takes each element's root value, plays the pair game only
-for b in the radius-(r+1) ball of a (a itself included), and counts the far
-pairs with roots (s, t) as count[s] * count[t] minus the near pairs with
-those roots.  Root values are kept in the table, the only game values it
-keeps.  A near pair is asked for once per call, so its game is played
-once, straight on the engine: a structure's near pairs stream through one
-TypeTable.tuple_values call, which keeps nothing, so a second call on the
-same table plays and spends them again.  Nor are the tuples of ldist at
-p >= 3, or of dist_p^r, kept.  Every game of this module enters the
-kernel through a TypeTable method, whose one depth guard refuses a game
-too deep for the stack with GameTooDeep.
+for b in the radius-(r+1) ball of a, and counts the far pairs with roots
+(s, t) as count[s] * count[t] minus the near pairs with those roots.  A
+near pair (a, b) with roots s < t is played and counted twice, once for
+itself and once for (b, a), which is not played; with s = t and a != b
+both orders are played, each counted once; and (a, a) plays nothing, as
+its class, ("diagonal", s), is its root's.  Balls are symmetric, so every
+unordered near pair is met from both ends.  At p >= 3, and in dist_p^r
+at p >= 2, the 1-tuple values are played first, and only the tuples whose
+values run in order are played.  Root values are kept in the table, the
+only game values it keeps; the 1-tuple values of ldist at p >= 3 and of
+dist_p^r are played and not kept.  A sorted tuple is asked for once per
+call, so its game is played once, straight on the engine: a structure's
+near pairs stream through one TypeTable.tuple_values call, which keeps
+nothing, so a second call on the same table plays and spends them again.
+Nor are the tuples of ldist at p >= 3, or of dist_p^r, kept.  Every game
+of this module enters the kernel through a TypeTable method, whose one
+depth guard refuses a game too deep for the stack with GameTooDeep.
 
 Each call counts each structure's classes once: when B is A, at every p,
 B's counts are A's, and dist_p^r plays A's sentence game for both.  At
@@ -51,8 +74,9 @@ Every call has one work budget, the module constant GAME_BUDGET, read
 when the call runs; no call takes a budget of its own.  Before any game is
 played, ldist at p = 2 checks n plus the ball sizes of each structure
 against the budget, summed as the balls are built.  At p = 1 and p >= 3,
-and in dist_p^r, whose unrestricted moves reach past any ball, every
-p-tuple is enumerated and the budget bounds n^p.  dist_p^r is 1 when a
+and in dist_p^r, whose unrestricted moves reach past any ball, the budget
+bounds n^p, the number of p-tuples, though only the sorted ones are
+played.  dist_p^r is 1 when a
 sentence of rank r separates the structures, and then no tuple is
 enumerated.  Either distance also spends every game position it plays on
 one meter per call, and raises BudgetExceeded once the positions pass the
@@ -64,6 +88,7 @@ values off atom-row classes, so they are neither played nor counted.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -84,19 +109,28 @@ def ef_equivalent(A: FiniteMapping, B: FiniteMapping, r: int) -> bool:
 def _tuple_classes(structures: tuple, p: int, value) -> list[Counter]:
     """Counts of the classes of all p-tuples of each structure, each keyed by
     the atom rows of its proper prefixes and its game value `value(F, tup)`.
+    Only the tuples whose 1-tuple values run in order are played, each
+    counted once for every ordering whose stable sort it is (module
+    docstring); at p = 1 the 1-tuple values are the classes.
     BudgetExceeded when any structure has more than GAME_BUDGET p-tuples."""
     needed = max(F.n for F in structures) ** p
     if needed > GAME_BUDGET:
         raise BudgetExceeded(GAME_BUDGET, needed)
     counts = []
     for F in structures:
-        f, marks = F.f, F.mark_sets
-        counts.append(
-            Counter(
-                (tuple(atom_row(f, marks, tup[:i]) for i in range(1, p)), value(F, tup))
-                for tup in itertools.product(F.elements(), repeat=p)
-            )
-        )
+        singles = [value(F, (a,)) for a in F.elements()]
+        if p == 1:
+            counts.append(Counter(singles))
+            continue
+        order = sorted(F.elements(), key=singles.__getitem__)
+        runs = [list(run) for _, run in itertools.groupby(order, key=singles.__getitem__)]
+        f, marks, count = F.f, F.mark_sets, Counter()
+        for ids in itertools.combinations_with_replacement(range(len(runs)), p):
+            orderings = math.factorial(p) // math.prod(map(math.factorial, Counter(ids).values()))
+            for tup in itertools.product(*(runs[i] for i in ids)):
+                rows = tuple(atom_row(f, marks, tup[:i]) for i in range(1, p))
+                count[rows, value(F, tup)] += orderings
+        counts.append(count)
     return counts
 
 
@@ -116,26 +150,33 @@ def _pair_classes(
     F: FiniteMapping, table: TypeTable, r: int, meter: Meter, balls: list[frozenset[int]]
 ) -> dict:
     """Counts of the local classes of all ordered pairs of F at rank r in
-    `table`, every position spent on `meter`: near pairs (b in the
-    radius-(r+1) ball of a) play their game, far pairs are counted from the
-    roots' classes, which the table keeps.  Each near pair is asked for
-    once, so it is played straight on the engine: all of F's near pairs
-    are streamed through one TypeTable.tuple_values call, which plays each
-    as its value is read, a second pass over the balls pairs each value
-    with its a, and none is kept."""
+    `table`, every position spent on `meter`.  Far pairs are counted from
+    the roots' classes, which the table keeps.  A near pair (b in the
+    radius-(r+1) ball of a) with roots s < t is played and counted for
+    itself and for (b, a); with s = t and a != b it is played and counted
+    once; (a, a) is counted by its root and not played (module docstring).
+    Each played pair is asked for once, so it is played straight on the
+    engine: F's played pairs stream through one TypeTable.tuple_values
+    call, which plays each as its value is read and keeps none."""
     roots = [table.nv_value(F, (a,), r, meter) for a in F.elements()]
     counts: dict = {}
     near_roots: dict = {}
-    pairs = ((a, b) for a, near in enumerate(balls) for b in near)
-    values = table.tuple_values(F, pairs, r, meter)
+    played = (
+        (a, b) for a, near in enumerate(balls) for b in near if a != b and roots[a] <= roots[b]
+    )
+    values = table.tuple_values(F, played, r, meter)
     for a, near in enumerate(balls):
         row, s = atom_row(F.f, F.mark_sets, (a,)), roots[a]
-        # zip reads b first, so it stops at a's last pair.
-        for b, value in zip(near, values):
-            key = "near", row, value
-            counts[key] = counts.get(key, 0) + 1
-            key = s, roots[b]
-            near_roots[key] = near_roots.get(key, 0) + 1
+        for b in near:
+            t = roots[b]
+            near_roots[s, t] = near_roots.get((s, t), 0) + 1
+            if a == b:
+                key, orderings = ("diagonal", s), 1
+            elif s <= t:
+                key, orderings = ("near", row, next(values)), 1 + (s < t)
+            else:
+                continue  # counted with (b, a)
+            counts[key] = counts.get(key, 0) + orderings
     root_counts = Counter(roots)
     for s, count_s in root_counts.items():
         for t, count_t in root_counts.items():
@@ -175,8 +216,14 @@ def ldist(
     if p == 2:
         balls = [_near_balls(F, r + 1) for F in structures]
         counts = [_pair_classes(F, table, r, meter, near) for F, near in zip(structures, balls)]
-    else:
+    elif p == 1:
         counts = _tuple_classes(structures, p, partial(table.nv_value, k=r, meter=meter))
+    else:
+        # 1-tuple values through tuple_values too, so that none is kept.
+        def value(F, tup):
+            return next(table.tuple_values(F, (tup,), r, meter))
+
+        counts = _tuple_classes(structures, p, value)
     return _tv(counts[0], A.n**p, counts[-1], B.n**p)
 
 

@@ -11,6 +11,7 @@ from mapprox.structure import FiniteMapping, cut_product_layers, cycle_cut_produ
 __all__ = [
     "cycle",
     "star",
+    "two_level_star",
     "path",
     "cyclic_input",
     "many_cycles",
@@ -26,6 +27,7 @@ __all__ = [
     "marked_path",
     "marked_fan",
     "bushy",
+    "hub_heavy",
 ]
 
 
@@ -37,6 +39,15 @@ def cycle(k: int, marks=None) -> FiniteMapping:
 def star(leaves: int, marks=None) -> FiniteMapping:
     """Center 0 fixed; elements 1..leaves map to 0."""
     return FiniteMapping(f=(0,) * (leaves + 1), marks=marks or {})
+
+
+def two_level_star(middles, leaves):
+    """A fixed center 0, `middles` elements pointing at it, and `leaves`
+    P-marked leaves pointing at each middle element."""
+    f = [0] * (1 + middles)
+    for m in range(1, middles + 1):
+        f.extend([m] * leaves)
+    return FiniteMapping(f=tuple(f), marks={"P": frozenset(range(1 + middles, len(f)))})
 
 
 def path(k: int) -> FiniteMapping:
@@ -204,4 +215,14 @@ def bushy(seed: int) -> FiniteMapping:
     density = rng.choice((0, 0.1, 0.3))
     return FiniteMapping(
         f=tuple(g), marks={"U": frozenset(v for v in range(n) if rng.random() < density)}
+    )
+
+
+def hub_heavy(n, seed):
+    """Two thirds of the elements point at one of three hubs, the rest
+    anywhere; a third of them are marked U."""
+    rng = random.Random(seed)
+    f = tuple(rng.randrange(3) if rng.random() < 2 / 3 else rng.randrange(n) for _ in range(n))
+    return FiniteMapping(
+        f=f, marks={"U": frozenset(v for v in range(n) if rng.random() < 1 / 3)}
     )

@@ -27,7 +27,10 @@ table; components and heights as they were before they read the
 structure's forest, by the package's `near` search from each element and
 a breadth-first search up from the cycle table's cycles; and the
 interpretation that defines `recover`'s map by formulas, built from the
-package's formula classes for its `apply_interpretation`.
+package's formula classes for its `apply_interpretation`; and the
+distances' classification as it was before each tuple was played in one
+ordering, which plays every ordering of every tuple, far pairs included,
+on the package's TypeTable and keys it by the package's atom rows.
 """
 
 import math
@@ -39,8 +42,10 @@ from mapprox.errors import FormatError, RankTooLow, Stuck
 from mapprox.fmtp import CompanionCertificate, Violation, _balance_equations
 from mapprox.localtypes import (
     TypeMeasure,
+    TypeTable,
     adm_minus,
     adm_minus_table,
+    atom_row,
     local_type,
     project,
     transport,
@@ -77,6 +82,8 @@ __all__ = [
     "global_tuple_game",
     "brute_ldist",
     "brute_fo_dist",
+    "every_ordering_ldist",
+    "every_ordering_fo_dist",
     "proximity",
     "near",
     "tuple_histograms",
@@ -220,6 +227,37 @@ def brute_fo_dist(A, B, p, r) -> Fraction:
         return Fraction(1)
     ha, hb = tuple_histograms((A, B), p, r, global_tuple_game)
     return tv(ha, hb)
+
+
+def _every_ordering_tv(A, B, p, value) -> Fraction:
+    """TV distance between the class histograms of all p-tuples of A and of
+    B, each tuple keyed by the atom rows of its proper prefixes and its own
+    game value `value(F, tup)`: every ordering of every tuple is played."""
+    histograms = []
+    for F in (A, B):
+        counts = Counter(
+            (tuple(atom_row(F.f, F.mark_sets, tup[:i]) for i in range(1, p)), value(F, tup))
+            for tup in product(range(F.n), repeat=p)
+        )
+        histograms.append({key: Fraction(c, F.n**p) for key, c in counts.items()})
+    return tv(*histograms)
+
+
+def every_ordering_ldist(A, B, p, r) -> Fraction:
+    """ldist_p^r with every p-tuple played in the package's local game, far
+    and reordered tuples included, in one fresh TypeTable and no budget."""
+    table = TypeTable()
+    return _every_ordering_tv(A, B, p, lambda F, tup: table.nv_value(F, tup, r))
+
+
+def every_ordering_fo_dist(A, B, p, r) -> Fraction:
+    """dist_p^r with every p-tuple played in the package's whole-domain
+    game, in one fresh TypeTable and no budget: 1 when the sentence values
+    differ."""
+    table = TypeTable()
+    if table.global_value(A, (), r, None) != table.global_value(B, (), r, None):
+        return Fraction(1)
+    return _every_ordering_tv(A, B, p, lambda F, tup: table.global_value(F, tup, r, None))
 
 
 def proximity(F: FiniteMapping, radius: int) -> Fraction:

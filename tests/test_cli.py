@@ -21,7 +21,7 @@ from mapprox.mapfile import (
 )
 from mapprox.randgen import random_mapping
 from mapprox.structure import FiniteMapping, cycle_cut_product
-from oracles import brute_ldist
+from oracles import brute_fo_dist, brute_ldist
 
 
 @pytest.fixture
@@ -102,6 +102,20 @@ class TestDistances:
         )
         assert code == 0
         expected = brute_ldist(*map(read_map, paths), 2, 1)
+        assert 0 < expected < 1
+        assert json.loads(out)["distance"] == f"{expected.numerator}/{expected.denominator}"
+
+    def test_dist_fo_pairs_match_oracle(self, capsys, tmp_path):
+        # A map and a copy with one image moved agree on every sentence of
+        # rank 1, so the distance is that of their pairs' classes.
+        F = random_mapping(9, 5, {"U": Fraction(1, 2)})
+        moved = FiniteMapping(f=(1,) + F.f[1:], marks=F.marks, signature=F.signature)
+        paths = [str(tmp_path / "F.map"), str(tmp_path / "moved.map")]
+        write_map(F, paths[0])
+        write_map(moved, paths[1])
+        code, out, _ = run(capsys, ["dist", *paths, "--p", "2", "--r", "1", "--kind", "fo"])
+        assert code == 0
+        expected = brute_fo_dist(*map(read_map, paths), 2, 1)
         assert 0 < expected < 1
         assert json.loads(out)["distance"] == f"{expected.numerator}/{expected.denominator}"
 

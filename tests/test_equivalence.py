@@ -14,8 +14,10 @@ from helpers import (
     every_marking,
     fixed_point,
     functions_up_to_relabeling,
+    hub_heavy,
     seeded,
     star,
+    two_level_star,
 )
 from mapprox import equivalence
 from mapprox.equivalence import (
@@ -31,6 +33,8 @@ from mapprox.structure import FiniteMapping, ball
 from oracles import (
     brute_fo_dist,
     brute_ldist,
+    every_ordering_fo_dist,
+    every_ordering_ldist,
     global_game,
     global_tuple_game,
     local_game,
@@ -78,6 +82,38 @@ def grown(rng, F: FiniteMapping) -> FiniteMapping:
     f = F.f + (F.n if F.f[v] == v else F.f[v],)
     marks = {name: ext | {F.n} if v in ext else ext for name, ext in F.marks.items()}
     return FiniteMapping(f=f, marks=marks, signature=F.signature)
+
+
+def redrawn_copy(rng, F: FiniteMapping) -> FiniteMapping:
+    """F with one element's image redrawn, relabeled at random: close enough
+    to F that neither distance is often 0 or 1, with F's elements met in
+    another order."""
+    f = list(F.f)
+    f[rng.randrange(F.n)] = rng.randrange(F.n)
+    perm = list(F.elements())
+    rng.shuffle(perm)
+    return relabel(FiniteMapping(f=tuple(f), marks=F.marks, signature=F.signature), perm)
+
+
+# Pairs of structures with many equal roots and repeated elements among
+# their tuples, each family small enough for the brute-force oracles at
+# p = 3, r = 2.
+TIED_PAIRS = {
+    "star": [(star(3), star(4)), (star(2), star(5))],
+    "two_level_star": [
+        (two_level_star(2, 1), two_level_star(2, 2)),
+        (two_level_star(1, 3), two_level_star(3, 1)),
+    ],
+    "cycle": [
+        (cycle(4, {"P": frozenset()}), cycle(4, {"P": frozenset({0})})),
+        (cycle(3), cycle(6)),
+    ],
+    "marked_fixed_points": [
+        (marked_fixed_points({0}), marked_fixed_points({0, 1})),
+        (marked_fixed_points(()), marked_fixed_points({1})),
+    ],
+    "hub_heavy": [(hub_heavy(5, 1), hub_heavy(6, 2)), (hub_heavy(6, 3), hub_heavy(6, 4))],
+}
 
 
 def played_positions(monkeypatch) -> list:
@@ -333,11 +369,17 @@ class TestLdist:
 
     def test_same_structure_plays_its_pairs_once(self, monkeypatch):
         # ldist(F, F) reads B's pair classes off A's, so each pair game is
-        # played, and spent, once.
+        # played, and spent, once.  Only one ordering of a near pair is
+        # played: (a, b) with a != b, b in the radius-2 ball of a, and
+        # root(a) < root(b), or equal roots.  A fresh table numbers the
+        # roots as the call's own fresh table does.
         F = seeded(40, 4, Fraction(1, 2))
+        roots = TypeTable()
+        root = [roots.nv_value(F, (a,), 1) for a in F.elements()]
+        ordered = sum(a != b and root[a] <= root[b] for a in F.elements() for b in ball(F, a, 2))
         played = played_positions(monkeypatch)
         assert ldist(F, F, 2, 1, TypeTable()) == 0
-        assert pair_games(played, F, 1) == sum(len(ball(F, a, 2)) for a in F.elements())
+        assert pair_games(played, F, 1) == ordered == 97
 
     def test_pair_game_too_deep_is_refused_before_play(self, monkeypatch):
         # The depth rule of every game (two frames per round) holds for
@@ -354,6 +396,18 @@ class TestLdist:
             assert caught.value.rank == 3
             assert caught.value.budget == 5
         assert played == []
+
+    def test_plays_no_diagonal_pair(self, monkeypatch):
+        # A count guard: (a, a) is counted by its root, so no pair game is
+        # played from it.  A position below the top of a game only adds
+        # fresh elements, so every 2-tuple with a repeated element would
+        # be the top of a pair game.
+        A, B = star(12, {"U": frozenset({1, 2})}), hub_heavy(30, 1)
+        played = played_positions(monkeypatch)
+        ldist(A, B, 2, 2, TypeTable())
+        pairs = [tup for F, tup, k in played if len(tup) == 2]
+        assert pairs
+        assert not [tup for tup in pairs if tup[0] == tup[1]]
 
     def test_budget_counts_game_positions(self, monkeypatch):
         # The ball sizes of two 100-leaf stars (10,302 each) fit in a budget
@@ -379,6 +433,43 @@ class TestLdist:
                 assert ldist(A, B, p, r) == brute_ldist(A, B, p, r), (trial, p, r)
 
 
+class TestOneOrdering:
+    """Each tuple is played in one ordering: the distances against the
+    oracles that play every ordering of every tuple."""
+
+    @pytest.mark.parametrize("family", sorted(TIED_PAIRS))
+    def test_ties_match_brute_oracles(self, family):
+        for A, B in TIED_PAIRS[family]:
+            for p in (2, 3):
+                for r in (0, 1, 2):
+                    assert ldist(A, B, p, r) == brute_ldist(A, B, p, r), (p, r)
+                    assert fo_dist(A, B, p, r) == brute_fo_dist(A, B, p, r), (p, r)
+
+    @pytest.mark.parametrize(
+        "p, n, ranks", [(2, 20, (0, 1, 2)), (2, 60, (0, 1)), (3, 20, (0, 1)), (3, 25, (1,))]
+    )
+    def test_match_every_ordering_oracle_seeded(self, p, n, ranks):
+        # Inputs past the brute-force oracles' reach.
+        rng = random.Random(70 + p)
+        for trial in range(2):
+            A = seeded(n, trial, Fraction(1, 2))
+            B = redrawn_copy(rng, A)
+            for r in ranks:
+                assert ldist(A, B, p, r) == every_ordering_ldist(A, B, p, r), (trial, r)
+                assert fo_dist(A, B, p, r) == every_ordering_fo_dist(A, B, p, r), (trial, r)
+
+    def test_symmetric(self):
+        # The roots' order depends on which structure is typed first, so
+        # swapping the structures sorts the tuples another way.
+        rng = random.Random(90)
+        for trial in range(6):
+            A = seeded(rng.randrange(3, 25), trial, Fraction(1, 2))
+            B = redrawn_copy(rng, A) if trial % 2 else seeded(A.n + 1, 50 + trial)
+            for p, r in ((1, 1), (2, 0), (2, 1), (2, 2), (3, 1)):
+                assert ldist(A, B, p, r) == ldist(B, A, p, r), (trial, p, r)
+                assert fo_dist(A, B, p, r) == fo_dist(B, A, p, r), (trial, p, r)
+
+
 class TestSameStructure:
     """When B is A, a distance counts A's classes, and plays A's sentence
     game, once: its spend is one structure's, half of what a copy of A as
@@ -389,11 +480,11 @@ class TestSameStructure:
         "distance, spent, meters",
         [
             pytest.param(lambda A, B: ldist(A, B, 1, 1, TypeTable()), 107, 1, id="ldist-p1"),
-            pytest.param(lambda A, B: ldist(A, B, 2, 1, TypeTable()), 927, 2, id="ldist-p2"),
+            pytest.param(lambda A, B: ldist(A, B, 2, 1, TypeTable()), 526, 2, id="ldist-p2"),
             pytest.param(
-                lambda A, B: ldist(A, B, 3, 1, TypeTable()), 382_014, 1, id="ldist-p3"
+                lambda A, B: ldist(A, B, 3, 1, TypeTable()), 95_426, 1, id="ldist-p3"
             ),
-            pytest.param(lambda A, B: fo_dist(A, B, 2, 2), 62_481, 1, id="fo_dist-p2"),
+            pytest.param(lambda A, B: fo_dist(A, B, 2, 2), 33_778, 1, id="fo_dist-p2"),
             pytest.param(lambda A, B: fo_dist(A, B, 0, 3), 1_601, 1, id="fo_dist-p0"),
             pytest.param(lambda A, B: not ef_equivalent(A, B, 3), 1_601, 1, id="ef"),
         ],

@@ -16,9 +16,11 @@ from helpers import (
     every_marking,
     fixed_point,
     functions_up_to_relabeling,
+    hub_heavy,
     mirrored,
     seeded,
     star,
+    two_level_star,
 )
 from mapprox import localtypes
 from mapprox.equivalence import ldist
@@ -67,16 +69,6 @@ def t_of(F, v, r):
     return local_type(F, v, r, TABLE)
 
 
-def hub_heavy(n, seed):
-    """Two thirds of the elements point at one of three hubs, the rest
-    anywhere; a third of them are marked U."""
-    rng = random.Random(seed)
-    f = tuple(rng.randrange(3) if rng.random() < 2 / 3 else rng.randrange(n) for _ in range(n))
-    return FiniteMapping(
-        f=f, marks={"U": frozenset(v for v in range(n) if rng.random() < 1 / 3)}
-    )
-
-
 def copies_on_a_hub(copy, copies):
     """A host (copy itself) followed by `copies` copies of it whose
     U-marked elements all point at host element 0, the way the pipeline
@@ -89,15 +81,6 @@ def copies_on_a_hub(copy, copies):
         f=tuple(f),
         marks={"U": frozenset(c * n + v for c in range(copies + 1) for v in marked)},
     )
-
-
-def two_level_star(middles, leaves):
-    """A fixed center 0, `middles` elements pointing at it, and `leaves`
-    P-marked leaves pointing at each middle element."""
-    f = [0] * (1 + middles)
-    for m in range(1, middles + 1):
-        f.extend([m] * leaves)
-    return FiniteMapping(f=tuple(f), marks={"P": frozenset(range(1 + middles, len(f)))})
 
 
 def value_pairs(table, oracle, F, tuples, ranks):
