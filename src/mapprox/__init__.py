@@ -9,7 +9,16 @@ games and distances), `fmtp` (the finitary mass-transport principle and
 its restricted certificates), `realize` (measures back to structures and
 the end-to-end pipeline), `compress` (smallest known rank-r equivalent),
 `mapfile` and `randgen` and `cli` (formats, corpora, tools).
+
+`import mapprox` loads `errors`, `structure`, `localtypes`, `equivalence`,
+`simplex`, `fmtp`, `realize`, `compress` and `mapfile`.  `logic` and
+`randgen`, which no other layer imports but `cli`, load on first use: the
+first read of `mapprox.logic`, `mapprox.randgen` or one of the names the
+package re-exports from them (`mapprox.parse`, `mapprox.random_mapping`,
+...) imports the module, and the name is then the module's own object.
 """
+
+from importlib import import_module
 
 from .errors import MapproxError
 from .structure import (
@@ -29,18 +38,6 @@ from .structure import (
     residualize,
     restrict,
     validate,
-)
-from .logic import (
-    Formula,
-    Interpretation,
-    apply_interpretation,
-    build_delta,
-    evaluate,
-    formula_to_text,
-    parse,
-    rank,
-    stone_pairing,
-    translate,
 )
 from .localtypes import (
     LocalType,
@@ -77,6 +74,41 @@ from .realize import (
 )
 from .compress import standard_r_approximation
 from .mapfile import read_map, read_measure, write_map, write_measure
-from .randgen import cycle_statistics, random_mapping
 
 __version__ = "0.1.0"
+
+# Re-exported name -> the module that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "Formula",
+            "Interpretation",
+            "apply_interpretation",
+            "build_delta",
+            "evaluate",
+            "formula_to_text",
+            "parse",
+            "rank",
+            "stone_pairing",
+            "translate",
+        ),
+        "logic",
+    ),
+    **dict.fromkeys(("cycle_statistics", "random_mapping"), "randgen"),
+}
+
+
+def __getattr__(name: str):
+    # Only names missing from the package's globals reach here (PEP 562).
+    # Importing a submodule binds it in the globals, so each lazy module,
+    # and each name once cached below, is looked up here once.
+    if name in _LAZY.values():
+        return import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys() | set(_LAZY.values()))

@@ -58,10 +58,12 @@ unordered near pair is met from both ends.  At p >= 3, and in dist_p^r
 at p >= 2, the 1-tuple values are played first, and only the tuples whose
 values run in order are played.  Root values are kept in the table, the
 only game values it keeps; the 1-tuple values of ldist at p >= 3 and of
-dist_p^r are played and not kept.  A sorted tuple is asked for once per
-call, so its game is played once, straight on the engine: a structure's
-near pairs stream through one TypeTable.tuple_values call, which keeps
-nothing, so a second call on the same table plays and spends them again.
+dist_p^r are played and not kept, ldist's under the twin classes of
+TypeTable.root_values, since a 1-tuple game starts connected.  A sorted
+tuple is asked for once per call, so its game is played once, straight
+on the engine: a structure's near pairs stream through one
+TypeTable.tuple_values call, which keeps nothing, so a second call on the
+same table plays and spends them again.
 Nor are the tuples of ldist at p >= 3, or of dist_p^r, kept.  Every game
 of this module enters the kernel through a TypeTable method, whose one
 depth guard refuses a game too deep for the stack with GameTooDeep.
@@ -219,8 +221,11 @@ def ldist(
     elif p == 1:
         counts = _tuple_classes(structures, p, partial(table.nv_value, k=r, meter=meter))
     else:
-        # 1-tuple values through tuple_values too, so that none is kept.
+        # Played through the table and kept by none: the 1-tuple values
+        # with twin classes (root_values), the p-tuples without.
         def value(F, tup):
+            if len(tup) == 1:
+                return next(table.root_values(F, tup, r, meter))
             return next(table.tuple_values(F, (tup,), r, meter))
 
         counts = _tuple_classes(structures, p, value)

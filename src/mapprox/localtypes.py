@@ -72,8 +72,9 @@ memo below the top would never be hit.  Roots are asked for again and
 again, by histograms, transport and lower ranks, so nv_value keeps each
 root's value in layer-0 normal form, and asking for it again plays and
 spends nothing.  Any other top-level tuple, such as a sentence or p-tuple
-of equivalence's distances (global_value, tuple_values), is played and
-spent each time it is asked for; equivalence asks for each once per call.
+of equivalence's distances (global_value, tuple_values), and a root asked
+for through root_values, is played and spent each time it is asked for;
+equivalence asks for each once per call.
 A Meter passed down counts the positions a call plays, one each.  In the
 local game only a top-level tuple's atom row is scanned off the tuple.  A
 fresh y equals no placed element, so its row over a placed tuple is its
@@ -423,6 +424,18 @@ class TypeTable:
         domain, with k rounds left, spending every position on `meter`."""
         return next(self._play(F, None, (tup,), k, meter))
 
+    def root_values(
+        self, F: FiniteMapping, roots: Iterable[int], k: int, meter: Optional[Meter]
+    ) -> Iterator[int]:
+        """The values of the 1-tuples of `roots`, in order, in F's local
+        game with k rounds left, each played as it is asked for and spent on
+        `meter`.  A 1-tuple game starts connected, so each plays F's
+        twin-class moves, as nv_value does; unlike nv_value, none is kept
+        or brought to layer-0 normal form, so a root asked for again is
+        played and spent again."""
+        moves = self._structure_cache(F)["moves"]
+        return self._play(F, moves, ((v,) for v in roots), k, meter)
+
     def tuple_values(
         self, F: FiniteMapping, tuples: Iterable[tuple], k: int, meter: Optional[Meter]
     ) -> Iterator[int]:
@@ -587,17 +600,19 @@ class TypeTable:
         classes = tables.get("classes")
         if classes is None:
             classes = tables["classes"] = Counter((marks[x], f[x] == x) for x in range(F.n))
-        placed = set(tup)
         related = {f[t] for t in tup}
         for t in tup:
             related.update(F.pre[t])
-        related -= placed
+        related.difference_update(tup)
         intern = self._intern_value
         kids = {intern((0, atom_row(f, marks, tup + (z,)), None)) for z in related}
-        held = Counter((marks[x], f[x] == x) for x in placed | related)
-        for (names, fixed), count in classes.items():
-            if count > held[names, fixed]:
-                kids.add(intern((0, (names, fixed, None, None, 0), None)))
+        held: dict[tuple, int] = {}
+        for x in related.union(tup):
+            key = (marks[x], f[x] == x)
+            held[key] = held.get(key, 0) + 1
+        for key, count in classes.items():
+            if count > held.get(key, 0):
+                kids.add(intern((0, key + (None, None, 0), None)))
         return tuple(sorted(kids))
 
     def lower_value(self, nv: int) -> int:

@@ -351,21 +351,38 @@ class TestLdist:
         assert len(played) == 2 * played_first > 0
 
     def test_shared_table_keeps_no_triple(self, monkeypatch):
-        # At p = 3 no triple's value is kept: each structure's cache holds
-        # about one entry per element, not one per triple, and a second
-        # call on the same table plays and spends what the first did.
+        # At p = 3 no value is kept, of a root or of a triple: each
+        # structure's cache keeps no root, and its two move tables, one
+        # with twin classes for the roots and one without for the triples,
+        # hold about one entry per element each, not one per triple.  A
+        # second call on the same table plays and spends what the first did.
         A, B = seeded(5, 2, Fraction(1, 2)), seeded(6, 3, Fraction(1, 2))
         table = TypeTable()
         played, meters = played_positions(monkeypatch), game_meters(monkeypatch)
         first = ldist(A, B, 3, 1, table)
         spent_first, played_first = meters[0].spent, len(played)
         for F in (A, B):
-            assert cache_entries(table._structure_cache(F)) <= 2 * F.n
+            cache = table._structure_cache(F)
+            assert cache["roots"] == {}
+            assert cache_entries(cache) <= 2 * (F.n + 1)
         second = ldist(A, B, 3, 1, table)
         assert first == second == brute_ldist(A, B, 3, 1)
         assert len(meters) == 2
         assert meters[1].spent == spent_first > 0
         assert len(played) == 2 * played_first > 0
+
+    def test_singles_play_twin_classes(self):
+        # At p >= 3 the 1-tuple values are played under twin classes, as a
+        # 1-tuple game starts connected: star(30)'s 31 roots at rank 3
+        # spend 124 positions, where exploring every fresh neighbor spends
+        # 50,551, and get the same values.  None is kept.
+        F, table = star(30), TypeTable()
+        twins, every = Meter(10**6), Meter(10**6)
+        values = list(table.root_values(F, F.elements(), 3, twins))
+        singles = ((a,) for a in F.elements())
+        assert values == list(table.tuple_values(F, singles, 3, every))
+        assert (twins.spent, every.spent) == (124, 50_551)
+        assert table._structure_cache(F)["roots"] == {}
 
     def test_same_structure_plays_its_pairs_once(self, monkeypatch):
         # ldist(F, F) reads B's pair classes off A's, so each pair game is
@@ -482,7 +499,7 @@ class TestSameStructure:
             pytest.param(lambda A, B: ldist(A, B, 1, 1, TypeTable()), 107, 1, id="ldist-p1"),
             pytest.param(lambda A, B: ldist(A, B, 2, 1, TypeTable()), 526, 2, id="ldist-p2"),
             pytest.param(
-                lambda A, B: ldist(A, B, 3, 1, TypeTable()), 95_426, 1, id="ldist-p3"
+                lambda A, B: ldist(A, B, 3, 1, TypeTable()), 95_419, 1, id="ldist-p3"
             ),
             pytest.param(lambda A, B: fo_dist(A, B, 2, 2), 33_778, 1, id="fo_dist-p2"),
             pytest.param(lambda A, B: fo_dist(A, B, 0, 3), 1_601, 1, id="fo_dist-p0"),

@@ -1,4 +1,5 @@
-"""Every exported and re-exported name of the package resolves, every
+"""Every exported and re-exported name of the package resolves, `import
+mapprox` loads every traced layer and neither module it defers, every
 function reads each of its parameters, every private module-level name
 is used, no module but localtypes names the type kernel's engine, every
 function the traced benchmark wraps still exists with the
@@ -9,8 +10,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -38,6 +41,12 @@ def test_package_imports_resolve():
                 assert hasattr(module, alias.name), f"mapprox.{node.module}.{alias.name}"
                 assert hasattr(mapprox, alias.asname or alias.name)
                 checked += 1
+    # Names the package loads on first access: each is its module's own.
+    for name, home in mapprox._LAZY.items():
+        module = importlib.import_module(f"mapprox.{home}")
+        assert getattr(mapprox, name) is getattr(module, name), f"mapprox.{home}.{name}"
+        assert name in dir(mapprox)
+        checked += 1
     assert checked > 0
 
 
@@ -130,15 +139,48 @@ def test_only_localtypes_names_the_engine():
                 named.append(f"{path.name}:{node.lineno} {name}")
     assert named == []
 
-def test_traced_benchmark_names_resolve(monkeypatch):
-    # perfbench/spans.py wraps functions by name and its counter hooks read
-    # call arguments by parameter name; a renamed function or parameter
-    # breaks every traced run.  Load it without writing bytecode there.
+def load_spans(monkeypatch):
+    """perfbench/spans.py as a module, loaded without writing bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_import_loads_traced_layers_not_deferred_ones(monkeypatch):
+    # The traced benchmark reads every layer it wraps from sys.modules right
+    # after `import mapprox`; logic and randgen load on first use.  A fresh
+    # interpreter, as this process has imported both already.
+    layers = load_spans(monkeypatch).LAYERS
+    script = (
+        "import sys, mapprox; "
+        "print(' '.join(sorted(k for k in sys.modules if k.startswith('mapprox.')))); "
+        "mapprox.parse, mapprox.random_mapping; "
+        "print(mapprox.logic.__name__, mapprox.randgen.__name__)"
+    )
+    src = str(Path(mapprox.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded, resolved = result.stdout.splitlines()
+    loaded = set(loaded.split())
+    assert {f"mapprox.{layer}" for layer in layers} <= loaded
+    assert not {"mapprox.logic", "mapprox.randgen"} & loaded
+    assert resolved == "mapprox.logic mapprox.randgen"
+
+
+def test_traced_benchmark_names_resolve(monkeypatch):
+    # perfbench/spans.py wraps functions by name and its counter hooks read
+    # call arguments by parameter name; a renamed function or parameter
+    # breaks every traced run.
+    spans = load_spans(monkeypatch)
     wrapped, bound_total = {}, 0
     for layer, names in spans.LAYERS.items():
         module = importlib.import_module(f"mapprox.{layer}")

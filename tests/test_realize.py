@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     cycle,
     cyclic_input,
+    every_marking,
     fixed_point,
     path,
     perturbed_product,
@@ -489,6 +490,26 @@ class TestPipeline:
         final = Fraction(entry["final"])
         bound = Fraction(entry["p_bound"])
         assert bound >= 4 * final
+
+    def test_every_small_mapping_proximities(self):
+        # Every function with n <= 3 under every U-marking, at r = 1, 2,
+        # eps = 1/2, 1/4 and p = 2: every call returns, and the reported
+        # proximities are the share of ordered pairs within 2r,
+        # sum_v |ball(v, 2r)| / N^2, of the input and of the returned output.
+        calls = 0
+        for n in range(1, 4):
+            for f in itertools.product(range(n), repeat=n):
+                for F in every_marking(f, ("U",)):
+                    for r, eps in itertools.product((1, 2), (Fraction(1, 2), Fraction(1, 4))):
+                        out, report = pipeline(F, 2, r, eps)
+                        entry = report["ldist"]
+                        case = (f, sorted(F.marks["U"]), r, eps)
+                        assert Fraction(entry["proximity_input"]) == oracle_proximity(F, 2 * r), case
+                        assert Fraction(entry["proximity_output"]) == oracle_proximity(
+                            out, 2 * r
+                        ), case
+                        calls += 1
+        assert calls == 936
 
     def test_copy_sweep_matches_full_sweeps(self, monkeypatch):
         # The report reads the realized histogram off the product's and takes
