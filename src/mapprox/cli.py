@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--factorial-schedule",
         action="store_true",
         dest="factorial_schedule",
-        help="derive the cut length as clean! instead of lcm(1..clean)",
+        help="derive the cut length as clean! instead of the residual's least cut length",
     )
     p.add_argument("--multiplier", type=int, default=1)
     p.add_argument("--out", help="also write the approximating structure here")

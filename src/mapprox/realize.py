@@ -437,17 +437,25 @@ def _schedule(
     r: int, factorial_schedule: bool, residual: FiniteMapping
 ) -> tuple[int, int, int]:
     """(rr, clean_rank, cut_length) for rank r and the residual to be cut:
-    rr = r, clean = 2rr + 1 and cut = m, the least divisor of
-    M = lcm(1..clean) with m >= clean + 2 = 2r + 3 that every residual cycle
-    length in `closed` divides, where `closed` holds the lengths l with
-    2 <= l <= clean + 1 and l | M; or, with factorial_schedule, rr = 4r^2
-    and cut = clean!, which exceeds every budget beyond tiny radii.
+    rr = r, clean = 2rr + 1 and cut = m, the least multiple of lcm(closed)
+    with m >= b = max(clean + 2, 6), where `closed` holds the residual's
+    cycle lengths l with 2 <= l <= clean + 1 and l | M = lcm(1..clean); or,
+    with factorial_schedule, rr = 4r^2 and cut = clean!, which exceeds
+    every budget beyond tiny radii.  Write s = lcm(closed), so s | M.
 
     Cutting at m serves the pipeline as cutting at M did:
-      (i) rewire closes the same classes as at M.  The cut's type marks
-          record the residual's cycle lengths l <= clean + 1, and rewire
-          closes a class when l | cut.  Each l in `closed` divides m, and
-          an l dividing m divides M, as m | M.
+      (i) rewire closes exactly `closed`.  The cut's type marks record the
+          residual's cycle lengths l <= clean + 1 = 2r + 2, and rewire
+          closes a class when l | m.  Each l in `closed` divides s, so m.
+          Every l <= 2r + 1 divides M, and 2r + 2 divides M unless it is a
+          power of two, a prime power above 2r + 1; so the only length
+          left out of `closed` is such a 2r + 2, and it never divides m.
+          At r = 1, s | 6 and b = 6, so m = 6 and 4 does not divide it.
+          At r >= 2, b = 2r + 3.  If s >= b, then m = s, which divides M
+          while 2r + 2 does not.  Otherwise m < b + s; a multiple of
+          2r + 2 that is at least 2r + 3 is at least 4r + 4, so
+          2r + 2 | m would give s > 2r + 1, hence s = 2r + 2, which does
+          not divide M.
       (ii) an l-cycle of the residual times the m-cycle splits into
           cycles of length lcm(l, m), and a tree element lies on none, so
           every cycle of the product has a length that is a multiple of
@@ -455,12 +463,13 @@ def _schedule(
           can see: the product still shows no cycle at rank clean.
       (iii) realize's cycle band (1, rr + 1] and
           check_realizability_preconditions never read m.
-      (iv) M = 6 at r = 1, and 6 is its only divisor >= 5, so every r = 1
-          call keeps m = 6.
-    The lengths in `closed` all divide d exactly when their lcm does, so m
-    is the first divisor of M >= clean + 2 among the multiples of that lcm,
-    which divides M.  The cycle lengths are read off the residual's cached
-    cycle table."""
+      (iv) m is at most the cut length of the rule this one replaced,
+          the least divisor of M that is at least clean + 2 and a
+          multiple of s: that divisor is a multiple of s and at least b
+          (at r = 1, M = 6 has no other divisor at least 5), and m is the
+          least such multiple.  So no input gets a larger product, and
+          every r = 1 call keeps m = 6.
+    The cycle lengths are read off the residual's cached cycle table."""
     rr = 4 * r * r if factorial_schedule else r
     clean = 2 * rr + 1
     if factorial_schedule:
@@ -468,8 +477,7 @@ def _schedule(
     full = math.lcm(*range(1, clean + 1))
     closed = {l for l in cycle_lengths(residual) if 2 <= l <= clean + 1 and full % l == 0}
     step = math.lcm(*closed)
-    cut = next(d for d in range(step, full + 1, step) if d >= clean + 2 and full % d == 0)
-    return rr, clean, cut
+    return rr, clean, -(-max(clean + 2, 6) // step) * step
 
 
 def _sweep(host: int, copy_size: int, copies: int):
@@ -566,9 +574,10 @@ def pipeline(
     built from proximities), r >= 1 the rank, and eps > 0 both the
     residualization threshold and the target of the measured distance.
     The schedule is rr = r, clean rank 2rr + 1 and, read off the residual,
-    the least cut length m >= 2r + 3 dividing lcm(1..clean) that keeps every
-    short cycle class rewire closes at lcm(1..clean) (_schedule), so m = 6
-    at r = 1; or with factorial_schedule rr = 4r^2 and cut length clean!.
+    the cut length m: the least multiple of the lcm of the short cycle
+    lengths rewire can close that is at least max(2r + 3, 6) (_schedule),
+    so m = 6 at r = 1 and 7 at r = 2 when the residual has no short
+    cycle; or with factorial_schedule rr = 4r^2 and cut length clean!.
     multiplier scales the realized structure.  The product, the
     realization and the output are each checked against their budget
     (MAX_PRODUCT_SIZE, MAX_REALIZE_SIZE, MAX_OUTPUT_SIZE) before they are
@@ -679,15 +688,21 @@ def _stages(
     ) -> list[int]:
         """The rank-r values in `after` of the first len(values) elements,
         given their values in `before`, a structure over the same domain.
-        Each distinct value forgets the predicates `after` no longer
-        declares, together with the layer marks, which forget needs once
-        the table has claimed the product's m.  Then every element within
-        distance r of either end of a changed edge, or of a changed mark
-        that `after` declares, is retyped; further away its r-ball is the
-        same in both.  A shortest path to a changed element meets the
+        Each distinct value forgets the dropped predicates, together with
+        the layer marks, which forget needs once the table has claimed the
+        product's m.  A predicate is dropped when `after` no longer
+        declares it, or declares it but, unlike `before`, holds it nowhere:
+        no atom row carries a name that holds nowhere, so forgetting it
+        gives the value in `after`.  Then every element within distance r
+        of either end of a changed edge, or of a changed mark of any other
+        predicate `after` declares, is retyped; further away its r-ball is
+        the same in both.  A shortest path to a changed element meets the
         changes only at its end, so that distance is the same in both."""
         values = list(values)
         dropped = set(before.signature.predicates) - set(after.signature.predicates)
+        dropped.update(
+            name for name, elems in after.marks.items() if before.marks.get(name) and not elems
+        )
         if dropped:
             names = frozenset(dropped).union(map(layer_mark, range(cut)))
             forgotten = {nv: table.forget(nv, names) for nv in dict.fromkeys(values)}
@@ -695,7 +710,8 @@ def _stages(
         moved = [v for v in before.elements() if before.f[v] != after.f[v]]
         changed = {x for v in moved for x in (v, before.f[v], after.f[v])}
         for name, elems in after.marks.items():
-            changed.update(elems.symmetric_difference(before.marks.get(name, ())))
+            if name not in dropped:
+                changed.update(elems.symmetric_difference(before.marks.get(name, ())))
         for v in near(after, changed, r):
             if v < len(values):
                 values[v] = table.nv_value(after, (v,), r)

@@ -33,6 +33,7 @@ ordering, which plays every ordering of every tuple, far pairs included,
 on the package's TypeTable and keys it by the package's atom rows.
 """
 
+import functools
 import math
 from collections import Counter, deque
 from fractions import Fraction
@@ -98,7 +99,11 @@ __all__ = [
     "column_rank",
     "brute_feasible_point",
     "realize_two_pass",
+    "closed_cycle_lengths",
     "cut_length_by_divisors",
+    "least_divisor_cut",
+    "cut_length_by_scan",
+    "least_cut_by_scan",
     "atom_row_scan",
     "twin_moves_from_scratch",
     "hintikka_formula",
@@ -719,12 +724,11 @@ def _closes_short_cycle(g: list, i: int, j: int, cut: int) -> bool:
     return False
 
 
-def cut_length_by_divisors(F: FiniteMapping, r: int) -> int:
-    """The pipeline's cut length at rank r for the residual F, from its
-    definition: with M = lcm(1..2r + 1), the least divisor d of M with
-    d >= 2r + 3 that every cycle length l of F with 2 <= l <= 2r + 2 and
-    l | M divides.  Each element's cycle is found by walking n steps
-    forward, onto its cycle, and then once around it."""
+def closed_cycle_lengths(F: FiniteMapping, r: int) -> set[int]:
+    """The cycle lengths l of F that the pipeline's rewire closes at rank
+    r when the cut length allows: 2 <= l <= 2r + 2 and l | lcm(1..2r + 1).
+    Each element's cycle is found by walking n steps forward, onto its
+    cycle, and then once around it."""
     M = math.lcm(*range(1, 2 * r + 2))
     lengths = set()
     for v in range(F.n):
@@ -735,11 +739,42 @@ def cut_length_by_divisors(F: FiniteMapping, r: int) -> int:
         while y != x:
             length, y = length + 1, F.f[y]
         lengths.add(length)
-    closed = [l for l in lengths if 2 <= l <= 2 * r + 2 and M % l == 0]
-    divisors = [d for d in range(1, M + 1) if M % d == 0]
-    return min(
-        d for d in divisors if d >= 2 * r + 3 and all(d % l == 0 for l in closed)
-    )
+    return {l for l in lengths if 2 <= l <= 2 * r + 2 and M % l == 0}
+
+
+def cut_length_by_divisors(F: FiniteMapping, r: int) -> int:
+    """The cut length of the rule the pipeline used before it cut at the
+    least multiple: with M = lcm(1..2r + 1), the least divisor d of M with
+    d >= 2r + 3 that every length in closed_cycle_lengths(F, r) divides."""
+    return least_divisor_cut(closed_cycle_lengths(F, r), r)
+
+
+def least_divisor_cut(closed, r: int) -> int:
+    """cut_length_by_divisors for the closed lengths `closed`: every one
+    divides d exactly when their lcm does."""
+    M, step = math.lcm(*range(1, 2 * r + 2)), math.lcm(*closed)
+    return next(d for d in _divisors(M) if d >= 2 * r + 3 and d % step == 0)
+
+
+@functools.cache
+def _divisors(M: int) -> tuple[int, ...]:
+    """The divisors of M, ascending."""
+    return tuple(d for d in range(1, M + 1) if M % d == 0)
+
+
+def cut_length_by_scan(F: FiniteMapping, r: int) -> int:
+    """The pipeline's cut length at rank r for the residual F, from its
+    definition: scan d upward from max(2r + 3, 6) and return the first d
+    that every length in closed_cycle_lengths(F, r) divides."""
+    return least_cut_by_scan(closed_cycle_lengths(F, r), r)
+
+
+def least_cut_by_scan(closed, r: int) -> int:
+    """cut_length_by_scan for the closed lengths `closed`."""
+    d = max(2 * r + 3, 6)
+    while any(d % l for l in closed):
+        d += 1
+    return d
 
 
 def realize_two_pass(mu, r: int, multiplier: int = 1) -> FiniteMapping:

@@ -8,8 +8,11 @@ must reproduce them byte for byte.  Every case runs in two fresh interpreters
 with different string-hash seeds, so the digests hold across processes and
 not only within one session.  The report digests are those of version 1;
 a version 2 report is checked to lack the three constant fields version 1
-carried, which are put back before hashing.  Run this file as a script to
-print the digests of the current code.
+carried, which are put back before hashing.  The r >= 2 digests were
+recorded again when the cut length became the least multiple of the lcm of
+the residual's closable short cycle lengths that is at least
+max(2r + 3, 6).  Run this file as a script to print the digests of the
+current code.
 """
 
 import hashlib
@@ -30,9 +33,10 @@ CASES = {
     "r1-p1-n16-two-preds": (
         16, 7, {"U": Fraction(1, 3), "V": Fraction(1, 2)}, 1, 1, Fraction(1, 4)
     ),
+    # Their residuals hold only fixed points, so they are cut at m = 7.
     "r2-p1-n4": (4, 1, None, 1, 2, Fraction(1, 4)),
     "r2-p2-n4": (4, 2, None, 2, 2, Fraction(1, 3)),
-    # Its residual holds only fixed points, so it is cut at m = 10.
+    # Its residual holds only fixed points, so it is cut at m = 9.
     "r3-p1-n6": (6, 42, {"U": Fraction(1, 4)}, 1, 3, Fraction(1, 4)),
 }
 
@@ -55,16 +59,16 @@ GOLDEN = {
         "1e17c21e33982967d414087383e4430f109167c2802f2e8dfb2e6f763abdbc39",
     ),
     "r2-p1-n4": (
-        "4c939b27cb5c66d41e795ffda155db8490f5003f0ab5bf627270e9bd018d252f",
-        "20b2670c82bee6189d7f758bec2f616d1625de72e5b34527aed6cf5743189171",
+        "beae75a5bd6960c7552d82bf2a42e73d6f638ce8887ad62186dc80652851277c",
+        "1bd96766c1de5e6675d216a09745d09f3ef451cb57a01f61b2b877494c8e188a",
     ),
     "r2-p2-n4": (
-        "66d1a2ec842ff5b1f77907b773f2b3c345bfef61979d408271570f98661c1789",
-        "38ada77ded5679b0da00c8c3e0377ef0785de5d2146564a846355c4598047106",
+        "fe7896c831cce1177afa580e75b5d8143ef32c9ba3368ccebf19fbf1f8449775",
+        "55b5a7c3b4c1899ce636106d2efc7b474d602216d054e48756238dfef84153e8",
     ),
     "r3-p1-n6": (
-        "d75745913f42b2e5e098c57b7d79048cdc3b82ff6523571b6d7ec3bbbcda6c8c",
-        "5733f3f81e5872a702cc83eb732cb3c840c7d8da9377988a79e2672b35ebaf9e",
+        "b9f47f10ee7bde1eef4001989cd980695a6200f5fc527e2efc3ef22f97ad5fa7",
+        "549e5a4b255b5171244aba74d0013ef24283580e64e797c165c4884061897609",
     ),
 }
 

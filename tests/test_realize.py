@@ -18,6 +18,7 @@ from helpers import (
     cyclic_input,
     every_marking,
     fixed_point,
+    functions_up_to_relabeling,
     path,
     perturbed_product,
     seeded,
@@ -64,7 +65,13 @@ from mapprox.structure import (
     residualize,
 )
 from mapprox.mapfile import dump_map, jsonable, measure_from_json, measure_to_json
-from oracles import cut_length_by_divisors
+from oracles import (
+    closed_cycle_lengths,
+    cut_length_by_divisors,
+    cut_length_by_scan,
+    least_cut_by_scan,
+    least_divisor_cut,
+)
 from oracles import near as oracle_near
 from oracles import output_by_merge
 from oracles import proximity as oracle_proximity
@@ -92,7 +99,7 @@ CYCLIC_CASES = [
 
 
 # (F, eps) whose residuals keep cycles of every length 2..8 between them:
-# cut lengths 12, 12, 20, 30 and 60 at r = 2, and at r = 3 a 7-cycle beside
+# cut lengths 9, 12, 20, 30 and 60 at r = 2, and at r = 3 a 7-cycle beside
 # an 8-cycle, which no divisor of lcm(1..7) = 420 closes.
 CUT_LENGTH_CASES = [
     (seeded(20, 42), Fraction(1, 4)),
@@ -717,13 +724,14 @@ class TestPipeline:
 
     def test_root_games_only_where_a_stage_changes(self, monkeypatch):
         # The merged witness is a disjoint union of the residual and
-        # stripped copies, so none of its elements is typed.  The residual,
-        # rewired, stripped and the output witness type at rank r exactly
-        # the swept elements within distance r of what they change: the cut
-        # edges and the A/B marks, the edges rewire moves, the lost B marks,
-        # and the A elements, their old images and the B elements that
-        # recover rewires.  cycle_cut_product types every residual element
-        # again, at the clean rank 2r + 1.
+        # stripped copies, so none of its elements is typed, and the
+        # stripped copies hold their B marks nowhere, so they forget them
+        # and type nothing either.  The residual, rewired and the output
+        # witness type at rank r exactly the swept elements within distance
+        # r of what they change: the cut edges and the A/B marks, the edges
+        # rewire moves, and the A elements, their old images and the B
+        # elements that recover rewires.  cycle_cut_product types every
+        # residual element again, at the clean rank 2r + 1.
         games = []
         nv_value = TypeTable.nv_value
 
@@ -783,7 +791,7 @@ class TestPipeline:
             assert {k for G, _, k in games if G is residual} == {r, 2 * r + 1}
             assert not any(G is realized or G is merged for G, _, _ in games)
             assert played(rewired) == oracle_near(rewired, moved, r)
-            assert played(stripped) == oracle_near(stripped, lost, r)
+            assert not any(G is stripped for G, _, _ in games)
             assert played(output) == {
                 v for v in oracle_near(output, changed, r) if v < swept
             }
@@ -791,6 +799,39 @@ class TestPipeline:
             retyped.add((bool(cuts), bool(moved), bool(lost), bool(changed)))
         assert retyped == {(True, True, True, True)}
         assert some_far
+
+    def test_stripped_values_followed_as_a_full_retyping(self, monkeypatch):
+        # The stripped copies hold their B marks nowhere, so their values
+        # are followed by forgetting the B marks, with no game played.  The
+        # merged stage sweeps them after the host; they must be the values
+        # a full rank-r retyping of stripped gives.
+        merges, sweeps = [], []
+        valued = realize_module._valued_distribution
+
+        def merging(E, F2, copies):
+            merges.append((F2, merge(E, F2, copies)))
+            return merges[-1][1]
+
+        def recording(structure, r, table, swept):
+            swept = list(swept)
+            sweeps.append((structure, table, swept))
+            return valued(structure, r, table, swept)
+
+        monkeypatch.setattr(realize_module, "merge", merging)
+        monkeypatch.setattr(realize_module, "_valued_distribution", recording)
+        lost = 0
+        for F, p, r, eps in SWEEP_CASES:
+            merges.clear()
+            sweeps.clear()
+            _, report = pipeline(F, p, r, eps)
+            (stripped, merged), = merges
+            (table, swept), = [(t, s) for G, t, s in sweeps if G is merged]
+            followed = [nv for _, _, nv in swept[len(swept) - stripped.n:]]
+            assert followed == [
+                table.nv_value(stripped, (v,), r) for v in stripped.elements()
+            ], (F, p, r, eps)
+            lost += bool(report["cut_pairs"])
+        assert lost >= len(CYCLIC_CASES)
 
     def test_changed_by_recover_read_off_its_output(self, monkeypatch):
         # The pipeline finds what recover changed by comparing the merged
@@ -1053,23 +1094,46 @@ class TestPipeline:
 
 
 class TestCutLength:
-    """The pipeline cuts at the least divisor m >= 2r + 3 of lcm(1..2r + 1)
-    that every short cycle class of its residual which rewire closes at
-    lcm(1..2r + 1) divides (oracles.cut_length_by_divisors)."""
-
-    @staticmethod
-    def closed(residual: FiniteMapping, r: int) -> set:
-        full = math.lcm(*range(1, 2 * r + 2))
-        return {l for l in cycle_lengths(residual) if 2 <= l <= 2 * r + 2 and full % l == 0}
+    """The pipeline cuts at the least multiple m >= max(2r + 3, 6) of the
+    lcm of the short cycle lengths of its residual that rewire closes
+    (oracles.cut_length_by_scan), never above the least divisor of
+    lcm(1..2r + 1) the rule before it took (oracles.cut_length_by_divisors)."""
 
     def test_rank_one_cuts_at_six(self):
         for F, p, r, eps in SWEEP_CASES:
             if r != 1:
                 continue
             residual, _ = residualize(F, eps)
-            assert cut_length_by_divisors(residual, 1) == 6
+            assert cut_length_by_scan(residual, 1) == 6
             _, report = pipeline(F, p, r, eps)
             assert report["parameters"]["schedule"]["cut_length"] == 6
+
+    def test_rule_on_every_set_of_closable_lengths(self, monkeypatch):
+        # For r = 1..7 and every set S of the lengths 2 <= l <= 2r + 2 with
+        # l | lcm(1..2r + 1), a residual with fixed points, S and the one
+        # length such a set leaves out (2r + 2 when it is a power of two)
+        # is cut at m >= 2r + 3 that rewire's test l | m passes for exactly
+        # the lengths in S, and at no more than the divisor rule's m.
+        lengths = []
+        monkeypatch.setattr(realize_module, "cycle_lengths", lambda residual: lengths)
+        calls = 0
+        for r in range(1, 8):
+            full = math.lcm(*range(1, 2 * r + 2))
+            closable = [l for l in range(2, 2 * r + 3) if full % l == 0]
+            left_out = [l for l in range(2, 2 * r + 3) if full % l]
+            assert left_out == ([] if r & (r + 1) else [2 * r + 2])
+            for size in range(len(closable) + 1):
+                for closed in itertools.combinations(closable, size):
+                    lengths[:] = [1, *closed, *left_out]
+                    _, _, m = realize_module._schedule(r, False, None)
+                    calls += 1
+                    assert m >= 2 * r + 3
+                    assert {l for l in lengths[1:] if m % l == 0} == set(closed)
+                    assert m <= least_divisor_cut(closed, r)
+                    if r <= 4:
+                        assert m == least_cut_by_scan(closed, r)
+                    assert r > 1 or m == 6
+        assert calls == 4 + 32 + 64 + 512 + 2048 + 8192 + 16384
 
     def test_cut_length_matches_oracle(self):
         seen = {2: set(), 3: set()}
@@ -1078,14 +1142,14 @@ class TestCutLength:
             for r in (2, 3):
                 _, report = pipeline(F, 1, r, eps)
                 m = report["parameters"]["schedule"]["cut_length"]
-                assert m == cut_length_by_divisors(residual, r), (F, r)
-                assert math.lcm(*range(1, 2 * r + 2)) % m == 0
+                assert m == cut_length_by_scan(residual, r), (F, r)
+                assert m <= cut_length_by_divisors(residual, r), (F, r)
                 assert m >= 2 * r + 3
-                assert all(m % l == 0 for l in self.closed(residual, r))
+                assert all(m % l == 0 for l in closed_cycle_lengths(residual, r))
                 seen[r].update(l for l in cycle_lengths(residual) if l <= 2 * r + 2)
         assert seen == {2: {1, 2, 3, 4, 5, 6}, 3: {1, 2, 3, 4, 5, 6, 7, 8}}
         _, report = pipeline(seeded(20, 42), 1, 2, Fraction(1, 4))
-        assert report["parameters"]["schedule"]["cut_length"] == 12
+        assert report["parameters"]["schedule"]["cut_length"] == 9
 
     def test_odd_rank_leaves_the_longest_class_open(self):
         # At odd r, 2r + 2 does not divide lcm(1..2r + 1), so rewire leaves
@@ -1094,7 +1158,7 @@ class TestCutLength:
         F, eps = CUT_LENGTH_CASES[-1]
         residual, _ = residualize(F, eps)
         assert {7, 8} <= set(cycle_lengths(residual))
-        assert 420 % 8 != 0 and 8 not in self.closed(residual, 3)
+        assert 420 % 8 != 0 and 8 not in closed_cycle_lengths(residual, 3)
         _, clean, cut = realize_module._schedule(3, False, residual)
         assert cut == 14
         table = TypeTable()
@@ -1122,18 +1186,18 @@ class TestCutLength:
 
         monkeypatch.setattr(realize_module, "cycle_cut_product", unreachable)
         F = seeded(20, 42)
-        m = cut_length_by_divisors(residualize(F, Fraction(1, 4))[0], 2)
-        assert m == 12
+        m = cut_length_by_scan(residualize(F, Fraction(1, 4))[0], 2)
+        assert m == 9
         monkeypatch.setattr(realize_module, "MAX_PRODUCT_SIZE", F.n * m - 1)
         with monkeypatch.context() as patched:
             patched.setattr(TypeTable, "_play", unreachable)
             with pytest.raises(ScheduleInfeasible) as caught:
                 pipeline(F, 1, 2, Fraction(1, 4))
             assert str(caught.value) == (
-                f"cut = 12 yields a product of {F.n * m} elements, "
+                f"cut = 9 yields a product of {F.n * m} elements, "
                 f"over the budget of {F.n * m - 1}"
             )
-            assert caught.value.schedule == {"r": 2, "rr": 2, "clean_rank": 5, "cut_length": 12}
+            assert caught.value.schedule == {"r": 2, "rr": 2, "clean_rank": 5, "cut_length": 9}
             with pytest.raises(ScheduleInfeasible) as caught:
                 pipeline(F, 1, 1, Fraction(1, 4), factorial_schedule=True)
             assert caught.value.schedule["cut_length"] == math.factorial(9)
@@ -1143,28 +1207,33 @@ class TestCutLength:
             pipeline(F, 1, 2, Fraction(1, 4))
 
     def test_every_small_mapping(self):
-        # Every function with n <= 4, each with one seeded U marking, at
-        # r = 1, 2, eps = 1/2, 1/4 and p = 1: each call returns or raises a
-        # named MapproxError, its residual recovers the input, the realized
+        # Every function with n <= 4, and every function with n = 5 up to
+        # relabelling, each with one seeded U marking, at r = 1, 2,
+        # eps = 1/2, 1/4 and p = 1: each call returns or raises a named
+        # MapproxError, its residual recovers the input, the realized
         # histogram is the product's, and the cut length is the oracle's.
+        functions = [
+            f for n in range(1, 5) for f in itertools.product(range(n), repeat=n)
+        ]
+        functions += functions_up_to_relabeling(5)
         calls = 0
-        for n in range(1, 5):
-            for f in itertools.product(range(n), repeat=n):
-                rng = random.Random(repr(f))
-                F = FiniteMapping(
-                    f=f, marks={"U": frozenset(v for v in range(n) if rng.random() < 0.5)}
-                )
-                for eps in (Fraction(1, 2), Fraction(1, 4)):
-                    residual, pairs = residualize(F, eps)
-                    assert structurally_equal(recover(residual, pairs), F), (f, eps)
-                    for r in (1, 2):
-                        calls += 1
-                        try:
-                            _, report = pipeline(F, 1, r, eps)
-                        except MapproxError:
-                            continue
-                        stages = {stage["name"]: stage for stage in report["stages"]}
-                        assert stages["realized"]["histogram"] == stages["product"]["histogram"]
-                        m = report["parameters"]["schedule"]["cut_length"]
-                        assert m == cut_length_by_divisors(residual, r), (f, r, eps)
-        assert calls == 1152
+        for f in functions:
+            n = len(f)
+            rng = random.Random(repr(f))
+            F = FiniteMapping(
+                f=f, marks={"U": frozenset(v for v in range(n) if rng.random() < 0.5)}
+            )
+            for eps in (Fraction(1, 2), Fraction(1, 4)):
+                residual, pairs = residualize(F, eps)
+                assert structurally_equal(recover(residual, pairs), F), (f, eps)
+                for r in (1, 2):
+                    calls += 1
+                    try:
+                        _, report = pipeline(F, 1, r, eps)
+                    except MapproxError:
+                        continue
+                    stages = {stage["name"]: stage for stage in report["stages"]}
+                    assert stages["realized"]["histogram"] == stages["product"]["histogram"]
+                    m = report["parameters"]["schedule"]["cut_length"]
+                    assert m == cut_length_by_scan(residual, r), (f, r, eps)
+        assert calls == 4 * (256 + 27 + 4 + 1 + 47)
