@@ -55,35 +55,39 @@ itself and once for (b, a), which is not played; with s = t and a != b
 both orders are played, each counted once; and (a, a) plays nothing, as
 its class, ("diagonal", s), is its root's.  Balls are symmetric, so every
 unordered near pair is met from both ends.  At p >= 3, and in dist_p^r
-at p >= 2, the 1-tuple values are played first, and only the tuples whose
-values run in order are played.  Root values are kept in the table, the
-only game values it keeps; the 1-tuple values of ldist at p >= 3 and of
-dist_p^r are played and not kept, ldist's under the twin classes of
-TypeTable.root_values, since a 1-tuple game starts connected.  A sorted
-tuple is asked for once per call, so its game is played once, straight
-on the engine: a structure's near pairs stream through one
-TypeTable.tuple_values call, which keeps nothing, so a second call on the
-same table plays and spends them again.
-Nor are the tuples of ldist at p >= 3, or of dist_p^r, kept.  Every game
-of this module enters the kernel through a TypeTable method, whose one
-depth guard refuses a game too deep for the stack with GameTooDeep.
+at p >= 2, the 1-tuple values are read first, and only the tuples whose
+values run in order are played.
+
+ldist reads every 1-tuple value, at every p, off TypeTable.nv_value, which
+keeps each root's value in the table, the only game values it keeps, so a
+second call on the same table plays no root again.  A kept root value is in
+layer-0 normal form (localtypes), not the value played, but the proof above
+holds for any order on the 1-tuple values as long as both structures use the
+same one: the normal form is a bijection on values, and A and B share one
+table.  The 1-tuple values of dist_p^r are played under the whole-domain
+rule and not kept.  A sorted tuple is asked for once per call, so its game
+is played once, straight on the engine, and not kept: a structure's near
+pairs stream through one TypeTable.tuple_values call, and nv_value hands
+each longer tuple of ldist to tuple_values, so a second call on the same
+table plays and spends them again.  Every game of this module enters the
+kernel through a TypeTable method, whose one depth guard refuses a game too
+deep for the stack with GameTooDeep.
 
 Each call counts each structure's classes once: when B is A, at every p,
 B's counts are A's, and dist_p^r plays A's sentence game for both.  At
 p = 0, dist_p^r is the comparison of the two sentence values.
 
-Every call has one work budget, the module constant GAME_BUDGET, read
-when the call runs; no call takes a budget of its own.  Before any game is
+Every call has one work budget, the module constant GAME_BUDGET, read when
+the call runs; no call takes a budget of its own.  Before any game is
 played, ldist at p = 2 checks n plus the ball sizes of each structure
-against the budget, summed as the balls are built.  At p = 1 and p >= 3,
-and in dist_p^r, whose unrestricted moves reach past any ball, the budget
-bounds n^p, the number of p-tuples, though only the sorted ones are
-played.  dist_p^r is 1 when a
-sentence of rank r separates the structures, and then no tuple is
-enumerated.  Either distance also spends every game position it plays on
-one meter per call, and raises BudgetExceeded once the positions pass the
-budget.  In dist_p^r a position with one round left is played and spent,
-but its extensions by the n elements are not: the engine reads their
+against the budget, summed as the balls are built.  At p = 1 and p >= 3, and
+in dist_p^r, whose unrestricted moves reach past any ball, the budget bounds
+n^p, the number of p-tuples, though only the sorted ones are played.
+dist_p^r is 1 when a sentence of rank r separates the structures, and then
+no tuple is enumerated.  Either distance also spends every game position it
+plays on one meter per call, and raises BudgetExceeded once the positions
+pass the budget.  In dist_p^r a position with one round left is played and
+spent, but its extensions by the n elements are not: the engine reads their
 values off atom-row classes, so they are neither played nor counted.
 """
 
@@ -218,17 +222,8 @@ def ldist(
     if p == 2:
         balls = [_near_balls(F, r + 1) for F in structures]
         counts = [_pair_classes(F, table, r, meter, near) for F, near in zip(structures, balls)]
-    elif p == 1:
-        counts = _tuple_classes(structures, p, partial(table.nv_value, k=r, meter=meter))
     else:
-        # Played through the table and kept by none: the 1-tuple values
-        # with twin classes (root_values), the p-tuples without.
-        def value(F, tup):
-            if len(tup) == 1:
-                return next(table.root_values(F, tup, r, meter))
-            return next(table.tuple_values(F, (tup,), r, meter))
-
-        counts = _tuple_classes(structures, p, value)
+        counts = _tuple_classes(structures, p, partial(table.nv_value, k=r, meter=meter))
     return _tv(counts[0], A.n**p, counts[-1], B.n**p)
 
 

@@ -71,10 +71,13 @@ a game is reached only from (tup[:-1], k + 1), which is played once, so a
 memo below the top would never be hit.  Roots are asked for again and
 again, by histograms, transport and lower ranks, so nv_value keeps each
 root's value in layer-0 normal form, and asking for it again plays and
-spends nothing.  Any other top-level tuple, such as a sentence or p-tuple
-of equivalence's distances (global_value, tuple_values), and a root asked
-for through root_values, is played and spent each time it is asked for;
-equivalence asks for each once per call.
+spends nothing; equivalence.ldist reads its 1-tuple values there too, at
+every p.  Any other top-level tuple, such as a sentence or p-tuple of
+equivalence's distances (global_value, tuple_values), is played and spent
+each time it is asked for; equivalence asks for each once per call.  So
+the kernel has one door per game rule: nv_value for local roots, kept;
+tuple_values for local tuples of two or more elements, streamed and none
+kept; global_value for the whole-domain game.
 A Meter passed down counts the positions a call plays, one each.  In the
 local game only a top-level tuple's atom row is scanned off the tuple.  A
 fresh y equals no placed element, so its row over a placed tuple is its
@@ -371,7 +374,10 @@ class TypeTable:
         meter: Optional[Meter] = None,
     ) -> int:
         """The value of `tup` in F's local game with k rounds left,
-        spending every position it plays on `meter`."""
+        spending every position it plays on `meter`.  A root's value is
+        played under F's twin classes and kept in layer-0 normal form; a
+        longer tuple, such as a p-tuple of equivalence.ldist, is handed to
+        tuple_values and not kept."""
         if len(tup) != 1:
             return next(self.tuple_values(F, (tup,), k, meter))
         # A root's value at a lower rank is read off its highest-rank value
@@ -423,18 +429,6 @@ class TypeTable:
         """The value of `tup` in F's game whose moves range over the whole
         domain, with k rounds left, spending every position on `meter`."""
         return next(self._play(F, None, (tup,), k, meter))
-
-    def root_values(
-        self, F: FiniteMapping, roots: Iterable[int], k: int, meter: Optional[Meter]
-    ) -> Iterator[int]:
-        """The values of the 1-tuples of `roots`, in order, in F's local
-        game with k rounds left, each played as it is asked for and spent on
-        `meter`.  A 1-tuple game starts connected, so each plays F's
-        twin-class moves, as nv_value does; unlike nv_value, none is kept
-        or brought to layer-0 normal form, so a root asked for again is
-        played and spent again."""
-        moves = self._structure_cache(F)["moves"]
-        return self._play(F, moves, ((v,) for v in roots), k, meter)
 
     def tuple_values(
         self, F: FiniteMapping, tuples: Iterable[tuple], k: int, meter: Optional[Meter]

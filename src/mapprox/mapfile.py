@@ -371,6 +371,8 @@ def read_measure(path, table: Optional[TypeTable] = None) -> TypeMeasure:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as failure:
         raise FormatError(f"invalid JSON: {failure}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     return measure_from_json(data, table=table)
 
 

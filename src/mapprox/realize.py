@@ -355,7 +355,9 @@ def rewire(F: FiniteMapping, cut_length: int, clean_rank: int) -> FiniteMapping:
     if clean_rank < 0:
         raise ValueError("clean_rank must be nonnegative")
     predicates = F.signature.predicates
-    layer_names = list(map(layer_mark, range(cut_length)))
+    # At most len(predicates) layer names are declared, so one more name
+    # than that is enough to find a missing one when cut_length is larger.
+    layer_names = list(map(layer_mark, range(min(cut_length, len(predicates) + 1))))
     declared = set(predicates)
     missing = [name for name in layer_names if name not in declared]
     if missing:

@@ -513,13 +513,25 @@ class TestErrorHandling:
             ({"T0_acyc": None}, 2, 1, "no type predicates of the form T<k>_cyc<l> or T<k>_acyc"),
             ({}, 1, 1, "cut_length must be at least 2"),
             ({}, 2, -1, "clean_rank must be nonnegative"),
+            ({}, 10**12, 1, "missing layer predicates: ['U2', 'U3']"),
         ],
-        ids=["two-layers", "two-types", "no-layer", "no-type", "no-type-name", "m-1", "clean-1"],
+        ids=[
+            "two-layers",
+            "two-types",
+            "no-layer",
+            "no-type",
+            "no-type-name",
+            "m-1",
+            "clean-1",
+            "m-past-predicates",
+        ],
     )
     def test_rewire_refuses_unreadable_cut_marks(
         self, capsys, tmp_path, marks, m, clean, message
     ):
         # A 2-cycle cut at m = 2, one mark changed (None: not declared).
+        # Its three predicates leave one of U0..U3 undeclared at least, so
+        # an m past them is refused on those four names, not on all m.
         marks = {**{"U0": {0}, "U1": {1}, "T0_acyc": {0, 1}}, **marks}
         marks = {name: elems for name, elems in marks.items() if elems is not None}
         target = tmp_path / "cut.map"
@@ -529,6 +541,14 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_deeply_nested_measure_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "mu.json"
+        target.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["realize", str(target), "--r", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
 
     def test_domain_error(self, capsys, c3):
         code, _, err = run(capsys, ["cut", c3, "--m", "1", "--type-rank", "1"])

@@ -29,7 +29,7 @@ from mapprox.equivalence import (
 from mapprox.errors import BudgetExceeded, GameTooDeep, SignatureMismatch
 from mapprox.localtypes import Meter, TypeTable, global_table
 from mapprox.randgen import random_mapping
-from mapprox.structure import FiniteMapping, ball
+from mapprox.structure import FiniteMapping, ball, cut_product_layers, cycle_cut_product
 from oracles import (
     brute_fo_dist,
     brute_ldist,
@@ -351,38 +351,64 @@ class TestLdist:
         assert len(played) == 2 * played_first > 0
 
     def test_shared_table_keeps_no_triple(self, monkeypatch):
-        # At p = 3 no value is kept, of a root or of a triple: each
-        # structure's cache keeps no root, and its two move tables, one
-        # with twin classes for the roots and one without for the triples,
-        # hold about one entry per element each, not one per triple.  A
-        # second call on the same table plays and spends what the first did.
+        # At p = 3 the roots' values are kept and the triples' are not:
+        # each structure's cache keeps one root per element, and its two
+        # move tables, one with twin classes for the roots and one without
+        # for the triples, hold about one entry per element each, not one
+        # per triple.  A second call on the same table plays no root and
+        # every triple again, so it spends the first call's spend less what
+        # the roots spend in a fresh table.
         A, B = seeded(5, 2, Fraction(1, 2)), seeded(6, 3, Fraction(1, 2))
+        roots, fresh = Meter(10**6), TypeTable()
+        for F in (A, B):
+            for a in F.elements():
+                fresh.nv_value(F, (a,), 1, roots)
         table = TypeTable()
         played, meters = played_positions(monkeypatch), game_meters(monkeypatch)
         first = ldist(A, B, 3, 1, table)
-        spent_first, played_first = meters[0].spent, len(played)
+        played_first = list(played)
         for F in (A, B):
             cache = table._structure_cache(F)
-            assert cache["roots"] == {}
-            assert cache_entries(cache) <= 2 * (F.n + 1)
+            assert cache["roots"].keys() == set(F.elements())
+            assert cache_entries(cache) <= 2 * (F.n + 1) + F.n
         second = ldist(A, B, 3, 1, table)
         assert first == second == brute_ldist(A, B, 3, 1)
         assert len(meters) == 2
-        assert meters[1].spent == spent_first > 0
-        assert len(played) == 2 * played_first > 0
+        assert meters[1].spent == meters[0].spent - roots.spent
+        assert (meters[0].spent, meters[1].spent) == (330, 305)
+        triples = [position for position in played_first if len(position[1]) == 3]
+        assert played[len(played_first):] == triples
+        assert len(triples) < len(played_first)
 
     def test_singles_play_twin_classes(self):
-        # At p >= 3 the 1-tuple values are played under twin classes, as a
-        # 1-tuple game starts connected: star(30)'s 31 roots at rank 3
-        # spend 124 positions, where exploring every fresh neighbor spends
-        # 50,551, and get the same values.  None is kept.
+        # ldist reads its 1-tuple values off nv_value at every p, which
+        # plays a root under twin classes, as a 1-tuple game starts
+        # connected: star(30)'s 31 roots at rank 3 spend 124 positions,
+        # where exploring every fresh neighbor (tuple_values) spends 50,551,
+        # and get the same values.  Every root is kept.
         F, table = star(30), TypeTable()
         twins, every = Meter(10**6), Meter(10**6)
-        values = list(table.root_values(F, F.elements(), 3, twins))
+        values = [table.nv_value(F, (a,), 3, twins) for a in F.elements()]
         singles = ((a,) for a in F.elements())
         assert values == list(table.tuple_values(F, singles, 3, every))
         assert (twins.spent, every.spent) == (124, 50_551)
-        assert table._structure_cache(F)["roots"] == {}
+        assert table._structure_cache(F)["roots"] == dict(enumerate(values))
+
+    @pytest.mark.parametrize("seed, expected", [(0, Fraction(19, 27)), (3, Fraction(665, 729))])
+    def test_triples_on_a_claimed_product_match_oracle(self, seed, expected):
+        # The table claims P's layers, so the 1-tuple values of P's layers
+        # 1 and 2 are layer pairs, not played values.  Sorting the triples
+        # by them is still exact, as Q, which is not a product, reads its
+        # 1-tuple values in the same table.
+        table = TypeTable()
+        P = cycle_cut_product(seeded(3, seed, Fraction(1, 2)), 3, 1, table)
+        marks = dict(P.marks)
+        marks["U"] = marks["U"] ^ {1}
+        Q = FiniteMapping(f=P.f, marks=marks, signature=P.signature)
+        assert (cut_product_layers(P), cut_product_layers(Q)) == (3, 0)
+        assert ldist(P, Q, 3, 1, table) == brute_ldist(P, Q, 3, 1) == expected
+        roots = table._structure_cache(P)["roots"]
+        assert {a % 3 for a, v in roots.items() if isinstance(table._meta[v][1], int)} == {1, 2}
 
     def test_same_structure_plays_its_pairs_once(self, monkeypatch):
         # ldist(F, F) reads B's pair classes off A's, so each pair game is

@@ -339,10 +339,13 @@ class TestMeasureJson:
                 measure_from_json({**data, "rank": rank})
 
     def test_read_rejects_bad_json(self, tmp_path):
+        # json.loads runs out of stack on the deep nesting: a RecursionError,
+        # not a JSONDecodeError, is turned into FormatError too.
         target = tmp_path / "m.json"
-        target.write_text("{not json")
-        with pytest.raises(FormatError):
-            read_measure(target)
+        for text in ("{not json", "[" * 100_000):
+            target.write_text(text)
+            with pytest.raises(FormatError, match="invalid JSON"):
+                read_measure(target)
 
 
 class TestCertificateJson:
